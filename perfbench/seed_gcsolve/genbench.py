@@ -1,0 +1,405 @@
+"""Seeded random instance generation and the timing harness.
+
+All randomness flows through SplitMix64 so runs are reproducible across
+platforms; per-sample streams are derived from (root seed, cell index,
+sample index).  The harness times the linear pipeline against the
+enumeration oracle and aggregates summary rows (means and standard
+deviations as a percent of the mean, with "-" for cells where the oracle
+was capped).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, replace
+from statistics import fmean, pstdev
+
+from .constraint import GcInstance, solve, solve_enumerate
+from .fpalg import RowReducer, is_prime
+from .frame import build_frame
+from .perm import Permutation
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """The splitmix64 generator: state += golden gamma, output = mix(state)."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK
+        return _mix(self.state)
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n), bias-free via rejection."""
+        if n <= 0:
+            raise ValueError("below() needs a positive bound")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi], both ends included."""
+        return lo + self.below(hi - lo + 1)
+
+    def uniform01(self) -> float:
+        return (self.next_u64() >> 11) / float(1 << 53)
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+    def sample(self, seq, k: int) -> list:
+        """k distinct elements of seq (order not meaningful)."""
+        s = len(seq)
+        if k >= s:
+            return list(seq)
+        if k > s // 2:
+            pool = list(seq)
+            for i in range(k):
+                j = self.randint(i, s - 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[:k]
+        chosen: set[int] = set()
+        while len(chosen) < k:
+            chosen.add(self.below(s))
+        return [seq[i] for i in sorted(chosen)]
+
+
+def derive_seed(root: int, *parts: int) -> int:
+    """Stable child seed from a root and integer salts (cell, sample, ...)."""
+    x = root & _MASK
+    for part in parts:
+        x = _mix(((x ^ (part & _MASK)) + _GOLDEN) & _MASK)
+    return x
+
+
+@dataclass(frozen=True)
+class GenConfig:
+    """Recipe for one random instance (or, in the harness, one sweep cell).
+
+    With dims=None the per-orbit dimensions are drawn per instance from
+    q_range x dim_range, honoring dim_g (exact group dimension) or
+    n_target (exact domain size) when set.
+    """
+
+    p: int
+    seed: int
+    k: int = 2
+    sat_bias: float = 0.5
+    dims: tuple[int, ...] | None = None
+    dim_g: int | None = None
+    n_target: int | None = None
+    q_range: tuple[int, int] = (1, 6)
+    dim_range: tuple[int, int] = (1, 10)
+    max_dim: int = 13
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if not 0.0 <= self.sat_bias <= 1.0:
+            raise ValueError("sat_bias must lie in [0, 1]")
+        if self.dims is not None:
+            object.__setattr__(self, "dims", tuple(self.dims))
+            if not self.dims or any(d < 1 or d > self.max_dim for d in self.dims):
+                raise ValueError(f"dims must lie in 1..{self.max_dim}")
+            if self.dim_g is not None and not (
+                max(self.dims) <= self.dim_g <= sum(self.dims)
+            ):
+                raise ValueError("dim_g must lie between max(dims) and sum(dims)")
+        if not (1 <= self.dim_range[0] <= self.dim_range[1] <= self.max_dim):
+            raise ValueError(f"dim_range must lie in 1..{self.max_dim}")
+        if self.q_range[0] < 1 or self.q_range[0] > self.q_range[1]:
+            raise ValueError("bad q_range")
+        if self.n_target is not None and (
+            self.n_target < self.p or self.n_target % self.p
+        ):
+            raise ValueError("n_target must be a positive multiple of p")
+
+
+@dataclass(frozen=True)
+class GenResult:
+    instance: GcInstance
+    witness: Permutation | None
+    dims: tuple[int, ...]
+    dim_g: int
+
+    @property
+    def n(self) -> int:
+        return self.instance.n
+
+    @property
+    def d(self) -> int:
+        return sum(self.dims)
+
+
+def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
+    if cfg.dims is not None:
+        return cfg.dims
+    if cfg.n_target is not None:
+        dims = []
+        remaining = cfg.n_target
+        while remaining:
+            top = cfg.dim_range[1]
+            while cfg.p**top > remaining:
+                top -= 1
+            dims.append(rng.randint(cfg.dim_range[0], max(cfg.dim_range[0], top)))
+            remaining -= cfg.p ** dims[-1]
+        return tuple(dims)
+    for _ in range(100_000):
+        q = rng.randint(*cfg.q_range)
+        dims = tuple(rng.randint(*cfg.dim_range) for _ in range(q))
+        if cfg.dim_g is None or max(dims) <= cfg.dim_g <= sum(dims):
+            return dims
+    raise ValueError(f"could not draw dims reaching dim_g={cfg.dim_g} from {cfg}")
+
+
+def _block_layout(p: int, dims):
+    """Per-orbit point ranges and lex-ordered digit tuples."""
+    offsets = []
+    digit_lists = []
+    start = 0
+    for d in dims:
+        offsets.append(start)
+        size = p**d
+        digits = []
+        t = [0] * d
+        for _ in range(size):
+            digits.append(tuple(t))
+            for j in range(d - 1, -1, -1):
+                t[j] += 1
+                if t[j] < p:
+                    break
+                t[j] = 0
+        digit_lists.append(digits)
+        start += size
+    return offsets, digit_lists
+
+
+def _rank(t, p: int) -> int:
+    r = 0
+    for x in t:
+        r = r * p + x
+    return r
+
+
+def _translation_perm(p, dims, offsets, digit_lists, vector) -> Permutation:
+    """Permutation translating each orbit (a copy of F_p^{d_i} in lex
+    order) by the matching slice of vector."""
+    n = offsets[-1] + p ** dims[-1] if dims else 0
+    images = list(range(1, n + 1))
+    lo = 0
+    for d, off, digits in zip(dims, offsets, digit_lists):
+        v = vector[lo:lo + d]
+        lo += d
+        if any(v):
+            for i, t in enumerate(digits):
+                shifted = tuple((a + b) % p for a, b in zip(t, v))
+                images[off + i] = off + _rank(shifted, p) + 1
+    return Permutation(tuple(images))
+
+
+def gen_instance(cfg: GenConfig) -> GenResult:
+    """Deterministically generate one instance from the config's seed.
+
+    Orbits are regular translation actions of F_p^{d_i}; generators are
+    uniform random vectors of the product space, redrawn until they span
+    every constituent and have rank exactly dim_g; constraints draw
+    min(k, orbit) points per point, forced through the planted witness
+    image when the instance is planted.
+    """
+    rng = SplitMix64(cfg.seed)
+    p = cfg.p
+    dims = _draw_dims(cfg, rng)
+    d = sum(dims)
+    dim_g = cfg.dim_g if cfg.dim_g is not None else rng.randint(max(dims), d)
+    offsets, digit_lists = _block_layout(p, dims)
+    n = sum(p**di for di in dims)
+
+    rows = None
+    for _ in range(100_000):
+        cand = [[rng.below(p) for _ in range(d)] for _ in range(dim_g)]
+        total = RowReducer(p, d)
+        if sum(total.add(row) for row in cand) != dim_g:
+            continue
+        lo = 0
+        ok = True
+        for di in dims:
+            block = RowReducer(p, di)
+            for row in cand:
+                block.add(row[lo:lo + di])
+            if block.rank != di:
+                ok = False
+                break
+            lo += di
+        if ok:
+            rows = cand
+            break
+    if rows is None:
+        raise ValueError(f"could not draw generators for {cfg}")
+
+    gens = [_translation_perm(p, dims, offsets, digit_lists, row) for row in rows]
+
+    planted = rng.uniform01() < cfg.sat_bias
+    witness = None
+    witness_vec = [0] * d
+    if planted:
+        coeffs = [rng.below(p) for _ in range(dim_g)]
+        for c, row in zip(coeffs, rows):
+            if c:
+                witness_vec = [(w + c * x) % p for w, x in zip(witness_vec, row)]
+        witness = _translation_perm(p, dims, offsets, digit_lists, witness_vec)
+
+    cmap = {}
+    lo = 0
+    for di, off, digits in zip(dims, offsets, digit_lists):
+        size = p**di
+        orbit = tuple(range(off + 1, off + size + 1))
+        v = witness_vec[lo:lo + di]
+        lo += di
+        want = min(cfg.k, size)
+        for i, t in enumerate(digits):
+            a = off + i + 1
+            cset = set()
+            if planted:
+                cset.add(off + _rank(tuple((x + y) % p for x, y in zip(t, v)), p) + 1)
+            while len(cset) < want:
+                cset.add(orbit[rng.below(size)])
+            cmap[a] = frozenset(cset)
+
+    inst = GcInstance.build(p, n, gens, cmap)
+    return GenResult(inst, witness, dims, dim_g)
+
+
+# -- harness ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    param: int
+    n_mean: float
+    n_sd_pct: float
+    dimg_mean: float
+    dimg_sd_pct: float
+    d_mean: float
+    d_sd_pct: float
+    t1_mean_ms: float
+    t1_sd_pct: float
+    t2_mean_ms: float | None
+    t2_sd_pct: float | None
+    samples: int
+
+
+def _sd_pct(values) -> float:
+    m = fmean(values)
+    if m == 0:
+        return 0.0
+    return 100.0 * pstdev(values) / m
+
+
+def dim_g_sweep(values, seed: int, p: int = 2, k: int = 2, **kwargs) -> list[GenConfig]:
+    """One cell per target group dimension."""
+    return [GenConfig(p=p, seed=seed, k=k, dim_g=v, **kwargs) for v in values]
+
+
+def n_sweep(values, seed: int, p: int = 2, k: int = 2, **kwargs) -> list[GenConfig]:
+    """One cell per exact domain size."""
+    return [GenConfig(p=p, seed=seed, k=k, n_target=v, **kwargs) for v in values]
+
+
+def bench_run(
+    configs,
+    samples: int,
+    oracle_cap: int = 2**20,
+    fallback: str = "product",
+    clock=time.perf_counter,
+) -> list[BenchRow]:
+    """Generate and solve `samples` instances per cell config, timing the
+    linear pipeline (t1) and the enumeration oracle (t2, skipped whenever
+    p^dim_g exceeds oracle_cap; the row then shows no oracle time)."""
+    rows = []
+    for ci, cfg in enumerate(configs):
+        if cfg.dim_g is None and cfg.n_target is None:
+            raise ValueError("each cell needs dim_g or n_target as its sweep parameter")
+        param = cfg.dim_g if cfg.dim_g is not None else cfg.n_target
+        ns, dgs, ds, t1s, t2s = [], [], [], [], []
+        oracle_complete = True
+        for idx in range(samples):
+            res = gen_instance(replace(cfg, seed=derive_seed(cfg.seed, ci, idx)))
+            inst = res.instance
+            start = clock()
+            solve(inst, fallback=fallback)
+            t1s.append((clock() - start) * 1000.0)
+            if cfg.p**res.dim_g > oracle_cap:
+                oracle_complete = False
+            else:
+                fr = build_frame(inst.n, inst.gens, inst.p)
+                start = clock()
+                solve_enumerate(fr, inst, cap=oracle_cap)
+                t2s.append((clock() - start) * 1000.0)
+            ns.append(inst.n)
+            dgs.append(res.dim_g)
+            ds.append(res.d)
+        rows.append(
+            BenchRow(
+                param=param,
+                n_mean=fmean(ns),
+                n_sd_pct=_sd_pct(ns),
+                dimg_mean=fmean(dgs),
+                dimg_sd_pct=_sd_pct(dgs),
+                d_mean=fmean(ds),
+                d_sd_pct=_sd_pct(ds),
+                t1_mean_ms=fmean(t1s),
+                t1_sd_pct=_sd_pct(t1s),
+                t2_mean_ms=fmean(t2s) if oracle_complete and t2s else None,
+                t2_sd_pct=_sd_pct(t2s) if oracle_complete and t2s else None,
+                samples=samples,
+            )
+        )
+    rows.sort(key=lambda r: r.param)
+    return rows
+
+
+CSV_HEADER = (
+    "param,n_mean,n_sd_pct,dimG_mean,dimG_sd_pct,d_mean,d_sd_pct,"
+    "t1_mean,t1_sd_pct,t2_mean,t2_sd_pct,samples"
+)
+
+
+def rows_to_csv(rows) -> str:
+    """Render bench rows, using "-" for oracle columns of capped cells."""
+    lines = [CSV_HEADER]
+    for r in rows:
+        t2m = "-" if r.t2_mean_ms is None else f"{r.t2_mean_ms:.6g}"
+        t2s = "-" if r.t2_sd_pct is None else f"{r.t2_sd_pct:.6g}"
+        lines.append(
+            ",".join(
+                [
+                    str(r.param),
+                    f"{r.n_mean:.6g}",
+                    f"{r.n_sd_pct:.6g}",
+                    f"{r.dimg_mean:.6g}",
+                    f"{r.dimg_sd_pct:.6g}",
+                    f"{r.d_mean:.6g}",
+                    f"{r.d_sd_pct:.6g}",
+                    f"{r.t1_mean_ms:.6g}",
+                    f"{r.t1_sd_pct:.6g}",
+                    t2m,
+                    t2s,
+                    str(r.samples),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,142 @@
+"""Text format for instances and witnesses.
+
+Grammar, one item per line, in this order:
+
+    gc 1
+    p <prime>
+    n <int>
+    m <int>
+    g <n space-separated 1-based images>     (exactly m lines)
+    c <point> : <points...>                  (zero or more; omitted points
+                                              are unconstrained)
+
+A witness file is a single ``g`` line.  Rendering is canonical, so
+parse(render(x)) reproduces x exactly.
+"""
+
+from __future__ import annotations
+
+from .constraint import GcInstance, normalize
+from .fpalg import is_prime
+from .perm import Permutation
+
+
+class InstanceFormatError(ValueError):
+    def __init__(self, message: str, lineno: int | None = None):
+        self.lineno = lineno
+        prefix = f"line {lineno}: " if lineno is not None else ""
+        super().__init__(prefix + message)
+
+
+def _numbered_tokens(text: str):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens:
+            yield lineno, tokens
+
+
+def _int_field(tokens, lineno, what) -> int:
+    if len(tokens) != 2:
+        raise InstanceFormatError(f"expected `{what} <int>`", lineno)
+    try:
+        return int(tokens[1])
+    except ValueError:
+        raise InstanceFormatError(f"{what} is not an integer", lineno) from None
+
+
+def parse_instance(text: str) -> GcInstance:
+    lines = _numbered_tokens(text)
+
+    def take(expect: str):
+        try:
+            lineno, tokens = next(lines)
+        except StopIteration:
+            raise InstanceFormatError(f"unexpected end of file, expected `{expect}`") from None
+        if tokens[0] != expect:
+            raise InstanceFormatError(f"expected `{expect}`, found `{tokens[0]}`", lineno)
+        return lineno, tokens
+
+    lineno, tokens = take("gc")
+    if tokens[1:] != ["1"]:
+        raise InstanceFormatError("unsupported format version, expected `gc 1`", lineno)
+    lineno, tokens = take("p")
+    p = _int_field(tokens, lineno, "p")
+    if not is_prime(p):
+        raise InstanceFormatError(f"p = {p} is not prime", lineno)
+    lineno, tokens = take("n")
+    n = _int_field(tokens, lineno, "n")
+    if n < 0:
+        raise InstanceFormatError("n must be nonnegative", lineno)
+    lineno, tokens = take("m")
+    m = _int_field(tokens, lineno, "m")
+    if m < 0:
+        raise InstanceFormatError("m must be nonnegative", lineno)
+
+    gens = []
+    for _ in range(m):
+        lineno, tokens = take("g")
+        try:
+            images = tuple(int(t) for t in tokens[1:])
+        except ValueError:
+            raise InstanceFormatError("generator images must be integers", lineno) from None
+        if len(images) != n:
+            raise InstanceFormatError(
+                f"generator has {len(images)} images, expected {n}", lineno
+            )
+        try:
+            gens.append(Permutation(images))
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), lineno) from None
+
+    raw = []
+    for lineno, tokens in lines:
+        if tokens[0] != "c":
+            raise InstanceFormatError(f"expected `c` line, found `{tokens[0]}`", lineno)
+        if len(tokens) < 3 or tokens[2] != ":":
+            raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
+        try:
+            point = int(tokens[1])
+            members = [int(t) for t in tokens[3:]]
+        except ValueError:
+            raise InstanceFormatError("constraint points must be integers", lineno) from None
+        raw.append((point, members))
+
+    try:
+        return normalize(raw, n, gens, p)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+
+
+def render_instance(inst: GcInstance) -> str:
+    out = [
+        "gc 1",
+        f"p {inst.p}",
+        f"n {inst.n}",
+        f"m {len(inst.gens)}",
+    ]
+    for g in inst.gens:
+        out.append("g " + " ".join(str(b) for b in g.images) if g.n else "g")
+    for a in inst.constrained_points():
+        out.append(f"c {a} : " + " ".join(str(b) for b in sorted(inst.cmap[a])))
+    return "\n".join(line.rstrip() for line in out) + "\n"
+
+
+def parse_witness(text: str, n: int) -> Permutation:
+    items = list(_numbered_tokens(text))
+    if len(items) != 1 or items[0][1][0] != "g":
+        raise InstanceFormatError("witness file must contain a single `g` line")
+    lineno, tokens = items[0]
+    try:
+        images = tuple(int(t) for t in tokens[1:])
+    except ValueError:
+        raise InstanceFormatError("witness images must be integers", lineno) from None
+    if len(images) != n:
+        raise InstanceFormatError(f"witness has {len(images)} images, expected {n}", lineno)
+    try:
+        return Permutation(images)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), lineno) from None
+
+
+def render_witness(g: Permutation) -> str:
+    return ("g " + " ".join(str(b) for b in g.images)).rstrip() + "\n"
