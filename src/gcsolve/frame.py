@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fpalg
-from .fpalg import FpMatrix, RowReducer
-from .perm import Permutation, UnionFind, is_elementary_abelian, orbit_partition
+from .fpalg import FpMatrix, RowReducer, is_prime
+from .perm import Permutation, is_elementary_abelian, orbit_partition
 
 
 class FrameError(ValueError):
@@ -29,9 +29,10 @@ class NotInSuperspaceError(FrameError):
 def _restrict(g: Permutation, block: tuple[int, ...]) -> Permutation:
     """g acting on block only, extended by the identity elsewhere."""
     images = list(range(1, g.n + 1))
+    gi = g.images
     for a in block:
-        images[a - 1] = g.image(a)
-    return Permutation(tuple(images))
+        images[a - 1] = gi[a - 1]
+    return Permutation._trusted(tuple(images))
 
 
 def _log_exact(size: int, p: int) -> int:
@@ -54,10 +55,28 @@ class OrbitFrame:
     basis: tuple[Permutation, ...]
     coords: dict[int, tuple[int, ...]]
     point_of: dict[tuple[int, ...], int]
+    # the points ordered by their coordinates read as base-p numbers, most
+    # significant digit first: lex[i] has the digits of i
+    lex: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+
+def _translate(of: OrbitFrame, x, p: int) -> list[int]:
+    """Images of of.lex under the translation by x (digits in 0..p-1).
+
+    Built from the least significant digit up: pos[i] is the position of
+    the digits of i plus x, so no coordinate tuple is formed per point.
+    """
+    pos = [0]
+    stride = 1
+    for xj in reversed(x):
+        pos = [(v + xj) % p * stride + r for v in range(p) for r in pos]
+        stride *= p
+    lex = of.lex
+    return [lex[i] for i in pos]
 
 
 @dataclass(frozen=True)
@@ -108,9 +127,10 @@ class Frame:
         if u.n != self.n:
             raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
         p = self.p
+        ui = u.images
         out: list[int] = []
         for of in self.orbit_frames:
-            x = of.coords.get(u.image(of.origin))
+            x = of.coords.get(ui[of.origin - 1])
             if x is None:
                 raise NotInSuperspaceError(
                     f"point {of.origin} leaves its orbit under the permutation"
@@ -118,14 +138,10 @@ class Frame:
             out.extend(x)
             if trusted or of.dim == 0:
                 continue
-            coords = of.coords
-            point_of = of.point_of
-            for a in of.points:
-                ya = coords[a]
-                if u.image(a) != point_of[tuple((c + e) % p for c, e in zip(ya, x))]:
-                    raise NotInSuperspaceError(
-                        f"restriction to the orbit of {of.origin} is not in the constituent"
-                    )
+            if _translate(of, x, p) != [ui[a - 1] for a in of.lex]:
+                raise NotInSuperspaceError(
+                    f"restriction to the orbit of {of.origin} is not in the constituent"
+                )
         return tuple(out)
 
     def coords_of_diff(self, a: int, b: int) -> tuple[int, ...]:
@@ -150,12 +166,9 @@ class Frame:
             xo = tuple(c % p for c in x[lo:hi])
             if not any(xo):
                 continue
-            coords = of.coords
-            point_of = of.point_of
-            for a in of.points:
-                ya = coords[a]
-                images[a - 1] = point_of[tuple((c + e) % p for c, e in zip(ya, xo))]
-        return Permutation(tuple(images))
+            for a, b in zip(of.lex, _translate(of, xo, p)):
+                images[a - 1] = b
+        return Permutation._trusted(tuple(images))
 
     def orbit_slice(self, x, orbit_index: int) -> tuple[int, ...]:
         lo, hi = self.slices[orbit_index]
@@ -224,7 +237,7 @@ def _fill_table(origin: int, basis, p: int) -> tuple[dict, dict]:
         for i in range(j + 1, d):
             digits[i] = 0
         for g in basis[j:]:
-            b = g.image(b)
+            b = g.images[b - 1]
         key = tuple(digits)
         if b in coords:
             raise FrameError("constituent action is not regular on its orbit")
@@ -232,57 +245,86 @@ def _fill_table(origin: int, basis, p: int) -> tuple[dict, dict]:
         point_of[key] = b
 
 
+def _orbit_basis(gens, block: tuple[int, ...], dim: int) -> list[Permutation]:
+    """Scan gens in input order and keep each one that moves the origin out
+    of the suborbit generated so far (newest first), stopping at dim."""
+    origin = block[0]
+    reached = {origin}
+    kept: list[Permutation] = []
+    for g in gens:
+        if len(kept) == dim:
+            break
+        gi = g.images
+        if gi[origin - 1] in reached:
+            continue
+        kept.insert(0, g)
+        # in an Abelian group the new suborbit is the old one closed under g
+        frontier = list(reached)
+        for a in frontier:
+            b = gi[a - 1]
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    if len(kept) != dim:
+        raise FrameError(f"orbit of {origin} is not transitive under the generators")
+    return [_restrict(g, block) for g in kept]
+
+
+def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
+    try:
+        dim = _log_exact(len(block), p)
+    except FrameError:
+        raise FrameError(
+            f"orbit of {block[0]} has size {len(block)}, not a power of {p}"
+        ) from None
+    basis = _orbit_basis(gens, block, dim)
+    coords, point_of = _fill_table(block[0], basis, p)
+    if len(coords) != len(block):
+        raise FrameError("constituent action is not regular on its orbit")
+    return OrbitFrame(
+        points=block,
+        origin=block[0],
+        dim=dim,
+        basis=tuple(basis),
+        coords=coords,
+        point_of=point_of,
+        lex=tuple(coords),  # _fill_table inserts in lexicographic order
+    )
+
+
 def build_frame(n: int, gens, p: int) -> Frame:
     """Build the frame for G = <gens> acting on {1..n}.
 
-    Per orbit, the basis is extracted by scanning the restricted generators
-    in input order and keeping each one that moves the origin out of the
-    suborbit generated so far (newest first), then the coordinate table is
-    filled by lexicographic enumeration.
+    The orbits come from one pass over the generators.  Per orbit, the
+    basis is extracted by scanning the generators in input order and
+    keeping each one that moves the origin out of the suborbit generated
+    so far (newest first), then the coordinate table is filled by
+    lexicographic enumeration.
+
+    The group check is a replay of every generator on the tables: each
+    table is a bijection between its orbit and F_p^d, so a generator that
+    acts as a translation on every orbit has order p (or 1) and commutes
+    with every other such generator, which makes G elementary Abelian.
+    Only when the construction fails are the generators tested pairwise,
+    so that the error names the violation: order or commutation when there
+    is one, else the construction's own error.
     """
     gens = list(gens)
     for g in gens:
         if g.n != n:
             raise FrameError(f"generator domain {g.n} differs from n = {n}")
-    ok, detail = is_elementary_abelian(gens, p)
-    if not ok:
-        raise FrameError(f"generators are not an elementary Abelian {p}-group: {detail}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     orbits = orbit_partition(gens, n)
-    frames = []
-    for block in orbits.blocks:
-        try:
-            dim = _log_exact(len(block), p)
-        except FrameError:
-            raise FrameError(
-                f"orbit of {block[0]} has size {len(block)}, not a power of {p}"
-            ) from None
-        origin = block[0]
-        uf = UnionFind(n)
-        basis: list[Permutation] = []
+    try:
+        fr = Frame(p, n, gens, orbits, [_orbit_frame(gens, b, p) for b in orbits.blocks])
         for g in gens:
-            if len(basis) == dim:
-                break
-            r = _restrict(g, block)
-            if uf.find(r.image(origin)) == uf.find(origin):
-                continue
-            basis.insert(0, r)
-            for a in block:
-                uf.union(a, r.image(a))
-        if len(basis) != dim:
+            fr.coords_of_perm(g)  # raises unless g is a translation on every orbit
+    except FrameError:
+        ok, detail = is_elementary_abelian(gens, p)
+        if not ok:
             raise FrameError(
-                f"orbit of {origin} is not transitive under the generators"
-            )
-        coords, point_of = _fill_table(origin, basis, p)
-        if len(coords) != len(block):
-            raise FrameError("constituent action is not regular on its orbit")
-        frames.append(
-            OrbitFrame(
-                points=block,
-                origin=origin,
-                dim=dim,
-                basis=tuple(basis),
-                coords=coords,
-                point_of=point_of,
-            )
-        )
-    return Frame(p, n, gens, orbits, frames)
+                f"generators are not an elementary Abelian {p}-group: {detail}"
+            ) from None
+        raise
+    return fr

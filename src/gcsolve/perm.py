@@ -32,6 +32,14 @@ class Permutation:
                 raise ValueError(f"images do not form a bijection on 1..{n}")
             seen[b] = 1
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an images tuple the library built from valid permutations,
+        skipping the bijection check that public construction runs."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "images", images)
+        return obj
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -85,7 +93,7 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     if u.n != v.n:
         raise DomainMismatchError(f"domain sizes differ: {u.n} vs {v.n}")
     vi = v.images
-    return Permutation(tuple(vi[x - 1] for x in u.images))
+    return Permutation._trusted(tuple([vi[x - 1] for x in u.images]))
 
 
 def inverse(g: Permutation) -> Permutation:
@@ -112,7 +120,7 @@ def power(g: Permutation, k: int) -> Permutation:
 
 def order(g: Permutation) -> int:
     """Smallest positive k with g^k the identity: the lcm of cycle lengths."""
-    return math.lcm(*(len(c) for c in g.cycles())) if g.cycles() else 1
+    return math.lcm(*(len(c) for c in g.cycles()))
 
 
 class UnionFind:
@@ -220,8 +228,9 @@ def _from_union_find(n: int, uf: UnionFind) -> OrbitPartition:
 
 
 def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
-    """Orbits of the group generated by gens, as the join of per-generator
-    cycle partitions.  n is required when gens is empty."""
+    """Orbits of the group generated by gens, found in one breadth-first
+    pass over the generators' image tuples (O(m·n)).  n is required when
+    gens is empty."""
     gens = list(gens)
     if not gens:
         if n is None:
@@ -229,12 +238,25 @@ def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
         return OrbitPartition.bottom(n)
     if n is None:
         n = gens[0].n
-    part = OrbitPartition.bottom(n)
     for g in gens:
         if g.n != n:
             raise DomainMismatchError(f"generator domain {g.n} differs from {n}")
-        part = part.join(OrbitPartition.from_perm(g))
-    return part
+    images = [g.images for g in gens]
+    seen = bytearray(n + 1)
+    blocks = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        block = [start]
+        for a in block:  # grows while it is walked
+            for im in images:
+                b = im[a - 1]
+                if not seen[b]:
+                    seen[b] = 1
+                    block.append(b)
+        blocks.append(block)
+    return OrbitPartition(n, blocks)
 
 
 def is_elementary_abelian(gens, p: int) -> tuple[bool, str | None]:
@@ -252,8 +274,13 @@ def is_elementary_abelian(gens, p: int) -> tuple[bool, str | None]:
         k = order(g)
         if k != p:
             return False, f"generator {i + 1} has order {k}, expected {p}"
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if compose(gens[i], gens[j]) != compose(gens[j], gens[i]):
+    images = [g.images for g in gens]
+    for i, u in enumerate(images):
+        for j in range(i + 1, len(images)):
+            v = images[j]
+            if len(u) != len(v):
+                raise DomainMismatchError(f"domain sizes differ: {len(u)} vs {len(v)}")
+            # a^(uv) = v(b) and a^(vu) = u(c) for b = a^u, c = a^v
+            if any(v[b - 1] != u[c - 1] for b, c in zip(u, v)):
                 return False, f"generators {i + 1} and {j + 1} do not commute"
     return True, None

@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcsolve.fpalg import FpMatrix, RowReducer
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
-from gcsolve.perm import Permutation, compose, power
+from gcsolve.perm import Permutation, compose, is_elementary_abelian, power
 from util import group_closure, eight_point_gens
 
 
@@ -64,6 +66,53 @@ def test_build_frame_rejects_non_elementary_abelian():
     b = Permutation.from_cycles(3, [(1, 3)])
     with pytest.raises(FrameError, match="commute"):
         build_frame(3, [a, b], 2)
+    # dihedral of order 8: one orbit of size 4 = 2^2, both generators
+    # involutions, yet they do not commute
+    a = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    b = Permutation.from_cycles(4, [(1, 3)])
+    with pytest.raises(FrameError, match="commute"):
+        build_frame(4, [a, b], 2)
+
+
+@st.composite
+def generator_sets(draw):
+    """p in {2, 3}, n <= 9 and up to four generators, each the identity, a
+    product of disjoint p-cycles (order p) or an arbitrary permutation."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=1, max_value=9))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("identity", "p-cycles", "any")))
+        pts = draw(st.permutations(list(range(1, n + 1))))
+        if kind == "identity":
+            gens.append(Permutation.identity(n))
+        elif kind == "p-cycles":
+            k = draw(st.integers(min_value=0, max_value=n // p))
+            gens.append(Permutation.from_cycles(n, [pts[i * p:(i + 1) * p] for i in range(k)]))
+        else:
+            gens.append(Permutation(tuple(pts)))
+    return p, n, gens
+
+
+@settings(max_examples=300)
+@given(generator_sets())
+@example((2, 3, [Permutation.from_cycles(3, [(1, 2, 3)])]))  # wrong order
+@example((2, 3, [Permutation.from_cycles(3, [(1, 2)]),
+                 Permutation.from_cycles(3, [(2, 3)])]))  # orbit of size 3
+@example((3, 5, [Permutation.from_cycles(5, [(1, 2, 3)]),
+                 Permutation.from_cycles(5, [(3, 4, 5)])]))  # orbit of size 5
+@example((2, 4, [Permutation.identity(4), Permutation.from_cycles(4, [(1, 2)])]))  # identity
+def test_build_frame_accepts_exactly_the_elementary_abelian_groups(case):
+    """The frame's own group check (a replay on its tables) agrees with the
+    pairwise test, and a rejection carries the pairwise test's message."""
+    p, n, gens = case
+    ok, detail = is_elementary_abelian(gens, p)
+    if ok:
+        build_frame(n, gens, p)
+    else:
+        with pytest.raises(FrameError) as exc:
+            build_frame(n, gens, p)
+        assert str(exc.value) == f"generators are not an elementary Abelian {p}-group: {detail}"
 
 
 def test_build_frame_rejects_domain_mismatch():

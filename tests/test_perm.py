@@ -117,6 +117,17 @@ def test_orbit_partition_matches_bfs_closure(gens):
     assert orbit_partition(gens, n).blocks == bfs_orbits(gens, n)
 
 
+@settings(max_examples=60)
+@given(same_domain_triples())
+def test_orbit_partition_matches_join_fold(gens):
+    n = gens[0].n
+    for k in range(len(gens) + 1):
+        fold = OrbitPartition.bottom(n)
+        for g in gens[:k]:
+            fold = fold.join(OrbitPartition.from_perm(g))
+        assert orbit_partition(gens[:k], n) == fold
+
+
 def test_join_lattice_identities():
     g = Permutation.from_cycles(6, [(1, 2), (3, 4, 5)])
     part = orbit_partition([g])
@@ -174,6 +185,26 @@ def test_is_elementary_abelian_noncommuting_pair():
     ok, detail = is_elementary_abelian([a, b], 2)
     assert not ok
     assert "commute" in detail
+
+
+@st.composite
+def involution_pairs(draw, max_n=8):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pair = []
+    for _ in range(2):
+        pts = draw(st.permutations(list(range(1, n + 1))))
+        k = draw(st.integers(min_value=1, max_value=n // 2))
+        pair.append(Permutation.from_cycles(n, [pts[2 * i:2 * i + 2] for i in range(k)]))
+    return pair
+
+
+@settings(max_examples=80)
+@given(involution_pairs())
+def test_is_elementary_abelian_commutation_matches_compose(pair):
+    u, v = pair
+    ok, detail = is_elementary_abelian([u, v], 2)
+    assert ok == (compose(u, v) == compose(v, u))
+    assert ok or detail == "generators 1 and 2 do not commute"
 
 
 def test_is_elementary_abelian_identity_generators_ok():
