@@ -25,7 +25,7 @@ from .constraint import (
     verify,
     verify_detail,
 )
-from .fpalg import FpMatrix, RowReducer, SingularMatrixError, invert, nullspace, rref
+from .fpalg import FpMatrix, RowReducer, SingularMatrixError, invert
 from .fpalg import solve as solve_system
 from .frame import (
     Frame,
@@ -47,11 +47,9 @@ from .perm import (
     OrbitPartition,
     Permutation,
     compose,
-    inverse,
     is_elementary_abelian,
     orbit_partition,
     order,
-    power,
 )
 from .reduction import (
     ClauseFormatError,

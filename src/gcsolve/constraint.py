@@ -3,9 +3,10 @@
 An instance asks for an element g of an elementary Abelian permutation
 p-group with a^g in C(a) for every point a.  Solving goes through the
 frame: per orbit the admissible constituent vectors V_O are collected; if
-every V_O is an affine subspace the instance reduces to one linear system
-over F_p, otherwise explicit fallbacks enumerate the product of the V_O
-sets or the whole group.
+every V_O is an affine subspace w + E the instance reduces to one linear
+system over F_p through the variety matrix M_G of the group, otherwise
+explicit fallbacks enumerate the product of the V_O sets or the whole
+group.  M_G is built only on the branches that test membership.
 """
 
 from __future__ import annotations
@@ -168,17 +169,13 @@ class NotLinear:
 class LinearizedConstraint:
     """The admissible set as one affine variety w + <e_basis> of the frame.
 
-    Per-orbit pieces are kept alongside the assembled global data: the
-    admissible vectors themselves, the chosen representative (the
-    lexicographically smallest), and an independent difference basis.
+    Per orbit, w holds the lexicographically smallest admissible vector and
+    e_basis an independent difference basis, padded with zeros outside the
+    orbit's slice of the frame.
     """
 
     w: tuple[int, ...]
     e_basis: tuple[tuple[int, ...], ...]
-    orbit_vos: tuple[tuple[tuple[int, ...], ...], ...]
-    orbit_w: tuple[tuple[int, ...], ...]
-    orbit_e_basis: tuple[tuple[tuple[int, ...], ...], ...]
-    orbit_dims: tuple[int, ...]
 
 
 def _power_log(size: int, p: int) -> int | None:
@@ -191,23 +188,21 @@ def _power_log(size: int, p: int) -> int | None:
 
 def linearize(fr: Frame, vos):
     """Check per orbit that V_O is an affine subspace and assemble the
-    global variety.  Returns a LinearizedConstraint, or NotLinear naming
-    the first failing orbit, or EmptyOrbit when some V_O is empty (an
-    unsatisfiable instance is reported before any linearity verdict)."""
-    p = fr.p
-    orbit_w = []
-    e_basis: list[tuple[int, ...]] = []
-    orbit_e_basis = []
-    orbit_dims = []
+    global variety.  Returns EmptyOrbit when some V_O is empty (every V_O
+    is tested for emptiness before any linearity verdict), else NotLinear
+    naming the first failing orbit, else a LinearizedConstraint."""
     for i, (of, vo) in enumerate(zip(fr.orbit_frames, vos)):
         if not vo:
             return EmptyOrbit(i, of.origin)
+    p = fr.p
+    w: list[int] = []
+    e_basis: list[tuple[int, ...]] = []
+    for i, (of, vo) in enumerate(zip(fr.orbit_frames, vos)):
         size = len(vo)
         if size == p**of.dim:
             # V_O is the whole constituent: trivially an affine subspace
             w_o = (0,) * of.dim
             basis_o = [tuple(1 if j == k else 0 for k in range(of.dim)) for j in range(of.dim)]
-            r = of.dim
         else:
             r = _power_log(size, p)
             if r is None:
@@ -222,21 +217,10 @@ def linearize(fr: Frame, vos):
             if reducer.rank != r:
                 return NotLinear(i, of.origin, size, reducer.rank)
         lo, hi = fr.slices[i]
-        orbit_w.append(w_o)
-        orbit_e_basis.append(tuple(basis_o))
-        orbit_dims.append(r)
-        pad_left, pad_right = lo, fr.dim - hi
+        w.extend(w_o)
         for v in basis_o:
-            e_basis.append((0,) * pad_left + v + (0,) * pad_right)
-    w = tuple(x for w_o in orbit_w for x in w_o)
-    return LinearizedConstraint(
-        w,
-        tuple(e_basis),
-        tuple(tuple(vo) for vo in vos),
-        tuple(orbit_w),
-        tuple(orbit_e_basis),
-        tuple(orbit_dims),
-    )
+            e_basis.append((0,) * lo + v + (0,) * (fr.dim - hi))
+    return LinearizedConstraint(tuple(w), tuple(e_basis))
 
 
 # -- outcomes -------------------------------------------------------------
@@ -275,17 +259,20 @@ class SolveOutcome:
 
 
 def solve_linear(fr: Frame, m_g: VarietyMatrix, lin: LinearizedConstraint) -> SolveOutcome:
-    """Solve the stacked system: membership in G and membership in the
-    constraint variety, 2d equations on d unknowns."""
-    m_e = fr.variety_matrix(list(lin.e_basis))
-    rhs_e = m_e.product(lin.w)
-    rows = m_g.m.rows + m_e.m.rows
-    rhs = (0,) * fr.dim + rhs_e
-    sol = fpalg.solve(FpMatrix(fr.p, rows), rhs)
-    if sol is None:
+    """Find x = w + B_E·mu in G: M_G·x = 0 exactly when
+    (M_G·B_E)·mu = -M_G·w, d equations on dim E unknowns."""
+    p = fr.p
+    cols = [m_g.product(e) for e in lin.e_basis]
+    rows = tuple(tuple(col[i] for col in cols) for i in range(fr.dim))
+    rhs = tuple(-y % p for y in m_g.product(lin.w))
+    mu = fpalg.solve(FpMatrix(p, rows), rhs)
+    if mu is None:
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    g = fr.perm_of_coords(sol)
-    return SolveOutcome.sat(g, "linear")
+    x = list(lin.w)
+    for c, e in zip(mu, lin.e_basis):
+        if c:
+            x = [(a + c * b) % p for a, b in zip(x, e)]
+    return SolveOutcome.sat(fr.perm_of_coords(x), "linear")
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:
@@ -339,12 +326,8 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
 
 def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Fallback for non-linear constraints: try every combination of one
-    admissible vector per orbit and test membership in G."""
-    for i, vo in enumerate(vos):
-        if not vo:
-            return SolveOutcome.unsat(
-                UNSAT_EMPTY_VO, method="product", orbit_min=fr.orbit_frames[i].origin
-            )
+    admissible vector per orbit and test membership in G.  An empty V_O
+    leaves no combination, so the verdict is UNSAT exhausted."""
     total = 1
     for vo in vos:
         total *= len(vo)
@@ -359,22 +342,23 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Full pipeline: frame, V_O sets, linearity test, then either the
-    linear solver or the configured fallback (product | enumerate | none)."""
+    linear solver or the configured fallback (product | enumerate | none).
+    The group's variety matrix is built only for the linear solver and the
+    product fallback, the two that test membership."""
     if fallback not in ("product", "enumerate", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
     fr = build_frame(inst.n, inst.gens, inst.p)
-    m_g = group_variety(fr)
     vos = compute_all_vo(fr, inst)
     lin = linearize(fr, vos)
     if isinstance(lin, EmptyOrbit):
         return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=lin.orbit_min)
     if isinstance(lin, LinearizedConstraint):
-        return solve_linear(fr, m_g, lin)
+        return solve_linear(fr, group_variety(fr), lin)
     if fallback == "none":
         return SolveOutcome.not_linear(lin)
     try:
         if fallback == "product":
-            return solve_product(fr, vos, m_g, cap=cap)
+            return solve_product(fr, vos, group_variety(fr), cap=cap)
         return solve_enumerate(fr, inst, cap=cap)
     except CapExceededError as exc:
         return SolveOutcome.not_linear(lin, reason=f"not linear; fallback refused: {exc}")

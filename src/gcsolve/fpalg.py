@@ -59,43 +59,20 @@ class FpMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    @staticmethod
-    def identity(p: int, d: int) -> FpMatrix:
-        return FpMatrix(p, tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
-
-    @staticmethod
-    def zeros(p: int, nrows: int, ncols: int) -> FpMatrix:
-        return FpMatrix(p, tuple((0,) * ncols for _ in range(nrows)))
-
     def mat_vec(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise ValueError(f"vector length {len(v)} != {self.ncols} columns")
         p = self.p
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
 
-    def mat_mul(self, other: FpMatrix) -> FpMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions differ")
-        p = self.p
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.rows
-        )
-        return FpMatrix(p, out)
-
-
-def _eliminate(rows: list[list[int]], p: int, pivot_width: int | None = None):
+def _eliminate(rows: list[list[int]], p: int, pivot_width: int):
     """In-place reduced row echelon form; returns pivot column list.
 
-    Pivots are searched top-down in the first pivot_width columns (all by
-    default); row operations always span the full width, so callers can
-    append augmented columns.
+    Pivots are searched top-down in the first pivot_width columns; row
+    operations always span the full width, so callers can append augmented
+    columns.
     """
     nrows = len(rows)
-    width = len(rows[0]) if rows else 0
-    if pivot_width is None:
-        pivot_width = width
     pivots = []
     r = 0
     for col in range(pivot_width):
@@ -117,17 +94,6 @@ def _eliminate(rows: list[list[int]], p: int, pivot_width: int | None = None):
     return pivots
 
 
-def rref(m: FpMatrix) -> tuple[FpMatrix, int, list[int]]:
-    """Reduced row-echelon form of m: (matrix, rank, pivot columns)."""
-    rows = [list(r) for r in m.rows]
-    pivots = _eliminate(rows, m.p)
-    return FpMatrix(m.p, tuple(tuple(r) for r in rows)), len(pivots), pivots
-
-
-def rank(m: FpMatrix) -> int:
-    return rref(m)[1]
-
-
 def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
     """One solution x of a·x = b, with free variables set to 0, or None
     when the system is inconsistent (pivot in the augmented column)."""
@@ -137,7 +103,7 @@ def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
     rows = [list(row) + [bi % p] for row, bi in zip(a.rows, b)]
     if not rows:
         return (0,) * a.ncols
-    pivots = _eliminate(rows, p, pivot_width=a.ncols)
+    pivots = _eliminate(rows, p, a.ncols)
     for i in range(len(pivots), len(rows)):
         if rows[i][a.ncols] % p:
             return None
@@ -147,28 +113,13 @@ def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
     return tuple(x)
 
 
-def nullspace(a: FpMatrix) -> list[tuple[int, ...]]:
-    """Basis of {x : a·x = 0}, one vector per free column."""
-    reduced, _, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * a.ncols
-        v[f] = 1
-        for r, col in enumerate(pivots):
-            v[col] = (-reduced.rows[r][f]) % a.p
-        basis.append(tuple(v))
-    return basis
-
-
 def invert(m: FpMatrix) -> FpMatrix:
     """Inverse of a square full-rank matrix by Gauss-Jordan elimination."""
     d = m.nrows
     if d != m.ncols:
         raise SingularMatrixError(f"matrix is {m.nrows}x{m.ncols}, not square")
     rows = [list(r) + [1 if i == j else 0 for j in range(d)] for i, r in enumerate(m.rows)]
-    pivots = _eliminate(rows, m.p, pivot_width=d)
+    pivots = _eliminate(rows, m.p, d)
     if len(pivots) != d:
         raise SingularMatrixError(f"matrix has rank {len(pivots)} < {d}")
     return FpMatrix(m.p, tuple(tuple(r[d:]) for r in rows))

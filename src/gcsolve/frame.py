@@ -170,10 +170,6 @@ class Frame:
                 images[a - 1] = b
         return Permutation._trusted(tuple(images))
 
-    def orbit_slice(self, x, orbit_index: int) -> tuple[int, ...]:
-        lo, hi = self.slices[orbit_index]
-        return tuple(x[lo:hi])
-
     # -- subspaces --------------------------------------------------------
 
     def subspace_basis(self, vecs, trusted: bool = False) -> tuple[list[tuple[int, ...]], int]:

@@ -96,28 +96,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return Permutation._trusted(tuple([vi[x - 1] for x in u.images]))
 
 
-def inverse(g: Permutation) -> Permutation:
-    inv = [0] * g.n
-    for i, b in enumerate(g.images):
-        inv[b - 1] = i + 1
-    return Permutation(tuple(inv))
-
-
-def power(g: Permutation, k: int) -> Permutation:
-    """g composed with itself k times (k may be negative or zero)."""
-    if k < 0:
-        return power(inverse(g), -k)
-    acc = Permutation.identity(g.n)
-    base = g
-    while k:
-        if k & 1:
-            acc = compose(acc, base)
-        k >>= 1
-        if k:
-            base = compose(base, base)
-    return acc
-
-
 def order(g: Permutation) -> int:
     """Smallest positive k with g^k the identity: the lcm of cycle lengths."""
     return math.lcm(*(len(c) for c in g.cycles()))
@@ -175,9 +153,6 @@ class OrbitPartition:
     def block_of(self, a: int) -> tuple[int, ...]:
         return self.blocks[self._block_of[a]]
 
-    def same_block(self, a: int, b: int) -> bool:
-        return self._block_of[a] == self._block_of[b]
-
     def __eq__(self, other):
         return (
             isinstance(other, OrbitPartition)
@@ -195,10 +170,6 @@ class OrbitPartition:
     @staticmethod
     def bottom(n: int) -> OrbitPartition:
         return OrbitPartition(n, [(a,) for a in range(1, n + 1)])
-
-    @staticmethod
-    def top(n: int) -> OrbitPartition:
-        return OrbitPartition(n, [tuple(range(1, n + 1))] if n else [])
 
     @staticmethod
     def from_perm(g: Permutation) -> OrbitPartition:

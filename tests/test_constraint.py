@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gcsolve import constraint
 from gcsolve.constraint import (
     CapExceededError,
     EmptyOrbit,
@@ -20,7 +21,7 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
-from gcsolve.frame import build_frame
+from gcsolve.frame import Frame, build_frame
 from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.perm import Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
@@ -171,12 +172,12 @@ def test_linearized_constraint_per_orbit_invariants():
         lin = linearize(fr, vos)
         if not isinstance(lin, LinearizedConstraint):
             continue
-        assert lin.orbit_vos == tuple(tuple(v) for v in vos)
         for i, of in enumerate(fr.orbit_frames):
-            assert len(lin.orbit_vos[i]) == 2 ** len(lin.orbit_e_basis[i])
-            assert lin.orbit_dims[i] == len(lin.orbit_e_basis[i])
             lo, hi = fr.slices[i]
-            for v in lin.orbit_vos[i]:
+            e_o = [e for e in lin.e_basis if any(e[lo:hi])]
+            assert len(vos[i]) == 2 ** len(e_o)
+            assert lin.w[lo:hi] in vos[i]
+            for v in vos[i]:
                 padded = (0,) * lo + v + (0,) * (fr.dim - hi)
                 u = fr.perm_of_coords(padded)
                 assert all(u.image(b) in inst.cmap[b] for b in of.points)
@@ -221,6 +222,82 @@ def test_solve_empty_vo_short_circuits():
     inst = normalize([(1, set())], 2, [g], 2)
     out = solve(inst)
     assert out.status == "unsat" and out.reason == "empty-vo"
+
+
+def test_empty_vo_reported_before_a_nonlinear_orbit():
+    # orbit {1..4} admits three vectors (not affine); orbit {5, 6} admits none
+    g = Permutation.from_cycles(6, [(1, 2), (3, 4)])
+    h = Permutation.from_cycles(6, [(1, 3), (2, 4), (5, 6)])
+    inst = normalize([(1, {2, 3, 4}), (5, set())], 6, [g, h], 2)
+    fr = build_frame(6, [g, h], 2)
+    assert linearize(fr, compute_all_vo(fr, inst)) == EmptyOrbit(1, 5)
+    for fallback in ("product", "enumerate", "none"):
+        out = solve(inst, fallback=fallback)
+        assert (out.status, out.reason, out.orbit_min) == ("unsat", "empty-vo", 5)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_solve_linear_inconsistent_diagonal_p_cycle(p):
+    """One p-cycle acting diagonally on two orbits: every group element
+    shifts both orbits alike, so asking for shifts 1 and 2 is inconsistent
+    while asking for 1 on both is met by the generator itself."""
+    g = Permutation.from_cycles(2 * p, [tuple(range(1, p + 1)), tuple(range(p + 1, 2 * p + 1))])
+    fr = build_frame(2 * p, [g], p)
+    clash = normalize([(1, {2}), (p + 1, {p + 3})], 2 * p, [g], p)
+    assert isinstance(linearize(fr, compute_all_vo(fr, clash)), LinearizedConstraint)
+    out = solve(clash, fallback="none")
+    assert out.status == "unsat" and out.reason == "inconsistent"
+    assert solve_enumerate(fr, clash).status == "unsat"
+    agree = normalize([(1, {2}), (p + 1, {p + 2})], 2 * p, [g], p)
+    out = solve(agree, fallback="none")
+    assert out.status == "sat" and out.witness == g
+
+
+@pytest.mark.parametrize("p, dim_range", [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_linear_path_agrees_with_enumeration(p, dim_range, k):
+    linear = 0
+    for seed in range(60):
+        cfg = GenConfig(p=p, seed=1000 * p + 100 * k + seed, k=k, q_range=(1, 3),
+                        dim_range=dim_range)
+        inst = gen_instance(cfg).instance
+        fast = solve(inst, fallback="none")
+        if fast.status == "notlinear":
+            continue
+        linear += 1
+        fr = build_frame(inst.n, inst.gens, p)
+        assert fast.status == solve_enumerate(fr, inst).status, f"seed {cfg.seed}"
+        if fast.status == "sat":
+            assert verify(inst, fast.witness, fr)
+    assert linear >= 50
+
+
+def test_group_variety_built_only_to_test_membership(monkeypatch):
+    """empty-vo, fallback none and fallback enumerate never test membership
+    through M_G; the linear solver and the product fallback build it once."""
+    vm_calls = []
+    real = Frame.variety_matrix
+
+    def counted(fr, basis):
+        vm_calls.append(len(basis))
+        return real(fr, basis)
+
+    monkeypatch.setattr(Frame, "variety_matrix", counted)
+    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
+    assert solve(linear).status == "sat"
+    nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance
+    assert solve(nonlinear, fallback="product").status == "sat"
+    assert len(vm_calls) == 2
+
+    def refuse(fr):
+        raise AssertionError("group_variety called")
+
+    monkeypatch.setattr(constraint, "group_variety", refuse)
+    empty = normalize([(1, set())], 8, list(eight_point_gens()), 2)
+    assert solve(empty).reason == "empty-vo"
+    assert solve(nonlinear, fallback="none").status == "notlinear"
+    out = solve(nonlinear, fallback="enumerate")
+    assert out.status == "sat" and satisfies_pointwise(nonlinear, out.witness)
 
 
 def test_verify_examples():
@@ -336,7 +413,7 @@ def test_satisfaction_lemma_on_whole_superspace():
         vos = [set(v) for v in compute_all_vo(fr, inst)]
         for x in itertools.product(range(p), repeat=fr.dim):
             u = fr.perm_of_coords(x)
-            slices = [fr.orbit_slice(x, i) for i in range(len(fr.orbit_frames))]
+            slices = [x[lo:hi] for lo, hi in fr.slices]
             lhs = satisfies_pointwise(inst, u)
             rhs = all(s in vo for s, vo in zip(slices, vos))
             assert lhs == rhs

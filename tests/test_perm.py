@@ -7,11 +7,9 @@ from gcsolve.perm import (
     OrbitPartition,
     Permutation,
     compose,
-    inverse,
     is_elementary_abelian,
     orbit_partition,
     order,
-    power,
 )
 from util import bfs_orbits, eight_point_gens
 
@@ -85,13 +83,6 @@ def test_order_eight_point_generators_is_two():
         assert order(g) == 2
 
 
-def test_power_agrees_with_order():
-    g = Permutation.from_cycles(7, [(1, 2, 3), (4, 5)])
-    assert power(g, order(g)).is_identity()
-    assert power(g, 0).is_identity()
-    assert power(g, -1) == inverse(g)
-
-
 def test_orbit_partition_single_generator():
     g = Permutation.from_cycles(6, [(1, 2), (3, 4, 5)])
     part = orbit_partition([g])
@@ -106,7 +97,7 @@ def test_orbit_partition_empty_generators():
 
 def test_orbit_partition_eight_point_group_is_transitive():
     part = orbit_partition(list(eight_point_gens()))
-    assert part == OrbitPartition.top(8)
+    assert part.blocks == (tuple(range(1, 9)),)
 
 
 @settings(max_examples=60)
@@ -150,13 +141,6 @@ def test_join_of_orbit_partitions_is_union_orbits(gens):
     ga, gb, gc = gens
     left = orbit_partition([ga], ga.n).join(orbit_partition([gb, gc], ga.n))
     assert left == orbit_partition([ga, gb, gc], ga.n)
-
-
-@settings(max_examples=80)
-@given(permutations_st())
-def test_compose_with_inverse_is_identity(g):
-    assert compose(g, inverse(g)).is_identity()
-    assert compose(inverse(g), g).is_identity()
 
 
 @settings(max_examples=80)
