@@ -90,6 +90,10 @@ def cmd_solve(args) -> int:
             print(f"method {outcome.method}")
         if outcome.reason:
             print(f"reason {outcome.reason}")
+        for key in ("orbit_min", "vo_size", "span_dim"):
+            value = getattr(outcome, key)
+            if value is not None:
+                print(f"{key} {value}")
         print(f"parse_ms {parse_ms:.3f}")
         print(f"solve_ms {solve_ms:.3f}")
 

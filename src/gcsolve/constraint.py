@@ -5,13 +5,15 @@ p-group with a^g in C(a) for every point a.  Solving goes through the
 frame: per orbit the admissible constituent vectors V_O are collected; if
 every V_O is an affine subspace w + E the instance reduces to one linear
 system over F_p through the variety matrix M_G of the group, otherwise
-explicit fallbacks enumerate the product of the V_O sets or the whole
-group.  M_G is built only on the branches that test membership.
+explicit fallbacks search the product of the V_O sets (by syndrome lookup
+through M_G) or enumerate the whole group.  M_G is built only on the
+branches that test membership.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import fpalg
@@ -324,19 +326,69 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
             x = [(a + b) % p for a, b in zip(x, bvec)]
 
 
+def _combinations(groups, p: int, width: int):
+    """Every combination of one (vector, syndrome) per group, lazily and in
+    itertools.product order, as (joined vector, syndrome sum mod p)."""
+
+    def extend(combos, group):
+        return (
+            (x + v, tuple((a + b) % p for a, b in zip(s, t)))
+            for x, s in combos
+            for v, t in group
+        )
+
+    combos = iter([((), (0,) * width)])
+    for group in groups:
+        combos = extend(combos, group)
+    return combos
+
+
 def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) -> SolveOutcome:
-    """Fallback for non-linear constraints: try every combination of one
-    admissible vector per orbit and test membership in G.  An empty V_O
-    leaves no combination, so the verdict is UNSAT exhausted."""
+    """Fallback for non-linear constraints: the lexicographically first
+    combination, in itertools.product(*vos) order, of one admissible
+    vector per orbit that lies in G.
+
+    x lies in G exactly when M_G·x = sum over orbits O of M_G[:, O]·x_O is
+    0, so only M_G's nonzero rows count.  Each admissible vector gets its
+    syndrome on those rows once.  The orbits are cut where the prefix and
+    suffix combination counts add up least (meet in the middle).  The
+    suffix combinations are tabulated by syndrome sum, in lexicographic
+    order and keeping the first per sum; the prefixes are walked in
+    lexicographic order, each looking up the negated sum of its own
+    syndromes.  The first hit is therefore the first member of G in
+    product order.  Memory is bounded by the suffix table.  The cap bounds
+    the product of the V_O sizes and is checked before anything is
+    computed; an empty V_O leaves no combination, so the verdict is UNSAT
+    exhausted."""
     total = 1
     for vo in vos:
         total *= len(vo)
         if total > cap:
             raise CapExceededError(f"product of V_O sizes exceeds cap {cap}")
-    for combo in itertools.product(*vos):
-        x = tuple(c for part in combo for c in part)
-        if m_g.contains(x):
-            return SolveOutcome.sat(fr.perm_of_coords(x), "product")
+    p = fr.p
+    rows = [row for row in m_g.m.rows if any(row)]
+    sizes = [len(vo) for vo in vos]
+
+    def cost(c):  # combinations walked plus tabulated; a tie takes the smaller table
+        suffix = math.prod(sizes[c:])
+        return math.prod(sizes[:c]) + suffix, suffix
+
+    cut = min(range(len(vos) + 1), key=cost)
+    groups = []
+    for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
+        block = [row[lo:hi] for row in rows]
+        sign = -1 if i < cut else 1  # prefix syndromes enter negated
+        groups.append([
+            (v, tuple(sign * sum(a * b for a, b in zip(r, v)) % p for r in block))
+            for v in vo
+        ])
+    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x, s in _combinations(groups[cut:], p, len(rows)):
+        table.setdefault(s, x)
+    for x, s in _combinations(groups[:cut], p, len(rows)):
+        suffix = table.get(s)
+        if suffix is not None:
+            return SolveOutcome.sat(fr.perm_of_coords(x + suffix), "product")
     return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="product")
 
 

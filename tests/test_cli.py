@@ -3,9 +3,10 @@ import json
 import pytest
 
 from gcsolve.cli import main
-from gcsolve.constraint import solve_enumerate
+from gcsolve.constraint import normalize, solve_enumerate
 from gcsolve.frame import build_frame
 from gcsolve.instfile import parse_instance, render_instance
+from gcsolve.perm import Permutation
 from util import eight_point_gens
 
 EIGHT_POINT_FILE = """gc 1
@@ -81,6 +82,45 @@ def test_solve_notlinear_exit_code(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "NOTLINEAR"
     # the product fallback then decides it
     assert main(["solve", str(inst_file)]) == 0
+
+
+def text_report_fields(out):
+    """Field name -> value of a text report: the status line, then one
+    "name value" line per field, with the witness on its "g" line."""
+    lines = out.splitlines()
+    fields = {"status": lines[0]}
+    for line in lines[1:]:
+        name, _, value = line.partition(" ")
+        fields["witness" if name == "g" else name] = value
+    return fields
+
+
+def test_solve_text_report_names_the_empty_orbit(tmp_path, capsys):
+    # orbit {1..4} admits three vectors (not affine); orbit {5, 6} admits none
+    g = Permutation.from_cycles(6, [(1, 2), (3, 4)])
+    h = Permutation.from_cycles(6, [(1, 3), (2, 4), (5, 6)])
+    path = tmp_path / "empty-vo.gc"
+    path.write_text(render_instance(normalize([(1, {2, 3, 4}), (5, set())], 6, [g, h], 2)))
+    assert main(["solve", str(path)]) == 1
+    fields = text_report_fields(capsys.readouterr().out)
+    assert (fields["status"], fields["reason"], fields["orbit_min"]) == ("UNSAT", "empty-vo", "5")
+
+
+def test_solve_text_and_json_report_the_same_fields(tmp_path, capsys):
+    clause_file = tmp_path / "cl.txt"
+    clause_file.write_text("vars a b c\na b c\n")
+    inst_file = tmp_path / "red.gc"
+    assert main(["reduce", str(clause_file), "--mode", "k3", "--p", "2",
+                 "--out", str(inst_file)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(inst_file), "--fallback", "none"]) == 2
+    text = text_report_fields(capsys.readouterr().out)
+    assert main(["solve", str(inst_file), "--fallback", "none", "--json"]) == 2
+    payload = {k: v for k, v in json.loads(capsys.readouterr().out).items() if v is not None}
+    assert text.keys() == payload.keys()
+    assert text["status"] == payload["status"] == "NOTLINEAR"
+    for name in ("reason", "orbit_min", "vo_size"):
+        assert text[name] == str(payload[name])
 
 
 def test_check_identity_on_unconstrained(tmp_path, capsys):

@@ -22,7 +22,7 @@ from gcsolve.constraint import (
     verify_detail,
 )
 from gcsolve.frame import Frame, build_frame
-from gcsolve.genbench import GenConfig, gen_instance
+from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.perm import Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
 from util import group_closure, eight_point_gens, satisfies_pointwise
@@ -367,6 +367,120 @@ def test_solve_product_no_combination_in_group():
     out = solve_product(fr, vos, m_g)
     assert out.status == "unsat" and out.reason == "exhausted"
     assert solve_enumerate(fr, inst).status == "unsat"
+
+
+def product_reference(fr, vos, m_g):
+    """Brute-force product fallback: the first combination in
+    itertools.product order whose M_G product is 0, as (status, reason,
+    witness)."""
+    for combo in itertools.product(*vos):
+        x = tuple(c for part in combo for c in part)
+        if m_g.contains(x):
+            return "sat", None, fr.perm_of_coords(x)
+    return "unsat", "exhausted", None
+
+
+def assert_product_matches_reference(fr, vos, m_g):
+    out = solve_product(fr, vos, m_g)
+    assert (out.status, out.reason, out.witness) == product_reference(fr, vos, m_g)
+    return out
+
+
+def test_solve_product_matches_brute_force_with_witnesses():
+    """Same status, reason and witness as the brute-force loop on random
+    instances at p in {2, 3, 5} x k in {1, 2, 3} and on reduced 1-in-3
+    clause sets at p in {2, 3}."""
+    instances = []
+    for p, dim_range in [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))]:
+        for k in (1, 2, 3):
+            for seed in range(20):
+                cfg = GenConfig(p=p, seed=5000 + 1000 * p + 100 * k + seed, k=k,
+                                q_range=(1, 3), dim_range=dim_range)
+                instances.append(gen_instance(cfg).instance)
+    for p in (2, 3):
+        rng = SplitMix64(derive_seed(77, p))
+        for _ in range(80):
+            sigma = tuple(f"v{i}" for i in range(rng.randint(3, 6)))
+            clauses = tuple(tuple(rng.sample(sigma, 3)) for _ in range(rng.randint(1, 5)))
+            instances.append(reduce_1in_k(ClauseSet(sigma, clauses), p).instance)
+    nonlinear = sat = 0
+    for inst in instances:
+        fr = build_frame(inst.n, inst.gens, inst.p)
+        vos = compute_all_vo(fr, inst)
+        nonlinear += isinstance(linearize(fr, vos), NotLinear)
+        out = assert_product_matches_reference(fr, vos, group_variety(fr))
+        if out.status == "sat":
+            sat += 1
+            assert verify(inst, out.witness, fr)
+    assert 3 * nonlinear >= len(instances)
+    assert 0 < sat < len(instances)
+
+
+def test_solve_product_empty_vo_in_any_position_is_exhausted():
+    gens = [Permutation.from_cycles(6, [(1, 2)]), Permutation.from_cycles(6, [(3, 4), (5, 6)])]
+    fr = build_frame(6, gens, 2)
+    m_g = group_variety(fr)
+    assert len(fr.orbit_frames) == 3
+    full = ((0,), (1,))
+    for i in range(3):
+        vos = [full] * 3
+        vos[i] = ()
+        out = solve_product(fr, vos, m_g)
+        assert (out.status, out.reason, out.method) == ("unsat", "exhausted", "product")
+
+
+def test_solve_product_exhaustive_with_fixed_points():
+    """Every choice of V_O subsets on orbits {1,2,3}, {4}, {5,6,7}, {8,9,10}
+    at p = 3, where point 4 is fixed (a dimension-0 orbit) and G is a
+    proper subspace, empty subsets included."""
+    gens = [
+        Permutation.from_cycles(10, [(1, 2, 3), (5, 6, 7)]),
+        Permutation.from_cycles(10, [(5, 6, 7), (8, 9, 10)]),
+    ]
+    fr = build_frame(10, gens, 3)
+    m_g = group_variety(fr)
+    assert [of.dim for of in fr.orbit_frames] == [1, 0, 1, 1]
+    assert m_g.dim_sub == 2
+    line = [(0,), (1,), (2,)]
+    subsets = [tuple(s) for r in range(4) for s in itertools.combinations(line, r)]
+    outcomes = set()
+    for a, b, c in itertools.product(subsets, repeat=3):
+        out = assert_product_matches_reference(fr, [a, ((),), b, c], m_g)
+        outcomes.add(out.status)
+    assert outcomes == {"sat", "unsat"}
+
+
+def test_solve_product_whole_superspace_takes_first_combination():
+    gens = [Permutation.from_cycles(7, [(1, 2, 3)]), Permutation.from_cycles(7, [(4, 5, 6)])]
+    fr = build_frame(7, gens, 3)
+    m_g = group_variety(fr)
+    assert not any(any(row) for row in m_g.m.rows)
+    out = solve_product(fr, [((2,), (1,)), ((1,),), ((),)], m_g)
+    assert out.status == "sat" and out.witness == fr.perm_of_coords((2, 1))
+
+
+def test_solve_product_single_orbit_takes_first_vector():
+    g = Permutation.from_cycles(9, [(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+    h = Permutation.from_cycles(9, [(1, 4, 7), (2, 5, 8), (3, 6, 9)])
+    fr = build_frame(9, [g, h], 3)
+    m_g = group_variety(fr)
+    plane = tuple(itertools.product(range(3), repeat=2))
+    for r in range(len(plane) + 1):
+        vo = plane[::-1][:r]
+        out = assert_product_matches_reference(fr, [vo], m_g)
+        assert out.witness == (fr.perm_of_coords(vo[0]) if vo else None)
+
+
+def test_solve_product_cap_refused_before_any_syndrome():
+    class Untouchable:
+        @property
+        def m(self):
+            raise AssertionError("M_G read before the cap check")
+
+    fr, inst = eight_point_frame_and_instance(range(1, 9))
+    vos = compute_all_vo(fr, inst)
+    with pytest.raises(CapExceededError):
+        solve_product(fr, vos, Untouchable(), cap=len(vos[0]) - 1)
 
 
 def test_solve_fallback_none_reports_notlinear():
