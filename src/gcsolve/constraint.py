@@ -399,7 +399,7 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     product fallback, the two that test membership."""
     if fallback not in ("product", "enumerate", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
-    fr = build_frame(inst.n, inst.gens, inst.p)
+    fr = build_frame(inst.n, inst.gens, inst.p, orbits=inst.orbits)
     vos = compute_all_vo(fr, inst)
     lin = linearize(fr, vos)
     if isinstance(lin, EmptyOrbit):

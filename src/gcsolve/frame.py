@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import fpalg
 from .fpalg import FpMatrix, RowReducer, is_prime
-from .perm import Permutation, is_elementary_abelian, orbit_partition
+from .perm import OrbitPartition, Permutation, is_elementary_abelian, orbit_partition
 
 
 class FrameError(ValueError):
@@ -275,8 +275,10 @@ def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
         ) from None
     basis = _orbit_basis(gens, block, dim)
     coords, point_of = _fill_table(block[0], basis, p)
-    if len(coords) != len(block):
-        raise FrameError("constituent action is not regular on its orbit")
+    # the table holds the points reached from the origin; a block passed in
+    # from outside may not be that orbit
+    if coords.keys() != set(block):
+        raise FrameError(f"block of {block[0]} is not an orbit of the generators")
     return OrbitFrame(
         points=block,
         origin=block[0],
@@ -288,22 +290,25 @@ def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
     )
 
 
-def build_frame(n: int, gens, p: int) -> Frame:
+def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> Frame:
     """Build the frame for G = <gens> acting on {1..n}.
 
-    The orbits come from one pass over the generators.  Per orbit, the
-    basis is extracted by scanning the generators in input order and
-    keeping each one that moves the origin out of the suborbit generated
-    so far (newest first), then the coordinate table is filled by
-    lexicographic enumeration.
+    The orbits are taken from orbits when given (as normalize stores them
+    on an instance), else found in one pass over the generators.  Per
+    orbit, the basis is extracted by scanning the generators in input
+    order and keeping each one that moves the origin out of the suborbit
+    generated so far (newest first), then the coordinate table is filled
+    by lexicographic enumeration.
 
     The group check is a replay of every generator on the tables: each
     table is a bijection between its orbit and F_p^d, so a generator that
     acts as a translation on every orbit has order p (or 1) and commutes
     with every other such generator, which makes G elementary Abelian.
-    Only when the construction fails are the generators tested pairwise,
-    so that the error names the violation: order or commutation when there
-    is one, else the construction's own error.
+    The replay also confirms a given partition: each table must cover its
+    block, and each generator must map each block onto itself.  Only when
+    the construction fails are the generators tested pairwise, so that the
+    error names the violation: order or commutation when there is one,
+    else the construction's own error.
     """
     gens = list(gens)
     for g in gens:
@@ -311,7 +316,10 @@ def build_frame(n: int, gens, p: int) -> Frame:
             raise FrameError(f"generator domain {g.n} differs from n = {n}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    orbits = orbit_partition(gens, n)
+    if orbits is None:
+        orbits = orbit_partition(gens, n)
+    elif orbits.n != n:
+        raise FrameError(f"orbit partition of {orbits.n} points differs from n = {n}")
     try:
         fr = Frame(p, n, gens, orbits, [_orbit_frame(gens, b, p) for b in orbits.blocks])
         for g in gens:

@@ -99,12 +99,14 @@ def parse_instance(text: str) -> GcInstance:
             members = [int(t) for t in tokens[3:]]
         except ValueError:
             raise InstanceFormatError("constraint points must be integers", lineno) from None
+        if not 1 <= point <= n:
+            raise InstanceFormatError(f"constrained point {point} out of range 1..{n}", lineno)
+        for b in members:
+            if not 1 <= b <= n:
+                raise InstanceFormatError(f"constraint value {b} out of range 1..{n}", lineno)
         raw.append((point, members))
 
-    try:
-        return normalize(raw, n, gens, p)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return normalize(raw, n, gens, p)
 
 
 def render_instance(inst: GcInstance) -> str:

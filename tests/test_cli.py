@@ -71,6 +71,17 @@ def test_solve_malformed_file_reports_line(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cline, message", [
+    ("c 9 : 1", "constrained point 9 out of range 1..2"),
+    ("c 1 : 7", "constraint value 7 out of range 1..2"),
+])
+def test_solve_out_of_range_constraint_reports_line(tmp_path, capsys, cline, message):
+    path = tmp_path / "range.gc"
+    path.write_text(f"gc 1\np 2\nn 2\nm 1\ng 2 1\n{cline}\n")
+    assert main(["solve", str(path)]) == 64
+    assert capsys.readouterr().err == f"error: line 6: {message}\n"
+
+
 def test_solve_notlinear_exit_code(tmp_path, capsys):
     clause_file = tmp_path / "cl.txt"
     clause_file.write_text("vars a b c\na b c\n")

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from gcsolve import constraint
+from gcsolve import constraint, fpalg, frame
 from gcsolve.constraint import (
     CapExceededError,
     EmptyOrbit,
+    GcInstance,
     LinearizedConstraint,
     NotLinear,
     compute_all_vo,
@@ -21,9 +22,11 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
-from gcsolve.frame import Frame, build_frame
+from gcsolve.fpalg import FpMatrix
+from gcsolve.frame import Frame, FrameError, build_frame
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
-from gcsolve.perm import Permutation
+from gcsolve.instfile import parse_instance, render_instance
+from gcsolve.perm import OrbitPartition, Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
 from util import group_closure, eight_point_gens, satisfies_pointwise
 
@@ -298,6 +301,71 @@ def test_group_variety_built_only_to_test_membership(monkeypatch):
     assert solve(nonlinear, fallback="none").status == "notlinear"
     out = solve(nonlinear, fallback="enumerate")
     assert out.status == "sat" and satisfies_pointwise(nonlinear, out.witness)
+
+
+# two Klein four-groups, on {1..4} and on {5..8}
+TWO_KLEIN = [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(5, 6), (7, 8)], [(5, 7), (6, 8)]]
+
+
+@pytest.mark.parametrize("n, cycles, blocks", [
+    (8, TWO_KLEIN, [(1, 2), (3, 4), (5, 6, 7, 8)]),  # an orbit split in two
+    (8, TWO_KLEIN, [tuple(range(1, 9))]),  # two orbits merged
+    # orbits {1,3} and {2,4} given as {1,2} and {3,4}: the table of {1,2}
+    # fills up with {1,3}, and the generator replay alone passes
+    (4, [[(1, 3), (2, 4)]], [(1, 2), (3, 4)]),
+])
+def test_solve_rejects_an_instance_with_a_wrong_orbit_partition(n, cycles, blocks):
+    gens = tuple(Permutation.from_cycles(n, c) for c in cycles)
+    everything = frozenset(range(1, n + 1))
+    inst = GcInstance(2, n, gens, dict.fromkeys(everything, everything),
+                      OrbitPartition(n, blocks))
+    with pytest.raises(FrameError):
+        solve(inst)
+
+
+def _p2_texts():
+    return [
+        render_instance(gen_instance(GenConfig(p=2, seed=seed, k=k, q_range=(1, 3),
+                                               dim_range=(1, 3))).instance)
+        for seed in range(12) for k in (1, 2)
+    ]
+
+
+def test_solve_finds_the_orbits_once_per_decision(monkeypatch):
+    """normalize finds the orbits and solve's frame reuses them."""
+    texts = _p2_texts()
+    calls = []
+    real = constraint.orbit_partition
+
+    def counted(gens, n=None):
+        calls.append(n)
+        return real(gens, n)
+
+    monkeypatch.setattr(constraint, "orbit_partition", counted)
+    monkeypatch.setattr(frame, "orbit_partition", counted)
+    for text in texts:
+        solve(parse_instance(text))
+    assert len(calls) == len(texts)
+
+
+def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
+    """Status, reason and witness do not depend on whether fpalg runs its
+    packed F_2 code or its list code."""
+    insts = [parse_instance(text) for text in _p2_texts()]
+    insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
+    diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    insts.append(normalize([(1, {2}), (3, {3})], 4, [diagonal], 2))
+    packed = [solve(inst) for inst in insts]
+    assert {(out.status, out.reason) for out in packed} >= {
+        ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent")}
+
+    def list_mat_vec(m, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) % m.p for row in m.rows)
+
+    monkeypatch.setattr(fpalg, "solve", fpalg._solve_lists)
+    monkeypatch.setattr(fpalg, "invert", fpalg._invert_lists)
+    monkeypatch.setattr(FpMatrix, "mat_vec", list_mat_vec)
+    assert [solve(inst) for inst in insts] == packed
 
 
 def test_verify_examples():

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gcsolve import fpalg
 from gcsolve.fpalg import (
     FpMatrix,
     RowReducer,
@@ -149,3 +152,108 @@ def test_row_reducer_tracks_span():
     assert reducer.rank == 2
     assert reducer.contains((1, 0, 1))
     assert not reducer.contains((0, 0, 1))
+
+
+# -- the packed F_2 path against the list path ------------------------------
+
+# Widths at and around one and two 64-bit words, where a packed row's size in
+# machine words changes, besides small ones.
+WIDTHS = st.one_of(st.integers(0, 6), st.sampled_from([63, 64, 65, 130]))
+
+
+def _raw(rng, width):
+    """A vector with entries outside [0, 2), negatives included."""
+    return [rng.randrange(-3, 4) for _ in range(width)]
+
+
+def _list_rank(vecs, width):
+    return len(fpalg._eliminate([[x % 2 for x in v] for v in vecs], 2, width))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularMatrixError as exc:
+        return ("singular", str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=WIDTHS, seed=st.integers(0, 2**32 - 1), singular=st.booleans())
+def test_packed_invert_matches_list_path(d, seed, singular):
+    rng = random.Random(seed)
+    rows = [_raw(rng, d) for _ in range(d)]
+    if singular and d:
+        # one row becomes the sum of some others (the zero row when none)
+        i = rng.randrange(d)
+        others = [r for j, r in enumerate(rows) if j != i and rng.random() < 0.5]
+        rows[i] = [sum(r[c] for r in others) for c in range(d)]
+    m = FpMatrix(2, tuple(map(tuple, rows)))
+    got = _outcome(invert, m)
+    assert got == _outcome(fpalg._invert_lists, m)
+    if singular and d:
+        assert got[0] == "singular"
+
+
+@settings(max_examples=60, deadline=None)
+@given(nrows=WIDTHS, ncols=WIDTHS, seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+def test_packed_solve_matches_list_path(nrows, ncols, seed, planted):
+    rng = random.Random(seed)
+    a = FpMatrix(2, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
+    if planted:
+        b = [y + 2 * rng.randrange(-1, 2) for y in a.mat_vec(_raw(rng, a.ncols))]
+    else:
+        b = _raw(rng, nrows)
+    x = solve(a, b)
+    assert x == fpalg._solve_lists(a, b)
+    if planted:
+        assert x is not None
+    if x is not None:
+        assert a.mat_vec(x) == tuple(y % 2 for y in b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=WIDTHS, count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_packed_row_reducer_matches_list_elimination(width, count, seed):
+    rng = random.Random(seed)
+    reducer = RowReducer(2, width)
+    seen = []
+    for _ in range(count + 1):
+        if seen and rng.random() < 0.5:
+            # a sum of earlier vectors, shifted by even amounts
+            picked = [v for v in seen if rng.random() < 0.5]
+            vec = [sum(v[c] for v in picked) + 2 * rng.randrange(-2, 3) for c in range(width)]
+        else:
+            vec = _raw(rng, width)
+        independent = _list_rank(seen + [vec], width) > _list_rank(seen, width)
+        assert reducer.contains(vec) == (not independent)
+        if len(seen) == count:
+            break  # the last vector only probes contains
+        assert reducer.add(vec) == independent
+        seen.append(vec)
+        assert reducer.rank == _list_rank(seen, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nrows=WIDTHS, ncols=WIDTHS, seed=st.integers(0, 2**32 - 1))
+def test_packed_mat_vec_matches_list_formula(nrows, ncols, seed):
+    rng = random.Random(seed)
+    m = FpMatrix(2, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
+    v = _raw(rng, m.ncols)
+    assert m.mat_vec(v) == tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m.rows)
+
+
+def test_representation_follows_p(monkeypatch):
+    """p = 2 never reaches the list elimination; p = 3 still does."""
+
+    def refuse(*args):
+        raise AssertionError("list elimination called")
+
+    monkeypatch.setattr(fpalg, "_eliminate", refuse)
+    m2 = FpMatrix(2, ((1, 1), (0, 1)))
+    assert invert(m2) == m2
+    assert solve(m2, (1, 1)) == (0, 1)
+    m3 = FpMatrix(3, ((1, 1), (0, 1)))
+    with pytest.raises(AssertionError, match="list elimination"):
+        invert(m3)
+    with pytest.raises(AssertionError, match="list elimination"):
+        solve(m3, (1, 1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
-from gcsolve.perm import Permutation, compose, is_elementary_abelian
+from gcsolve.perm import OrbitPartition, Permutation, compose, is_elementary_abelian
 from util import group_closure, eight_point_gens
 
 
@@ -119,6 +119,8 @@ def test_build_frame_accepts_exactly_the_elementary_abelian_groups(case):
 def test_build_frame_rejects_domain_mismatch():
     with pytest.raises(FrameError):
         build_frame(3, [Permutation.identity(2)], 2)
+    with pytest.raises(FrameError, match="differs from n"):
+        build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
 
 
 @pytest.mark.parametrize(
