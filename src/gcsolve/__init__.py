@@ -26,7 +26,6 @@ from .constraint import (
     verify_detail,
 )
 from .fpalg import FpMatrix, RowReducer, SingularMatrixError, invert
-from .fpalg import solve as solve_system
 from .frame import (
     Frame,
     FrameError,

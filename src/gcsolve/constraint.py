@@ -54,9 +54,6 @@ class GcInstance:
             and self.cmap == other.cmap
         )
 
-    def orbit_set(self, a: int) -> frozenset[int]:
-        return frozenset(self.orbits.block_of(a))
-
     def constrained_points(self) -> tuple[int, ...]:
         """Points whose constraint set is a proper subset of their orbit."""
         # C(a) is contained in the orbit, so proper subset = smaller size
@@ -64,26 +61,6 @@ class GcInstance:
             a for a in range(1, self.n + 1)
             if len(self.cmap[a]) != len(self.orbits.block_of(a))
         )
-
-    @property
-    def k(self) -> int:
-        """Largest constraint cardinality among properly constrained points."""
-        sizes = [len(self.cmap[a]) for a in self.constrained_points()]
-        return max(sizes) if sizes else 0
-
-    @staticmethod
-    def build(p: int, n: int, gens, cmap) -> GcInstance:
-        """Construct from an already-complete constraint map (each point
-        present, each set inside the point's orbit)."""
-        gens = tuple(gens)
-        orbits = orbit_partition(gens, n)
-        full = {}
-        for a in range(1, n + 1):
-            cset = frozenset(cmap[a])
-            if not cset <= frozenset(orbits.block_of(a)):
-                raise ValueError(f"constraint of point {a} leaves its orbit")
-            full[a] = cset
-        return GcInstance(p, n, gens, full, orbits)
 
 
 def normalize(raw, n: int, gens, p: int) -> GcInstance:
@@ -93,8 +70,8 @@ def normalize(raw, n: int, gens, p: int) -> GcInstance:
     is then unsatisfiable)."""
     gens = tuple(gens)
     orbits = orbit_partition(gens, n)
-    orbit_sets = [frozenset(b) for b in orbits.blocks]
-    cmap = {a: orbit_sets[orbits.block_index(a)] for a in range(1, n + 1)}
+    block_sets = [frozenset(b) for b in orbits.blocks]
+    cmap = {a: block_sets[orbits.block_index(a)] for a in range(1, n + 1)}
     for x, xset in raw:
         if not 1 <= x <= n:
             raise ValueError(f"constrained point {x} out of range 1..{n}")
@@ -180,14 +157,6 @@ class LinearizedConstraint:
     e_basis: tuple[tuple[int, ...], ...]
 
 
-def _power_log(size: int, p: int) -> int | None:
-    r = 0
-    while size % p == 0:
-        size //= p
-        r += 1
-    return r if size == 1 else None
-
-
 def linearize(fr: Frame, vos):
     """Check per orbit that V_O is an affine subspace and assemble the
     global variety.  Returns EmptyOrbit when some V_O is empty (every V_O
@@ -206,7 +175,7 @@ def linearize(fr: Frame, vos):
             w_o = (0,) * of.dim
             basis_o = [tuple(1 if j == k else 0 for k in range(of.dim)) for j in range(of.dim)]
         else:
-            r = _power_log(size, p)
+            r = fpalg.exact_log(size, p)
             if r is None:
                 return NotLinear(i, of.origin, size, None)
             w_o = vo[0]

@@ -28,6 +28,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def exact_log(size: int, p: int) -> int | None:
+    """r with p**r == size, for size >= 1; None when size is not a power of p."""
+    r = 0
+    while size % p == 0:
+        size //= p
+        r += 1
+    return r if size == 1 else None
+
+
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> tuple[int, ...]:
     # index 0 unused; p is prime so Fermat exponentiation works

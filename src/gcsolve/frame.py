@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fpalg
-from .fpalg import FpMatrix, RowReducer, is_prime
+from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
 from .perm import OrbitPartition, Permutation, is_elementary_abelian, orbit_partition
 
 
@@ -35,16 +35,6 @@ def _restrict(g: Permutation, block: tuple[int, ...]) -> Permutation:
     return Permutation._trusted(tuple(images))
 
 
-def _log_exact(size: int, p: int) -> int:
-    d = 0
-    while size % p == 0:
-        size //= p
-        d += 1
-    if size != 1:
-        raise FrameError(f"orbit size is not a power of {p}")
-    return d
-
-
 @dataclass(frozen=True)
 class OrbitFrame:
     """Origin, basis and coordinate table for one orbit."""
@@ -59,24 +49,22 @@ class OrbitFrame:
     # significant digit first: lex[i] has the digits of i
     lex: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
+def translation_positions(x, p: int) -> list[int]:
+    """The translation by x (digits in 0..p-1) on F_p^len(x), with each
+    vector numbered by its digits read as a base-p number, most
+    significant digit first: entry i is the number of the digits of i
+    plus x.
 
-def _translate(of: OrbitFrame, x, p: int) -> list[int]:
-    """Images of of.lex under the translation by x (digits in 0..p-1).
-
-    Built from the least significant digit up: pos[i] is the position of
-    the digits of i plus x, so no coordinate tuple is formed per point.
+    Built from the least significant digit up, so no coordinate tuple is
+    formed per point.
     """
     pos = [0]
     stride = 1
     for xj in reversed(x):
         pos = [(v + xj) % p * stride + r for v in range(p) for r in pos]
         stride *= p
-    lex = of.lex
-    return [lex[i] for i in pos]
+    return pos
 
 
 @dataclass(frozen=True)
@@ -138,23 +126,12 @@ class Frame:
             out.extend(x)
             if trusted or of.dim == 0:
                 continue
-            if _translate(of, x, p) != [ui[a - 1] for a in of.lex]:
+            lex = of.lex
+            if [lex[i] for i in translation_positions(x, p)] != [ui[a - 1] for a in lex]:
                 raise NotInSuperspaceError(
                     f"restriction to the orbit of {of.origin} is not in the constituent"
                 )
         return tuple(out)
-
-    def coords_of_diff(self, a: int, b: int) -> tuple[int, ...]:
-        """Coordinates (length d_O) of the unique constituent vector mapping
-        a to b; a and b must lie in the same orbit."""
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise FrameError(f"points {a}, {b} out of range 1..{self.n}")
-        ia = self.orbits.block_index(a)
-        if ia != self.orbits.block_index(b):
-            raise FrameError(f"points {a} and {b} lie in different orbits")
-        of = self.orbit_frames[ia]
-        p = self.p
-        return tuple((y - x) % p for x, y in zip(of.coords[a], of.coords[b]))
 
     def perm_of_coords(self, x) -> Permutation:
         """The permutation with global coordinates x (sum of basis multiples)."""
@@ -166,8 +143,9 @@ class Frame:
             xo = tuple(c % p for c in x[lo:hi])
             if not any(xo):
                 continue
-            for a, b in zip(of.lex, _translate(of, xo, p)):
-                images[a - 1] = b
+            lex = of.lex
+            for a, i in zip(lex, translation_positions(xo, p)):
+                images[a - 1] = lex[i]
         return Permutation._trusted(tuple(images))
 
     # -- subspaces --------------------------------------------------------
@@ -267,12 +245,9 @@ def _orbit_basis(gens, block: tuple[int, ...], dim: int) -> list[Permutation]:
 
 
 def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
-    try:
-        dim = _log_exact(len(block), p)
-    except FrameError:
-        raise FrameError(
-            f"orbit of {block[0]} has size {len(block)}, not a power of {p}"
-        ) from None
+    dim = exact_log(len(block), p)
+    if dim is None:
+        raise FrameError(f"orbit of {block[0]} has size {len(block)}, not a power of {p}")
     basis = _orbit_basis(gens, block, dim)
     coords, point_of = _fill_table(block[0], basis, p)
     # the table holds the points reached from the origin; a block passed in

@@ -2,7 +2,11 @@
 
 All randomness flows through SplitMix64 so runs are reproducible across
 platforms; per-sample streams are derived from (root seed, cell index,
-sample index).  The harness times the linear pipeline against the
+sample index).  Orbit i of an instance is a block of consecutive points,
+a copy of F_p^{d_i} numbered in lex order, so its generators and planted
+witness are translations built on frame.translation_positions, and the
+constraint map is brought into normal form by constraint.normalize, as a
+parsed instance is.  The harness times the linear pipeline against the
 enumeration oracle and aggregates summary rows (means and standard
 deviations as a percent of the mean, with "-" for cells where the oracle
 was capped).
@@ -14,9 +18,9 @@ import time
 from dataclasses import dataclass, replace
 from statistics import fmean, pstdev
 
-from .constraint import GcInstance, solve, solve_enumerate
+from .constraint import GcInstance, normalize, solve, solve_enumerate
 from .fpalg import RowReducer, is_prime
-from .frame import build_frame
+from .frame import build_frame, translation_positions
 from .perm import Permutation
 
 _MASK = (1 << 64) - 1
@@ -55,9 +59,6 @@ class SplitMix64:
 
     def uniform01(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
 
     def sample(self, seq, k: int) -> list:
         """k distinct elements of seq (order not meaningful)."""
@@ -137,10 +138,6 @@ class GenResult:
     dim_g: int
 
     @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
     def d(self) -> int:
         return sum(self.dims)
 
@@ -166,49 +163,17 @@ def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
     raise ValueError(f"could not draw dims reaching dim_g={cfg.dim_g} from {cfg}")
 
 
-def _block_layout(p: int, dims):
-    """Per-orbit point ranges and lex-ordered digit tuples."""
-    offsets = []
-    digit_lists = []
-    start = 0
-    for d in dims:
-        offsets.append(start)
-        size = p**d
-        digits = []
-        t = [0] * d
-        for _ in range(size):
-            digits.append(tuple(t))
-            for j in range(d - 1, -1, -1):
-                t[j] += 1
-                if t[j] < p:
-                    break
-                t[j] = 0
-        digit_lists.append(digits)
-        start += size
-    return offsets, digit_lists
-
-
-def _rank(t, p: int) -> int:
-    r = 0
-    for x in t:
-        r = r * p + x
-    return r
-
-
-def _translation_perm(p, dims, offsets, digit_lists, vector) -> Permutation:
-    """Permutation translating each orbit (a copy of F_p^{d_i} in lex
-    order) by the matching slice of vector."""
-    n = offsets[-1] + p ** dims[-1] if dims else 0
-    images = list(range(1, n + 1))
+def translation_perm(p: int, dims, vector) -> Permutation:
+    """The permutation translating consecutive blocks of points, block i a
+    copy of F_p^dims[i] numbered in lex order (see translation_positions),
+    each by the matching slice of vector."""
+    images: list[int] = []
     lo = 0
-    for d, off, digits in zip(dims, offsets, digit_lists):
-        v = vector[lo:lo + d]
+    for d in dims:
+        off = len(images)
+        images.extend(off + i + 1 for i in translation_positions(vector[lo:lo + d], p))
         lo += d
-        if any(v):
-            for i, t in enumerate(digits):
-                shifted = tuple((a + b) % p for a, b in zip(t, v))
-                images[off + i] = off + _rank(shifted, p) + 1
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 def gen_instance(cfg: GenConfig) -> GenResult:
@@ -225,8 +190,6 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     dims = _draw_dims(cfg, rng)
     d = sum(dims)
     dim_g = cfg.dim_g if cfg.dim_g is not None else rng.randint(max(dims), d)
-    offsets, digit_lists = _block_layout(p, dims)
-    n = sum(p**di for di in dims)
 
     rows = None
     for _ in range(100_000):
@@ -250,36 +213,31 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     if rows is None:
         raise ValueError(f"could not draw generators for {cfg}")
 
-    gens = [_translation_perm(p, dims, offsets, digit_lists, row) for row in rows]
+    gens = [translation_perm(p, dims, row) for row in rows]
 
     planted = rng.uniform01() < cfg.sat_bias
     witness = None
-    witness_vec = [0] * d
     if planted:
         coeffs = [rng.below(p) for _ in range(dim_g)]
+        witness_vec = [0] * d
         for c, row in zip(coeffs, rows):
             if c:
                 witness_vec = [(w + c * x) % p for w, x in zip(witness_vec, row)]
-        witness = _translation_perm(p, dims, offsets, digit_lists, witness_vec)
+        witness = translation_perm(p, dims, witness_vec)
 
     cmap = {}
-    lo = 0
-    for di, off, digits in zip(dims, offsets, digit_lists):
+    off = 0
+    for di in dims:
         size = p**di
-        orbit = tuple(range(off + 1, off + size + 1))
-        v = witness_vec[lo:lo + di]
-        lo += di
         want = min(cfg.k, size)
-        for i, t in enumerate(digits):
-            a = off + i + 1
-            cset = set()
-            if planted:
-                cset.add(off + _rank(tuple((x + y) % p for x, y in zip(t, v)), p) + 1)
+        for a in range(off + 1, off + size + 1):
+            cset = {witness.images[a - 1]} if planted else set()
             while len(cset) < want:
-                cset.add(orbit[rng.below(size)])
-            cmap[a] = frozenset(cset)
+                cset.add(off + 1 + rng.below(size))
+            cmap[a] = cset
+        off += size
 
-    inst = GcInstance.build(p, n, gens, cmap)
+    inst = normalize(cmap.items(), len(cmap), gens, p)
     return GenResult(inst, witness, dims, dim_g)
 
 

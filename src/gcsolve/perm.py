@@ -101,32 +101,6 @@ def order(g: Permutation) -> int:
     return math.lcm(*(len(c) for c in g.cycles()))
 
 
-class UnionFind:
-    """Union-find over points 1..n with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 class OrbitPartition:
     """Partition of {1..n} into disjoint blocks, ordered by smallest element."""
 
@@ -170,32 +144,6 @@ class OrbitPartition:
     @staticmethod
     def bottom(n: int) -> OrbitPartition:
         return OrbitPartition(n, [(a,) for a in range(1, n + 1)])
-
-    @staticmethod
-    def from_perm(g: Permutation) -> OrbitPartition:
-        """Partition of 1..n into the cycles of g (fixed points as singletons)."""
-        uf = UnionFind(g.n)
-        for a in range(1, g.n + 1):
-            uf.union(a, g.image(a))
-        return _from_union_find(g.n, uf)
-
-    def join(self, other: OrbitPartition) -> OrbitPartition:
-        """Least upper bound in the partition-refinement lattice."""
-        if self.n != other.n:
-            raise DomainMismatchError(f"partition sizes differ: {self.n} vs {other.n}")
-        uf = UnionFind(self.n)
-        for part in (self, other):
-            for block in part.blocks:
-                for a in block[1:]:
-                    uf.union(block[0], a)
-        return _from_union_find(self.n, uf)
-
-
-def _from_union_find(n: int, uf: UnionFind) -> OrbitPartition:
-    groups: dict[int, list[int]] = {}
-    for a in range(1, n + 1):
-        groups.setdefault(uf.find(a), []).append(a)
-    return OrbitPartition(n, groups.values())
 
 
 def orbit_partition(gens, n: int | None = None) -> OrbitPartition:

@@ -4,7 +4,10 @@ constraints, plus the brute-force clause checker used to cross-validate.
 Both constructions act on functions into F_p.  The first permutes, per
 clause, the p^k assignments of the clause's variables by translation; the
 second uses one p-cycle per variable plus one p-cycle per clause tracking
-the sum of the clause's variables.
+the sum of the clause's variables.  Either way each block of points is a
+copy of F_p^k (or F_p) numbered in lex order, so every group element is a
+translation built by genbench.translation_perm, and the constraint map is
+brought into normal form by constraint.normalize.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .constraint import GcInstance
+from .constraint import GcInstance, normalize
 from .fpalg import is_prime
+from .frame import translation_positions
+from .genbench import translation_perm
 from .perm import Permutation
 
 
@@ -52,9 +57,6 @@ class ClauseSet:
     @property
     def k(self) -> int:
         return len(self.clauses[0]) if self.clauses else 0
-
-    def var_index(self, name: str) -> int:
-        return self.sigma.index(name)
 
 
 def parse_clauses(text: str) -> ClauseSet:
@@ -113,25 +115,15 @@ class ReducedInstance:
         """Image in the permutation group of an assignment u: sigma -> F_p."""
         values = {v: u.get(v, 0) % self.p for v in self.clause_set.sigma}
         if self.kind == "one-in-k":
-            return _one_in_k_image(self.clause_set, self.p, values, self._points)
-        return _two_cstr_image(self.clause_set, self.p, values, self._points)
-
-    def witness_for(self, interpretation) -> Permutation:
-        """Group element corresponding to an interpretation (a variable set)."""
-        return self.morphism({v: 1 for v in interpretation})
+            return _one_in_k_image(self.clause_set, self.p, values)
+        return _two_cstr_image(self.clause_set, self.p, values)
 
 
-def _one_in_k_image(s: ClauseSet, p: int, values: dict, points: dict) -> Permutation:
-    n = len(points)
-    images = list(range(1, n + 1))
-    for t, clause in enumerate(s.clauses):
-        shift = tuple(values.get(v, 0) % p for v in clause)
-        if not any(shift):
-            continue
-        for w in itertools.product(range(p), repeat=len(clause)):
-            target = tuple((a + b) % p for a, b in zip(w, shift))
-            images[points[(t, w)] - 1] = points[(t, target)]
-    return Permutation(tuple(images))
+def _one_in_k_image(s: ClauseSet, p: int, values: dict) -> Permutation:
+    """Per clause, the translation of its block of assignments by the
+    values of the clause's variables."""
+    shifts = [values.get(v, 0) for clause in s.clauses for v in clause]
+    return translation_perm(p, (s.k,) * len(s.clauses), shifts)
 
 
 def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
@@ -150,35 +142,23 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
             points[(t, w)] = t * block + sum(x * p ** (k - 1 - i) for i, x in enumerate(w)) + 1
             labels.append(f"c{t}:" + "".join(map(str, w)))
     n = block * len(s.clauses)
-    gens = []
-    for v in s.sigma:
-        gens.append(_one_in_k_image(s, p, {v: 1}, points))
+    gens = [_one_in_k_image(s, p, {v: 1}) for v in s.sigma]
+    # each point may advance by one of the clause's variable indicators
+    units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
     cmap = {}
-    for t, clause in enumerate(s.clauses):
-        for w in itertools.product(range(p), repeat=k):
-            shifted = []
-            for i in range(k):
-                target = tuple((x + 1) % p if j == i else x for j, x in enumerate(w))
-                shifted.append(points[(t, target)])
-            cmap[points[(t, w)]] = frozenset(shifted)
-    inst = GcInstance.build(p, n, gens, cmap)
+    for off in range(0, n, block):
+        for r in range(block):
+            cmap[off + r + 1] = {off + pos[r] + 1 for pos in units}
+    inst = normalize(cmap.items(), n, gens, p)
     return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
 
 
-def _two_cstr_image(s: ClauseSet, p: int, values: dict, points: dict) -> Permutation:
-    n = len(points)
-    images = list(range(1, n + 1))
-    for v in s.sigma:
-        shift = values.get(v, 0) % p
-        if shift:
-            for x in range(p):
-                images[points[("var", v, x)] - 1] = points[("var", v, (x + shift) % p)]
-    for t, clause in enumerate(s.clauses):
-        shift = sum(values.get(v, 0) for v in clause) % p
-        if shift:
-            for y in range(p):
-                images[points[("clause", t, y)] - 1] = points[("clause", t, (y + shift) % p)]
-    return Permutation(tuple(images))
+def _two_cstr_image(s: ClauseSet, p: int, values: dict) -> Permutation:
+    """Each variable's cycle advanced by its value, and each clause's by the
+    sum of its variables' values."""
+    shifts = [values.get(v, 0) for v in s.sigma]
+    shifts += [sum(values.get(v, 0) for v in clause) % p for clause in s.clauses]
+    return translation_perm(p, (1,) * len(shifts), shifts)
 
 
 def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
@@ -212,7 +192,7 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
             points[("clause", t, y)] = idx
             labels.append(f"c{t}:{y}")
     n = idx
-    gens = [_two_cstr_image(s, p, {v: 1}, points) for v in s.sigma]
+    gens = [_two_cstr_image(s, p, {v: 1}) for v in s.sigma]
     cmap = {}
     for v in s.sigma:
         for x in range(p):
@@ -222,5 +202,5 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     for t in range(len(s.clauses)):
         for y in range(p):
             cmap[points[("clause", t, y)]] = frozenset({points[("clause", t, (y + 1) % p)]})
-    inst = GcInstance.build(p, n, gens, cmap)
+    inst = normalize(cmap.items(), n, gens, p)
     return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)

@@ -123,6 +123,12 @@ def test_build_frame_rejects_domain_mismatch():
         build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
 
 
+def test_build_frame_names_an_orbit_whose_size_is_not_a_power_of_p():
+    g = Permutation.from_cycles(3, [(1, 2)])
+    with pytest.raises(FrameError, match="orbit of 1 has size 3, not a power of 2"):
+        build_frame(3, [g], 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
+
+
 @pytest.mark.parametrize(
     "n,gens,p",
     [
@@ -182,32 +188,6 @@ def test_coords_of_perm_accepts_superspace_outside_group():
     fr = build_frame(4, [g], 2)
     lone = Permutation.from_cycles(4, [(1, 2)])
     assert fr.coords_of_perm(lone) == (1, 0)
-
-
-def test_coords_of_diff_same_point_and_known_values():
-    g1, g2, g3 = eight_point_gens()
-    fr = build_frame(8, [g1, g2, g3], 2)
-    assert fr.coords_of_diff(2, 2) == (0, 0, 0)
-    assert fr.coords_of_diff(1, 3) == (1, 0, 0)  # the first basis vector moves 1 to 3
-
-
-def test_coords_of_diff_by_exhaustive_search():
-    g1, g2, g3 = eight_point_gens()
-    fr = build_frame(8, [g1, g2, g3], 2)
-    x = fr.coords_of_diff(2, 5)
-    # oracle: exactly one of the 8 coefficient tuples maps 2 to 5
-    hits = [
-        t for t in itertools.product(range(2), repeat=3)
-        if combine(fr.basis, t, 8).image(2) == 5
-    ]
-    assert hits == [x]
-
-
-def test_coords_of_diff_rejects_different_orbits():
-    gens = [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)])]
-    fr = build_frame(4, gens, 2)
-    with pytest.raises(FrameError, match="different orbits"):
-        fr.coords_of_diff(1, 3)
 
 
 def test_perm_of_coords_zero_units_roundtrip():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gcsolve.constraint import solve, verify
@@ -12,7 +14,7 @@ from gcsolve.genbench import (
     n_sweep,
     rows_to_csv,
 )
-from gcsolve.instfile import render_instance
+from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian
 
 
@@ -134,6 +136,32 @@ def test_gen_n_target_mode():
         res = gen_instance(cfg)
         assert res.instance.n == 32
         assert sum(2**d for d in res.dims) == 32
+
+
+def _pinned_configs():
+    """Each mode of gen_instance (fixed dims, a dim_g target, an n_target)
+    at p = 2, 3 and 5, never and always planted, over two seeds."""
+    for p in (2, 3, 5):
+        modes = (
+            dict(dims=(2, 1)),
+            dict(dim_g=2, q_range=(1, 3), dim_range=(1, 2)),
+            dict(n_target=4 * p, dim_range=(1, 2)),
+        )
+        for m, mode in enumerate(modes):
+            for sat_bias in (0.0, 1.0):
+                for seed in range(2):
+                    yield GenConfig(p=p, seed=derive_seed(p, m, int(sat_bias), seed),
+                                    k=1 + (m + seed) % 3, sat_bias=sat_bias, **mode)
+
+
+def test_gen_output_is_pinned():
+    h = hashlib.sha256()
+    for cfg in _pinned_configs():
+        res = gen_instance(cfg)
+        h.update(render_instance(res.instance).encode())
+        h.update(render_witness(res.witness).encode() if res.witness else b"-\n")
+        h.update(f"{res.dims} {res.dim_g}\n".encode())
+    assert h.hexdigest() == "218ba8b1911afc3e0cf7951ca7de75d114a556c5d60f524c9c7b4d510abe043c"
 
 
 def test_bench_empty_configs():

@@ -108,41 +108,6 @@ def test_orbit_partition_matches_bfs_closure(gens):
     assert orbit_partition(gens, n).blocks == bfs_orbits(gens, n)
 
 
-@settings(max_examples=60)
-@given(same_domain_triples())
-def test_orbit_partition_matches_join_fold(gens):
-    n = gens[0].n
-    for k in range(len(gens) + 1):
-        fold = OrbitPartition.bottom(n)
-        for g in gens[:k]:
-            fold = fold.join(OrbitPartition.from_perm(g))
-        assert orbit_partition(gens[:k], n) == fold
-
-
-def test_join_lattice_identities():
-    g = Permutation.from_cycles(6, [(1, 2), (3, 4, 5)])
-    part = orbit_partition([g])
-    bottom = OrbitPartition.bottom(6)
-    assert part.join(bottom) == part
-    assert part.join(part) == part
-
-
-@settings(max_examples=40)
-@given(same_domain_triples())
-def test_join_commutative_associative(gens):
-    pa, pb, pc = (OrbitPartition.from_perm(g) for g in gens)
-    assert pa.join(pb) == pb.join(pa)
-    assert pa.join(pb).join(pc) == pa.join(pb.join(pc))
-
-
-@settings(max_examples=40)
-@given(same_domain_triples())
-def test_join_of_orbit_partitions_is_union_orbits(gens):
-    ga, gb, gc = gens
-    left = orbit_partition([ga], ga.n).join(orbit_partition([gb, gc], ga.n))
-    assert left == orbit_partition([ga, gb, gc], ga.n)
-
-
 @settings(max_examples=80)
 @given(same_domain_triples())
 def test_compose_associative(gens):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gcsolve.constraint import solve, solve_enumerate, verify
 from gcsolve.frame import build_frame
 from gcsolve.genbench import SplitMix64
+from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import compose, is_elementary_abelian
 from gcsolve.reduction import (
     ClauseFormatError,
@@ -14,6 +16,7 @@ from gcsolve.reduction import (
     reduce_1in_k,
     reduce_2cstr,
 )
+from util import constraint_k
 
 
 def running_example():
@@ -89,7 +92,7 @@ def test_reduce_1in_k_worked_example_bit_exact():
     assert str(fg3) == "(1 4)(2 3)(5 8)(6 7)"
     # constraint at the point ranked 3 (low two bits set)
     assert inst.cmap[4] == frozenset({8, 2, 3})
-    assert inst.k == 3
+    assert constraint_k(inst) == 3
 
 
 def test_reduce_1in_k_empty_clause_set_trivially_sat():
@@ -110,7 +113,7 @@ def test_reduce_1in_k_structure():
             assert inst.n == p**3 * len(clauses)
             ok, _ = is_elementary_abelian(inst.gens, p)
             assert ok
-            assert inst.k == 3
+            assert constraint_k(inst) == 3
             assert all(len(inst.cmap[a]) == 3 for a in range(1, inst.n + 1))
 
 
@@ -142,7 +145,7 @@ def test_reduce_1in_k_equivalence_with_brute_force():
             out = solve_enumerate(fr, red.instance)
             assert (out.status == "sat") == (interp is not None)
             if interp is not None:
-                assert verify(red.instance, red.witness_for(interp), fr)
+                assert verify(red.instance, red.morphism({v: 1 for v in interp}), fr)
 
 
 def test_reduce_2cstr_worked_example_bit_exact():
@@ -177,7 +180,7 @@ def test_reduce_2cstr_structure_and_morphism():
     assert inst.n == 3 * 4 + 3 * 2
     ok, _ = is_elementary_abelian(inst.gens, 3)
     assert ok
-    assert inst.k <= 2
+    assert constraint_k(inst) <= 2
     for _ in range(20):
         u = {v: rng.randrange(3) for v in s.sigma}
         w = {v: rng.randrange(3) for v in s.sigma}
@@ -197,7 +200,30 @@ def test_reduce_2cstr_equivalence_with_brute_force():
         out = solve_enumerate(fr, red.instance)
         assert (out.status == "sat") == (interp is not None)
         if interp is not None:
-            assert verify(red.instance, red.witness_for(interp), fr)
+            assert verify(red.instance, red.morphism({v: 1 for v in interp}), fr)
+
+
+def _pinned_reductions():
+    three = ClauseSet(("a", "b", "c", "d", "e"),
+                      (("a", "b", "c"), ("b", "d", "e"), ("a", "c", "e")))
+    two = ClauseSet(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d")))
+    empty = ClauseSet(("a", "b"), ())
+    for p in (2, 3, 5):
+        for s in (running_example(), three, two, empty):
+            yield reduce_1in_k(s, p)
+            yield reduce_2cstr(s, p, strict=False)
+
+
+def test_reduction_output_is_pinned():
+    h = hashlib.sha256()
+    for red in _pinned_reductions():
+        sigma = red.clause_set.sigma
+        h.update(render_instance(red.instance).encode())
+        h.update(" ".join(red.labels).encode() + b"\n")
+        assignments = [{v: 1} for v in sigma] + [{v: i % red.p for i, v in enumerate(sigma)}]
+        for u in assignments:
+            h.update(render_witness(red.morphism(u)).encode())
+    assert h.hexdigest() == "2b8406e427abfffb3e0719a48f3fb28d2eb4f0b78cccce674bd08f645e234441"
 
 
 def test_reductions_with_seeded_stream_are_deterministic():

@@ -58,3 +58,9 @@ def bfs_orbits(gens, n):
 def satisfies_pointwise(inst, g):
     """Direct reading of the constraint: a^g in C(a) for every point."""
     return all(g.image(a) in inst.cmap[a] for a in range(1, inst.n + 1))
+
+
+def constraint_k(inst):
+    """k of a k-constraint: the largest constraint set among the points
+    constrained to a proper subset of their orbit, 0 when there is none."""
+    return max((len(inst.cmap[a]) for a in inst.constrained_points()), default=0)
