@@ -2,7 +2,7 @@
 
 Exit codes: 0 = satisfiable / check passed, 1 = unsatisfiable / check
 failed, 2 = undecided (constraint not linear and no fallback ran), 64 =
-malformed input or violated precondition.
+malformed input (a usage error included) or violated precondition.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .instfile import (
     render_witness,
 )
 from .perm import Permutation
-from .reduction import ClauseFormatError, parse_clauses, reduce_1in_k, reduce_2cstr
+from .reduction import parse_clauses, reduce_1in_k, reduce_2cstr
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -31,11 +31,28 @@ EXIT_UNDECIDED = 2
 EXIT_INPUT = 64
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _read(path: str) -> str:
+    """The UTF-8 text of path, or of stdin for "-"; raises ValueError
+    naming the line of a byte that is not UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        name = "<stdin>" if path == "-" else path
+        raise ValueError(f"{name}: line {lineno}: not UTF-8") from None
 
 
 def _write(path: str, text: str):
@@ -54,7 +71,7 @@ def _fail(message: str) -> int:
 def cmd_solve(args) -> int:
     try:
         text = _read(args.file)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     t0 = time.perf_counter()
     try:
@@ -107,14 +124,14 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     try:
         inst = parse_instance(_read(args.file))
-    except (OSError, InstanceFormatError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.witness_file:
         if args.images:
             return _fail("give either --witness-file or witness images, not both")
         try:
             g = parse_witness(_read(args.witness_file), inst.n)
-        except (OSError, InstanceFormatError) as exc:
+        except (OSError, ValueError) as exc:
             return _fail(str(exc))
     else:
         if len(args.images) != inst.n:
@@ -163,7 +180,7 @@ def cmd_gen(args) -> int:
 def cmd_reduce(args) -> int:
     try:
         clauses = parse_clauses(_read(args.file))
-    except (OSError, ClauseFormatError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     try:
         if args.mode == "k3":
@@ -184,31 +201,37 @@ def cmd_reduce(args) -> int:
 
 def _parse_values(spec: str) -> list[int]:
     out = []
-    for chunk in spec.split(","):
-        if ":" in chunk:
-            lo, hi = chunk.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+    try:
+        for chunk in spec.split(","):
+            if ":" in chunk:
+                lo, hi = chunk.split(":", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+    except ValueError:
+        raise ValueError(f"--values {spec!r}: expected ints and lo:hi ranges") from None
     return out
 
 
-def _parse_pair(spec: str) -> tuple[int, int]:
-    lo, hi = spec.split(":", 1)
-    return int(lo), int(hi)
+def _parse_pair(flag: str, spec: str) -> tuple[int, int]:
+    lo, _, hi = spec.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"{flag} {spec!r}: expected lo:hi") from None
 
 
 def cmd_bench(args) -> int:
-    values = _parse_values(args.values)
-    kwargs = dict(
-        seed=args.seed,
-        p=args.p,
-        k=args.k,
-        sat_bias=args.sat_bias,
-        q_range=_parse_pair(args.q_range),
-        dim_range=_parse_pair(args.dim_range),
-    )
     try:
+        values = _parse_values(args.values)
+        kwargs = dict(
+            seed=args.seed,
+            p=args.p,
+            k=args.k,
+            sat_bias=args.sat_bias,
+            q_range=_parse_pair("--q-range", args.q_range),
+            dim_range=_parse_pair("--dim-range", args.dim_range),
+        )
         if args.sweep == "dimg":
             configs = genbench.dim_g_sweep(values, **kwargs)
         else:
@@ -254,7 +277,7 @@ def _apply_config_file(argv, parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcsolve",
         description="Solve permutation constraints over elementary Abelian p-groups.",
     )

@@ -1,14 +1,15 @@
 """Exact dense linear algebra over the field of integers mod a prime p.
 
-The representation follows p.  At p = 2 a row is one Python int with bit j
-holding column j, so a row operation is one XOR of whole rows and a dot
-product is the parity of a bit count: the standard GF(2) technique (see
-M4RI in Albrecht, Bard and Hart, "Algorithm 898: Efficient multiplication
-of dense matrices over GF(2)", ACM TOMS 37(1), 2010).  At other primes a
-row is a plain list of residues and elimination is schoolbook.  Both give
-the same reduced row echelon form, which is unique, so every result is the
-same whichever code computes it.  Matrices are small (a few hundred rows at
-most in practice).
+There is one elimination, RowReducer; solve and invert feed it augmented
+rows and read its reduced row echelon form.  Its rows follow p.  At p = 2
+a row is one Python int with bit j holding column j, so a row operation is
+one XOR of whole rows and a dot product is the parity of a bit count: the
+standard GF(2) technique (see M4RI in Albrecht, Bard and Hart, "Algorithm
+898: Efficient multiplication of dense matrices over GF(2)", ACM TOMS
+37(1), 2010).  At other primes a row is a plain list of residues and
+elimination is schoolbook.  The reduced row echelon form is unique, so
+every result is the same in either representation.  Matrices are small (a
+few hundred rows at most in practice).
 """
 
 from __future__ import annotations
@@ -16,15 +17,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# for every n below _PRIME_TEST_LIMIT, the 13th such threshold psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= psi_13."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"p = {n} is too large: the prime test is exact only below {_PRIME_TEST_LIMIT}")
+    d = (n - 1) >> 1
+    s = 1
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -52,6 +77,28 @@ def inv_mod(x: int, p: int) -> int:
 
 class SingularMatrixError(ValueError):
     """Inversion was asked of a matrix without full rank."""
+
+
+_PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
+_DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(vec) -> int:
+    """The residues of vec mod 2 as one int, bit j holding vec[j] mod 2."""
+    # one byte per entry, most significant first, its parity read as binary
+    try:
+        entries = bytes(reversed(vec))
+    except ValueError:  # an entry outside [0, 256)
+        entries = bytes([x & 1 for x in reversed(vec)])
+    return int(entries.translate(_PARITY_DIGITS) or b"0", 2)
+
+
+def _unpack(bits: int, width: int) -> tuple[int, ...]:
+    """The first width bits of bits as a tuple of 0s and 1s."""
+    if not width:
+        return ()
+    # the binary digits, least significant first, turned into bytes 0 and 1
+    return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_DIGITS_TO_BYTES))
 
 
 @dataclass(frozen=True)
@@ -90,138 +137,93 @@ class FpMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
 
 
-# -- rows as lists of residues, for any p -----------------------------------
+class RowReducer:
+    """Incremental Gauss-Jordan elimination: feed vectors, keep the reduced
+    row echelon form of their span.
 
+    Pivots are searched in the first width columns.  A vector may carry
+    more columns after those, such as a right-hand side or an identity
+    block; they take part in every row operation but never hold a pivot.
+    add() reduces the vector against the kept rows and keeps it when a
+    pivot column stays nonzero, so rank grows by at most one per call.
+    The new row is scaled so that its pivot, its first nonzero entry, is 1,
+    and cleared from the older rows, so that no kept row has a nonzero
+    entry at another row's pivot.  A vector that reduces to zero in the
+    pivot columns but not after them sets `inconsistent`.
 
-def _eliminate(rows: list[list[int]], p: int, pivot_width: int):
-    """In-place reduced row echelon form; returns pivot column list.
-
-    Pivots are searched top-down in the first pivot_width columns; row
-    operations always span the full width, so callers can append augmented
-    columns.
+    At p = 2 the rows are packed ints, keyed by their pivot bit (the lowest
+    set bit), and the set pivot bits of a vector name exactly the rows to
+    XOR into it.  At other primes they are lists keyed by pivot column.
     """
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for col in range(pivot_width):
-        pivot = next((i for i in range(r, nrows) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = inv_mod(rows[r][col], p)
-        if inv != 1:
-            rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
+    def __init__(self, p: int, width: int):
+        self.p = p
+        self.width = width
+        self.inconsistent = False
+        self._length = width
+        self._low = (1 << width) - 1
+        self._rows: dict = {}
+        self._pivot_bits = 0
 
-def _solve_lists(a: FpMatrix, b) -> tuple[int, ...] | None:
-    p = a.p
-    rows = [list(row) + [bi % p] for row, bi in zip(a.rows, b)]
-    if not rows:
-        return (0,) * a.ncols
-    pivots = _eliminate(rows, p, a.ncols)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][a.ncols] % p:
-            return None
-    x = [0] * a.ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][a.ncols]
-    return tuple(x)
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
 
+    def add(self, vec) -> bool:
+        """Add vec to the span; returns True when it was independent in the
+        pivot columns."""
+        if len(vec) < self.width or self._rows and len(vec) != self._length:
+            raise ValueError(f"vector length {len(vec)} != {self._length}")
+        self._length = len(vec)
+        if self.p == 2:
+            return self._add_bits(_pack(vec))
+        return self._add_list([x % self.p for x in vec])
 
-def _invert_lists(m: FpMatrix) -> FpMatrix:
-    d = m.nrows
-    rows = [list(r) + [1 if i == j else 0 for j in range(d)] for i, r in enumerate(m.rows)]
-    pivots = _eliminate(rows, m.p, d)
-    if len(pivots) != d:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {d}")
-    return FpMatrix(m.p, tuple(tuple(r[d:]) for r in rows))
-
-
-# -- F_2 rows packed into ints ----------------------------------------------
-
-
-_BYTES_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _pack(vec) -> int:
-    """The residues of vec mod 2 as one int, bit j holding vec[j] mod 2."""
-    # one byte 0 or 1 per entry, most significant first, read as binary
-    return int(bytes([x & 1 for x in reversed(vec)]).translate(_BYTES_TO_DIGITS) or b"0", 2)
-
-
-def _unpack(bits: int, width: int) -> tuple[int, ...]:
-    """The first width bits of bits as a tuple of 0s and 1s."""
-    if not width:
-        return ()
-    # the binary digits, least significant first, turned into bytes 0 and 1
-    return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_DIGITS_TO_BYTES))
-
-
-def _eliminate_bits(rows, width: int) -> tuple[dict[int, int], int]:
-    """Reduced row echelon form over F_2 of packed rows, pivots searched in
-    the low width bits; the bits above them are carried along, so callers
-    can append augmented columns.
-
-    Returns the pivot rows keyed by their pivot bit, and the OR of the rows
-    left without a pivot (nonzero only in the augmented bits).  Each new
-    row is cleared at the current pivots, takes its lowest remaining bit as
-    its pivot, and is then cleared from the older pivot rows.  So every
-    pivot row keeps its pivot as its lowest bit and holds no other pivot:
-    the form is reduced after every row, and clearing a pivot with one XOR
-    never sets another.
-    """
-    low = (1 << width) - 1
-    pivots: dict[int, int] = {}
-    pivot_bits = 0
-    rest = 0
-    for row in rows:
-        hit = row & pivot_bits
+    def _add_bits(self, v: int) -> bool:
+        rows = self._rows
+        hit = v & self._pivot_bits
         while hit:
             bit = hit & -hit
-            row ^= pivots[bit]
+            v ^= rows[bit]
             hit ^= bit
-        if not row & low:
-            rest |= row
-            continue
-        bit = row & -row
-        for b, other in pivots.items():
+        if not v & self._low:
+            self.inconsistent |= v != 0
+            return False
+        bit = v & -v
+        for b, other in rows.items():
             if other & bit:
-                pivots[b] = other ^ row
-        pivots[bit] = row
-        pivot_bits |= bit
-    return pivots, rest
+                rows[b] = other ^ v
+        rows[bit] = v
+        self._pivot_bits |= bit
+        return True
 
+    def _add_list(self, v: list[int]) -> bool:
+        p = self.p
+        rows = self._rows
+        for col, row in rows.items():
+            factor = v[col]
+            if factor:
+                v = [(a - factor * b) % p for a, b in zip(v, row)]
+        col = next((i for i in range(self.width) if v[i]), None)
+        if col is None:
+            self.inconsistent |= any(v)
+            return False
+        inv = inv_mod(v[col], p)
+        if inv != 1:
+            v = [(x * inv) % p for x in v]
+        for c, other in rows.items():
+            factor = other[col]
+            if factor:
+                rows[c] = [(a - factor * b) % p for a, b in zip(other, v)]
+        rows[col] = v
+        return True
 
-def _solve_bits(a: FpMatrix, b) -> tuple[int, ...] | None:
-    n = a.ncols
-    pivots, rest = _eliminate_bits((row | (bi & 1) << n for row, bi in zip(a._packed, b)), n)
-    if rest:
-        return None
-    x = [0] * n
-    for bit, row in pivots.items():
-        x[bit.bit_length() - 1] = row >> n & 1
-    return tuple(x)
-
-
-def _invert_bits(m: FpMatrix) -> FpMatrix:
-    d = m.nrows
-    pivots, _ = _eliminate_bits((row | 1 << (d + i) for i, row in enumerate(m._packed)), d)
-    if len(pivots) != d:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {d}")
-    return FpMatrix(2, tuple(_unpack(pivots[1 << c] >> d, d) for c in range(d)))
-
-
-# -- entry points: the representation follows p -----------------------------
+    def echelon(self) -> dict[int, tuple[int, ...]]:
+        """The kept rows, extra columns included, keyed by pivot column."""
+        if self.p == 2:
+            return {bit.bit_length() - 1: _unpack(row, self._length)
+                    for bit, row in self._rows.items()}
+        return {col: tuple(row) for col, row in self._rows.items()}
 
 
 def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
@@ -229,71 +231,27 @@ def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
     when the system is inconsistent (pivot in the augmented column)."""
     if len(b) != a.nrows:
         raise ValueError(f"right-hand side length {len(b)} != {a.nrows} rows")
-    return _solve_bits(a, b) if a.p == 2 else _solve_lists(a, b)
+    n = a.ncols
+    reducer = RowReducer(a.p, n)
+    for row, bi in zip(a.rows, b):
+        reducer.add(row + (bi,))
+    if reducer.inconsistent:
+        return None
+    x = [0] * n
+    for col, row in reducer.echelon().items():
+        x[col] = row[n]
+    return tuple(x)
 
 
 def invert(m: FpMatrix) -> FpMatrix:
-    """Inverse of a square full-rank matrix by Gauss-Jordan elimination."""
-    if m.nrows != m.ncols:
-        raise SingularMatrixError(f"matrix is {m.nrows}x{m.ncols}, not square")
-    return _invert_bits(m) if m.p == 2 else _invert_lists(m)
-
-
-class RowReducer:
-    """Incremental rank tracker: feed vectors, keep an echelon basis.
-
-    add() reduces the vector against the rows seen so far and keeps it when
-    a nonzero residue remains, so rank grows by at most one per call.  Each
-    kept row is scaled so that its first nonzero entry, its pivot, is 1.
-    At p = 2 the rows are packed ints and a pivot is the row's lowest set
-    bit; at other primes they are lists and a pivot is a column index.
-    """
-
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self._rows: list = []
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _residue(self, vec):
-        """vec reduced against the stored rows, in their representation;
-        falsy exactly when vec lies in their span."""
-        p = self.p
-        if p == 2:
-            v = _pack(vec)
-            for row, bit in zip(self._rows, self._pivots):
-                if v & bit:
-                    v ^= row
-            return v
-        v = [x % p for x in vec]
-        for row, col in zip(self._rows, self._pivots):
-            factor = v[col]
-            if factor:
-                v = [(a - factor * b) % p for a, b in zip(v, row)]
-        return v if any(v) else []
-
-    def contains(self, vec) -> bool:
-        return not self._residue(vec)
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; returns True when it was independent."""
-        if len(vec) != self.width:
-            raise ValueError(f"vector length {len(vec)} != {self.width}")
-        v = self._residue(vec)
-        if not v:
-            return False
-        if self.p == 2:
-            self._rows.append(v)
-            self._pivots.append(v & -v)
-            return True
-        col = next(i for i, x in enumerate(v) if x)
-        inv = inv_mod(v[col], self.p)
-        if inv != 1:
-            v = [(x * inv) % self.p for x in v]
-        self._rows.append(v)
-        self._pivots.append(col)
-        return True
+    """Inverse of a square full-rank matrix: [m | I] reduces to [I | m^-1]."""
+    d = m.nrows
+    if d != m.ncols:
+        raise SingularMatrixError(f"matrix is {d}x{m.ncols}, not square")
+    reducer = RowReducer(m.p, d)
+    for i, row in enumerate(m.rows):
+        reducer.add(row + (0,) * i + (1,) + (0,) * (d - 1 - i))
+    if reducer.rank != d:
+        raise SingularMatrixError(f"matrix has rank {reducer.rank} < {d}")
+    rows = reducer.echelon()
+    return FpMatrix(m.p, tuple(rows[c][d:] for c in range(d)))

@@ -61,7 +61,11 @@ def parse_instance(text: str) -> GcInstance:
         raise InstanceFormatError("unsupported format version, expected `gc 1`", lineno)
     lineno, tokens = take("p")
     p = _int_field(tokens, lineno, "p")
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), lineno) from None
+    if not prime:
         raise InstanceFormatError(f"p = {p} is not prime", lineno)
     lineno, tokens = take("n")
     n = _int_field(tokens, lineno, "n")

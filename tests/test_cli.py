@@ -1,6 +1,10 @@
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcsolve.cli import main
 from gcsolve.constraint import normalize, solve_enumerate
@@ -251,3 +255,68 @@ def test_solve_exit_codes_agree_with_oracle(tmp_path, capsys):
         fr = build_frame(inst.n, inst.gens, inst.p)
         oracle = solve_enumerate(fr, inst)
         assert code == (0 if oracle.status == "sat" else 1)
+
+
+# -- malformed input: exit 64 with a message, never a traceback -------------
+
+NOT_UTF8 = EIGHT_POINT_FILE.encode().replace(b"c 1 : 3", b"c 1 : \xff3")
+
+
+@pytest.mark.parametrize("argv, data, line", [
+    (["solve", "FILE"], NOT_UTF8, 8),
+    (["check", "FILE", *map(str, range(1, 9))], NOT_UTF8, 8),
+    (["reduce", "FILE", "--mode", "k3", "--p", "3"], b"a b\n\xfe c\n", 2),
+])
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys, argv, data, line):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 64
+    assert f"line {line}: not UTF-8" in capsys.readouterr().err
+
+
+def test_stdin_that_is_not_utf8_names_its_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    assert main(["solve", "-"]) == 64
+    assert "<stdin>: line 8: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--values", "5:x"], "--values '5:x'"),
+    (["--q-range", "3"], "--q-range '3'"),
+    (["--dim-range", "a:2"], "--dim-range 'a:2'"),
+])
+def test_bench_rejects_a_malformed_range(tmp_path, capsys, flags, message):
+    assert main(["bench", *flags, "--out", str(tmp_path / "out.csv")]) == 64
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "F", "--cap", "x"], ["check", "F", "1", "x"], ["solve"], ["frobnicate"]])
+def test_a_usage_error_exits_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "usage:" in capsys.readouterr().err
+
+
+_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 2**16),
+    st.sampled_from(b"0123456789 :-\ncgpmn\x00\x80\xc3\xff"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+def test_mutated_instance_files_never_raise(tmp_path_factory, mutations):
+    data = bytearray(EIGHT_POINT_FILE.encode())
+    for op, at, byte in mutations:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = bytes([byte])
+        elif at < len(data):
+            data[at:at + 1] = bytes([byte]) if op == "replace" else b""
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.gc"
+    path.write_bytes(bytes(data))
+    assert main(["solve", str(path)]) in (0, 1, 2, 64)
+    assert main(["check", str(path), "3", "4", "1", "2", "7", "8", "5", "6"]) in (0, 1, 64)

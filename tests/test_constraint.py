@@ -28,7 +28,14 @@ from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import OrbitPartition, Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
-from util import constraint_k, group_closure, eight_point_gens, satisfies_pointwise
+from util import (
+    constraint_k,
+    eight_point_gens,
+    group_closure,
+    satisfies_pointwise,
+    schoolbook_invert,
+    schoolbook_solve,
+)
 
 
 def eight_point_frame_and_instance(cset={3}):
@@ -349,8 +356,8 @@ def test_solve_finds_the_orbits_once_per_decision(monkeypatch):
 
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
-    """Status, reason and witness do not depend on whether fpalg runs its
-    packed F_2 code or its list code."""
+    """Status, reason and witness are the same when a schoolbook list
+    elimination stands in for fpalg's solve, invert and mat_vec."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -362,8 +369,8 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     def list_mat_vec(m, v):
         return tuple(sum(a * b for a, b in zip(row, v)) % m.p for row in m.rows)
 
-    monkeypatch.setattr(fpalg, "solve", fpalg._solve_lists)
-    monkeypatch.setattr(fpalg, "invert", fpalg._invert_lists)
+    monkeypatch.setattr(fpalg, "solve", schoolbook_solve)
+    monkeypatch.setattr(fpalg, "invert", schoolbook_invert)
     monkeypatch.setattr(FpMatrix, "mat_vec", list_mat_vec)
     assert [solve(inst) for inst in insts] == packed
 

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcsolve import fpalg
 from gcsolve.fpalg import (
     FpMatrix,
     RowReducer,
@@ -15,6 +16,8 @@ from gcsolve.fpalg import (
     is_prime,
     solve,
 )
+from gcsolve.instfile import InstanceFormatError, parse_instance
+from util import schoolbook_invert, schoolbook_rank, schoolbook_solve
 
 
 def test_is_prime_small_values():
@@ -143,6 +146,15 @@ def test_invert_singular_rejected():
         invert(FpMatrix(2, ((1, 1, 0), (0, 1, 1))))
 
 
+def _spans(p, width, basis, vec):
+    """Whether vec lies in the span of basis, by a fresh reducer: adding vec
+    after the basis leaves the rank where it was."""
+    reducer = RowReducer(p, width)
+    for b in basis:
+        reducer.add(b)
+    return not reducer.add(vec)
+
+
 def test_row_reducer_tracks_span():
     reducer = RowReducer(2, 3)
     assert reducer.add((1, 1, 0))
@@ -150,24 +162,57 @@ def test_row_reducer_tracks_span():
     assert reducer.add((0, 1, 1))
     assert not reducer.add((1, 0, 1))  # sum of the first two
     assert reducer.rank == 2
-    assert reducer.contains((1, 0, 1))
-    assert not reducer.contains((0, 0, 1))
+    basis = [(1, 1, 0), (0, 1, 1)]
+    assert _spans(2, 3, basis, (1, 0, 1))
+    assert not _spans(2, 3, basis, (0, 0, 1))
 
 
-# -- the packed F_2 path against the list path ------------------------------
+def test_row_reducer_flags_a_vector_nonzero_only_after_the_pivot_columns():
+    for p in (2, 3):
+        reducer = RowReducer(p, 2)
+        assert reducer.add((1, 1, 0))
+        assert not reducer.add((2, 2, 0))  # dependent throughout
+        assert not reducer.inconsistent
+        assert not reducer.add((1, 1, 1))  # zero in the pivot columns only
+        assert reducer.inconsistent
+        assert reducer.rank == 1
 
-# Widths at and around one and two 64-bit words, where a packed row's size in
-# machine words changes, besides small ones.
+
+def test_row_reducer_echelon_is_reduced():
+    reducer = RowReducer(3, 3)
+    # the second row is scaled by 2 and then cleared from the first
+    for vec in ((1, 1, 0, 0), (0, 2, 1, 1), (1, 0, 1, 1)):
+        reducer.add(vec)
+    assert reducer.echelon() == {0: (1, 0, 1, 1), 1: (0, 1, 2, 2)}
+
+
+def test_row_reducer_rejects_a_short_vector_or_a_changed_length():
+    reducer = RowReducer(2, 3)
+    with pytest.raises(ValueError, match="vector length 2"):
+        reducer.add((1, 0))
+    reducer.add((1, 0, 0, 1))
+    with pytest.raises(ValueError, match="vector length 3 != 4"):
+        reducer.add((0, 1, 0))
+
+
+# -- RowReducer, solve and invert against a schoolbook elimination ----------
+
+# At p = 2, widths at and around one and two 64-bit words, where a packed
+# row's size in machine words changes, besides small ones.  Rows at other
+# primes are lists, so small widths reach every case there.
 WIDTHS = st.one_of(st.integers(0, 6), st.sampled_from([63, 64, 65, 130]))
 
 
+@st.composite
+def field_and_widths(draw, count):
+    p = draw(st.sampled_from([2, 3, 5]))
+    widths = WIDTHS if p == 2 else st.integers(0, 8)
+    return (p, *(draw(widths) for _ in range(count)))
+
+
 def _raw(rng, width):
-    """A vector with entries outside [0, 2), negatives included."""
+    """A vector with entries outside [0, p), negatives included."""
     return [rng.randrange(-3, 4) for _ in range(width)]
-
-
-def _list_rank(vecs, width):
-    return len(fpalg._eliminate([[x % 2 for x in v] for v in vecs], 2, width))
 
 
 def _outcome(f, *args):
@@ -177,60 +222,64 @@ def _outcome(f, *args):
         return ("singular", str(exc))
 
 
-@settings(max_examples=60, deadline=None)
-@given(d=WIDTHS, seed=st.integers(0, 2**32 - 1), singular=st.booleans())
-def test_packed_invert_matches_list_path(d, seed, singular):
+@settings(max_examples=90, deadline=None)
+@given(shape=field_and_widths(1), seed=st.integers(0, 2**32 - 1), singular=st.booleans())
+def test_packed_invert_matches_list_path(shape, seed, singular):
+    p, d = shape
     rng = random.Random(seed)
     rows = [_raw(rng, d) for _ in range(d)]
     if singular and d:
-        # one row becomes the sum of some others (the zero row when none)
+        # one row becomes a combination of some others (the zero row when none)
         i = rng.randrange(d)
-        others = [r for j, r in enumerate(rows) if j != i and rng.random() < 0.5]
-        rows[i] = [sum(r[c] for r in others) for c in range(d)]
-    m = FpMatrix(2, tuple(map(tuple, rows)))
+        others = [(rng.randrange(p), r) for j, r in enumerate(rows) if j != i and rng.random() < 0.5]
+        rows[i] = [sum(c * r[col] for c, r in others) for col in range(d)]
+    m = FpMatrix(p, tuple(map(tuple, rows)))
     got = _outcome(invert, m)
-    assert got == _outcome(fpalg._invert_lists, m)
+    assert got == _outcome(schoolbook_invert, m)
     if singular and d:
         assert got[0] == "singular"
 
 
-@settings(max_examples=60, deadline=None)
-@given(nrows=WIDTHS, ncols=WIDTHS, seed=st.integers(0, 2**32 - 1), planted=st.booleans())
-def test_packed_solve_matches_list_path(nrows, ncols, seed, planted):
+@settings(max_examples=90, deadline=None)
+@given(shape=field_and_widths(2), seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+def test_packed_solve_matches_list_path(shape, seed, planted):
+    p, nrows, ncols = shape
     rng = random.Random(seed)
-    a = FpMatrix(2, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
+    a = FpMatrix(p, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
     if planted:
-        b = [y + 2 * rng.randrange(-1, 2) for y in a.mat_vec(_raw(rng, a.ncols))]
+        b = [y + p * rng.randrange(-1, 2) for y in a.mat_vec(_raw(rng, a.ncols))]
     else:
         b = _raw(rng, nrows)
     x = solve(a, b)
-    assert x == fpalg._solve_lists(a, b)
+    assert x == schoolbook_solve(a, b)
     if planted:
         assert x is not None
     if x is not None:
-        assert a.mat_vec(x) == tuple(y % 2 for y in b)
+        assert a.mat_vec(x) == tuple(y % p for y in b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(width=WIDTHS, count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
-def test_packed_row_reducer_matches_list_elimination(width, count, seed):
+@settings(max_examples=90, deadline=None)
+@given(shape=field_and_widths(1), count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_packed_row_reducer_matches_list_elimination(shape, count, seed):
+    p, width = shape
     rng = random.Random(seed)
-    reducer = RowReducer(2, width)
+    reducer = RowReducer(p, width)
     seen = []
     for _ in range(count + 1):
         if seen and rng.random() < 0.5:
-            # a sum of earlier vectors, shifted by even amounts
-            picked = [v for v in seen if rng.random() < 0.5]
-            vec = [sum(v[c] for v in picked) + 2 * rng.randrange(-2, 3) for c in range(width)]
+            # a combination of earlier vectors, shifted by multiples of p
+            picked = [(rng.randrange(p), v) for v in seen if rng.random() < 0.5]
+            vec = [sum(c * v[col] for c, v in picked) + p * rng.randrange(-2, 3)
+                   for col in range(width)]
         else:
             vec = _raw(rng, width)
-        independent = _list_rank(seen + [vec], width) > _list_rank(seen, width)
-        assert reducer.contains(vec) == (not independent)
+        independent = schoolbook_rank(seen + [vec], p, width) > schoolbook_rank(seen, p, width)
+        assert _spans(p, width, seen, vec) == (not independent)
         if len(seen) == count:
-            break  # the last vector only probes contains
+            break  # the last vector only probes the span
         assert reducer.add(vec) == independent
         seen.append(vec)
-        assert reducer.rank == _list_rank(seen, width)
+        assert reducer.rank == schoolbook_rank(seen, p, width)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,18 +291,51 @@ def test_packed_mat_vec_matches_list_formula(nrows, ncols, seed):
     assert m.mat_vec(v) == tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m.rows)
 
 
-def test_representation_follows_p(monkeypatch):
-    """p = 2 never reaches the list elimination; p = 3 still does."""
+def test_representation_follows_p():
+    """RowReducer keeps packed ints at p = 2 and lists at other primes, and
+    solve and invert give the same answers through either."""
+    for p, row_type in ((2, int), (3, list), (5, list)):
+        reducer = RowReducer(p, 2)
+        for vec in ((1, 1, 0), (0, 1, 1), (1, 0, 1)):
+            reducer.add(vec)
+        assert {type(row) for row in reducer._rows.values()} == {row_type}
+        m = FpMatrix(p, ((1, 1), (0, 1)))
+        assert invert(m) == FpMatrix(p, ((1, -1), (0, 1)))
+        assert solve(m, (1, 1)) == (0, 1)
 
-    def refuse(*args):
-        raise AssertionError("list elimination called")
 
-    monkeypatch.setattr(fpalg, "_eliminate", refuse)
-    m2 = FpMatrix(2, ((1, 1), (0, 1)))
-    assert invert(m2) == m2
-    assert solve(m2, (1, 1)) == (0, 1)
-    m3 = FpMatrix(3, ((1, 1), (0, 1)))
-    with pytest.raises(AssertionError, match="list elimination"):
-        invert(m3)
-    with pytest.raises(AssertionError, match="list elimination"):
-        solve(m3, (1, 1))
+# -- primality ---------------------------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if is_prime(n)] == [
+        n for n in range(20_000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    318665857834031151167461,  # psi_12: a strong pseudoprime to the first 12 prime bases
+    3825123056546413051,  # a strong pseudoprime to the bases 2 through 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_a_61_bit_prime_parses_quickly():
+    p = 2**61 - 1
+    assert is_prime(p)
+    t0 = time.perf_counter()
+    inst = parse_instance(f"gc 1\np {p}\nn 1\nm 0\n")
+    assert time.perf_counter() - t0 < 0.1
+    assert inst.p == p
+
+
+def test_p_beyond_the_exact_prime_test_is_refused():
+    psi_13 = 3317044064679887385961981
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(psi_13)
+    with pytest.raises(InstanceFormatError, match="line 2: p = .* too large"):
+        parse_instance(f"gc 1\np {psi_13}\nn 1\nm 0\n")

@@ -342,7 +342,12 @@ def test_orbit_membership_matches_rank_test():
                         h_orbit.add(c)
                         frontier.append(c)
             for u in elements:
-                in_h = reducer.contains(fr.coords_of_perm(u))
+                # u is in H when adding it to a fresh reducer of H's basis
+                # leaves the rank unchanged
+                span = RowReducer(p, fr.dim)
+                for s in basis:
+                    span.add(fr.coords_of_perm(s))
+                in_h = not span.add(fr.coords_of_perm(u))
                 assert in_h == (u.image(a) in h_orbit)
 
 

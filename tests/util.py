@@ -3,6 +3,7 @@ brute-force oracles kept independent of the library's solving path."""
 
 from __future__ import annotations
 
+from gcsolve.fpalg import FpMatrix, SingularMatrixError
 from gcsolve.perm import Permutation, compose
 
 
@@ -64,3 +65,64 @@ def constraint_k(inst):
     """k of a k-constraint: the largest constraint set among the points
     constrained to a proper subset of their orbit, 0 when there is none."""
     return max((len(inst.cmap[a]) for a in inst.constrained_points()), default=0)
+
+
+# -- schoolbook elimination over F_p, a reference for fpalg ------------------
+
+
+def schoolbook_rref(rows, p, pivot_width):
+    """Reduce rows (lists of residues) in place to reduced row echelon form
+    by column-by-column Gauss-Jordan; returns the pivot columns.
+
+    Pivots are searched top-down in the first pivot_width columns; row
+    operations span the full width, so augmented columns come along.
+    """
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(pivot_width):
+        pivot = next((i for i in range(r, nrows) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] % p:
+                factor = rows[i][col]
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def schoolbook_rank(vecs, p, width):
+    return len(schoolbook_rref([[x % p for x in v] for v in vecs], p, width))
+
+
+def schoolbook_solve(a, b):
+    """fpalg.solve's answer for the FpMatrix a: free variables 0, None when
+    inconsistent."""
+    p, n = a.p, a.ncols
+    rows = [list(row) + [bi % p] for row, bi in zip(a.rows, b)]
+    pivots = schoolbook_rref(rows, p, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [0] * n
+    for row, col in zip(rows, pivots):
+        x[col] = row[n]
+    return tuple(x)
+
+
+def schoolbook_invert(m):
+    """fpalg.invert's answer for the FpMatrix m, by reducing [m | I]."""
+    d = m.nrows
+    if d != m.ncols:
+        raise SingularMatrixError(f"matrix is {d}x{m.ncols}, not square")
+    rows = [list(r) + [int(i == j) for j in range(d)] for i, r in enumerate(m.rows)]
+    pivots = schoolbook_rref(rows, m.p, d)
+    if len(pivots) != d:
+        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {d}")
+    return FpMatrix(m.p, tuple(tuple(r[d:]) for r in rows))
