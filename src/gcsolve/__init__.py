@@ -25,7 +25,7 @@ from .constraint import (
     verify,
     verify_detail,
 )
-from .fpalg import FpMatrix, RowReducer, SingularMatrixError, invert
+from .fpalg import FpMatrix, RowReducer, SingularMatrixError
 from .frame import (
     Frame,
     FrameError,

@@ -250,7 +250,9 @@ def cmd_bench(args) -> int:
 
 def _apply_config_file(argv, parser):
     """Pre-scan for --config and install its key=value pairs as defaults,
-    so explicit flags still win."""
+    so explicit flags still win.  A line that is not key=value, names no
+    flag, or holds a value that the flag's type or choices refuse raises
+    ValueError naming the file and line."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -259,20 +261,29 @@ def _apply_config_file(argv, parser):
             path = token.split("=", 1)[1]
     if path is None:
         return
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     defaults = {}
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}:"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        defaults[key] = value
-    for action in parser._actions:
-        if action.dest in defaults:
-            raw = defaults.pop(action.dest)
-            defaults[action.dest] = action.type(raw) if action.type else raw
+            raise ValueError(f"{where} expected key=value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"{where} unknown key {key!r}")
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise ValueError(
+                f"{where} {key}: invalid {action.type.__name__} value {raw!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{where} {key}: invalid choice {raw!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        defaults[action.dest] = value
     parser.set_defaults(**defaults)
 
 

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over the field of integers mod a prime p.
 
 There is one elimination, RowReducer; solve and invert feed it augmented
-rows and read its reduced row echelon form.  Its rows follow p.  At p = 2
+rows and read its reduced row echelon form, and invert has no caller in
+the package.  Its rows follow p.  At p = 2
 a row is one Python int with bit j holding column j, so a row operation is
 one XOR of whole rows and a dot product is the parity of a bit count: the
 standard GF(2) technique (see M4RI in Albrecht, Bard and Hart, "Algorithm

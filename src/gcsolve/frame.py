@@ -6,14 +6,15 @@ point), a basis of d_O restricted generators, and a table mapping every
 point of O to the coordinates of its difference from the origin.  The
 concatenated per-orbit bases form a global basis of F of dimension d, and
 membership in any subspace of F is decided through a variety matrix M with
-M·[u] = M·[v] iff u and v lie in the same coset of the subspace.
+M·[u] = M·[v] iff u and v lie in the same coset of the subspace.  M is the
+subspace's parity-check matrix, read off the reduced row echelon form of a
+basis, so no matrix inverse is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fpalg
 from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
 from .perm import OrbitPartition, Permutation, is_elementary_abelian, orbit_partition
 
@@ -162,33 +163,30 @@ class Frame:
         return basis, reducer.rank
 
     def variety_matrix(self, sub_basis) -> VarietyMatrix:
-        """Matrix M with M·x = 0 exactly on the span of sub_basis.
+        """Matrix M with M·x = 0 exactly on the span H of sub_basis.
 
-        The basis is completed with unit vectors (left to right), giving a
-        change-of-basis matrix P; M is the inverse of P with the rows for
-        the sub_basis coordinates zeroed out.
+        M is a parity-check matrix of H read off H's reduced row echelon
+        form (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+        1977, ch. 1).  The row of a pivot column is zero.  The row of a
+        free column j is e_j minus, at each pivot column c, the entry at
+        column j of c's echelon row.  M·x = 0 then says that each free
+        coordinate of x is the one its pivot coordinates fix.
         """
         d = self.dim
-        p = self.p
-        reducer = RowReducer(p, d)
-        columns = []
+        reducer = RowReducer(self.p, d)
         for v in sub_basis:
             if not reducer.add(v):
                 raise FrameError("subspace basis is linearly dependent")
-            columns.append(tuple(v))
-        d_sub = len(columns)
-        for i in range(d):
-            if len(columns) == d:
-                break
-            unit = tuple(1 if j == i else 0 for j in range(d))
-            if reducer.add(unit):
-                columns.append(unit)
-        change = FpMatrix(p, tuple(zip(*columns)) if columns else ())
-        inv = fpalg.invert(change) if d else FpMatrix(p, ())
-        rows = tuple(
-            (0,) * d if i < d_sub else inv.rows[i] for i in range(d)
-        )
-        return VarietyMatrix(FpMatrix(p, rows), d_sub)
+        echelon = reducer.echelon()
+        rows = []
+        for j in range(d):
+            row = [0] * d
+            if j not in echelon:
+                row[j] = 1
+                for c, e in echelon.items():
+                    row[c] = -e[j]
+            rows.append(row)
+        return VarietyMatrix(FpMatrix(self.p, tuple(rows)), reducer.rank)
 
 
 def _fill_table(origin: int, basis, p: int) -> tuple[dict, dict]:

@@ -85,6 +85,10 @@ def derive_seed(root: int, *parts: int) -> int:
     return x
 
 
+# Largest orbit dimension a config may ask for.
+MAX_DIM = 13
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Recipe for one random instance (or, in the harness, one sweep cell).
@@ -103,7 +107,6 @@ class GenConfig:
     n_target: int | None = None
     q_range: tuple[int, int] = (1, 6)
     dim_range: tuple[int, int] = (1, 10)
-    max_dim: int = 13
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -114,14 +117,14 @@ class GenConfig:
             raise ValueError("sat_bias must lie in [0, 1]")
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(self.dims))
-            if not self.dims or any(d < 1 or d > self.max_dim for d in self.dims):
-                raise ValueError(f"dims must lie in 1..{self.max_dim}")
+            if not self.dims or any(d < 1 or d > MAX_DIM for d in self.dims):
+                raise ValueError(f"dims must lie in 1..{MAX_DIM}")
             if self.dim_g is not None and not (
                 max(self.dims) <= self.dim_g <= sum(self.dims)
             ):
                 raise ValueError("dim_g must lie between max(dims) and sum(dims)")
-        if not (1 <= self.dim_range[0] <= self.dim_range[1] <= self.max_dim):
-            raise ValueError(f"dim_range must lie in 1..{self.max_dim}")
+        if not (1 <= self.dim_range[0] <= self.dim_range[1] <= MAX_DIM):
+            raise ValueError(f"dim_range must lie in 1..{MAX_DIM}")
         if self.q_range[0] < 1 or self.q_range[0] > self.q_range[1]:
             raise ValueError("bad q_range")
         if self.n_target is not None and (

@@ -224,6 +224,25 @@ def test_bench_config_file_supplies_defaults(tmp_path):
     assert lines[1].split(",")[11] == "2"
 
 
+
+@pytest.mark.parametrize("line, message", [
+    ("sampels=2", "unknown key 'sampels'"),
+    ("sweep=bogus", "sweep: invalid choice 'bogus' (choose from dimg, n)"),
+    ("samples=x", "samples: invalid int value 'x'"),
+])
+def test_bench_config_file_refuses_a_bad_line(tmp_path, monkeypatch, capsys, line, message):
+    """A bad line exits 64 naming its file and line before any run starts."""
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"values=3\n{line}\n")
+    assert main(["bench", "--config", str(cfg)]) == 64
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
 def test_render_parse_roundtrip_corpus(tmp_path):
     from gcsolve.constraint import normalize
     from gcsolve.genbench import GenConfig, gen_instance

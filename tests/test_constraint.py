@@ -33,8 +33,9 @@ from util import (
     eight_point_gens,
     group_closure,
     satisfies_pointwise,
-    schoolbook_invert,
+    schoolbook_rank,
     schoolbook_solve,
+    schoolbook_variety_matrix,
 )
 
 
@@ -310,6 +311,44 @@ def test_group_variety_built_only_to_test_membership(monkeypatch):
     assert out.status == "sat" and satisfies_pointwise(nonlinear, out.witness)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_group_variety_has_the_row_space_of_the_inverted_change_of_basis(p):
+    """Two matrices whose kernel is G have one row space: stacking M_G on
+    the reference built by inversion adds no rank."""
+    for seed in range(6):
+        inst = gen_instance(GenConfig(p=p, seed=seed, q_range=(1, 3), dim_range=(1, 2))).instance
+        fr = build_frame(inst.n, inst.gens, p)
+        basis, dim_g = fr.subspace_basis(fr.gens)
+        ours = group_variety(fr).m.rows
+        ref = schoolbook_variety_matrix(fr, basis).m.rows
+        rank = schoolbook_rank(ours, p, fr.dim)
+        assert rank == fr.dim - dim_g
+        assert schoolbook_rank(ref, p, fr.dim) == schoolbook_rank(ours + ref, p, fr.dim) == rank
+
+
+def test_no_solve_or_verify_path_inverts_a_matrix(monkeypatch):
+    """A linear, a product-fallback and an inconsistent decision, and the
+    verification of their witnesses, run with fpalg.invert refused."""
+
+    def refuse(m):
+        raise AssertionError("fpalg.invert called")
+
+    monkeypatch.setattr(fpalg, "invert", refuse)
+    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
+    nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 3).instance
+    diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    inconsistent = normalize([(1, {2}), (3, {3})], 4, [diagonal], 2)
+    for inst, method in ((linear, "linear"), (nonlinear, "product")):
+        out = solve(inst)
+        assert (out.status, out.method) == ("sat", method)
+        assert verify_detail(inst, out.witness) == (True, None)
+    out = solve(inconsistent)
+    assert (out.status, out.reason) == ("unsat", "inconsistent")
+    # (1 2) meets both constraints but lies in F, not in G
+    lone = Permutation.from_cycles(4, [(1, 2)])
+    assert verify_detail(inconsistent, lone) == (False, "witness not in group")
+
+
 # two Klein four-groups, on {1..4} and on {5..8}
 TWO_KLEIN = [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(5, 6), (7, 8)], [(5, 7), (6, 8)]]
 
@@ -357,7 +396,8 @@ def test_solve_finds_the_orbits_once_per_decision(monkeypatch):
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     """Status, reason and witness are the same when a schoolbook list
-    elimination stands in for fpalg's solve, invert and mat_vec."""
+    elimination stands in for fpalg's solve and mat_vec, and M_G is built
+    by inverting a change of basis instead of read off an echelon form."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -370,7 +410,7 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
         return tuple(sum(a * b for a, b in zip(row, v)) % m.p for row in m.rows)
 
     monkeypatch.setattr(fpalg, "solve", schoolbook_solve)
-    monkeypatch.setattr(fpalg, "invert", schoolbook_invert)
+    monkeypatch.setattr(Frame, "variety_matrix", schoolbook_variety_matrix)
     monkeypatch.setattr(FpMatrix, "mat_vec", list_mat_vec)
     assert [solve(inst) for inst in insts] == packed
 

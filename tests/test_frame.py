@@ -290,6 +290,7 @@ def _generated_frame(p, dims, seed):
         (9, c3c3_gens(), 3),
         _generated_frame(3, (2, 2, 1), seed=41),  # p=3 frame with d = 5
         _generated_frame(2, (3, 2, 2, 1), seed=42),  # p=2 frame with d = 8
+        _generated_frame(5, (2, 1, 1), seed=43),  # p=5 frame with d = 4
     ],
 )
 def test_variety_matrix_cosets_exhaustive(n, gens, p):

@@ -61,8 +61,11 @@ def test_gen_config_validation():
         GenConfig(p=4, seed=0)
     with pytest.raises(ValueError, match="dims"):
         GenConfig(p=2, seed=0, dims=(0, 2))
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match=r"dims must lie in 1\.\.13"):
         GenConfig(p=2, seed=0, dims=(14,))
+    with pytest.raises(ValueError, match=r"dim_range must lie in 1\.\.13"):
+        GenConfig(p=2, seed=0, dim_range=(1, 14))
+    GenConfig(p=2, seed=0, dims=(13,), dim_range=(13, 13))
     with pytest.raises(ValueError, match="dim_g"):
         GenConfig(p=2, seed=0, dims=(2, 2), dim_g=5)
     with pytest.raises(ValueError, match="sat_bias"):
@@ -162,6 +165,38 @@ def test_gen_output_is_pinned():
         h.update(render_witness(res.witness).encode() if res.witness else b"-\n")
         h.update(f"{res.dims} {res.dim_g}\n".encode())
     assert h.hexdigest() == "218ba8b1911afc3e0cf7951ca7de75d114a556c5d60f524c9c7b4d510abe043c"
+
+
+def _outcome_configs():
+    """108 configs at p = 2, 3 and 5 and k = 1, 2 and 3: unit orbits under
+    a one-dimensional group, unit orbits with dim G drawn, and orbits of
+    dimension 1-2 under a two-dimensional group, never and always
+    planted.  Some are not linear and take the product fallback."""
+    modes = (
+        dict(dim_g=1, q_range=(2, 4), dim_range=(1, 1)),
+        dict(q_range=(2, 4), dim_range=(1, 1)),
+        dict(dim_g=2, q_range=(2, 3), dim_range=(1, 2)),
+    )
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            for m, mode in enumerate(modes):
+                for seed in range(4):
+                    yield GenConfig(p=p, seed=derive_seed(p, k, m, seed), k=k,
+                                    sat_bias=seed % 2, **mode)
+
+
+def test_solve_outcomes_are_pinned():
+    """Status, reason, method, orbit and witness of every decision: a
+    change to the solver that moves any of them shows here."""
+    h = hashlib.sha256()
+    kinds = set()
+    for cfg in _outcome_configs():
+        out = solve(gen_instance(cfg).instance)
+        kinds.add(out.reason or out.method)
+        images = out.witness.images if out.witness else None
+        h.update(repr((out.status, out.reason, out.method, out.orbit_min, images)).encode())
+    assert kinds == {"linear", "product", "empty-vo", "inconsistent"}
+    assert h.hexdigest() == "526b43e7cd9bbbf893b6cc5cba3445c93c2b16672a0edbe6793de6d46055f84a"
 
 
 def test_bench_empty_configs():

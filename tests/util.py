@@ -4,6 +4,7 @@ brute-force oracles kept independent of the library's solving path."""
 from __future__ import annotations
 
 from gcsolve.fpalg import FpMatrix, SingularMatrixError
+from gcsolve.frame import FrameError, VarietyMatrix
 from gcsolve.perm import Permutation, compose
 
 
@@ -126,3 +127,21 @@ def schoolbook_invert(m):
     if len(pivots) != d:
         raise SingularMatrixError(f"matrix has rank {len(pivots)} < {d}")
     return FpMatrix(m.p, tuple(tuple(r[d:]) for r in rows))
+
+
+def schoolbook_variety_matrix(fr, basis):
+    """A variety matrix of the span of basis built by inversion: the basis
+    is completed with unit vectors, left to right, to a change of basis P,
+    and M is P's inverse with the rows of the basis coordinates zeroed.
+    Its kernel, and so its row space, is that of Frame.variety_matrix."""
+    p, d = fr.p, fr.dim
+    columns = [tuple(v) for v in basis]
+    if schoolbook_rank(columns, p, d) != len(columns):
+        raise FrameError("subspace basis is linearly dependent")
+    for i in range(d):
+        unit = tuple(int(j == i) for j in range(d))
+        if schoolbook_rank(columns + [unit], p, d) > len(columns):
+            columns.append(unit)
+    inv = schoolbook_invert(FpMatrix(p, tuple(zip(*columns)))).rows
+    rows = tuple((0,) * d if i < len(basis) else inv[i] for i in range(d))
+    return VarietyMatrix(FpMatrix(p, rows), len(basis))
