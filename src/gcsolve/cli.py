@@ -8,6 +8,7 @@ malformed input (a usage error included) or violated precondition.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -68,6 +69,23 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
+def _text_report(report: dict) -> str:
+    """The solve report as text: the status line, then one "name value"
+    line per field that is not None, with the witness as its `g` line and
+    times to three decimals."""
+    out = report["status"] + "\n"
+    for key, value in report.items():
+        if key == "status" or value is None:
+            continue
+        if key == "witness":
+            out += render_witness(value)
+        elif isinstance(value, float):
+            out += f"{key} {value:.3f}\n"
+        else:
+            out += f"{key} {value}\n"
+    return out
+
+
 def cmd_solve(args) -> int:
     try:
         text = _read(args.file)
@@ -86,33 +104,13 @@ def cmd_solve(args) -> int:
         return _fail(str(exc))
     solve_ms = (time.perf_counter() - t0) * 1000.0
 
+    # the outcome's fields in their declared order, then the two times
+    report = {f.name: getattr(outcome, f.name) for f in dataclasses.fields(outcome)}
+    report.update(status=outcome.status.upper(), parse_ms=parse_ms, solve_ms=solve_ms)
     if args.json:
-        payload = {
-            "status": outcome.status.upper(),
-            "witness": list(outcome.witness.images) if outcome.witness else None,
-            "method": outcome.method,
-            "reason": outcome.reason,
-            "orbit_min": outcome.orbit_min,
-            "vo_size": outcome.vo_size,
-            "span_dim": outcome.span_dim,
-            "parse_ms": parse_ms,
-            "solve_ms": solve_ms,
-        }
-        print(json.dumps(payload))
+        print(json.dumps(report, default=lambda g: list(g.images)))
     else:
-        print(outcome.status.upper())
-        if outcome.witness is not None:
-            print(render_witness(outcome.witness), end="")
-        if outcome.method:
-            print(f"method {outcome.method}")
-        if outcome.reason:
-            print(f"reason {outcome.reason}")
-        for key in ("orbit_min", "vo_size", "span_dim"):
-            value = getattr(outcome, key)
-            if value is not None:
-                print(f"{key} {value}")
-        print(f"parse_ms {parse_ms:.3f}")
-        print(f"solve_ms {solve_ms:.3f}")
+        print(_text_report(report), end="")
 
     if outcome.status == SAT:
         return EXIT_SAT

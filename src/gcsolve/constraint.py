@@ -248,18 +248,19 @@ def solve_linear(fr: Frame, m_g: VarietyMatrix, lin: LinearizedConstraint) -> So
 
 def group_variety(fr: Frame) -> VarietyMatrix:
     """Variety matrix of G itself inside its frame."""
-    basis, _ = fr.subspace_basis(fr.gens, trusted=True)
+    basis, _ = fr.subspace_basis(fr.gen_coords)
     return fr.variety_matrix(basis)
 
 
 def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Ground-truth search: enumerate every element of G in lexicographic
-    coordinate order and return the first satisfying one.
+    coordinate order and return the first satisfying one.  fr must be the
+    frame of inst's generators: G is spanned by fr.gen_coords.
 
     Refuses (CapExceededError) when |G| exceeds the cap rather than
     truncating the search.
     """
-    basis, r = fr.subspace_basis(inst.gens, trusted=True)
+    basis, r = fr.subspace_basis(fr.gen_coords)
     p = fr.p
     if p**r > cap:
         raise CapExceededError(f"group size {p}^{r} exceeds cap {cap}")

@@ -3,16 +3,21 @@
 A Frame represents the super-space F: the direct sum of the transitive
 constituents of G = <g1..gm>.  Each orbit O gets an origin (its smallest
 point), a basis of d_O restricted generators, and a table mapping every
-point of O to the coordinates of its difference from the origin.  The
-concatenated per-orbit bases form a global basis of F of dimension d, and
-membership in any subspace of F is decided through a variety matrix M with
-M·[u] = M·[v] iff u and v lie in the same coset of the subspace.  M is the
-subspace's parity-check matrix, read off the reduced row echelon form of a
-basis, so no matrix inverse is formed.
+point of O to the coordinates of its difference from the origin.  Both
+come from one pass over the generators: each kept generator becomes the
+new most significant digit, and the points of O, listed in lexicographic
+order of their coordinates, grow by their own images under it.  The
+concatenated per-orbit bases form a global basis of F of dimension d.
+The frame reads every generator's coordinates once, as its group check,
+and keeps them as gen_coords.  Membership in any subspace of F is decided
+through a variety matrix M with M·[u] = M·[v] iff u and v lie in the same
+coset of the subspace.  M is the subspace's parity-check matrix, read off
+the reduced row echelon form of a basis, so no matrix inverse is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
@@ -87,7 +92,12 @@ class VarietyMatrix:
 
 
 class Frame:
-    """Per-orbit bases and coordinates for the super-space of a group."""
+    """Per-orbit bases and coordinates for the super-space of a group.
+
+    gen_coords holds the coordinates of each generator, read once when the
+    frame is built; that read is the group check, since it raises unless
+    every generator acts as a translation on every orbit.
+    """
 
     def __init__(self, p, n, gens, orbits, orbit_frames):
         self.p = p
@@ -103,15 +113,16 @@ class Frame:
         self.slices = tuple(slices)
         self.dim = start
         self.basis = tuple(v for of in self.orbit_frames for v in of.basis)
+        self.gen_coords = tuple(self.coords_of_perm(g) for g in self.gens)
 
     # -- coordinates ------------------------------------------------------
 
-    def coords_of_perm(self, u: Permutation, trusted: bool = False) -> tuple[int, ...]:
+    def coords_of_perm(self, u: Permutation) -> tuple[int, ...]:
         """Coordinates of u in the global basis.
 
         Per orbit, the coordinates are read off the image of the origin;
-        unless trusted, the candidate is then replayed on every point of
-        the orbit to confirm u really decomposes over the constituents.
+        the candidate is then replayed on every point of the orbit to
+        confirm u really decomposes over the constituents.
         """
         if u.n != self.n:
             raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
@@ -125,7 +136,7 @@ class Frame:
                     f"point {of.origin} leaves its orbit under the permutation"
                 )
             out.extend(x)
-            if trusted or of.dim == 0:
+            if of.dim == 0:
                 continue
             lex = of.lex
             if [lex[i] for i in translation_positions(x, p)] != [ui[a - 1] for a in lex]:
@@ -151,15 +162,11 @@ class Frame:
 
     # -- subspaces --------------------------------------------------------
 
-    def subspace_basis(self, vecs, trusted: bool = False) -> tuple[list[tuple[int, ...]], int]:
-        """Extract from vecs (permutations in F) a maximal independent
-        subset, as coordinate vectors: (basis, dimension)."""
+    def subspace_basis(self, vecs) -> tuple[list[tuple[int, ...]], int]:
+        """Extract from vecs (coordinate vectors of F) a maximal
+        independent subset: (basis, dimension)."""
         reducer = RowReducer(self.p, self.dim)
-        basis = []
-        for v in vecs:
-            x = self.coords_of_perm(v, trusted=trusted)
-            if reducer.add(x):
-                basis.append(x)
+        basis = [x for x in vecs if reducer.add(x)]
         return basis, reducer.rank
 
     def variety_matrix(self, sub_basis) -> VarietyMatrix:
@@ -189,38 +196,19 @@ class Frame:
         return VarietyMatrix(FpMatrix(self.p, tuple(rows)), reducer.rank)
 
 
-def _fill_table(origin: int, basis, p: int) -> tuple[dict, dict]:
-    """Walk coordinate tuples in lexicographic order, tracking the image of
-    the origin, to map every orbit point to its coordinates."""
-    d = len(basis)
-    coords = {origin: (0,) * d}
-    point_of = {(0,) * d: origin}
-    digits = [0] * d
-    b = origin
-    while True:
-        j = d - 1
-        while j >= 0 and digits[j] == p - 1:
-            j -= 1
-        if j < 0:
-            return coords, point_of
-        digits[j] += 1
-        # rolling the lower digits over from p-1 to 0 is one more step of
-        # each of their basis vectors (order p), so apply basis[j:] once
-        for i in range(j + 1, d):
-            digits[i] = 0
-        for g in basis[j:]:
-            b = g.images[b - 1]
-        key = tuple(digits)
-        if b in coords:
-            raise FrameError("constituent action is not regular on its orbit")
-        coords[b] = key
-        point_of[key] = b
+def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
+    """Origin, basis and tables of one orbit, in one pass over gens.
 
-
-def _orbit_basis(gens, block: tuple[int, ...], dim: int) -> list[Permutation]:
-    """Scan gens in input order and keep each one that moves the origin out
-    of the suborbit generated so far (newest first), stopping at dim."""
+    The generators are scanned in input order.  Each one that moves the
+    origin out of the points listed so far is kept as the new most
+    significant digit: the list, in lexicographic order of the
+    coordinates, grows by its own images under g, g^2, ..., g^(p-1).
+    """
     origin = block[0]
+    dim = exact_log(len(block), p)
+    if dim is None:
+        raise FrameError(f"orbit of {origin} has size {len(block)}, not a power of {p}")
+    lex = [origin]
     reached = {origin}
     kept: list[Permutation] = []
     for g in gens:
@@ -229,37 +217,27 @@ def _orbit_basis(gens, block: tuple[int, ...], dim: int) -> list[Permutation]:
         gi = g.images
         if gi[origin - 1] in reached:
             continue
+        layer = lex
+        for _ in range(p - 1):
+            layer = [gi[a - 1] for a in layer]
+            lex += layer
+        reached = set(lex)
         kept.insert(0, g)
-        # in an Abelian group the new suborbit is the old one closed under g
-        frontier = list(reached)
-        for a in frontier:
-            b = gi[a - 1]
-            if b not in reached:
-                reached.add(b)
-                frontier.append(b)
     if len(kept) != dim:
         raise FrameError(f"orbit of {origin} is not transitive under the generators")
-    return [_restrict(g, block) for g in kept]
-
-
-def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
-    dim = exact_log(len(block), p)
-    if dim is None:
-        raise FrameError(f"orbit of {block[0]} has size {len(block)}, not a power of {p}")
-    basis = _orbit_basis(gens, block, dim)
-    coords, point_of = _fill_table(block[0], basis, p)
-    # the table holds the points reached from the origin; a block passed in
+    # the list holds the points reached from the origin; a block passed in
     # from outside may not be that orbit
-    if coords.keys() != set(block):
-        raise FrameError(f"block of {block[0]} is not an orbit of the generators")
+    if reached != set(block):
+        raise FrameError(f"block of {origin} is not an orbit of the generators")
+    keys = list(itertools.product(range(p), repeat=dim))
     return OrbitFrame(
         points=block,
-        origin=block[0],
+        origin=origin,
         dim=dim,
-        basis=tuple(basis),
-        coords=coords,
-        point_of=point_of,
-        lex=tuple(coords),  # _fill_table inserts in lexicographic order
+        basis=tuple(_restrict(g, block) for g in kept),
+        coords=dict(zip(lex, keys)),
+        point_of=dict(zip(keys, lex)),
+        lex=tuple(lex),
     )
 
 
@@ -268,20 +246,21 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
 
     The orbits are taken from orbits when given (as normalize stores them
     on an instance), else found in one pass over the generators.  Per
-    orbit, the basis is extracted by scanning the generators in input
-    order and keeping each one that moves the origin out of the suborbit
-    generated so far (newest first), then the coordinate table is filled
-    by lexicographic enumeration.
+    orbit, one pass over the generators in input order keeps each one that
+    moves the origin out of the points reached so far (newest first) and
+    lists the points in lexicographic order of their coordinates; the
+    coordinate tables are read off that list.
 
-    The group check is a replay of every generator on the tables: each
-    table is a bijection between its orbit and F_p^d, so a generator that
-    acts as a translation on every orbit has order p (or 1) and commutes
-    with every other such generator, which makes G elementary Abelian.
-    The replay also confirms a given partition: each table must cover its
-    block, and each generator must map each block onto itself.  Only when
-    the construction fails are the generators tested pairwise, so that the
-    error names the violation: order or commutation when there is one,
-    else the construction's own error.
+    The group check is the frame's read of every generator's coordinates
+    (Frame.gen_coords): each table is a bijection between its orbit and
+    F_p^d, so a generator that acts as a translation on every orbit has
+    order p (or 1) and commutes with every other such generator, which
+    makes G elementary Abelian.  The read also confirms a given partition:
+    each table must cover its block, and each generator must map each
+    block onto itself.  Only when the construction fails are the
+    generators tested pairwise, so that the error names the violation:
+    order or commutation when there is one, else the construction's own
+    error.
     """
     gens = list(gens)
     for g in gens:
@@ -294,9 +273,7 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     elif orbits.n != n:
         raise FrameError(f"orbit partition of {orbits.n} points differs from n = {n}")
     try:
-        fr = Frame(p, n, gens, orbits, [_orbit_frame(gens, b, p) for b in orbits.blocks])
-        for g in gens:
-            fr.coords_of_perm(g)  # raises unless g is a translation on every orbit
+        return Frame(p, n, gens, orbits, [_orbit_frame(gens, b, p) for b in orbits.blocks])
     except FrameError:
         ok, detail = is_elementary_abelian(gens, p)
         if not ok:
@@ -304,4 +281,3 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
                 f"generators are not an elementary Abelian {p}-group: {detail}"
             ) from None
         raise
-    return fr

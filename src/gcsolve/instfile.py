@@ -20,6 +20,10 @@ from .constraint import GcInstance, normalize
 from .fpalg import is_prime
 from .perm import Permutation
 
+# Largest domain size a file may declare: normalize and the frame allocate
+# per point even when m is 0, so a larger n is refused on its own line.
+MAX_N = 2**16
+
 
 class InstanceFormatError(ValueError):
     def __init__(self, message: str, lineno: int | None = None):
@@ -71,6 +75,8 @@ def parse_instance(text: str) -> GcInstance:
     n = _int_field(tokens, lineno, "n")
     if n < 0:
         raise InstanceFormatError("n must be nonnegative", lineno)
+    if n > MAX_N:
+        raise InstanceFormatError(f"n = {n} exceeds the limit {MAX_N}", lineno)
     lineno, tokens = take("m")
     m = _int_field(tokens, lineno, "m")
     if m < 0:

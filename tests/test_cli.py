@@ -1,12 +1,15 @@
+import argparse
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcsolve.cli import main
+from gcsolve.cli import build_parser, main
 from gcsolve.constraint import normalize, solve_enumerate
 from gcsolve.frame import build_frame
 from gcsolve.instfile import parse_instance, render_instance
@@ -66,6 +69,13 @@ def test_solve_rejects_non_elementary_abelian(tmp_path, capsys):
     assert main(["solve", str(path)]) == 64
     err = capsys.readouterr().err
     assert "elementary Abelian" in err and "order 3" in err
+
+
+def test_solve_refuses_an_oversized_n_on_its_line(tmp_path, capsys):
+    path = tmp_path / "huge.gc"
+    path.write_text("gc 1\np 2\nn 1000000000\nm 0\n")
+    assert main(["solve", str(path)]) == 64
+    assert capsys.readouterr().err.startswith("error: line 3: n = 1000000000 exceeds")
 
 
 def test_solve_malformed_file_reports_line(tmp_path, capsys):
@@ -339,3 +349,26 @@ def test_mutated_instance_files_never_raise(tmp_path_factory, mutations):
     path.write_bytes(bytes(data))
     assert main(["solve", str(path)]) in (0, 1, 2, 64)
     assert main(["check", str(path), "3", "4", "1", "2", "7", "8", "5", "6"]) in (0, 1, 64)
+
+
+def test_readme_synopsis_names_every_option():
+    """Each subcommand's synopsis lines in the README name every option
+    string its subparser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("gcsolve "):
+            command = line.split()[1]
+        synopsis[command] = synopsis.get(command, "") + line + "\n"
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert synopsis.keys() == subparsers.choices.keys()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help"):
+                    continue
+                assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                                 synopsis[command]), (command, option)

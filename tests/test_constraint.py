@@ -318,7 +318,7 @@ def test_group_variety_has_the_row_space_of_the_inverted_change_of_basis(p):
     for seed in range(6):
         inst = gen_instance(GenConfig(p=p, seed=seed, q_range=(1, 3), dim_range=(1, 2))).instance
         fr = build_frame(inst.n, inst.gens, p)
-        basis, dim_g = fr.subspace_basis(fr.gens)
+        basis, dim_g = fr.subspace_basis(fr.gen_coords)
         ours = group_variety(fr).m.rows
         ref = schoolbook_variety_matrix(fr, basis).m.rows
         rank = schoolbook_rank(ours, p, fr.dim)
@@ -392,6 +392,28 @@ def test_solve_finds_the_orbits_once_per_decision(monkeypatch):
     for text in texts:
         solve(parse_instance(text))
     assert len(calls) == len(texts)
+
+
+def test_solve_reads_each_generator_once_per_decision(monkeypatch):
+    """A linear, a product-fallback and an enumerate-fallback decision read
+    each generator's coordinates once, when the frame is built."""
+    calls = []
+    real = Frame.coords_of_perm
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Frame, "coords_of_perm", counted)
+    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
+    nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 3).instance
+    for inst, fallback, method in ((linear, "product", "linear"),
+                                   (nonlinear, "product", "product"),
+                                   (nonlinear, "enumerate", "enumerate")):
+        calls.clear()
+        out = solve(inst, fallback=fallback)
+        assert (out.status, out.method) == ("sat", method)
+        assert calls == list(inst.gens)
 
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):

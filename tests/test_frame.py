@@ -222,7 +222,8 @@ def test_subspace_basis_trivial_and_duplicate():
     fr = build_frame(8, [g1, g2, g3], 2)
     basis, dim = fr.subspace_basis([])
     assert basis == [] and dim == 0
-    basis, dim = fr.subspace_basis([g1, g1])
+    x1 = fr.coords_of_perm(g1)
+    basis, dim = fr.subspace_basis([x1, x1])
     assert dim == 1 and len(basis) == 1
 
 
@@ -230,7 +231,7 @@ def test_subspace_basis_dependent_sum():
     g1, g2, g3 = eight_point_gens()
     fr = build_frame(8, [g1, g2, g3], 2)
     g12 = compose(g1, g2)
-    basis, dim = fr.subspace_basis([g1, g2, g12])
+    basis, dim = fr.subspace_basis([fr.coords_of_perm(g) for g in (g1, g2, g12)])
     assert dim == 2
     # oracle: the three vectors span only 4 of the 8 group elements
     span = {
@@ -243,7 +244,7 @@ def test_subspace_basis_dependent_sum():
 def test_variety_matrix_full_and_empty_subspace():
     g1, g2, g3 = eight_point_gens()
     fr = build_frame(8, [g1, g2, g3], 2)
-    full_basis, dim = fr.subspace_basis([g1, g2, g3])
+    full_basis, dim = fr.subspace_basis(fr.gen_coords)
     assert dim == 3
     m_full = fr.variety_matrix(full_basis)
     assert m_full.m.rows == ((0, 0, 0),) * 3

@@ -101,7 +101,7 @@ def test_gen_respects_layout_and_dimension_target():
         ok, _ = is_elementary_abelian(inst.gens, 2)
         assert ok
         fr = build_frame(inst.n, inst.gens, 2)
-        _, dim_g = fr.subspace_basis(inst.gens)
+        _, dim_g = fr.subspace_basis(fr.gen_coords)
         assert dim_g == 4 == res.dim_g
 
 
@@ -111,7 +111,7 @@ def test_gen_dim_bounds_without_target():
         res = gen_instance(cfg)
         assert max(res.dims) <= res.dim_g <= sum(res.dims)
         fr = build_frame(res.instance.n, res.instance.gens, 3)
-        _, dim_g = fr.subspace_basis(res.instance.gens)
+        _, dim_g = fr.subspace_basis(fr.gen_coords)
         assert dim_g == res.dim_g
 
 
