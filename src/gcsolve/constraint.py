@@ -23,6 +23,10 @@ from .perm import Permutation, orbit_partition
 
 DEFAULT_CAP = 2**24
 
+# Largest domain size of an instance: normalize and the frame allocate per
+# point even without generators, so a larger n is refused before that.
+MAX_N = 2**16
+
 SAT = "sat"
 UNSAT = "unsat"
 NOTLINEAR = "notlinear"
@@ -68,6 +72,8 @@ def normalize(raw, n: int, gens, p: int) -> GcInstance:
     intersected, every set is cut down to the point's orbit, and missing
     points default to their full orbit.  Empty sets are kept (the instance
     is then unsatisfiable)."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the limit {MAX_N}")
     gens = tuple(gens)
     orbits = orbit_partition(gens, n)
     block_sets = [frozenset(b) for b in orbits.blocks]
@@ -255,11 +261,14 @@ def group_variety(fr: Frame) -> VarietyMatrix:
 def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Ground-truth search: enumerate every element of G in lexicographic
     coordinate order and return the first satisfying one.  fr must be the
-    frame of inst's generators: G is spanned by fr.gen_coords.
+    frame of inst's generators (ValueError otherwise): G is spanned by
+    fr.gen_coords.
 
     Refuses (CapExceededError) when |G| exceeds the cap rather than
     truncating the search.
     """
+    if fr.gens != tuple(inst.gens):
+        raise ValueError("frame was built from other generators than the instance's")
     basis, r = fr.subspace_basis(fr.gen_coords)
     p = fr.p
     if p**r > cap:

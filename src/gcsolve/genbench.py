@@ -15,10 +15,10 @@ was capped).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from statistics import fmean, pstdev
 
-from .constraint import GcInstance, normalize, solve, solve_enumerate
+from .constraint import MAX_N, GcInstance, normalize, solve, solve_enumerate
 from .fpalg import RowReducer, is_prime
 from .frame import build_frame, translation_positions
 from .perm import Permutation
@@ -95,7 +95,9 @@ class GenConfig:
 
     With dims=None the per-orbit dimensions are drawn per instance from
     q_range x dim_range, honoring dim_g (exact group dimension) or
-    n_target (exact domain size) when set.
+    n_target (exact domain size) when set.  Every instance has at most
+    constraint.MAX_N points: a config that asks for more is refused, and
+    a drawn set of dimensions that gives more is drawn again.
     """
 
     p: int
@@ -123,14 +125,21 @@ class GenConfig:
                 max(self.dims) <= self.dim_g <= sum(self.dims)
             ):
                 raise ValueError("dim_g must lie between max(dims) and sum(dims)")
+            n = sum(self.p**d for d in self.dims)
+            if n > MAX_N:
+                raise ValueError(f"dims give n = {n}, above the limit {MAX_N}")
         if not (1 <= self.dim_range[0] <= self.dim_range[1] <= MAX_DIM):
             raise ValueError(f"dim_range must lie in 1..{MAX_DIM}")
         if self.q_range[0] < 1 or self.q_range[0] > self.q_range[1]:
             raise ValueError("bad q_range")
-        if self.n_target is not None and (
-            self.n_target < self.p or self.n_target % self.p
+        if self.n_target is not None and not (
+            self.p <= self.n_target <= MAX_N and self.n_target % self.p == 0
         ):
-            raise ValueError("n_target must be a positive multiple of p")
+            raise ValueError(f"n_target must be a multiple of p in p..{MAX_N}")
+        if self.dims is None and self.n_target is None and (
+            self.q_range[0] * self.p ** self.dim_range[0] > MAX_N
+        ):
+            raise ValueError(f"q_range and dim_range give n above the limit {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +170,12 @@ def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
     for _ in range(100_000):
         q = rng.randint(*cfg.q_range)
         dims = tuple(rng.randint(*cfg.dim_range) for _ in range(q))
-        if cfg.dim_g is None or max(dims) <= cfg.dim_g <= sum(dims):
+        if sum(cfg.p**d for d in dims) <= MAX_N and (
+            cfg.dim_g is None or max(dims) <= cfg.dim_g <= sum(dims)
+        ):
             return dims
-    raise ValueError(f"could not draw dims reaching dim_g={cfg.dim_g} from {cfg}")
+    raise ValueError(
+        f"could not draw dims reaching dim_g={cfg.dim_g} with n <= {MAX_N} from {cfg}")
 
 
 def translation_perm(p: int, dims, vector) -> Permutation:
@@ -339,28 +351,15 @@ CSV_HEADER = (
 )
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return "-"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def rows_to_csv(rows) -> str:
-    """Render bench rows, using "-" for oracle columns of capped cells."""
+    """Render bench rows, one column per BenchRow field in declared order,
+    using "-" for oracle columns of capped cells."""
     lines = [CSV_HEADER]
-    for r in rows:
-        t2m = "-" if r.t2_mean_ms is None else f"{r.t2_mean_ms:.6g}"
-        t2s = "-" if r.t2_sd_pct is None else f"{r.t2_sd_pct:.6g}"
-        lines.append(
-            ",".join(
-                [
-                    str(r.param),
-                    f"{r.n_mean:.6g}",
-                    f"{r.n_sd_pct:.6g}",
-                    f"{r.dimg_mean:.6g}",
-                    f"{r.dimg_sd_pct:.6g}",
-                    f"{r.d_mean:.6g}",
-                    f"{r.d_sd_pct:.6g}",
-                    f"{r.t1_mean_ms:.6g}",
-                    f"{r.t1_sd_pct:.6g}",
-                    t2m,
-                    t2s,
-                    str(r.samples),
-                ]
-            )
-        )
+    lines.extend(",".join(_csv_cell(v) for v in astuple(r)) for r in rows)
     return "\n".join(lines) + "\n"

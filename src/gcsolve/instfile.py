@@ -16,13 +16,9 @@ parse(render(x)) reproduces x exactly.
 
 from __future__ import annotations
 
-from .constraint import GcInstance, normalize
+from .constraint import MAX_N, GcInstance, normalize
 from .fpalg import is_prime
 from .perm import Permutation
-
-# Largest domain size a file may declare: normalize and the frame allocate
-# per point even when m is 0, so a larger n is refused on its own line.
-MAX_N = 2**16
 
 
 class InstanceFormatError(ValueError):

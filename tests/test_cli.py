@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsolve.cli import build_parser, main
-from gcsolve.constraint import normalize, solve_enumerate
+from gcsolve.constraint import MAX_N, normalize, solve_enumerate
 from gcsolve.frame import build_frame
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation
@@ -76,6 +76,20 @@ def test_solve_refuses_an_oversized_n_on_its_line(tmp_path, capsys):
     path.write_text("gc 1\np 2\nn 1000000000\nm 0\n")
     assert main(["solve", str(path)]) == 64
     assert capsys.readouterr().err.startswith("error: line 3: n = 1000000000 exceeds")
+
+
+def test_gen_writes_the_largest_n_that_parses_and_refuses_one_more(tmp_path, capsys):
+    # eight orbits of F_2^13 fill the limit exactly
+    path = tmp_path / "max.gc"
+    dims = ",".join(["13"] * 8)
+    args = ["gen", "--p", "2", "--dims", dims, "--dim-g", "14", "--k", "1"]
+    assert main(args + ["--out", str(path)]) == 0
+    assert parse_instance(path.read_text()).n == MAX_N
+    # 65537 is prime, so one orbit of F_65537 is one point over the limit
+    over = tmp_path / "over.gc"
+    assert main(["gen", "--p", "65537", "--dims", "1", "--out", str(over)]) == 64
+    assert capsys.readouterr().err == "error: dims give n = 65537, above the limit 65536\n"
+    assert not over.exists()
 
 
 def test_solve_malformed_file_reports_line(tmp_path, capsys):

@@ -483,6 +483,19 @@ def test_solve_enumerate_cap_refusal():
         solve_enumerate(fr, inst, cap=4)
 
 
+def test_solve_enumerate_refuses_a_frame_of_other_generators():
+    gens = list(eight_point_gens())
+    fr = build_frame(8, gens[:2], 2)
+    inst = normalize([(1, {3})], 8, gens, 2)
+    with pytest.raises(ValueError, match="other generators"):
+        solve_enumerate(fr, inst)
+
+
+def test_normalize_refuses_n_above_the_limit():
+    with pytest.raises(ValueError, match=f"n = {constraint.MAX_N + 1} exceeds the limit"):
+        normalize([], constraint.MAX_N + 1, [], 2)
+
+
 def test_solve_product_single_orbit_cases():
     fr, inst = eight_point_frame_and_instance({3})
     m_g = group_variety(fr)

@@ -129,6 +129,12 @@ def test_build_frame_names_an_orbit_whose_size_is_not_a_power_of_p():
         build_frame(3, [g], 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
 
 
+def test_build_frame_names_a_block_that_is_not_an_orbit():
+    # both blocks have size 2, but the generators move 1 to 2, not to 3
+    with pytest.raises(FrameError, match="block of 1 is not an orbit of the generators"):
+        build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(4, [(1, 3), (2, 4)]))
+
+
 @pytest.mark.parametrize(
     "n,gens,p",
     [

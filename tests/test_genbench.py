@@ -2,11 +2,12 @@ import hashlib
 
 import pytest
 
-from gcsolve.constraint import solve, verify
+from gcsolve.constraint import MAX_N, solve, verify
 from gcsolve.frame import build_frame
 from gcsolve.genbench import (
     GenConfig,
     SplitMix64,
+    _draw_dims,
     bench_run,
     derive_seed,
     dim_g_sweep,
@@ -72,6 +73,19 @@ def test_gen_config_validation():
         GenConfig(p=2, seed=0, sat_bias=1.5)
     with pytest.raises(ValueError, match="n_target"):
         GenConfig(p=2, seed=0, n_target=7)
+    with pytest.raises(ValueError, match="dims give n = 65610, above the limit 65536"):
+        GenConfig(p=3, seed=0, dims=(10, 8))
+    with pytest.raises(ValueError, match=r"n_target must be a multiple of p in p\.\.65536"):
+        GenConfig(p=2, seed=0, n_target=65538)
+    with pytest.raises(ValueError, match="q_range and dim_range give n above the limit"):
+        GenConfig(p=3, seed=0, q_range=(2, 3), dim_range=(10, 10))
+
+
+def test_drawn_dims_stay_within_the_limit():
+    # at p = 3 the default ranges reach 6 * 3^10 points; such draws are redrawn
+    cfg = GenConfig(p=3, seed=0)
+    sizes = [sum(3**d for d in _draw_dims(cfg, SplitMix64(seed))) for seed in range(300)]
+    assert max(sizes) <= MAX_N
 
 
 def test_gen_smallest_config():
