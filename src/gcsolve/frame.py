@@ -9,19 +9,30 @@ new most significant digit, and the points of O, listed in lexicographic
 order of their coordinates, grow by their own images under it.  The
 concatenated per-orbit bases form a global basis of F of dimension d.
 The frame reads every generator's coordinates once, as its group check,
-and keeps them as gen_coords.  Membership in any subspace of F is decided
-through a variety matrix M with M·[u] = M·[v] iff u and v lie in the same
-coset of the subspace.  M is the subspace's parity-check matrix, read off
+and keeps them as gen_coords.  Every translation it applies, in that
+check, in perm_of_coords and in the V_O sets, goes through one table per
+frame from a coordinate vector x to an operator.itemgetter that
+translates a lex-ordered tuple by x in one C call.  Membership in any
+subspace of F is decided through a variety matrix M with M·[u] = M·[v]
+iff u and v lie in the same coset of the subspace.  M is the subspace's parity-check matrix, read off
 the reduced row echelon form of a basis, so no matrix inverse is formed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
-from .perm import OrbitPartition, Permutation, is_elementary_abelian, orbit_partition
+from .perm import (
+    OrbitPartition,
+    Permutation,
+    check_size,
+    is_elementary_abelian,
+    orbit_partition,
+)
 
 
 class FrameError(ValueError):
@@ -54,6 +65,9 @@ class OrbitFrame:
     # the points ordered by their coordinates read as base-p numbers, most
     # significant digit first: lex[i] has the digits of i
     lex: tuple[int, ...]
+    # get(u.images) is the images of lex's points under u, in lex order
+    # (for an orbit of one point, the image itself)
+    get: Callable = field(repr=False, compare=False)
 
 
 def translation_positions(x, p: int) -> list[int]:
@@ -113,35 +127,52 @@ class Frame:
         self.slices = tuple(slices)
         self.dim = start
         self.basis = tuple(v for of in self.orbit_frames for v in of.basis)
+        # coordinate vector x -> itemgetter translating lex-ordered tuples
+        # by x; filled on first use
+        self._translations: dict[tuple[int, ...], Callable] = {}
         self.gen_coords = tuple(self.coords_of_perm(g) for g in self.gens)
 
     # -- coordinates ------------------------------------------------------
 
+    def translation(self, x: tuple[int, ...]) -> Callable:
+        """The translation by x (an orbit's coordinates) on tuples in lex
+        order: entry i of translation(x)(of.lex) is the image of of.lex[i].
+
+        An itemgetter over translation_positions(x, p), made on first use
+        and kept in the frame's table."""
+        shift = self._translations.get(x)
+        if shift is None:
+            shift = self._translations[x] = itemgetter(*translation_positions(x, self.p))
+        return shift
+
     def coords_of_perm(self, u: Permutation) -> tuple[int, ...]:
         """Coordinates of u in the global basis.
 
-        Per orbit, the coordinates are read off the image of the origin;
-        the candidate is then replayed on every point of the orbit to
-        confirm u really decomposes over the constituents.
+        Per orbit, the coordinates x are read off the image of the origin;
+        u is then replayed on every point of the orbit to confirm it
+        decomposes over the constituents: its images in lex order must be
+        lex translated by x, which is lex itself when u fixes the origin.
         """
         if u.n != self.n:
             raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
-        p = self.p
         ui = u.images
         out: list[int] = []
         for of in self.orbit_frames:
-            x = of.coords.get(ui[of.origin - 1])
+            origin = of.origin
+            image = ui[origin - 1]
+            x = of.coords.get(image)
             if x is None:
                 raise NotInSuperspaceError(
-                    f"point {of.origin} leaves its orbit under the permutation"
+                    f"point {origin} leaves its orbit under the permutation"
                 )
             out.extend(x)
             if of.dim == 0:
                 continue
             lex = of.lex
-            if [lex[i] for i in translation_positions(x, p)] != [ui[a - 1] for a in lex]:
+            expected = lex if image == origin else self.translation(x)(lex)
+            if of.get(ui) != expected:
                 raise NotInSuperspaceError(
-                    f"restriction to the orbit of {of.origin} is not in the constituent"
+                    f"restriction to the orbit of {origin} is not in the constituent"
                 )
         return tuple(out)
 
@@ -150,15 +181,13 @@ class Frame:
         if len(x) != self.dim:
             raise FrameError(f"coordinate length {len(x)} != frame dimension {self.dim}")
         p = self.p
-        images = list(range(1, self.n + 1))
+        moved: dict[int, int] = {}
         for of, (lo, hi) in zip(self.orbit_frames, self.slices):
             xo = tuple(c % p for c in x[lo:hi])
-            if not any(xo):
-                continue
-            lex = of.lex
-            for a, i in zip(lex, translation_positions(xo, p)):
-                images[a - 1] = lex[i]
-        return Permutation._trusted(tuple(images))
+            if any(xo):
+                moved.update(zip(of.lex, self.translation(xo)(of.lex)))
+        points = range(1, self.n + 1)
+        return Permutation._trusted(tuple(map(moved.get, points, points)))
 
     # -- subspaces --------------------------------------------------------
 
@@ -238,6 +267,7 @@ def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
         coords=dict(zip(lex, keys)),
         point_of=dict(zip(keys, lex)),
         lex=tuple(lex),
+        get=itemgetter(*[a - 1 for a in lex]),
     )
 
 
@@ -245,11 +275,12 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     """Build the frame for G = <gens> acting on {1..n}.
 
     The orbits are taken from orbits when given (as normalize stores them
-    on an instance), else found in one pass over the generators.  Per
-    orbit, one pass over the generators in input order keeps each one that
-    moves the origin out of the points reached so far (newest first) and
-    lists the points in lexicographic order of their coordinates; the
-    coordinate tables are read off that list.
+    on an instance), else found in one pass over the generators.  More
+    than perm.MAX_N points are refused (ValueError) before anything is
+    allocated.  Per orbit, one pass over the generators in input order
+    keeps each one that moves the origin out of the points reached so far
+    (newest first) and lists the points in lexicographic order of their
+    coordinates; the coordinate tables are read off that list.
 
     The group check is the frame's read of every generator's coordinates
     (Frame.gen_coords): each table is a bijection between its orbit and
@@ -262,6 +293,7 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     order or commutation when there is one, else the construction's own
     error.
     """
+    check_size(n)
     gens = list(gens)
     for g in gens:
         if g.n != n:

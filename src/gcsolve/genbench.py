@@ -18,10 +18,10 @@ import time
 from dataclasses import astuple, dataclass, replace
 from statistics import fmean, pstdev
 
-from .constraint import MAX_N, GcInstance, normalize, solve, solve_enumerate
+from .constraint import GcInstance, normalize, solve, solve_enumerate
 from .fpalg import RowReducer, is_prime
 from .frame import build_frame, translation_positions
-from .perm import Permutation
+from .perm import MAX_N, Permutation
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,7 +96,7 @@ class GenConfig:
     With dims=None the per-orbit dimensions are drawn per instance from
     q_range x dim_range, honoring dim_g (exact group dimension) or
     n_target (exact domain size) when set.  Every instance has at most
-    constraint.MAX_N points: a config that asks for more is refused, and
+    perm.MAX_N points: a config that asks for more is refused, and
     a drawn set of dimensions that gives more is drawn again.
     """
 

@@ -16,9 +16,9 @@ parse(render(x)) reproduces x exactly.
 
 from __future__ import annotations
 
-from .constraint import MAX_N, GcInstance, normalize
+from .constraint import GcInstance, normalize
 from .fpalg import is_prime
-from .perm import Permutation
+from .perm import MAX_N, Permutation
 
 
 class InstanceFormatError(ValueError):
@@ -82,7 +82,7 @@ def parse_instance(text: str) -> GcInstance:
     for _ in range(m):
         lineno, tokens = take("g")
         try:
-            images = tuple(int(t) for t in tokens[1:])
+            images = tuple(map(int, tokens[1:]))
         except ValueError:
             raise InstanceFormatError("generator images must be integers", lineno) from None
         if len(images) != n:
@@ -102,7 +102,7 @@ def parse_instance(text: str) -> GcInstance:
             raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
         try:
             point = int(tokens[1])
-            members = [int(t) for t in tokens[3:]]
+            members = list(map(int, tokens[3:]))
         except ValueError:
             raise InstanceFormatError("constraint points must be integers", lineno) from None
         if not 1 <= point <= n:
@@ -135,7 +135,7 @@ def parse_witness(text: str, n: int) -> Permutation:
         raise InstanceFormatError("witness file must contain a single `g` line")
     lineno, tokens = items[0]
     try:
-        images = tuple(int(t) for t in tokens[1:])
+        images = tuple(map(int, tokens[1:]))
     except ValueError:
         raise InstanceFormatError("witness images must be integers", lineno) from None
     if len(images) != n:

@@ -11,6 +11,16 @@ from dataclasses import dataclass
 
 from .fpalg import is_prime
 
+# Largest domain size: orbit partitions, frames and instances allocate per
+# point even without generators, so a larger n is refused before that.
+MAX_N = 2**16
+
+
+def check_size(n: int):
+    """Refuse (ValueError) a domain of more than MAX_N points."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the limit {MAX_N}")
+
 
 class DomainMismatchError(ValueError):
     """Raised when permutations on different domain sizes are combined."""
@@ -26,11 +36,9 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         n = len(images)
-        seen = bytearray(n + 1)
-        for b in images:
-            if not 1 <= b <= n or seen[b]:
-                raise ValueError(f"images do not form a bijection on 1..{n}")
-            seen[b] = 1
+        # n distinct values between 1 and n are exactly 1..n
+        if n and (min(images) != 1 or max(images) != n or len(set(images)) != n):
+            raise ValueError(f"images do not form a bijection on 1..{n}")
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> Permutation:
@@ -143,13 +151,14 @@ class OrbitPartition:
 
     @staticmethod
     def bottom(n: int) -> OrbitPartition:
+        check_size(n)
         return OrbitPartition(n, [(a,) for a in range(1, n + 1)])
 
 
 def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
     """Orbits of the group generated by gens, found in one breadth-first
     pass over the generators' image tuples (O(m·n)).  n is required when
-    gens is empty."""
+    gens is empty; more than MAX_N points are refused (ValueError)."""
     gens = list(gens)
     if not gens:
         if n is None:
@@ -157,6 +166,7 @@ def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
         return OrbitPartition.bottom(n)
     if n is None:
         n = gens[0].n
+    check_size(n)
     for g in gens:
         if g.n != n:
             raise DomainMismatchError(f"generator domain {g.n} differs from {n}")

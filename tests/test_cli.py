@@ -99,6 +99,15 @@ def test_solve_malformed_file_reports_line(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gline", ["g 2 2 1", "g 2 4 1", "g 0 2 1", "g 1 3 3"])
+def test_a_generator_that_is_not_a_bijection_names_its_line(tmp_path, capsys, gline):
+    # a duplicate image, or one outside 1..n, on the second of two g lines
+    path = tmp_path / "bad-g.gc"
+    path.write_text(f"gc 1\np 2\nn 3\nm 2\ng 1 2 3\n{gline}\n")
+    assert main(["solve", str(path)]) == 64
+    assert capsys.readouterr().err == "error: line 6: images do not form a bijection on 1..3\n"
+
+
 @pytest.mark.parametrize("cline, message", [
     ("c 9 : 1", "constrained point 9 out of range 1..2"),
     ("c 1 : 7", "constraint value 7 out of range 1..2"),

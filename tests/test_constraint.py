@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from gcsolve import constraint, fpalg, frame
 from gcsolve.constraint import (
@@ -32,6 +33,8 @@ from util import (
     constraint_k,
     eight_point_gens,
     group_closure,
+    reference_vo,
+    relabelled_frames,
     satisfies_pointwise,
     schoolbook_rank,
     schoolbook_solve,
@@ -121,6 +124,17 @@ def test_compute_vo_matches_definition_exhaustively():
         if all(u.image(a) in inst.cmap[a] for a in range(1, 9))
     }
     assert set(compute_vo(fr, inst, 0)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_frames())
+def test_compute_vo_matches_tuple_arithmetic(case):
+    """V_O through the frame's translation table against the definition by
+    digit arithmetic, on every orbit, at p in {2, 3, 5}."""
+    fr, inst, _ = case
+    assert compute_all_vo(fr, inst) == [
+        reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))
+    ]
 
 
 def test_linearize_singletons_and_pairs_always_linear():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
-from gcsolve.perm import OrbitPartition, Permutation, compose, is_elementary_abelian
-from util import group_closure, eight_point_gens
+from gcsolve.perm import MAX_N, OrbitPartition, Permutation, compose, is_elementary_abelian
+from util import eight_point_gens, group_closure, reference_coords, relabelled_frames
 
 
 def combine(basis, coeffs, n):
@@ -123,6 +123,11 @@ def test_build_frame_rejects_domain_mismatch():
         build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
 
 
+def test_build_frame_refuses_n_above_the_limit():
+    with pytest.raises(ValueError, match=f"n = {MAX_N + 1} exceeds the limit {MAX_N}"):
+        build_frame(MAX_N + 1, [], 2)
+
+
 def test_build_frame_names_an_orbit_whose_size_is_not_a_power_of_p():
     g = Permutation.from_cycles(3, [(1, 2)])
     with pytest.raises(FrameError, match="orbit of 1 has size 3, not a power of 2"):
@@ -185,6 +190,69 @@ def test_coords_of_perm_rejects_non_constituent_restriction():
     lone_swap = Permutation.from_cycles(4, [(1, 2)])
     with pytest.raises(NotInSuperspaceError):
         fr.coords_of_perm(lone_swap)
+
+
+@pytest.mark.parametrize("n,gens,p,swap", [
+    (4, klein_gens(), 2, [(2, 3)]),
+    (9, c3c3_gens(), 3, [(2, 3)]),
+    (9, c3c3_gens(), 3, [(5, 9), (6, 8)]),
+])
+def test_coords_of_perm_rejects_a_permutation_that_fixes_only_the_origin(n, gens, p, swap):
+    # the origin 1 is fixed, so the coordinates read are 0, yet the other
+    # points move: the replay must not stop at the origin
+    fr = build_frame(n, list(gens), p)
+    with pytest.raises(NotInSuperspaceError, match="orbit of 1 is not in the constituent"):
+        fr.coords_of_perm(Permutation.from_cycles(n, swap))
+
+
+@st.composite
+def frames_and_moves(draw):
+    """A relabelled frame and a permutation u of its points, of one of four
+    kinds: an element of the superspace; that element with the images of
+    two points of one orbit swapped, neither the origin (a non-translation
+    that keeps the origin's image); with the images of points of two
+    orbits swapped (an escape); or every orbit shuffled at random."""
+    fr, _, w = draw(relabelled_frames())
+    images = list(w.images)
+    kinds = ["translation", "shuffle"]
+    if any(len(of.points) >= 3 for of in fr.orbit_frames):
+        kinds.append("swap-in-orbit")
+    if len(fr.orbit_frames) >= 2:
+        kinds.append("swap-across")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "swap-in-orbit":
+        of = draw(st.sampled_from([of for of in fr.orbit_frames if len(of.points) >= 3]))
+        a, b = draw(st.permutations(of.points[1:]))[:2]
+    elif kind == "swap-across":
+        one, other = draw(st.permutations(fr.orbit_frames))[:2]
+        a, b = draw(st.sampled_from(one.points)), draw(st.sampled_from(other.points))
+    if kind.startswith("swap"):
+        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
+    elif kind == "shuffle":
+        for of in fr.orbit_frames:
+            for a, b in zip(of.points, draw(st.permutations(of.points))):
+                images[a - 1] = b
+    return fr, Permutation(tuple(images)), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_and_moves())
+def test_coords_of_perm_matches_tuple_arithmetic(case):
+    """The replay through the translation table against digit arithmetic on
+    the coordinate tables, at p in {2, 3, 5}: the same coordinates, or the
+    same error; a swap is never a translation."""
+    fr, u, kind = case
+    try:
+        expected = reference_coords(fr, u)
+    except NotInSuperspaceError as exc:
+        assert kind != "translation"
+        with pytest.raises(NotInSuperspaceError) as got:
+            fr.coords_of_perm(u)
+        assert str(got.value) == str(exc)
+    else:
+        assert kind in ("translation", "shuffle")
+        assert fr.coords_of_perm(u) == expected
+        assert fr.perm_of_coords(expected) == u
 
 
 def test_coords_of_perm_accepts_superspace_outside_group():

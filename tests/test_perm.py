@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsolve.perm import (
+    MAX_N,
     DomainMismatchError,
     OrbitPartition,
     Permutation,
@@ -33,6 +34,27 @@ def test_permutation_rejects_non_bijection():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    # an image of n + 1 among distinct images
+    with pytest.raises(ValueError, match=r"bijection on 1\.\.2"):
+        Permutation((1, 3))
+    with pytest.raises(ValueError, match=r"bijection on 1\.\.3"):
+        Permutation((2, 3, 4))
+
+
+def test_permutation_accepts_the_empty_tuple():
+    assert Permutation(()).n == 0
+    assert Permutation.identity(0).is_identity()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-1, 6), max_size=6))
+def test_permutation_accepts_exactly_the_bijections(images):
+    is_bijection = sorted(images) == list(range(1, len(images) + 1))
+    if is_bijection:
+        assert Permutation(tuple(images)).images == tuple(images)
+    else:
+        with pytest.raises(ValueError, match="images do not form a bijection"):
+            Permutation(tuple(images))
 
 
 def test_compose_with_identity():
@@ -93,6 +115,16 @@ def test_orbit_partition_empty_generators():
     assert orbit_partition([], n=3) == OrbitPartition.bottom(3)
     with pytest.raises(ValueError):
         orbit_partition([])
+
+
+def test_orbit_partition_and_bottom_refuse_n_above_the_limit():
+    message = f"n = {MAX_N + 1} exceeds the limit {MAX_N}"
+    with pytest.raises(ValueError, match=message):
+        OrbitPartition.bottom(MAX_N + 1)
+    with pytest.raises(ValueError, match=message):
+        orbit_partition([], MAX_N + 1)
+    with pytest.raises(ValueError, match=message):
+        orbit_partition([Permutation.identity(MAX_N + 1)])
 
 
 def test_orbit_partition_eight_point_group_is_transitive():

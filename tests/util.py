@@ -3,8 +3,14 @@ brute-force oracles kept independent of the library's solving path."""
 
 from __future__ import annotations
 
+import itertools
+
+from hypothesis import strategies as st
+
+from gcsolve.constraint import normalize
 from gcsolve.fpalg import FpMatrix, SingularMatrixError
-from gcsolve.frame import FrameError, VarietyMatrix
+from gcsolve.frame import FrameError, NotInSuperspaceError, VarietyMatrix, build_frame
+from gcsolve.genbench import GenConfig, gen_instance, translation_perm
 from gcsolve.perm import Permutation, compose
 
 
@@ -66,6 +72,77 @@ def constraint_k(inst):
     """k of a k-constraint: the largest constraint set among the points
     constrained to a proper subset of their orbit, 0 when there is none."""
     return max((len(inst.cmap[a]) for a in inst.constrained_points()), default=0)
+
+
+# -- tuple arithmetic on the frame's tables, a reference for its translations --
+
+
+@st.composite
+def relabelled_frames(draw):
+    """(frame, instance, element of the superspace) at p in {2, 3, 5}: up to
+    three orbits of dimension 1-3 (1-2 at p = 5) from gen_instance, up to
+    two fixed points, every point relabelled at random, and a constraint
+    map drawn around the superspace element's images or at random."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    dims = tuple(draw(st.lists(st.integers(1, 2 if p == 5 else 3), min_size=1, max_size=3)))
+    seed = draw(st.integers(0, 2**32))
+    gens = gen_instance(GenConfig(p=p, seed=seed, dims=dims)).instance.gens
+    moved = sum(p**d for d in dims)
+    n = moved + draw(st.integers(0, 2))
+    label = draw(st.permutations(range(1, n + 1)))
+
+    def relabelled(images):
+        # the image of label[a] is label[images[a]]; points past the
+        # orbits are fixed
+        out = [0] * n
+        for a in range(1, n + 1):
+            b = images[a - 1] if a <= moved else a
+            out[label[a - 1] - 1] = label[b - 1]
+        return Permutation(tuple(out))
+
+    vec = draw(st.lists(st.integers(0, p - 1), min_size=sum(dims), max_size=sum(dims)))
+    w = relabelled(translation_perm(p, dims, vec).images)
+    planted = draw(st.booleans())
+    raw = []
+    for a in draw(st.lists(st.integers(1, n), max_size=6)):
+        cset = set(draw(st.lists(st.integers(1, n), max_size=4)))
+        raw.append((a, cset | {w.image(a)} if planted else cset))
+    gens = [relabelled(g.images) for g in gens]
+    return build_frame(n, gens, p), normalize(raw, n, gens, p), w
+
+
+def _shifted(of, a, x, p):
+    """The point whose coordinates are those of a plus x."""
+    return of.point_of[tuple((c + t) % p for c, t in zip(of.coords[a], x))]
+
+
+def reference_coords(fr, u):
+    """Frame.coords_of_perm by digit arithmetic: per orbit, x is read off
+    the image of the origin and every point a must map to the point with
+    coordinates coords[a] + x; the same errors, in the same order."""
+    out = []
+    for of in fr.orbit_frames:
+        x = of.coords.get(u.image(of.origin))
+        if x is None:
+            raise NotInSuperspaceError(
+                f"point {of.origin} leaves its orbit under the permutation")
+        for a in of.points:
+            if u.image(a) != _shifted(of, a, x, fr.p):
+                raise NotInSuperspaceError(
+                    f"restriction to the orbit of {of.origin} is not in the constituent")
+        out.extend(x)
+    return tuple(out)
+
+
+def reference_vo(fr, inst, orbit_index):
+    """constraint.compute_vo by its definition: every vector x of the
+    constituent, in lexicographic order, that maps each point a of the
+    orbit to a point of C(a)."""
+    of = fr.orbit_frames[orbit_index]
+    return tuple(
+        x for x in itertools.product(range(fr.p), repeat=of.dim)
+        if all(_shifted(of, a, x, fr.p) in inst.cmap[a] for a in of.points)
+    )
 
 
 # -- schoolbook elimination over F_p, a reference for fpalg ------------------
