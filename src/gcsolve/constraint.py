@@ -20,7 +20,7 @@ from . import fpalg
 from .fpalg import FpMatrix, RowReducer
 from .frame import Frame, NotInSuperspaceError, VarietyMatrix, build_frame
 # MAX_N is re-exported: the instance size limit reads as constraint.MAX_N too
-from .perm import MAX_N, Permutation, check_size, orbit_partition
+from .perm import MAX_N, Permutation, orbit_partition
 
 DEFAULT_CAP = 2**24
 
@@ -69,7 +69,6 @@ def normalize(raw, n: int, gens, p: int) -> GcInstance:
     intersected, every set is cut down to the point's orbit, and missing
     points default to their full orbit.  Empty sets are kept (the instance
     is then unsatisfiable)."""
-    check_size(n)
     gens = tuple(gens)
     orbits = orbit_partition(gens, n)
     block_sets = [frozenset(b) for b in orbits.blocks]
@@ -95,9 +94,6 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     Candidates come from the constrained point with the fewest options and
     are kept when every other constrained point of the orbit maps inside
     its set; with no constrained point the whole constituent qualifies.
-    Each candidate x translates the orbit's lex-ordered points once, through
-    the frame's translation table, and each constrained point is then
-    tested by its position in lex order.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
@@ -107,18 +103,18 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
         return tuple(itertools.product(range(p), repeat=of.dim))
     pivot, pivot_set = min(constrained, key=lambda item: (len(item[1]), item[0]))
     coords = of.coords
-    lex = of.lex
-    position = dict(zip(lex, range(size)))
-    checks = [(position[b], bset) for b, bset in constrained]
+    point_of = of.point_of
     base = coords[pivot]
     out = []
     for c in pivot_set:
         x = tuple((yc - yb) % p for yb, yc in zip(base, coords[c]))
-        moved = fr.translation(x)(lex)
-        for i, bset in checks:
-            if moved[i] not in bset:
+        ok = True
+        for b, bset in constrained:
+            yb = coords[b]
+            if point_of[tuple((e + t) % p for e, t in zip(yb, x))] not in bset:
+                ok = False
                 break
-        else:
+        if ok:
             out.append(x)
     return tuple(sorted(out))
 

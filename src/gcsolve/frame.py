@@ -10,12 +10,13 @@ order of their coordinates, grow by their own images under it.  The
 concatenated per-orbit bases form a global basis of F of dimension d.
 The frame reads every generator's coordinates once, as its group check,
 and keeps them as gen_coords.  Every translation it applies, in that
-check, in perm_of_coords and in the V_O sets, goes through one table per
-frame from a coordinate vector x to an operator.itemgetter that
-translates a lex-ordered tuple by x in one C call.  Membership in any
-subspace of F is decided through a variety matrix M with M·[u] = M·[v]
-iff u and v lie in the same coset of the subspace.  M is the subspace's parity-check matrix, read off
-the reduced row echelon form of a basis, so no matrix inverse is formed.
+check and in perm_of_coords, goes through one table per frame from a
+coordinate vector x to an operator.itemgetter that translates a
+lex-ordered tuple by x in one C call.  Membership in any subspace of F is
+decided through a variety matrix M with M·[u] = M·[v] iff u and v lie in
+the same coset of the subspace.  M is the subspace's parity-check matrix,
+read off the reduced row echelon form of a basis, so no matrix inverse is
+formed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
 from .perm import (
     OrbitPartition,
     Permutation,
-    check_size,
     is_elementary_abelian,
     orbit_partition,
 )
@@ -128,7 +128,8 @@ class Frame:
         self.dim = start
         self.basis = tuple(v for of in self.orbit_frames for v in of.basis)
         # coordinate vector x -> itemgetter translating lex-ordered tuples
-        # by x; filled on first use
+        # by x, filled on first use; its keys are the per-orbit coordinates
+        # of the permutations coords_of_perm and perm_of_coords were given
         self._translations: dict[tuple[int, ...], Callable] = {}
         self.gen_coords = tuple(self.coords_of_perm(g) for g in self.gens)
 
@@ -151,7 +152,7 @@ class Frame:
         Per orbit, the coordinates x are read off the image of the origin;
         u is then replayed on every point of the orbit to confirm it
         decomposes over the constituents: its images in lex order must be
-        lex translated by x, which is lex itself when u fixes the origin.
+        lex translated by x.
         """
         if u.n != self.n:
             raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
@@ -168,9 +169,7 @@ class Frame:
             out.extend(x)
             if of.dim == 0:
                 continue
-            lex = of.lex
-            expected = lex if image == origin else self.translation(x)(lex)
-            if of.get(ui) != expected:
+            if of.get(ui) != self.translation(x)(of.lex):
                 raise NotInSuperspaceError(
                     f"restriction to the orbit of {origin} is not in the constituent"
                 )
@@ -275,12 +274,11 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     """Build the frame for G = <gens> acting on {1..n}.
 
     The orbits are taken from orbits when given (as normalize stores them
-    on an instance), else found in one pass over the generators.  More
-    than perm.MAX_N points are refused (ValueError) before anything is
-    allocated.  Per orbit, one pass over the generators in input order
-    keeps each one that moves the origin out of the points reached so far
-    (newest first) and lists the points in lexicographic order of their
-    coordinates; the coordinate tables are read off that list.
+    on an instance), else found in one pass over the generators.  Per
+    orbit, one pass over the generators in input order keeps each one that
+    moves the origin out of the points reached so far (newest first) and
+    lists the points in lexicographic order of their coordinates; the
+    coordinate tables are read off that list.
 
     The group check is the frame's read of every generator's coordinates
     (Frame.gen_coords): each table is a bijection between its orbit and
@@ -293,7 +291,6 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     order or commutation when there is one, else the construction's own
     error.
     """
-    check_size(n)
     gens = list(gens)
     for g in gens:
         if g.n != n:

@@ -129,12 +129,30 @@ def test_compute_vo_matches_definition_exhaustively():
 @settings(max_examples=200, deadline=None)
 @given(relabelled_frames())
 def test_compute_vo_matches_tuple_arithmetic(case):
-    """V_O through the frame's translation table against the definition by
-    digit arithmetic, on every orbit, at p in {2, 3, 5}."""
+    """V_O against the definition by digit arithmetic, on every orbit, at p
+    in {2, 3, 5}."""
     fr, inst, _ = case
     assert compute_all_vo(fr, inst) == [
         reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))
     ]
+
+
+def test_compute_vo_keeps_no_translation_per_candidate():
+    """One orbit of 2^k points and one constrained point whose set has all
+    but one of them: V_O has 2^k - 1 candidates, and the frame's
+    translation table keeps only what the generator replay put there."""
+    k = 6
+    n = 2**k
+    gens = [
+        Permutation(tuple(((a - 1) ^ (1 << j)) + 1 for a in range(1, n + 1)))
+        for j in range(k)
+    ]
+    inst = normalize([(1, set(range(2, n + 1)))], n, gens, 2)
+    fr = build_frame(n, gens, 2, orbits=inst.orbits)
+    replayed = len(fr._translations)
+    assert replayed <= k
+    assert len(compute_vo(fr, inst, 0)) == n - 1
+    assert len(fr._translations) == replayed
 
 
 def test_linearize_singletons_and_pairs_always_linear():
