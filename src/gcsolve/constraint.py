@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 
 from . import fpalg
 from .fpalg import FpMatrix, RowReducer
-from .frame import Frame, NotInSuperspaceError, VarietyMatrix, build_frame
+from .frame import (
+    Frame,
+    NotInSuperspaceError,
+    VarietyMatrix,
+    build_frame,
+    digits,
+    position,
+    position_sum,
+)
 # MAX_N is re-exported: the instance size limit reads as constraint.MAX_N too
 from .perm import MAX_N, Permutation, orbit_partition
 
@@ -94,29 +102,34 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     Candidates come from the constrained point with the fewest options and
     are kept when every other constrained point of the orbit maps inside
     its set; with no constrained point the whole constituent qualifies.
+    A candidate is a position x, and a point of position b maps to
+    lex[position_sum(b, x)], one XOR at p = 2; digit tuples are made only
+    for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
     size = len(of.points)
-    constrained = [(a, inst.cmap[a]) for a in of.points if len(inst.cmap[a]) != size]
-    if not constrained:
+    cmap = inst.cmap
+    lex = of.lex
+    pos = of.pos
+    checks = [(pos[a], cmap[a]) for a in of.points if len(cmap[a]) != size]
+    if not checks:
         return tuple(itertools.product(range(p), repeat=of.dim))
-    pivot, pivot_set = min(constrained, key=lambda item: (len(item[1]), item[0]))
-    coords = of.coords
-    point_of = of.point_of
-    base = coords[pivot]
+    # the pivot has the fewest options, and is the smallest such point
+    # (of.points ascends)
+    sizes = [len(cset) for _, cset in checks]
+    base, pivot_set = checks[sizes.index(min(sizes))]
     out = []
+    minus_base = position([-c for c in digits(base, of.dim, p)], p)
     for c in pivot_set:
-        x = tuple((yc - yb) % p for yb, yc in zip(base, coords[c]))
-        ok = True
-        for b, bset in constrained:
-            yb = coords[b]
-            if point_of[tuple((e + t) % p for e, t in zip(yb, x))] not in bset:
-                ok = False
+        x = position_sum(pos[c], minus_base, p)
+        for b, bset in checks:
+            if lex[position_sum(b, x, p)] not in bset:
                 break
-        if ok:
+        else:
             out.append(x)
-    return tuple(sorted(out))
+    # positions order as their digit tuples do
+    return tuple(digits(x, of.dim, p) for x in sorted(out))
 
 
 def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[tuple[int, ...], ...]]:
@@ -268,36 +281,37 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
     p = fr.p
     if p**r > cap:
         raise CapExceededError(f"group size {p}^{r} exceeds cap {cap}")
+    # the basis vectors and the search point x as one position per orbit
+    steps = [tuple(position(b[lo:hi], p) for lo, hi in fr.slices) for b in basis]
     checks = []
     for i, of in enumerate(fr.orbit_frames):
-        lo, _ = fr.slices[i]
         for a in of.points:
             cset = inst.cmap[a]
             if len(cset) != len(of.points):
-                checks.append((len(cset) / len(of.points), of.point_of, of.coords[a], cset, lo))
+                checks.append((len(cset) / len(of.points), of.lex, of.pos[a], cset, i))
     checks.sort(key=lambda e: e[0])
     checks = [e[1:] for e in checks]
 
-    x = [0] * fr.dim
-    digits = [0] * r
+    x = [0] * len(fr.orbit_frames)
+    odometer = [0] * r
     while True:
-        for point_of, ca, cset, lo in checks:
-            key = tuple((e + x[lo + j]) % p for j, e in enumerate(ca))
-            if point_of[key] not in cset:
+        for lex, a, cset, i in checks:
+            if lex[position_sum(a, x[i], p)] not in cset:
                 break
         else:
-            return SolveOutcome.sat(fr.perm_of_coords(tuple(x)), "enumerate")
+            coords = [c for of, xi in zip(fr.orbit_frames, x) for c in digits(xi, of.dim, p)]
+            return SolveOutcome.sat(fr.perm_of_coords(coords), "enumerate")
         j = r - 1
-        while j >= 0 and digits[j] == p - 1:
+        while j >= 0 and odometer[j] == p - 1:
             j -= 1
         if j < 0:
             return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="enumerate")
-        digits[j] += 1
+        odometer[j] += 1
         for i in range(j + 1, r):
-            digits[i] = 0
+            odometer[i] = 0
         # rolled digits step their basis vector once more (order p)
-        for bvec in basis[j:]:
-            x = [(a + b) % p for a, b in zip(x, bvec)]
+        for step in steps[j:]:
+            x = [position_sum(a, b, p) for a, b in zip(x, step)]
 
 
 def _combinations(groups, p: int, width: int):

@@ -2,27 +2,33 @@
 
 A Frame represents the super-space F: the direct sum of the transitive
 constituents of G = <g1..gm>.  Each orbit O gets an origin (its smallest
-point), a basis of d_O restricted generators, and a table mapping every
-point of O to the coordinates of its difference from the origin.  Both
-come from one pass over the generators: each kept generator becomes the
-new most significant digit, and the points of O, listed in lexicographic
-order of their coordinates, grow by their own images under it.  The
-concatenated per-orbit bases form a global basis of F of dimension d.
+point) and a basis of d_O kept generators, and every point of O gets a
+position: the digits of its difference from the origin, read as a
+base-p number, most significant digit first.  Both come from one pass
+over the generators: each kept generator becomes the new most
+significant digit, and the points of O, listed by position (lex), grow
+by their own images under it.  So lex[i] is the point with position i
+and pos maps each point back to i.  Positions add digit by digit mod p,
+which at p = 2 is one XOR.  Digit tuples are made only where a vector
+leaves the frame: the coordinates coords_of_perm returns and the ones
+perm_of_coords takes.  The concatenated per-orbit bases form a global
+basis of F of dimension d; the restrictions of the kept generators to
+their orbits are built when a basis is first read.
 The frame reads every generator's coordinates once, as its group check,
 and keeps them as gen_coords.  Every translation it applies, in that
-check and in perm_of_coords, goes through one table per frame from a
-coordinate vector x to an operator.itemgetter that translates a
-lex-ordered tuple by x in one C call.  Membership in any subspace of F is
-decided through a variety matrix M with M·[u] = M·[v] iff u and v lie in
-the same coset of the subspace.  M is the subspace's parity-check matrix,
-read off the reduced row echelon form of a basis, so no matrix inverse is
-formed.
+check and in perm_of_coords, goes through one table per frame from an
+orbit's dimension and a position X to an operator.itemgetter that
+translates a lex-ordered tuple by X in one C call.  Membership in any
+subspace of F is decided through a variety matrix M with M·[u] = M·[v]
+iff u and v lie in the same coset of the subspace.  M is the subspace's
+parity-check matrix, read off the reduced row echelon form of a basis,
+so no matrix inverse is formed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable
 
@@ -54,31 +60,70 @@ def _restrict(g: Permutation, block: tuple[int, ...]) -> Permutation:
 
 @dataclass(frozen=True)
 class OrbitFrame:
-    """Origin, basis and coordinate table for one orbit."""
+    """Origin, basis and point positions for one orbit."""
 
     points: tuple[int, ...]
     origin: int
     dim: int
-    basis: tuple[Permutation, ...]
-    coords: dict[int, tuple[int, ...]]
-    point_of: dict[tuple[int, ...], int]
-    # the points ordered by their coordinates read as base-p numbers, most
-    # significant digit first: lex[i] has the digits of i
+    # the generators kept as the basis, most significant digit first
+    kept: tuple[Permutation, ...]
+    # the points in order of position: lex[i] is the point with position i
     lex: tuple[int, ...]
+    # point -> position, the inverse of lex
+    pos: dict[int, int]
     # get(u.images) is the images of lex's points under u, in lex order
     # (for an orbit of one point, the image itself)
     get: Callable = field(repr=False, compare=False)
 
+    @cached_property
+    def basis(self) -> tuple[Permutation, ...]:
+        """The kept generators restricted to the orbit, built on first read."""
+        return tuple(_restrict(g, self.points) for g in self.kept)
+
+
+def position(x, p: int) -> int:
+    """The digits x, reduced mod p, read as a base-p number, most
+    significant digit first."""
+    i = 0
+    for c in x:
+        i = i * p + c % p
+    return i
+
+
+def digits(i: int, d: int, p: int) -> tuple[int, ...]:
+    """The d base-p digits of position i, most significant first."""
+    out = [0] * d
+    for j in range(d - 1, -1, -1):
+        i, out[j] = divmod(i, p)
+    return tuple(out)
+
+
+def position_sum(i: int, j: int, p: int) -> int:
+    """The position whose digits are those of i plus those of j, mod p."""
+    if p == 2:
+        return i ^ j
+    out = 0
+    stride = 1
+    while i or j:
+        i, a = divmod(i, p)
+        j, b = divmod(j, p)
+        out += (a + b) % p * stride
+        stride *= p
+    return out
+
 
 def translation_positions(x, p: int) -> list[int]:
-    """The translation by x (digits in 0..p-1) on F_p^len(x), with each
-    vector numbered by its digits read as a base-p number, most
-    significant digit first: entry i is the number of the digits of i
-    plus x.
+    """The translation by x (digits, most significant first) on
+    F_p^len(x), with each vector numbered by its position: entry i is the
+    position of the digits of i plus x.
 
-    Built from the least significant digit up, so no coordinate tuple is
-    formed per point.
+    At p = 2 that is i ^ position(x); otherwise the list is built from
+    the least significant digit up.  Either way no digit tuple is formed
+    per position.
     """
+    if p == 2:
+        shift = position(x, 2)
+        return [i ^ shift for i in range(1 << len(x))]
     pos = [0]
     stride = 1
     for xj in reversed(x):
@@ -126,33 +171,42 @@ class Frame:
             start += of.dim
         self.slices = tuple(slices)
         self.dim = start
-        self.basis = tuple(v for of in self.orbit_frames for v in of.basis)
-        # coordinate vector x -> itemgetter translating lex-ordered tuples
-        # by x, filled on first use; its keys are the per-orbit coordinates
-        # of the permutations coords_of_perm and perm_of_coords were given
-        self._translations: dict[tuple[int, ...], Callable] = {}
+        # (dim, position x) -> (digits of x, itemgetter translating
+        # lex-ordered tuples by x), filled on first use; its keys are the
+        # per-orbit positions of the permutations coords_of_perm and
+        # perm_of_coords were given, and the dimension keeps orbits of
+        # different sizes apart
+        self._translations: dict[tuple[int, int], tuple[tuple[int, ...], Callable]] = {}
         self.gen_coords = tuple(self.coords_of_perm(g) for g in self.gens)
+
+    @cached_property
+    def basis(self) -> tuple[Permutation, ...]:
+        """The per-orbit bases in orbit order, built on first read."""
+        return tuple(v for of in self.orbit_frames for v in of.basis)
 
     # -- coordinates ------------------------------------------------------
 
-    def translation(self, x: tuple[int, ...]) -> Callable:
-        """The translation by x (an orbit's coordinates) on tuples in lex
-        order: entry i of translation(x)(of.lex) is the image of of.lex[i].
+    def translation(self, dim: int, x: int) -> tuple[tuple[int, ...], Callable]:
+        """The digits of position x of F_p^dim, and the translation by x on
+        an orbit of that dimension, on tuples in lex order: entry i of
+        translation(dim, x)[1](of.lex) is the image of of.lex[i].
 
-        An itemgetter over translation_positions(x, p), made on first use
-        and kept in the frame's table."""
-        shift = self._translations.get(x)
-        if shift is None:
-            shift = self._translations[x] = itemgetter(*translation_positions(x, self.p))
-        return shift
+        The translation is an itemgetter over its positions; both are made
+        on first use and kept in the frame's table."""
+        entry = self._translations.get((dim, x))
+        if entry is None:
+            xd = digits(x, dim, self.p)
+            entry = self._translations[dim, x] = (
+                xd, itemgetter(*translation_positions(xd, self.p)))
+        return entry
 
     def coords_of_perm(self, u: Permutation) -> tuple[int, ...]:
         """Coordinates of u in the global basis.
 
-        Per orbit, the coordinates x are read off the image of the origin;
-        u is then replayed on every point of the orbit to confirm it
-        decomposes over the constituents: its images in lex order must be
-        lex translated by x.
+        Per orbit, the position x is read off the image of the origin; u is
+        then replayed on every point of the orbit to confirm it decomposes
+        over the constituents: its images in lex order must be lex
+        translated by x.
         """
         if u.n != self.n:
             raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
@@ -160,19 +214,19 @@ class Frame:
         out: list[int] = []
         for of in self.orbit_frames:
             origin = of.origin
-            image = ui[origin - 1]
-            x = of.coords.get(image)
+            x = of.pos.get(ui[origin - 1])
             if x is None:
                 raise NotInSuperspaceError(
                     f"point {origin} leaves its orbit under the permutation"
                 )
-            out.extend(x)
             if of.dim == 0:
                 continue
-            if of.get(ui) != self.translation(x)(of.lex):
+            xd, shift = self.translation(of.dim, x)
+            if of.get(ui) != shift(of.lex):
                 raise NotInSuperspaceError(
                     f"restriction to the orbit of {origin} is not in the constituent"
                 )
+            out.extend(xd)
         return tuple(out)
 
     def perm_of_coords(self, x) -> Permutation:
@@ -182,9 +236,9 @@ class Frame:
         p = self.p
         moved: dict[int, int] = {}
         for of, (lo, hi) in zip(self.orbit_frames, self.slices):
-            xo = tuple(c % p for c in x[lo:hi])
-            if any(xo):
-                moved.update(zip(of.lex, self.translation(xo)(of.lex)))
+            xo = position(x[lo:hi], p)
+            if xo:
+                moved.update(zip(of.lex, self.translation(of.dim, xo)[1](of.lex)))
         points = range(1, self.n + 1)
         return Permutation._trusted(tuple(map(moved.get, points, points)))
 
@@ -225,12 +279,13 @@ class Frame:
 
 
 def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
-    """Origin, basis and tables of one orbit, in one pass over gens.
+    """Origin, kept generators and positions of one orbit, in one pass
+    over gens.
 
     The generators are scanned in input order.  Each one that moves the
     origin out of the points listed so far is kept as the new most
-    significant digit: the list, in lexicographic order of the
-    coordinates, grows by its own images under g, g^2, ..., g^(p-1).
+    significant digit: the list, in order of position, grows by its own
+    images under g, g^2, ..., g^(p-1).
     """
     origin = block[0]
     dim = exact_log(len(block), p)
@@ -257,15 +312,13 @@ def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
     # from outside may not be that orbit
     if reached != set(block):
         raise FrameError(f"block of {origin} is not an orbit of the generators")
-    keys = list(itertools.product(range(p), repeat=dim))
     return OrbitFrame(
         points=block,
         origin=origin,
         dim=dim,
-        basis=tuple(_restrict(g, block) for g in kept),
-        coords=dict(zip(lex, keys)),
-        point_of=dict(zip(keys, lex)),
+        kept=tuple(kept),
         lex=tuple(lex),
+        pos=dict(zip(lex, range(len(lex)))),
         get=itemgetter(*[a - 1 for a in lex]),
     )
 
@@ -277,16 +330,16 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
     on an instance), else found in one pass over the generators.  Per
     orbit, one pass over the generators in input order keeps each one that
     moves the origin out of the points reached so far (newest first) and
-    lists the points in lexicographic order of their coordinates; the
-    coordinate tables are read off that list.
+    lists the points in order of position; the positions are read off
+    that list.
 
     The group check is the frame's read of every generator's coordinates
-    (Frame.gen_coords): each table is a bijection between its orbit and
-    F_p^d, so a generator that acts as a translation on every orbit has
-    order p (or 1) and commutes with every other such generator, which
-    makes G elementary Abelian.  The read also confirms a given partition:
-    each table must cover its block, and each generator must map each
-    block onto itself.  Only when the construction fails are the
+    (Frame.gen_coords): each orbit's positions are a bijection between
+    the orbit and F_p^d, so a generator that acts as a translation on
+    every orbit has order p (or 1) and commutes with every other such
+    generator, which makes G elementary Abelian.  The read also confirms a
+    given partition: each orbit's list must cover its block, and each
+    generator must map each block onto itself.  Only when the construction fails are the
     generators tested pairwise, so that the error names the violation:
     order or commutation when there is one, else the construction's own
     error.

@@ -155,6 +155,29 @@ def test_compute_vo_keeps_no_translation_per_candidate():
     assert len(fr._translations) == replayed
 
 
+def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
+    """The kept generators are restricted to their orbits (OrbitFrame.basis
+    and Frame.basis) only when a basis is read, and no decision reads one:
+    not a linear, a product or an enumerate decision, nor its verify."""
+    restricted = []
+    restrict = frame._restrict
+    monkeypatch.setattr(frame, "_restrict",
+                        lambda g, block: restricted.append(g) or restrict(g, block))
+    g1, g2, g3 = gens = eight_point_gens()
+    linear = normalize([(1, {3})], 8, gens, 2)
+    nonlinear = normalize([(1, {2, 3, 4})], 8, gens, 2)
+    for inst, fallback, method in [(linear, "product", "linear"),
+                                   (nonlinear, "product", "product"),
+                                   (nonlinear, "enumerate", "enumerate")]:
+        out = solve(inst, fallback=fallback)
+        assert out.method == method
+        assert verify(inst, out.witness)
+    assert restricted == []
+    fr = build_frame(8, gens, 2)
+    assert fr.basis == (g3, g2, g1)
+    assert restricted == [g3, g2, g1]
+
+
 def test_linearize_singletons_and_pairs_always_linear():
     fr, inst = eight_point_frame_and_instance({3})
     vos = compute_all_vo(fr, inst)

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
-from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
+from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
 from gcsolve.perm import MAX_N, OrbitPartition, Permutation, compose, is_elementary_abelian
-from util import eight_point_gens, group_closure, reference_coords, relabelled_frames
+from util import eight_point_gens, group_closure, lex_tables, reference_coords, relabelled_frames
 
 
 def combine(basis, coeffs, n):
@@ -56,8 +56,9 @@ def test_build_frame_smallest_nontrivial():
     fr = build_frame(2, [swap], 2)
     of = fr.orbit_frames[0]
     assert of.basis == (swap,)
-    assert of.coords == {1: (0,), 2: (1,)}
-    assert of.point_of == {(0,): 1, (1,): 2}
+    assert of.lex == (1, 2)
+    assert of.pos == {1: 0, 2: 1}
+    assert lex_tables(of, 2) == ({1: (0,), 2: (1,)}, {(0,): 1, (1,): 2})
 
 
 def test_build_frame_rejects_non_elementary_abelian():
@@ -151,17 +152,21 @@ def test_build_frame_names_a_block_that_is_not_an_orbit():
     ],
 )
 def test_coordinate_tables_recompose(n, gens, p):
-    """table[b] are exactly the coordinates whose recomposed permutation
-    maps the origin to b (checked with raw products)."""
+    """The coordinates of b, rebuilt from lex, are exactly those whose
+    recomposed permutation maps the origin to b (checked with raw
+    products), and pos inverts lex."""
     fr = build_frame(n, list(gens), p)
     for of in fr.orbit_frames:
         assert p**of.dim == len(of.points)
-        assert of.coords[of.origin] == (0,) * of.dim
+        coords, _ = lex_tables(of, p)
+        assert of.lex[0] == of.origin
+        assert coords[of.origin] == (0,) * of.dim
         for b in of.points:
-            u = combine(of.basis, of.coords[b], n)
+            u = combine(of.basis, coords[b], n)
             assert u.image(of.origin) == b
-        # bijectivity of the table
-        assert len(set(of.coords.values())) == len(of.points)
+        # bijectivity of lex between the orbit and F_p^d
+        assert len(of.lex) == len(of.points) and set(of.lex) == set(of.points)
+        assert of.pos == {a: i for i, a in enumerate(of.lex)}
     assert fr.dim <= n // p if n else True
 
 
@@ -262,6 +267,43 @@ def test_coords_of_perm_accepts_superspace_outside_group():
     fr = build_frame(4, [g], 2)
     lone = Permutation.from_cycles(4, [(1, 2)])
     assert fr.coords_of_perm(lone) == (1, 0)
+
+
+def test_translation_table_keeps_orbits_of_other_dimensions_apart():
+    # orbits {1, 2} (dim 1) and {3, 4, 5, 6} (dim 2); g has coordinates
+    # (1) on the first and (0, 1) on the second, both position 1, so a
+    # table keyed by the position alone would replay g on the second orbit
+    # with the first orbit's translation
+    g = Permutation.from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+    h = Permutation.from_cycles(6, [(3, 5), (4, 6)])
+    fr = build_frame(6, [g, h], 2)
+    assert [of.dim for of in fr.orbit_frames] == [1, 2]
+    assert fr.gen_coords == ((1, 0, 1), (0, 1, 0))
+    assert fr.perm_of_coords((1, 0, 1)) == g
+    assert fr.perm_of_coords((1, 1, 1)) == compose(g, h)
+    assert fr.coords_of_perm(compose(g, h)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_translation_positions_at_p2_is_the_digit_construction(d):
+    keys = list(itertools.product(range(2), repeat=d))
+    index = {k: i for i, k in enumerate(keys)}
+    for x in keys:
+        want = [index[tuple((a + b) % 2 for a, b in zip(k, x))] for k in keys]
+        assert translation_positions(x, 2) == want
+
+
+@pytest.mark.parametrize("x,p,want", [
+    ((3,), 5, [3, 4, 0, 1, 2]),
+    ((1, 0), 3, [3, 4, 5, 6, 7, 8, 0, 1, 2]),
+    ((1, 2), 3, [5, 3, 4, 8, 6, 7, 2, 0, 1]),
+    ((2, 4), 5, [14, 10, 11, 12, 13, 19, 15, 16, 17, 18, 24, 20, 21, 22, 23,
+                 4, 0, 1, 2, 3, 9, 5, 6, 7, 8]),
+    ((0, 1, 2), 3, [5, 3, 4, 8, 6, 7, 2, 0, 1, 14, 12, 13, 17, 15, 16, 11, 9, 10,
+                    23, 21, 22, 26, 24, 25, 20, 18, 19]),
+])
+def test_translation_positions_at_odd_p_are_pinned(x, p, want):
+    assert translation_positions(x, p) == want
 
 
 def test_perm_of_coords_zero_units_roundtrip():

@@ -1,7 +1,9 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import gcsolve
 from gcsolve.constraint import MAX_N, solve, verify
 from gcsolve.frame import build_frame
 from gcsolve.genbench import (
@@ -211,6 +213,24 @@ def test_solve_outcomes_are_pinned():
         h.update(repr((out.status, out.reason, out.method, out.orbit_min, images)).encode())
     assert kinds == {"linear", "product", "empty-vo", "inconsistent"}
     assert h.hexdigest() == "526b43e7cd9bbbf893b6cc5cba3445c93c2b16672a0edbe6793de6d46055f84a"
+
+
+@pytest.mark.parametrize("workload,seed,digest", [
+    ("wide-p2", 1, "05310ceb89f56bb5b06d151b829ac723f3dfb90e4d44f839be4bf6757a0ac3bf"),
+    ("wide-p2", 101, "d8586105e3a2b87d3cde863396696f053f58dd28d83ae93825338a61d5c66f49"),
+    ("deep-p2", 1, "fff8621af0226afb5297af339a7e10149592666d4128ff4e8f62b0e2f0086d94"),
+    ("deep-p2", 101, "77cabf003410808382771b121191feb8477426ea24714a4a894a3e371498cc56"),
+    ("clauses-p3", 1, "198f81b2ef34de0072597cb8ad7acaf9168ebcb76756fa7f4341a0b7c9f6caa4"),
+    ("clauses-p3", 101, "c2ba813a1265681cf2cf1a4e09e73dc7c3f04cc5d93daa39a8c27e7a7119a06b"),
+])
+def test_benchmark_corpora_are_pinned(monkeypatch, workload, seed, digest):
+    """Every generator and witness of the benchmark corpora is built on
+    frame.translation_positions, so a change to it that moves any
+    position changes a rendered text and the corpus digest."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    assert workloads.build_corpus(workload, seed, lib=gcsolve).digest == digest
 
 
 def test_bench_empty_configs():

@@ -74,7 +74,7 @@ def constraint_k(inst):
     return max((len(inst.cmap[a]) for a in inst.constrained_points()), default=0)
 
 
-# -- tuple arithmetic on the frame's tables, a reference for its translations --
+# -- tuple arithmetic on tables rebuilt from lex, a reference for positions --
 
 
 @st.composite
@@ -111,9 +111,19 @@ def relabelled_frames(draw):
     return build_frame(n, gens, p), normalize(raw, n, gens, p), w
 
 
-def _shifted(of, a, x, p):
-    """The point whose coordinates are those of a plus x."""
-    return of.point_of[tuple((c + t) % p for c, t in zip(of.coords[a], x))]
+def lex_tables(of, p):
+    """The coordinate tables of an orbit, rebuilt from of.lex alone:
+    (point -> digit tuple, digit tuple -> point), where lex[i] has the
+    i-th tuple of itertools.product, so no position arithmetic is used."""
+    keys = list(itertools.product(range(p), repeat=of.dim))
+    return dict(zip(of.lex, keys)), dict(zip(keys, of.lex))
+
+
+def _shifted(tables, a, x, p):
+    """The point whose coordinates are those of a plus x, in an orbit's
+    lex_tables."""
+    coords, point_of = tables
+    return point_of[tuple((c + t) % p for c, t in zip(coords[a], x))]
 
 
 def reference_coords(fr, u):
@@ -122,12 +132,13 @@ def reference_coords(fr, u):
     coordinates coords[a] + x; the same errors, in the same order."""
     out = []
     for of in fr.orbit_frames:
-        x = of.coords.get(u.image(of.origin))
+        tables = lex_tables(of, fr.p)
+        x = tables[0].get(u.image(of.origin))
         if x is None:
             raise NotInSuperspaceError(
                 f"point {of.origin} leaves its orbit under the permutation")
         for a in of.points:
-            if u.image(a) != _shifted(of, a, x, fr.p):
+            if u.image(a) != _shifted(tables, a, x, fr.p):
                 raise NotInSuperspaceError(
                     f"restriction to the orbit of {of.origin} is not in the constituent")
         out.extend(x)
@@ -139,9 +150,10 @@ def reference_vo(fr, inst, orbit_index):
     constituent, in lexicographic order, that maps each point a of the
     orbit to a point of C(a)."""
     of = fr.orbit_frames[orbit_index]
+    tables = lex_tables(of, fr.p)
     return tuple(
         x for x in itertools.product(range(fr.p), repeat=of.dim)
-        if all(_shifted(of, a, x, fr.p) in inst.cmap[a] for a in of.points)
+        if all(_shifted(tables, a, x, fr.p) in inst.cmap[a] for a in of.points)
     )
 
 
