@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     args = parser.parse_args(argv)
+    for flag in ("cap", "samples"):
+        if getattr(args, flag, 1) < 1:
+            parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
     return args.func(args)
 
 

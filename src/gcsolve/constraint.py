@@ -4,9 +4,9 @@ An instance asks for an element g of an elementary Abelian permutation
 p-group with a^g in C(a) for every point a.  Solving goes through the
 frame: per orbit the admissible constituent vectors V_O are collected; if
 every V_O is an affine subspace w + E the instance reduces to one linear
-system over F_p through the variety matrix M_G of the group, otherwise
-explicit fallbacks search the product of the V_O sets (by syndrome lookup
-through M_G) or enumerate the whole group.  M_G is built only on the
+system over F_p, otherwise explicit fallbacks search the product of the
+V_O sets or enumerate the whole group.  x lies in G when its residual
+against G's echelon form, M_G·x, is zero; that form is built only on the
 branches that test membership.
 """
 
@@ -336,9 +336,9 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
     combination, in itertools.product(*vos) order, of one admissible
     vector per orbit that lies in G.
 
-    x lies in G exactly when M_G·x = sum over orbits O of M_G[:, O]·x_O is
-    0, so only M_G's nonzero rows count.  Each admissible vector gets its
-    syndrome on those rows once.  The orbits are cut where the prefix and
+    x lies in G exactly when its residual M_G·x, the sum of its parts'
+    syndromes (the residuals of x_O placed in O's slice, computed once per
+    admissible vector), is 0.  The orbits are cut where the prefix and
     suffix combination counts add up least (meet in the middle).  The
     suffix combinations are tabulated by syndrome sum, in lexicographic
     order and keeping the first per sum; the prefixes are walked in
@@ -354,7 +354,6 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
         if total > cap:
             raise CapExceededError(f"product of V_O sizes exceeds cap {cap}")
     p = fr.p
-    rows = [row for row in m_g.m.rows if any(row)]
     sizes = [len(vo) for vo in vos]
 
     def cost(c):  # combinations walked plus tabulated; a tie takes the smaller table
@@ -364,16 +363,16 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
     cut = min(range(len(vos) + 1), key=cost)
     groups = []
     for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
-        block = [row[lo:hi] for row in rows]
-        sign = -1 if i < cut else 1  # prefix syndromes enter negated
+        head, tail = (0,) * lo, (0,) * (fr.dim - hi)
+        # prefix syndromes enter negated, as the residuals of -v
         groups.append([
-            (v, tuple(sign * sum(a * b for a, b in zip(r, v)) % p for r in block))
+            (v, m_g.product(head + (tuple(-c % p for c in v) if i < cut else v) + tail))
             for v in vo
         ])
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for x, s in _combinations(groups[cut:], p, len(rows)):
+    for x, s in _combinations(groups[cut:], p, fr.dim):
         table.setdefault(s, x)
-    for x, s in _combinations(groups[:cut], p, len(rows)):
+    for x, s in _combinations(groups[:cut], p, fr.dim):
         suffix = table.get(s)
         if suffix is not None:
             return SolveOutcome.sat(fr.perm_of_coords(x + suffix), "product")
@@ -383,7 +382,7 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Full pipeline: frame, V_O sets, linearity test, then either the
     linear solver or the configured fallback (product | enumerate | none).
-    The group's variety matrix is built only for the linear solver and the
+    The group's echelon form is built only for the linear solver and the
     product fallback, the two that test membership."""
     if fallback not in ("product", "enumerate", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
@@ -414,7 +413,8 @@ def verify_detail(
     m_g: VarietyMatrix | None = None,
 ) -> tuple[bool, str | None]:
     """Check a^g in C(a) for all a and membership of g in the group.
-    Returns (ok, reason)."""
+    Returns (ok, reason).  fr and m_g, when given, must be the frame of
+    inst's generators and G's variety in it (ValueError otherwise)."""
     if g.n != inst.n:
         return False, f"witness acts on {g.n} points, instance has {inst.n}"
     for a in range(1, inst.n + 1):
@@ -422,8 +422,13 @@ def verify_detail(
             return False, f"point {a} maps to {g.image(a)}, outside its constraint set"
     if fr is None:
         fr = build_frame(inst.n, inst.gens, inst.p)
+    elif fr.gens != tuple(inst.gens):
+        raise ValueError("frame was built from other generators than the instance's")
     if m_g is None:
         m_g = group_variety(fr)
+    elif (not all(map(m_g.contains, fr.gen_coords))
+          or m_g.dim_sub != fr.subspace_basis(fr.gen_coords)[1]):
+        raise ValueError("m_g is not the variety of the frame's group")
     try:
         x = fr.coords_of_perm(g)
     except NotInSuperspaceError as exc:

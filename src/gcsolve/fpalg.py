@@ -1,14 +1,14 @@
 """Exact dense linear algebra over the field of integers mod a prime p.
 
 There is one elimination, RowReducer; solve and invert feed it augmented
-rows and read its reduced row echelon form, and invert has no caller in
-the package.  Its rows follow p.  At p = 2
-a row is one Python int with bit j holding column j, so a row operation is
-one XOR of whole rows and a dot product is the parity of a bit count: the
-standard GF(2) technique (see M4RI in Albrecht, Bard and Hart, "Algorithm
-898: Efficient multiplication of dense matrices over GF(2)", ACM TOMS
-37(1), 2010).  At other primes a row is a plain list of residues and
-elimination is schoolbook.  The reduced row echelon form is unique, so
+rows and read its reduced row echelon form, invert has no caller in the
+package, and membership in a span is a zero residual (RowReducer.reduce).
+Rows follow p.  At p = 2 a row is one Python int with bit j holding
+column j, so a row operation is one XOR of whole rows: the standard GF(2)
+technique (see M4RI in Albrecht, Bard and Hart, "Algorithm 898: Efficient
+multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010).  At
+other primes a row is a plain list of residues and elimination is
+schoolbook.  The reduced row echelon form is unique, so
 every result is the same in either representation.  Matrices are small (a
 few hundred rows at most in practice).
 """
@@ -16,7 +16,7 @@ few hundred rows at most in practice).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # for every n below _PRIME_TEST_LIMIT, the 13th such threshold psi_13
@@ -123,20 +123,6 @@ class FpMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    @cached_property
-    def _packed(self) -> tuple[int, ...]:
-        """The rows packed as ints (p = 2 only)."""
-        return tuple(_pack(row) for row in self.rows)
-
-    def mat_vec(self, v) -> tuple[int, ...]:
-        if len(v) != self.ncols:
-            raise ValueError(f"vector length {len(v)} != {self.ncols} columns")
-        p = self.p
-        if p == 2:
-            x = _pack(v)
-            return tuple((row & x).bit_count() & 1 for row in self._packed)
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
-
 
 class RowReducer:
     """Incremental Gauss-Jordan elimination: feed vectors, keep the reduced
@@ -145,12 +131,11 @@ class RowReducer:
     Pivots are searched in the first width columns.  A vector may carry
     more columns after those, such as a right-hand side or an identity
     block; they take part in every row operation but never hold a pivot.
-    add() reduces the vector against the kept rows and keeps it when a
-    pivot column stays nonzero, so rank grows by at most one per call.
-    The new row is scaled so that its pivot, its first nonzero entry, is 1,
-    and cleared from the older rows, so that no kept row has a nonzero
-    entry at another row's pivot.  A vector that reduces to zero in the
-    pivot columns but not after them sets `inconsistent`.
+    add() keeps a vector's residual, reduce(), as a new row when a pivot
+    column of it is nonzero, scaled so that its pivot, its first nonzero
+    entry, is 1, and cleared from the older rows, so that no kept row has
+    a nonzero entry at another row's pivot.  A vector that reduces to zero
+    in the pivot columns but not after them sets `inconsistent`.
 
     At p = 2 the rows are packed ints, keyed by their pivot bit (the lowest
     set bit), and the set pivot bits of a vector name exactly the rows to
@@ -170,41 +155,52 @@ class RowReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vec) -> bool:
-        """Add vec to the span; returns True when it was independent in the
-        pivot columns."""
+    def reduce(self, vec) -> tuple[int, ...]:
+        """vec minus the combination of kept rows that clears every pivot
+        column: zero exactly on their span, and equal for two vectors
+        exactly when they differ by a member of it.  Nothing is kept."""
+        v = self._residual(vec)
+        return _unpack(v, len(vec)) if self.p == 2 else tuple(v)
+
+    def _residual(self, vec):
+        # reduce() in the row representation
         if len(vec) < self.width or self._rows and len(vec) != self._length:
             raise ValueError(f"vector length {len(vec)} != {self._length}")
-        self._length = len(vec)
-        if self.p == 2:
-            return self._add_bits(_pack(vec))
-        return self._add_list([x % self.p for x in vec])
-
-    def _add_bits(self, v: int) -> bool:
-        rows = self._rows
-        hit = v & self._pivot_bits
-        while hit:
-            bit = hit & -hit
-            v ^= rows[bit]
-            hit ^= bit
-        if not v & self._low:
-            self.inconsistent |= v != 0
-            return False
-        bit = v & -v
-        for b, other in rows.items():
-            if other & bit:
-                rows[b] = other ^ v
-        rows[bit] = v
-        self._pivot_bits |= bit
-        return True
-
-    def _add_list(self, v: list[int]) -> bool:
         p = self.p
         rows = self._rows
+        if p == 2:
+            v = _pack(vec)
+            hit = v & self._pivot_bits
+            while hit:
+                bit = hit & -hit
+                v ^= rows[bit]
+                hit ^= bit
+            return v
+        v = [x % p for x in vec]
         for col, row in rows.items():
             factor = v[col]
             if factor:
                 v = [(a - factor * b) % p for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; returns True when its residual, kept as the
+        new row, was nonzero in the pivot columns."""
+        v = self._residual(vec)
+        self._length = len(vec)
+        p = self.p
+        rows = self._rows
+        if p == 2:
+            if not v & self._low:
+                self.inconsistent |= v != 0
+                return False
+            bit = v & -v
+            for b, other in rows.items():
+                if other & bit:
+                    rows[b] = other ^ v
+            rows[bit] = v
+            self._pivot_bits |= bit
+            return True
         col = next((i for i in range(self.width) if v[i]), None)
         if col is None:
             self.inconsistent |= any(v)

@@ -18,11 +18,10 @@ The frame reads every generator's coordinates once, as its group check,
 and keeps them as gen_coords.  Every translation it applies, in that
 check and in perm_of_coords, goes through one table per frame from an
 orbit's dimension and a position X to an operator.itemgetter that
-translates a lex-ordered tuple by X in one C call.  Membership in any
-subspace of F is decided through a variety matrix M with M·[u] = M·[v]
-iff u and v lie in the same coset of the subspace.  M is the subspace's
-parity-check matrix, read off the reduced row echelon form of a basis,
-so no matrix inverse is formed.
+translates a lex-ordered tuple by X in one C call.  A vector lies in a
+subspace H of F when its residual against the reduced row echelon form
+of a basis of H is zero.  That residual is M·x for H's variety matrix M,
+which is written out only when read; no matrix is inverted.
 """
 
 from __future__ import annotations
@@ -134,20 +133,27 @@ def translation_positions(x, p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class VarietyMatrix:
-    """d x d matrix over F_p whose kernel is a given subspace H of F.
+    """A subspace H of F as the echelon form of a basis: product(x), x's
+    residual against it, is M·x for the d x d matrix M of the lemma (see
+    Frame.variety_matrix), and m writes M out on first read."""
 
-    Two vectors have equal products with m exactly when they differ by an
-    element of H, so cosets of H are the level sets of the product.
-    """
+    reducer: RowReducer
 
-    m: FpMatrix
-    dim_sub: int
+    @property
+    def dim_sub(self) -> int:
+        return self.reducer.rank
 
     def product(self, x) -> tuple[int, ...]:
-        return self.m.mat_vec(x)
+        return self.reducer.reduce(x)
 
     def contains(self, x) -> bool:
-        return not any(self.m.mat_vec(x))
+        return not any(self.reducer.reduce(x))
+
+    @cached_property
+    def m(self) -> FpMatrix:
+        d = self.reducer.width
+        columns = [self.product(tuple(int(i == j) for i in range(d))) for j in range(d)]
+        return FpMatrix(self.reducer.p, tuple(zip(*columns)))
 
 
 class Frame:
@@ -252,30 +258,17 @@ class Frame:
         return basis, reducer.rank
 
     def variety_matrix(self, sub_basis) -> VarietyMatrix:
-        """Matrix M with M·x = 0 exactly on the span H of sub_basis.
-
-        M is a parity-check matrix of H read off H's reduced row echelon
-        form (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
-        1977, ch. 1).  The row of a pivot column is zero.  The row of a
-        free column j is e_j minus, at each pivot column c, the entry at
-        column j of c's echelon row.  M·x = 0 then says that each free
-        coordinate of x is the one its pivot coordinates fix.
-        """
-        d = self.dim
-        reducer = RowReducer(self.p, d)
+        """The span H of sub_basis as its echelon form, whose residual M·x
+        is 0 exactly on H and equal exactly within one coset of H.  M is a
+        parity-check matrix of H (MacWilliams and Sloane, The Theory of
+        Error-Correcting Codes, 1977, ch. 1): the row of a pivot column is
+        zero, and the row of a free column j is e_j minus, at each pivot
+        column c, the entry at column j of c's echelon row."""
+        reducer = RowReducer(self.p, self.dim)
         for v in sub_basis:
             if not reducer.add(v):
                 raise FrameError("subspace basis is linearly dependent")
-        echelon = reducer.echelon()
-        rows = []
-        for j in range(d):
-            row = [0] * d
-            if j not in echelon:
-                row[j] = 1
-                for c, e in echelon.items():
-                    row[c] = -e[j]
-            rows.append(row)
-        return VarietyMatrix(FpMatrix(self.p, tuple(rows)), reducer.rank)
+        return VarietyMatrix(reducer)
 
 
 def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:

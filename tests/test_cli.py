@@ -351,6 +351,24 @@ def test_a_usage_error_exits_64(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "F", "--cap", "-1"], "--cap"),
+    (["solve", "F", "--cap", "0"], "--cap"),
+    (["bench", "--samples", "0"], "--samples"),
+])
+def test_a_count_below_one_is_a_usage_error(monkeypatch, capsys, argv, flag):
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert f"error: argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
 _MUTATION = st.tuples(
     st.sampled_from(["replace", "insert", "delete"]),
     st.integers(0, 2**16),

@@ -23,8 +23,7 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
-from gcsolve.fpalg import FpMatrix
-from gcsolve.frame import Frame, FrameError, build_frame
+from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import OrbitPartition, Permutation
@@ -375,7 +374,7 @@ def test_group_variety_has_the_row_space_of_the_inverted_change_of_basis(p):
         fr = build_frame(inst.n, inst.gens, p)
         basis, dim_g = fr.subspace_basis(fr.gen_coords)
         ours = group_variety(fr).m.rows
-        ref = schoolbook_variety_matrix(fr, basis).m.rows
+        ref = schoolbook_variety_matrix(fr, basis).rows
         rank = schoolbook_rank(ours, p, fr.dim)
         assert rank == fr.dim - dim_g
         assert schoolbook_rank(ref, p, fr.dim) == schoolbook_rank(ours + ref, p, fr.dim) == rank
@@ -402,6 +401,52 @@ def test_no_solve_or_verify_path_inverts_a_matrix(monkeypatch):
     # (1 2) meets both constraints but lies in F, not in G
     lone = Permutation.from_cycles(4, [(1, 2)])
     assert verify_detail(inconsistent, lone) == (False, "witness not in group")
+
+
+def test_no_solve_or_verify_path_reads_the_d_by_d_matrix(monkeypatch):
+    """Linear, inconsistent and product decisions at p = 2 and p = 3, and
+    the verification of their witnesses, test membership by residuals:
+    VarietyMatrix.m, the lemma's d x d matrix, is refused."""
+
+    def refuse(vm):
+        raise AssertionError("VarietyMatrix.m read")
+
+    monkeypatch.setattr(VarietyMatrix, "m", property(refuse))
+    clause = ClauseSet(("a", "b", "c"), (("a", "b", "c"),))
+    diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    inconsistent = normalize([(1, {2}), (3, {3})], 4, [diagonal], 2)
+    out = solve(inconsistent)
+    assert (out.status, out.reason) == ("unsat", "inconsistent")
+    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
+    for inst, method in ((linear, "linear"),
+                         (reduce_1in_k(clause, 2).instance, "product"),
+                         (reduce_1in_k(clause, 3).instance, "product")):
+        out = solve(inst)
+        assert (out.status, out.method) == ("sat", method)
+        assert verify_detail(inst, out.witness) == (True, None)
+        fr = build_frame(inst.n, inst.gens, inst.p)
+        assert verify_detail(inst, out.witness, fr, group_variety(fr)) == (True, None)
+    lone = Permutation.from_cycles(4, [(1, 2)])
+    assert verify_detail(inconsistent, lone) == (False, "witness not in group")
+
+
+def test_verify_detail_refuses_a_frame_or_variety_of_another_group():
+    """G = <(1 2)(3 4)> does not hold (1 2); the frame of <(1 2), (3 4)>,
+    or G's frame with that group's variety, would let it through."""
+    diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    inst = normalize([], 4, [diagonal], 2)
+    lone = Permutation.from_cycles(4, [(1, 2)])
+    assert verify_detail(inst, lone) == (False, "witness not in group")
+    fr = build_frame(4, [diagonal], 2)
+    assert verify_detail(inst, lone, fr, group_variety(fr)) == (False, "witness not in group")
+    wider = build_frame(4, [lone, Permutation.from_cycles(4, [(3, 4)])], 2)
+    with pytest.raises(ValueError, match="other generators"):
+        verify_detail(inst, lone, wider)
+    with pytest.raises(ValueError, match="not the variety"):
+        verify_detail(inst, lone, fr, group_variety(wider))
+    # the variety of a subgroup of G leaves a generator of G outside it
+    with pytest.raises(ValueError, match="not the variety"):
+        verify_detail(inst, lone, fr, fr.variety_matrix([]))
 
 
 # two Klein four-groups, on {1..4} and on {5..8}
@@ -473,8 +518,9 @@ def test_solve_reads_each_generator_once_per_decision(monkeypatch):
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     """Status, reason and witness are the same when a schoolbook list
-    elimination stands in for fpalg's solve and mat_vec, and M_G is built
-    by inverting a change of basis instead of read off an echelon form."""
+    elimination stands in for fpalg's solve, and M_G is built by inverting
+    a change of basis and multiplied by list dot products instead of
+    giving packed residuals against an echelon form."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -483,12 +529,8 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     assert {(out.status, out.reason) for out in packed} >= {
         ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent")}
 
-    def list_mat_vec(m, v):
-        return tuple(sum(a * b for a, b in zip(row, v)) % m.p for row in m.rows)
-
     monkeypatch.setattr(fpalg, "solve", schoolbook_solve)
     monkeypatch.setattr(Frame, "variety_matrix", schoolbook_variety_matrix)
-    monkeypatch.setattr(FpMatrix, "mat_vec", list_mat_vec)
     assert [solve(inst) for inst in insts] == packed
 
 
@@ -678,9 +720,8 @@ def test_solve_product_single_orbit_takes_first_vector():
 
 def test_solve_product_cap_refused_before_any_syndrome():
     class Untouchable:
-        @property
-        def m(self):
-            raise AssertionError("M_G read before the cap check")
+        def __getattr__(self, name):
+            raise AssertionError(f"m_g.{name} read before the cap check")
 
     fr, inst = eight_point_frame_and_instance(range(1, 9))
     vos = compute_all_vo(fr, inst)

@@ -17,7 +17,7 @@ from gcsolve.fpalg import (
     solve,
 )
 from gcsolve.instfile import InstanceFormatError, parse_instance
-from util import schoolbook_invert, schoolbook_rank, schoolbook_solve
+from util import schoolbook_invert, schoolbook_rank, schoolbook_residual, schoolbook_solve
 
 
 def test_is_prime_small_values():
@@ -54,10 +54,16 @@ def _rank(m):
     return reducer.rank
 
 
+def _mat_vec(m, v):
+    """m·v by list dot products."""
+    return tuple(sum(a * b for a, b in zip(row, v)) % m.p for row in m.rows)
+
+
 def _is_inverse(m, inv):
     """m·inv and inv·m send every unit vector to itself."""
     units = _identity(m.p, m.nrows).rows
-    return all(m.mat_vec(inv.mat_vec(u)) == u and inv.mat_vec(m.mat_vec(u)) == u for u in units)
+    return all(_mat_vec(m, _mat_vec(inv, u)) == u and _mat_vec(inv, _mat_vec(m, u)) == u
+               for u in units)
 
 
 def test_row_reducer_rank_two_dependent_rows():
@@ -92,10 +98,10 @@ def test_solve_plant_and_recover():
             nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
             a = _random_matrix(rng, p, nrows, ncols)
             x0 = tuple(rng.randrange(p) for _ in range(ncols))
-            b = a.mat_vec(x0)
+            b = _mat_vec(a, x0)
             x = solve(a, b)
             assert x is not None
-            assert a.mat_vec(x) == b
+            assert _mat_vec(a, x) == b
 
 
 def test_solve_sets_free_variables_to_zero():
@@ -247,7 +253,7 @@ def test_packed_solve_matches_list_path(shape, seed, planted):
     rng = random.Random(seed)
     a = FpMatrix(p, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
     if planted:
-        b = [y + p * rng.randrange(-1, 2) for y in a.mat_vec(_raw(rng, a.ncols))]
+        b = [y + p * rng.randrange(-1, 2) for y in _mat_vec(a, _raw(rng, a.ncols))]
     else:
         b = _raw(rng, nrows)
     x = solve(a, b)
@@ -255,7 +261,7 @@ def test_packed_solve_matches_list_path(shape, seed, planted):
     if planted:
         assert x is not None
     if x is not None:
-        assert a.mat_vec(x) == tuple(y % p for y in b)
+        assert _mat_vec(a, x) == tuple(y % p for y in b)
 
 
 @settings(max_examples=90, deadline=None)
@@ -282,13 +288,41 @@ def test_packed_row_reducer_matches_list_elimination(shape, count, seed):
         assert reducer.rank == schoolbook_rank(seen, p, width)
 
 
-@settings(max_examples=60, deadline=None)
-@given(nrows=WIDTHS, ncols=WIDTHS, seed=st.integers(0, 2**32 - 1))
-def test_packed_mat_vec_matches_list_formula(nrows, ncols, seed):
+@settings(max_examples=90, deadline=None)
+@given(shape=field_and_widths(1), count=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_reduce_matches_the_schoolbook_residual(shape, count, seed):
+    """reduce gives the residual against the schoolbook echelon form: zero
+    exactly on the span, equal exactly within one coset, and the reducer
+    is left as it was."""
+    p, width = shape
     rng = random.Random(seed)
-    m = FpMatrix(2, tuple(tuple(_raw(rng, ncols)) for _ in range(nrows)))
-    v = _raw(rng, m.ncols)
-    assert m.mat_vec(v) == tuple(sum(a * b for a, b in zip(row, v)) % 2 for row in m.rows)
+    vecs = [_raw(rng, width) for _ in range(count)]
+    reducer = RowReducer(p, width)
+    for v in vecs:
+        reducer.add(v)
+    echelon = reducer.echelon()
+    x = _raw(rng, width)
+    # a member of the span, and x moved by it within its coset
+    coeffs = [rng.randrange(p) for _ in vecs]
+    member = [sum(c * v[col] for c, v in zip(coeffs, vecs)) for col in range(width)]
+    moved = [a + b for a, b in zip(x, member)]
+    got = reducer.reduce(x)
+    assert got == schoolbook_residual(vecs, x, p)
+    assert reducer.reduce(moved) == got
+    assert not any(reducer.reduce(member))
+    assert (not any(got)) == _spans(p, width, vecs, x)
+    assert (reducer.echelon(), reducer.rank) == (echelon, len(echelon))
+
+
+def test_reduce_rejects_a_vector_of_the_wrong_length():
+    for p in (2, 3, 5):
+        reducer = RowReducer(p, 3)
+        with pytest.raises(ValueError, match="vector length 2"):
+            reducer.reduce((1, 0))
+        reducer.add((1, 0, 0))
+        with pytest.raises(ValueError, match="vector length 4 != 3"):
+            reducer.reduce((1, 0, 0, 1))
+        assert reducer.reduce((1, 1, 1)) == (0, 1, 1)
 
 
 def test_representation_follows_p():

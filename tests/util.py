@@ -4,12 +4,13 @@ brute-force oracles kept independent of the library's solving path."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from gcsolve.constraint import normalize
 from gcsolve.fpalg import FpMatrix, SingularMatrixError
-from gcsolve.frame import FrameError, NotInSuperspaceError, VarietyMatrix, build_frame
+from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
 from gcsolve.genbench import GenConfig, gen_instance, translation_perm
 from gcsolve.perm import Permutation, compose
 
@@ -192,6 +193,18 @@ def schoolbook_rank(vecs, p, width):
     return len(schoolbook_rref([[x % p for x in v] for v in vecs], p, width))
 
 
+def schoolbook_residual(vecs, x, p):
+    """x minus the combination of the reduced row echelon rows of vecs that
+    clears x at every pivot column."""
+    rows = [[c % p for c in v] for v in vecs]
+    pivots = schoolbook_rref(rows, p, len(x))
+    out = [c % p for c in x]
+    for row, col in zip(rows, pivots):
+        factor = out[col]
+        out = [(a - factor * b) % p for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def schoolbook_solve(a, b):
     """fpalg.solve's answer for the FpMatrix a: free variables 0, None when
     inconsistent."""
@@ -218,11 +231,28 @@ def schoolbook_invert(m):
     return FpMatrix(m.p, tuple(tuple(r[d:]) for r in rows))
 
 
+@dataclass(frozen=True)
+class SchoolbookVariety:
+    """A d x d matrix M with the VarietyMatrix interface: products are list
+    dot products of M's rows."""
+
+    p: int
+    rows: tuple[tuple[int, ...], ...]
+    dim_sub: int
+
+    def product(self, x):
+        return tuple(sum(a * b for a, b in zip(row, x)) % self.p for row in self.rows)
+
+    def contains(self, x):
+        return not any(self.product(x))
+
+
 def schoolbook_variety_matrix(fr, basis):
     """A variety matrix of the span of basis built by inversion: the basis
     is completed with unit vectors, left to right, to a change of basis P,
     and M is P's inverse with the rows of the basis coordinates zeroed.
-    Its kernel, and so its row space, is that of Frame.variety_matrix."""
+    Its kernel, and so its row space, is that of Frame.variety_matrix,
+    though its products are not the residuals that one gives."""
     p, d = fr.p, fr.dim
     columns = [tuple(v) for v in basis]
     if schoolbook_rank(columns, p, d) != len(columns):
@@ -233,4 +263,4 @@ def schoolbook_variety_matrix(fr, basis):
             columns.append(unit)
     inv = schoolbook_invert(FpMatrix(p, tuple(zip(*columns)))).rows
     rows = tuple((0,) * d if i < len(basis) else inv[i] for i in range(d))
-    return VarietyMatrix(FpMatrix(p, rows), len(basis))
+    return SchoolbookVariety(p, rows, len(basis))
