@@ -1,8 +1,12 @@
 """Group-constraint instances and solvers.
 
 An instance asks for an element g of an elementary Abelian permutation
-p-group with a^g in C(a) for every point a.  Solving goes through the
-frame: per orbit the admissible constituent vectors V_O are collected; if
+p-group with a^g in C(a) for every point a.  It keeps the sets as stated,
+one per constrained point; an unstated point is constrained only to its
+orbit, and the solvers cut each stated set to its point's orbit as they
+read it, so no orbit partition is built on the way to a verdict.
+Solving goes through the frame: per orbit the admissible constituent
+vectors V_O are collected; if
 every V_O is an affine subspace w + E the instance reduces to one linear
 system over F_p, otherwise explicit fallbacks search the product of the
 V_O sets or enumerate the whole group.  x lies in G when its residual
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import fpalg
 from .fpalg import FpMatrix, RowReducer
@@ -28,7 +33,7 @@ from .frame import (
     position_sum,
 )
 # MAX_N is re-exported: the instance size limit reads as constraint.MAX_N too
-from .perm import MAX_N, Permutation, orbit_partition
+from .perm import MAX_N, OrbitPartition, Permutation, check_size, orbit_partition
 
 DEFAULT_CAP = 2**24
 
@@ -47,14 +52,30 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GcInstance:
-    """Normalized instance: p, domain size, generators and the full
-    constraint map (every point has an entry, contained in its orbit)."""
+    """An instance as stated: p, domain size, generators and the stated
+    constraints, point -> the set its image must lie in (the sets of a
+    point stated twice intersected).  cmap and orbits, the normal form
+    with every point's set cut to its orbit, are built on first read."""
 
     p: int
     n: int
     gens: tuple[Permutation, ...]
-    cmap: dict[int, frozenset[int]]
-    orbits: object = field(repr=False)
+    constraints: dict[int, frozenset[int]]
+
+    @cached_property
+    def orbits(self) -> OrbitPartition:
+        return orbit_partition(self.gens, self.n)
+
+    @cached_property
+    def cmap(self) -> dict[int, frozenset[int]]:
+        """Every point's constraint set cut to its orbit; an unstated
+        point's set is its whole orbit."""
+        orbits = self.orbits
+        block_sets = [frozenset(b) for b in orbits.blocks]
+        cmap = {a: block_sets[orbits.block_index(a)] for a in range(1, self.n + 1)}
+        for a, cset in self.constraints.items():
+            cmap[a] = cmap[a] & cset
+        return cmap
 
     def __eq__(self, other):
         return (
@@ -73,56 +94,67 @@ class GcInstance:
 
 
 def normalize(raw, n: int, gens, p: int) -> GcInstance:
-    """Turn raw conjuncts (x, X) into the normal form: same-point sets are
-    intersected, every set is cut down to the point's orbit, and missing
-    points default to their full orbit.  Empty sets are kept (the instance
-    is then unsatisfiable)."""
-    gens = tuple(gens)
-    orbits = orbit_partition(gens, n)
-    block_sets = [frozenset(b) for b in orbits.blocks]
-    cmap = {a: block_sets[orbits.block_index(a)] for a in range(1, n + 1)}
+    """Turn raw conjuncts (x, X) into an instance: every point and member
+    is range-checked once and same-point sets are intersected.  The sets
+    are kept as stated, not cut to their orbits.  Empty sets are kept (the
+    instance is then unsatisfiable).  More than MAX_N points are refused
+    (ValueError)."""
+    check_size(n)
+    stated: dict[int, frozenset[int]] = {}
     for x, xset in raw:
         if not 1 <= x <= n:
             raise ValueError(f"constrained point {x} out of range 1..{n}")
         xset = frozenset(xset)
-        for b in xset:
-            if not 1 <= b <= n:
-                raise ValueError(f"constraint value {b} out of range 1..{n}")
-        cmap[x] = cmap[x] & xset
-    return GcInstance(p, n, gens, cmap, orbits)
+        if xset and (min(xset) < 1 or max(xset) > n):
+            b = min(xset) if min(xset) < 1 else max(xset)
+            raise ValueError(f"constraint value {b} out of range 1..{n}")
+        stated[x] = stated[x] & xset if x in stated else xset
+    return GcInstance(p, n, tuple(gens), stated)
 
 
 # -- admissible vectors per orbit ----------------------------------------
+
+
+def _orbit_checks(of, constraints) -> list[tuple[int, frozenset[int]]]:
+    """(position, stated set) for each point of the orbit whose stated set
+    leaves out some point of the orbit, in order of position.  The sets
+    are not cut: a point of the orbit lies in a set exactly when it lies
+    in the set's cut to the orbit."""
+    size = len(of.lex)
+    return [
+        (x, cset) for x, cset in enumerate(map(constraints.get, of.lex))
+        if cset is not None and (len(cset) < size or not cset.issuperset(of.lex))
+    ]
 
 
 def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int, ...], ...]:
     """Constituent vectors compatible with the constraint on one orbit, in
     ascending lexicographic order.
 
-    Candidates come from the constrained point with the fewest options and
-    are kept when every other constrained point of the orbit maps inside
-    its set; with no constrained point the whole constituent qualifies.
-    A candidate is a position x, and a point of position b maps to
-    lex[position_sum(b, x)], one XOR at p = 2; digit tuples are made only
-    for the vectors returned.
+    Candidates come from the stated set with the fewest members, the
+    first such in order of position, and a member outside the orbit is
+    skipped; a candidate is kept when every other constrained point of
+    the orbit maps inside its set.  With no constrained point the whole
+    constituent qualifies.  A candidate is a position x, and a point of
+    position b maps to lex[position_sum(b, x)], one XOR at p = 2; digit
+    tuples are made only for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
-    size = len(of.points)
-    cmap = inst.cmap
     lex = of.lex
     pos = of.pos
-    checks = [(pos[a], cmap[a]) for a in of.points if len(cmap[a]) != size]
+    checks = _orbit_checks(of, inst.constraints)
     if not checks:
         return tuple(itertools.product(range(p), repeat=of.dim))
-    # the pivot has the fewest options, and is the smallest such point
-    # (of.points ascends)
     sizes = [len(cset) for _, cset in checks]
     base, pivot_set = checks[sizes.index(min(sizes))]
     out = []
     minus_base = position([-c for c in digits(base, of.dim, p)], p)
     for c in pivot_set:
-        x = position_sum(pos[c], minus_base, p)
+        pc = pos.get(c)
+        if pc is None:
+            continue
+        x = position_sum(pc, minus_base, p)
         for b, bset in checks:
             if lex[position_sum(b, x, p)] not in bset:
                 break
@@ -261,9 +293,12 @@ def solve_linear(fr: Frame, m_g: VarietyMatrix, lin: LinearizedConstraint) -> So
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:
-    """Variety matrix of G itself inside its frame."""
-    basis, _ = fr.subspace_basis(fr.gen_coords)
-    return fr.variety_matrix(basis)
+    """Variety matrix of G itself inside its frame: the echelon form of
+    fr.gen_coords, reduced in one RowReducer."""
+    reducer = RowReducer(fr.p, fr.dim)
+    for x in fr.gen_coords:
+        reducer.add(x)
+    return VarietyMatrix(reducer)
 
 
 def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> SolveOutcome:
@@ -283,12 +318,11 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
         raise CapExceededError(f"group size {p}^{r} exceeds cap {cap}")
     # the basis vectors and the search point x as one position per orbit
     steps = [tuple(position(b[lo:hi], p) for lo, hi in fr.slices) for b in basis]
-    checks = []
-    for i, of in enumerate(fr.orbit_frames):
-        for a in of.points:
-            cset = inst.cmap[a]
-            if len(cset) != len(of.points):
-                checks.append((len(cset) / len(of.points), of.lex, of.pos[a], cset, i))
+    checks = [
+        (len(cset) / len(of.lex), of.lex, a, cset, i)
+        for i, of in enumerate(fr.orbit_frames)
+        for a, cset in _orbit_checks(of, inst.constraints)
+    ]
     checks.sort(key=lambda e: e[0])
     checks = [e[1:] for e in checks]
 
@@ -386,7 +420,7 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     product fallback, the two that test membership."""
     if fallback not in ("product", "enumerate", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
-    fr = build_frame(inst.n, inst.gens, inst.p, orbits=inst.orbits)
+    fr = build_frame(inst.n, inst.gens, inst.p)
     vos = compute_all_vo(fr, inst)
     lin = linearize(fr, vos)
     if isinstance(lin, EmptyOrbit):
@@ -412,13 +446,16 @@ def verify_detail(
     fr: Frame | None = None,
     m_g: VarietyMatrix | None = None,
 ) -> tuple[bool, str | None]:
-    """Check a^g in C(a) for all a and membership of g in the group.
-    Returns (ok, reason).  fr and m_g, when given, must be the frame of
-    inst's generators and G's variety in it (ValueError otherwise)."""
+    """Check a^g in C(a) for every stated point a and membership of g in
+    the group; an unstated point is constrained only to its orbit, which
+    membership implies.  Returns (ok, reason).  fr and m_g, when given,
+    must be the frame of inst's generators and G's variety in it
+    (ValueError otherwise)."""
     if g.n != inst.n:
         return False, f"witness acts on {g.n} points, instance has {inst.n}"
-    for a in range(1, inst.n + 1):
-        if g.image(a) not in inst.cmap[a]:
+    stated = inst.constraints
+    for a in sorted(stated):
+        if g.image(a) not in stated[a]:
             return False, f"point {a} maps to {g.image(a)}, outside its constraint set"
     if fr is None:
         fr = build_frame(inst.n, inst.gens, inst.p)

@@ -1,11 +1,12 @@
 """Coordinate frames for elementary Abelian permutation groups.
 
 A Frame represents the super-space F: the direct sum of the transitive
-constituents of G = <g1..gm>.  Each orbit O gets an origin (its smallest
-point) and a basis of d_O kept generators, and every point of O gets a
-position: the digits of its difference from the origin, read as a
-base-p number, most significant digit first.  Both come from one pass
-over the generators: each kept generator becomes the new most
+constituents of G = <g1..gm>.  The frame finds the orbits itself: each
+orbit O is grown from its origin, the smallest point no earlier orbit
+holds, and gets a basis of d_O kept generators, and every point of O gets
+a position: the digits of its difference from the origin, read as a
+base-p number, most significant digit first.  All of it comes from one
+pass over the generators: each kept generator becomes the new most
 significant digit, and the points of O, listed by position (lex), grow
 by their own images under it.  So lex[i] is the point with position i
 and pos maps each point back to i.  Positions add digit by digit mod p,
@@ -28,16 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Callable
 
-from .fpalg import FpMatrix, RowReducer, exact_log, is_prime
-from .perm import (
-    OrbitPartition,
-    Permutation,
-    is_elementary_abelian,
-    orbit_partition,
-)
+from .fpalg import FpMatrix, RowReducer, is_prime
+from .perm import Permutation, check_size, is_elementary_abelian
+# orbit_partition is re-exported: build_frame finds the orbits itself, and
+# frame.orbit_partition stays for the callers that look it up here (the
+# benchmark's tracer wraps it)
+from .perm import orbit_partition  # noqa: F401
 
 
 class FrameError(ValueError):
@@ -61,7 +62,6 @@ def _restrict(g: Permutation, block: tuple[int, ...]) -> Permutation:
 class OrbitFrame:
     """Origin, basis and point positions for one orbit."""
 
-    points: tuple[int, ...]
     origin: int
     dim: int
     # the generators kept as the basis, most significant digit first
@@ -75,9 +75,14 @@ class OrbitFrame:
     get: Callable = field(repr=False, compare=False)
 
     @cached_property
+    def points(self) -> tuple[int, ...]:
+        """The orbit's points in ascending order, built on first read."""
+        return tuple(sorted(self.lex))
+
+    @cached_property
     def basis(self) -> tuple[Permutation, ...]:
         """The kept generators restricted to the orbit, built on first read."""
-        return tuple(_restrict(g, self.points) for g in self.kept)
+        return tuple(_restrict(g, self.lex) for g in self.kept)
 
 
 def position(x, p: int) -> int:
@@ -164,11 +169,10 @@ class Frame:
     every generator acts as a translation on every orbit.
     """
 
-    def __init__(self, p, n, gens, orbits, orbit_frames):
+    def __init__(self, p, n, gens, orbit_frames):
         self.p = p
         self.n = n
         self.gens = tuple(gens)
-        self.orbits = orbits
         self.orbit_frames = tuple(orbit_frames)
         slices = []
         start = 0
@@ -271,44 +275,38 @@ class Frame:
         return VarietyMatrix(reducer)
 
 
-def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
-    """Origin, kept generators and positions of one orbit, in one pass
-    over gens.
+def _orbit_frame(gens, origin: int, p: int, seen: set) -> OrbitFrame:
+    """Origin, kept generators and positions of the orbit of origin, in one
+    pass over gens.
 
     The generators are scanned in input order.  Each one that moves the
-    origin out of the points listed so far is kept as the new most
-    significant digit: the list, in order of position, grows by its own
-    images under g, g^2, ..., g^(p-1).
+    origin to a point not yet in seen is kept as the new most significant
+    digit: the list, in order of position, grows by its own images under
+    g, g^2, ..., g^(p-1).  Every point listed joins seen; a point listed
+    twice, in this orbit or an earlier one, is refused, so orbits stay
+    disjoint and each has p^d points.
     """
-    origin = block[0]
-    dim = exact_log(len(block), p)
-    if dim is None:
-        raise FrameError(f"orbit of {origin} has size {len(block)}, not a power of {p}")
     lex = [origin]
-    reached = {origin}
+    seen.add(origin)
     kept: list[Permutation] = []
     for g in gens:
-        if len(kept) == dim:
-            break
         gi = g.images
-        if gi[origin - 1] in reached:
+        if gi[origin - 1] in seen:
             continue
+        grown: list[int] = []
         layer = lex
         for _ in range(p - 1):
             layer = [gi[a - 1] for a in layer]
-            lex += layer
-        reached = set(lex)
+            grown += layer
+        before = len(seen)
+        seen.update(grown)
+        if len(seen) - before != len(grown):
+            raise FrameError(f"orbit of {origin} meets a point listed before")
+        lex += grown
         kept.insert(0, g)
-    if len(kept) != dim:
-        raise FrameError(f"orbit of {origin} is not transitive under the generators")
-    # the list holds the points reached from the origin; a block passed in
-    # from outside may not be that orbit
-    if reached != set(block):
-        raise FrameError(f"block of {origin} is not an orbit of the generators")
     return OrbitFrame(
-        points=block,
         origin=origin,
-        dim=dim,
+        dim=len(kept),
         kept=tuple(kept),
         lex=tuple(lex),
         pos=dict(zip(lex, range(len(lex)))),
@@ -316,26 +314,25 @@ def _orbit_frame(gens, block: tuple[int, ...], p: int) -> OrbitFrame:
     )
 
 
-def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> Frame:
+def build_frame(n: int, gens, p: int) -> Frame:
     """Build the frame for G = <gens> acting on {1..n}.
 
-    The orbits are taken from orbits when given (as normalize stores them
-    on an instance), else found in one pass over the generators.  Per
-    orbit, one pass over the generators in input order keeps each one that
-    moves the origin out of the points reached so far (newest first) and
-    lists the points in order of position; the positions are read off
-    that list.
+    The orbits are found in the same pass that builds them: from each
+    point no earlier orbit holds, in ascending order, one pass over the
+    generators in input order keeps each one that moves that origin out of
+    the points reached so far (newest first) and lists the points in
+    order of position; the positions are read off that list.  More than
+    MAX_N points are refused (ValueError) before anything is built.
 
     The group check is the frame's read of every generator's coordinates
     (Frame.gen_coords): each orbit's positions are a bijection between
     the orbit and F_p^d, so a generator that acts as a translation on
     every orbit has order p (or 1) and commutes with every other such
-    generator, which makes G elementary Abelian.  The read also confirms a
-    given partition: each orbit's list must cover its block, and each
-    generator must map each block onto itself.  Only when the construction fails are the
-    generators tested pairwise, so that the error names the violation:
-    order or commutation when there is one, else the construction's own
-    error.
+    generator, which makes G elementary Abelian.  The read also proves the
+    orbits closed: each generator must map each listed orbit onto itself.
+    Only when the construction fails are the generators tested pairwise,
+    so that the error names the violation: order or commutation when
+    there is one, else the construction's own error.
     """
     gens = list(gens)
     for g in gens:
@@ -343,12 +340,12 @@ def build_frame(n: int, gens, p: int, orbits: OrbitPartition | None = None) -> F
             raise FrameError(f"generator domain {g.n} differs from n = {n}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if orbits is None:
-        orbits = orbit_partition(gens, n)
-    elif orbits.n != n:
-        raise FrameError(f"orbit partition of {orbits.n} points differs from n = {n}")
+    check_size(n)
+    seen: set[int] = set()
     try:
-        return Frame(p, n, gens, orbits, [_orbit_frame(gens, b, p) for b in orbits.blocks])
+        # filterfalse reads seen as it goes, so it skips what earlier orbits listed
+        origins = filterfalse(seen.__contains__, range(1, n + 1))
+        return Frame(p, n, gens, [_orbit_frame(gens, a, p, seen) for a in origins])
     except FrameError:
         ok, detail = is_elementary_abelian(gens, p)
         if not ok:

@@ -5,8 +5,8 @@ platforms; per-sample streams are derived from (root seed, cell index,
 sample index).  Orbit i of an instance is a block of consecutive points,
 a copy of F_p^{d_i} numbered in lex order, so its generators and planted
 witness are translations built on frame.translation_positions, and the
-constraint map is brought into normal form by constraint.normalize, as a
-parsed instance is.  The harness times the linear pipeline against the
+constraints are range-checked and kept as stated by constraint.normalize,
+as a parsed instance keeps its own.  The harness times the linear pipeline against the
 enumeration oracle and aggregates summary rows (means and standard
 deviations as a percent of the mean, with "-" for cells where the oracle
 was capped).

@@ -12,11 +12,24 @@ Grammar, one item per line, in this order:
 
 A witness file is a single ``g`` line.  Rendering is canonical, so
 parse(render(x)) reproduces x exactly.
+
+The parser reads the point tokens of ``g`` and ``c`` lines through one
+table per parse, from the canonical names "1".."n" to their ints, so one
+lookup converts a token and checks its range; a ``g`` line whose tokens
+all hit the table then needs only the distinctness test.  A line with any
+other token (``+3``, ``007``, ``0``, ``x``) is read again with int(), so
+the same files are accepted and every error names its line.  The parsed
+instance keeps the constraints as stated (see constraint.normalize); its
+orbits are found when the frame is built.
 """
 
 from __future__ import annotations
 
-from .constraint import GcInstance, normalize
+from .constraint import GcInstance
+# normalize is re-exported: parse_instance builds its instance from tokens
+# it has already checked, and instfile.normalize stays for the callers that
+# look it up here (the benchmark's tracer wraps it)
+from .constraint import normalize  # noqa: F401
 from .fpalg import is_prime
 from .perm import MAX_N, Permutation
 
@@ -42,6 +55,39 @@ def _int_field(tokens, lineno, what) -> int:
         return int(tokens[1])
     except ValueError:
         raise InstanceFormatError(f"{what} is not an integer", lineno) from None
+
+
+def _generator(tokens, n: int, lineno: int) -> Permutation:
+    """A `g` line that is not n distinct names of 1..n, read with int() so
+    that its error names the line (or, for tokens such as `+3` or `007`,
+    its permutation)."""
+    try:
+        images = tuple(map(int, tokens[1:]))
+    except ValueError:
+        raise InstanceFormatError("generator images must be integers", lineno) from None
+    if len(images) != n:
+        raise InstanceFormatError(f"generator has {len(images)} images, expected {n}", lineno)
+    try:
+        return Permutation(images)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), lineno) from None
+
+
+def _constraint(tokens, n: int, lineno: int) -> tuple[int, frozenset[int]]:
+    """A `c` line with a token outside the names of 1..n, read with int()
+    so that its error names the line (or, for tokens such as `+3` or
+    `007`, its point and set)."""
+    try:
+        point = int(tokens[1])
+        members = list(map(int, tokens[3:]))
+    except ValueError:
+        raise InstanceFormatError("constraint points must be integers", lineno) from None
+    if not 1 <= point <= n:
+        raise InstanceFormatError(f"constrained point {point} out of range 1..{n}", lineno)
+    for b in members:
+        if not 1 <= b <= n:
+            raise InstanceFormatError(f"constraint value {b} out of range 1..{n}", lineno)
+    return point, frozenset(members)
 
 
 def parse_instance(text: str) -> GcInstance:
@@ -78,41 +124,38 @@ def parse_instance(text: str) -> GcInstance:
     if m < 0:
         raise InstanceFormatError("m must be nonnegative", lineno)
 
+    # the canonical names "1".."n" of the points: one lookup both converts a
+    # token and checks its range, and the images share the table's ints
+    names = {str(a): a for a in range(1, n + 1)}
+    name = names.__getitem__
     gens = []
     for _ in range(m):
         lineno, tokens = take("g")
         try:
-            images = tuple(map(int, tokens[1:]))
-        except ValueError:
-            raise InstanceFormatError("generator images must be integers", lineno) from None
-        if len(images) != n:
-            raise InstanceFormatError(
-                f"generator has {len(images)} images, expected {n}", lineno
-            )
-        try:
-            gens.append(Permutation(images))
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc), lineno) from None
+            images = tuple(map(name, tokens[1:]))
+        except KeyError:
+            images = None
+        # n distinct names of 1..n are a bijection on 1..n
+        if images is not None and len(images) == n and len(set(images)) == n:
+            gens.append(Permutation._trusted(images))
+        else:
+            gens.append(_generator(tokens, n, lineno))
 
-    raw = []
+    # the stated constraints as normalize keeps them, each member checked
+    # once, by its lookup or by _constraint
+    stated: dict[int, frozenset[int]] = {}
     for lineno, tokens in lines:
         if tokens[0] != "c":
             raise InstanceFormatError(f"expected `c` line, found `{tokens[0]}`", lineno)
         if len(tokens) < 3 or tokens[2] != ":":
             raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
         try:
-            point = int(tokens[1])
-            members = list(map(int, tokens[3:]))
-        except ValueError:
-            raise InstanceFormatError("constraint points must be integers", lineno) from None
-        if not 1 <= point <= n:
-            raise InstanceFormatError(f"constrained point {point} out of range 1..{n}", lineno)
-        for b in members:
-            if not 1 <= b <= n:
-                raise InstanceFormatError(f"constraint value {b} out of range 1..{n}", lineno)
-        raw.append((point, members))
+            point, members = name(tokens[1]), frozenset(map(name, tokens[3:]))
+        except KeyError:
+            point, members = _constraint(tokens, n, lineno)
+        stated[point] = stated[point] & members if point in stated else members
 
-    return normalize(raw, n, gens, p)
+    return GcInstance(p, n, tuple(gens), stated)
 
 
 def render_instance(inst: GcInstance) -> str:

@@ -43,7 +43,8 @@ class Permutation:
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> Permutation:
         """Wrap an images tuple the library built from valid permutations,
-        skipping the bijection check that public construction runs."""
+        or checked to be a bijection itself, skipping the check that public
+        construction runs."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "images", images)
         return obj

@@ -6,8 +6,8 @@ clause, the p^k assignments of the clause's variables by translation; the
 second uses one p-cycle per variable plus one p-cycle per clause tracking
 the sum of the clause's variables.  Either way each block of points is a
 copy of F_p^k (or F_p) numbered in lex order, so every group element is a
-translation built by genbench.translation_perm, and the constraint map is
-brought into normal form by constraint.normalize.
+translation built by genbench.translation_perm, and the constraints are
+range-checked and kept as stated by constraint.normalize.
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from gcsolve import constraint, fpalg, frame
+from gcsolve import constraint, fpalg, frame, perm
 from gcsolve.constraint import (
     CapExceededError,
     EmptyOrbit,
-    GcInstance,
     LinearizedConstraint,
     NotLinear,
     compute_all_vo,
@@ -26,7 +25,7 @@ from gcsolve.constraint import (
 from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
-from gcsolve.perm import OrbitPartition, Permutation
+from gcsolve.perm import Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
 from util import (
     constraint_k,
@@ -147,7 +146,7 @@ def test_compute_vo_keeps_no_translation_per_candidate():
         for j in range(k)
     ]
     inst = normalize([(1, set(range(2, n + 1)))], n, gens, 2)
-    fr = build_frame(n, gens, 2, orbits=inst.orbits)
+    fr = build_frame(n, gens, 2)
     replayed = len(fr._translations)
     assert replayed <= k
     assert len(compute_vo(fr, inst, 0)) == n - 1
@@ -341,13 +340,13 @@ def test_group_variety_built_only_to_test_membership(monkeypatch):
     """empty-vo, fallback none and fallback enumerate never test membership
     through M_G; the linear solver and the product fallback build it once."""
     vm_calls = []
-    real = Frame.variety_matrix
+    real = constraint.group_variety
 
-    def counted(fr, basis):
-        vm_calls.append(len(basis))
-        return real(fr, basis)
+    def counted(fr):
+        vm_calls.append(fr)
+        return real(fr)
 
-    monkeypatch.setattr(Frame, "variety_matrix", counted)
+    monkeypatch.setattr(constraint, "group_variety", counted)
     linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
     assert solve(linear).status == "sat"
     nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance
@@ -449,26 +448,6 @@ def test_verify_detail_refuses_a_frame_or_variety_of_another_group():
         verify_detail(inst, lone, fr, fr.variety_matrix([]))
 
 
-# two Klein four-groups, on {1..4} and on {5..8}
-TWO_KLEIN = [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(5, 6), (7, 8)], [(5, 7), (6, 8)]]
-
-
-@pytest.mark.parametrize("n, cycles, blocks", [
-    (8, TWO_KLEIN, [(1, 2), (3, 4), (5, 6, 7, 8)]),  # an orbit split in two
-    (8, TWO_KLEIN, [tuple(range(1, 9))]),  # two orbits merged
-    # orbits {1,3} and {2,4} given as {1,2} and {3,4}: the table of {1,2}
-    # fills up with {1,3}, and the generator replay alone passes
-    (4, [[(1, 3), (2, 4)]], [(1, 2), (3, 4)]),
-])
-def test_solve_rejects_an_instance_with_a_wrong_orbit_partition(n, cycles, blocks):
-    gens = tuple(Permutation.from_cycles(n, c) for c in cycles)
-    everything = frozenset(range(1, n + 1))
-    inst = GcInstance(2, n, gens, dict.fromkeys(everything, everything),
-                      OrbitPartition(n, blocks))
-    with pytest.raises(FrameError):
-        solve(inst)
-
-
 def _p2_texts():
     return [
         render_instance(gen_instance(GenConfig(p=2, seed=seed, k=k, q_range=(1, 3),
@@ -477,21 +456,27 @@ def _p2_texts():
     ]
 
 
-def test_solve_finds_the_orbits_once_per_decision(monkeypatch):
-    """normalize finds the orbits and solve's frame reuses them."""
+def test_parse_and_solve_never_call_orbit_partition(monkeypatch):
+    """The frame finds the orbits: parsing and solving a linear, a
+    product-fallback and an enumerate-fallback decision, and generated
+    instances, never call orbit_partition (rendering does)."""
+    clause = ClauseSet(("a", "b", "c"), (("a", "b", "c"),))
+    linear = render_instance(normalize([(1, {3})], 8, list(eight_point_gens()), 2))
+    nonlinear = render_instance(reduce_1in_k(clause, 3).instance)
     texts = _p2_texts()
-    calls = []
-    real = constraint.orbit_partition
 
-    def counted(gens, n=None):
-        calls.append(n)
-        return real(gens, n)
+    def refuse(gens, n=None):
+        raise AssertionError("orbit_partition called")
 
-    monkeypatch.setattr(constraint, "orbit_partition", counted)
-    monkeypatch.setattr(frame, "orbit_partition", counted)
+    for module in (perm, constraint, frame):
+        monkeypatch.setattr(module, "orbit_partition", refuse)
+    for text, fallback, method in ((linear, "product", "linear"),
+                                   (nonlinear, "product", "product"),
+                                   (nonlinear, "enumerate", "enumerate")):
+        out = solve(parse_instance(text), fallback=fallback)
+        assert (out.status, out.method) == ("sat", method)
     for text in texts:
         solve(parse_instance(text))
-    assert len(calls) == len(texts)
 
 
 def test_solve_reads_each_generator_once_per_decision(monkeypatch):
@@ -530,7 +515,8 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
         ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent")}
 
     monkeypatch.setattr(fpalg, "solve", schoolbook_solve)
-    monkeypatch.setattr(Frame, "variety_matrix", schoolbook_variety_matrix)
+    monkeypatch.setattr(constraint, "group_variety",
+                        lambda fr: schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0]))
     assert [solve(inst) for inst in insts] == packed
 
 
@@ -560,6 +546,21 @@ def test_verify_superspace_member_outside_group():
     lone = Permutation.from_cycles(4, [(1, 2)])
     ok, reason = verify_detail(inst, lone)
     assert not ok and "not in group" in reason
+
+
+def test_verify_checks_the_stated_points_and_membership_keeps_the_orbits():
+    """Only stated points are checked against their sets; a witness that
+    meets its stated set by leaving the orbit is refused as not in G."""
+    g = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    inst = normalize([(1, {2, 3})], 4, [g], 2)
+    assert inst.constraints == {1: frozenset({2, 3})}
+    assert inst.cmap[1] == frozenset({2})
+    assert verify_detail(inst, g) == (True, None)
+    leaves = Permutation.from_cycles(4, [(1, 3), (2, 4)])
+    assert verify_detail(inst, leaves) == (
+        False, "witness not in group: point 1 leaves its orbit under the permutation")
+    assert verify_detail(inst, Permutation.identity(4)) == (
+        False, "point 1 maps to 1, outside its constraint set")
 
 
 def test_solve_enumerate_identity_first_and_empty_set():

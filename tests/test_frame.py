@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
-from gcsolve.perm import MAX_N, OrbitPartition, Permutation, compose, is_elementary_abelian
+from gcsolve.perm import (
+    MAX_N,
+    Permutation,
+    compose,
+    is_elementary_abelian,
+    orbit_partition,
+)
 from util import eight_point_gens, group_closure, lex_tables, reference_coords, relabelled_frames
 
 
@@ -120,8 +126,8 @@ def test_build_frame_accepts_exactly_the_elementary_abelian_groups(case):
 def test_build_frame_rejects_domain_mismatch():
     with pytest.raises(FrameError):
         build_frame(3, [Permutation.identity(2)], 2)
-    with pytest.raises(FrameError, match="differs from n"):
-        build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
+    with pytest.raises(FrameError, match="generator domain 4 differs from n = 3"):
+        build_frame(3, list(klein_gens()), 2)
 
 
 def test_build_frame_refuses_n_above_the_limit():
@@ -129,16 +135,31 @@ def test_build_frame_refuses_n_above_the_limit():
         build_frame(MAX_N + 1, [], 2)
 
 
-def test_build_frame_names_an_orbit_whose_size_is_not_a_power_of_p():
-    g = Permutation.from_cycles(3, [(1, 2)])
-    with pytest.raises(FrameError, match="orbit of 1 has size 3, not a power of 2"):
-        build_frame(3, [g], 2, orbits=OrbitPartition(3, [(1, 2, 3)]))
+@settings(max_examples=150, deadline=None)
+@given(relabelled_frames())
+def test_the_frame_finds_the_orbits(case):
+    """At p in {2, 3, 5}, on relabelled gen_instance groups with fixed
+    points, the frame's orbits, in order of origin, are the orbit
+    partition's blocks."""
+    fr, _, _ = case
+    blocks = orbit_partition(fr.gens, fr.n).blocks
+    assert tuple(of.points for of in fr.orbit_frames) == blocks
+    assert tuple(of.origin for of in fr.orbit_frames) == tuple(b[0] for b in blocks)
 
 
-def test_build_frame_names_a_block_that_is_not_an_orbit():
-    # both blocks have size 2, but the generators move 1 to 2, not to 3
-    with pytest.raises(FrameError, match="block of 1 is not an orbit of the generators"):
-        build_frame(4, list(klein_gens()), 2, orbits=OrbitPartition(4, [(1, 3), (2, 4)]))
+@pytest.mark.parametrize("n, cycles, p, detail", [
+    (3, [[(1, 2, 3)]], 2, "generator 1 has order 3, expected 2"),
+    # orbit {1, 2, 3}: the frame lists 1, 2 and then meets 1 again from 3
+    (3, [[(1, 2)], [(2, 3)]], 2, "generators 1 and 2 do not commute"),
+    # one orbit of size 4 = 2^2, both generators involutions
+    (4, [[(1, 2), (3, 4)], [(1, 3)]], 2, "generators 1 and 2 do not commute"),
+    (5, [[(1, 2, 3)], [(3, 4, 5)]], 3, "generators 1 and 2 do not commute"),
+])
+def test_frame_found_orbits_name_the_violation(n, cycles, p, detail):
+    gens = [Permutation.from_cycles(n, c) for c in cycles]
+    with pytest.raises(FrameError) as exc:
+        build_frame(n, gens, p)
+    assert str(exc.value) == f"generators are not an elementary Abelian {p}-group: {detail}"
 
 
 @pytest.mark.parametrize(

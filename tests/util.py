@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from gcsolve.constraint import normalize
-from gcsolve.fpalg import FpMatrix, SingularMatrixError
+from gcsolve.fpalg import FpMatrix, SingularMatrixError, is_prime
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
 from gcsolve.genbench import GenConfig, gen_instance, translation_perm
-from gcsolve.perm import Permutation, compose
+from gcsolve.instfile import InstanceFormatError
+from gcsolve.perm import MAX_N, Permutation, compose
 
 
 def eight_point_gens():
@@ -264,3 +265,82 @@ def schoolbook_variety_matrix(fr, basis):
     inv = schoolbook_invert(FpMatrix(p, tuple(zip(*columns)))).rows
     rows = tuple((0,) * d if i < len(basis) else inv[i] for i in range(d))
     return SchoolbookVariety(p, rows, len(basis))
+
+
+# -- the instance parser token by token, a reference for instfile -------------
+
+
+def reference_parse_instance(text):
+    """instfile.parse_instance as it read every point token with int() and
+    range-checked it on its own, before the table of canonical names: the
+    same instances, and the same errors on the same lines."""
+    lines = ((i, line.split()) for i, line in enumerate(text.splitlines(), start=1))
+    lines = ((i, tokens) for i, tokens in lines if tokens)
+
+    def take(expect):
+        try:
+            lineno, tokens = next(lines)
+        except StopIteration:
+            raise InstanceFormatError(f"unexpected end of file, expected `{expect}`") from None
+        if tokens[0] != expect:
+            raise InstanceFormatError(f"expected `{expect}`, found `{tokens[0]}`", lineno)
+        return lineno, tokens
+
+    def int_field(what):
+        lineno, tokens = take(what)
+        if len(tokens) != 2:
+            raise InstanceFormatError(f"expected `{what} <int>`", lineno)
+        try:
+            return lineno, int(tokens[1])
+        except ValueError:
+            raise InstanceFormatError(f"{what} is not an integer", lineno) from None
+
+    lineno, tokens = take("gc")
+    if tokens[1:] != ["1"]:
+        raise InstanceFormatError("unsupported format version, expected `gc 1`", lineno)
+    lineno, p = int_field("p")
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc), lineno) from None
+    if not prime:
+        raise InstanceFormatError(f"p = {p} is not prime", lineno)
+    lineno, n = int_field("n")
+    if n < 0:
+        raise InstanceFormatError("n must be nonnegative", lineno)
+    if n > MAX_N:
+        raise InstanceFormatError(f"n = {n} exceeds the limit {MAX_N}", lineno)
+    lineno, m = int_field("m")
+    if m < 0:
+        raise InstanceFormatError("m must be nonnegative", lineno)
+    gens = []
+    for _ in range(m):
+        lineno, tokens = take("g")
+        try:
+            images = tuple(map(int, tokens[1:]))
+        except ValueError:
+            raise InstanceFormatError("generator images must be integers", lineno) from None
+        if len(images) != n:
+            raise InstanceFormatError(f"generator has {len(images)} images, expected {n}", lineno)
+        try:
+            gens.append(Permutation(images))
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), lineno) from None
+    raw = []
+    for lineno, tokens in lines:
+        if tokens[0] != "c":
+            raise InstanceFormatError(f"expected `c` line, found `{tokens[0]}`", lineno)
+        if len(tokens) < 3 or tokens[2] != ":":
+            raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
+        try:
+            point = int(tokens[1])
+            members = list(map(int, tokens[3:]))
+        except ValueError:
+            raise InstanceFormatError("constraint points must be integers", lineno) from None
+        if not 1 <= point <= n:
+            raise InstanceFormatError(f"constrained point {point} out of range 1..{n}", lineno)
+        for b in members:
+            if not 1 <= b <= n:
+                raise InstanceFormatError(f"constraint value {b} out of range 1..{n}", lineno)
+        raw.append((point, members))
+    return normalize(raw, n, gens, p)
