@@ -148,6 +148,8 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
         return tuple(itertools.product(range(p), repeat=of.dim))
     sizes = [len(cset) for _, cset in checks]
     base, pivot_set = checks[sizes.index(min(sizes))]
+    if len(pivot_set) > len(lex):  # walk the orbit rather than a larger set
+        pivot_set = pivot_set.intersection(lex)
     out = []
     minus_base = position([-c for c in digits(base, of.dim, p)], p)
     for c in pivot_set:
@@ -487,19 +489,26 @@ def mmc_to_gc(model, gens, p: int) -> list[GcInstance]:
     """Instances whose disjunction captures "the permuted model is
     lexicographically smaller".
 
-    model assigns a value to each point 1..n (points double as ordered
-    propositional variables).  Disjunct i requires positions before i to
+    model assigns a hashable value to each point 1..n (points double as
+    ordered propositional variables).  Disjunct i requires positions before i to
     keep their value class and position i to move to a strictly smaller
     value; the model admits a strictly-decreasing group element iff some
     returned instance is satisfiable.
     """
     model = list(model)
     n = len(model)
+    points = range(1, n + 1)
+    # one set per value, shared by every disjunct that states it: the
+    # instances keep their sets as stated, so n^2 fresh copies would stay
+    same: dict = {}
+    below: dict = {}
+    for v in model:
+        if v not in same:
+            same[v] = frozenset(a for a in points if model[a - 1] == v)
+            below[v] = frozenset(a for a in points if model[a - 1] < v)
     instances = []
-    for i in range(1, n + 1):
-        raw = []
-        for j in range(1, i):
-            raw.append((j, {a for a in range(1, n + 1) if model[a - 1] == model[j - 1]}))
-        raw.append((i, {a for a in range(1, n + 1) if model[a - 1] < model[i - 1]}))
+    for i in points:
+        raw = [(j, same[model[j - 1]]) for j in range(1, i)]
+        raw.append((i, below[model[i - 1]]))
         instances.append(normalize(raw, n, gens, p))
     return instances

@@ -848,6 +848,17 @@ def test_mmc_two_variable_swap():
     assert hits == [swap]
 
 
+def test_mmc_disjuncts_share_one_set_per_value():
+    """Instances keep their sets as stated, so the n disjuncts share the
+    sets of each value instead of holding n^2 copies."""
+    model = [2, 0, 1, 2, 0, 1, 1, 0]
+    instances = mmc_to_gc(model, list(eight_point_gens()), 2)
+    sets = {id(cset) for inst in instances for cset in inst.constraints.values()}
+    assert len(sets) <= 2 * len(set(model))
+    assert instances[7].constraints[1] == frozenset({1, 4})
+    assert instances[7].constraints[8] == frozenset()
+
+
 def test_mmc_matches_brute_force_lex_comparison():
     cases = [
         (list(eight_point_gens()), 8, [1, 0, 1, 1, 0, 0, 1, 0]),
