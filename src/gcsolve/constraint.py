@@ -11,7 +11,10 @@ every V_O is an affine subspace w + E the instance reduces to one linear
 system over F_p, otherwise explicit fallbacks search the product of the
 V_O sets or enumerate the whole group.  x lies in G when its residual
 against G's echelon form, M_G·x, is zero; that form is built only on the
-branches that test membership.
+branches that test membership.  The V_O search and the product search
+add whole vectors packed into ints (fpalg.PackedDigits); the enumeration
+oracle keeps its digit arithmetic (frame.position_sum), so that it stays
+independent of them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import fpalg
-from .fpalg import FpMatrix, RowReducer
+from .fpalg import FpMatrix, PackedDigits, RowReducer
 from .frame import (
     Frame,
     NotInSuperspaceError,
@@ -84,14 +87,6 @@ class GcInstance:
             and self.cmap == other.cmap
         )
 
-    def constrained_points(self) -> tuple[int, ...]:
-        """Points whose constraint set is a proper subset of their orbit."""
-        # C(a) is contained in the orbit, so proper subset = smaller size
-        return tuple(
-            a for a in range(1, self.n + 1)
-            if len(self.cmap[a]) != len(self.orbits.block_of(a))
-        )
-
 
 def normalize(raw, n: int, gens, p: int) -> GcInstance:
     """Turn raw conjuncts (x, X) into an instance: every point and member
@@ -135,9 +130,12 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     first such in order of position, and a member outside the orbit is
     skipped; a candidate is kept when every other constrained point of
     the orbit maps inside its set.  With no constrained point the whole
-    constituent qualifies.  A candidate is a position x, and a point of
-    position b maps to lex[position_sum(b, x)], one XOR at p = 2; digit
-    tuples are made only for the vectors returned.
+    constituent qualifies.  A candidate is a vector x, kept packed, and a
+    point b maps to the point of b + x.  At p = 2 the packed vector is the
+    position and the sum is one XOR.  At odd p it has one field per digit
+    (fpalg.PackedDigits): the packed vector of every position is listed
+    once per call, with a map back to the points, and the sum takes a few
+    int operations.  Digit tuples are made only for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
@@ -150,20 +148,36 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     base, pivot_set = checks[sizes.index(min(sizes))]
     if len(pivot_set) > len(lex):  # walk the orbit rather than a larger set
         pivot_set = pivot_set.intersection(lex)
+    candidates = [pc for pc in map(pos.get, pivot_set) if pc is not None]
     out = []
-    minus_base = position([-c for c in digits(base, of.dim, p)], p)
-    for c in pivot_set:
-        pc = pos.get(c)
-        if pc is None:
-            continue
-        x = position_sum(pc, minus_base, p)
+    if p == 2:
+        for pc in candidates:
+            x = pc ^ base
+            for b, bset in checks:
+                if lex[b ^ x] not in bset:
+                    break
+            else:
+                out.append(x)
+        # positions order as their digit tuples do
+        return tuple(digits(x, of.dim, 2) for x in sorted(out))
+    packing = PackedDigits(p, of.dim)
+    add = packing.add
+    # the packed vector of each position, built from the least significant digit up
+    codes = [0]
+    for shift in range(0, packing.width * of.dim, packing.width):
+        codes = [(v << shift) | c for v in range(p) for c in codes]
+    at = dict(zip(codes, lex))
+    checks = [(codes[b], bset) for b, bset in checks]
+    minus_base = packing.neg(codes[base])
+    for pc in candidates:
+        x = add(codes[pc], minus_base)
         for b, bset in checks:
-            if lex[position_sum(b, x, p)] not in bset:
+            if at[add(b, x)] not in bset:
                 break
         else:
             out.append(x)
-    # positions order as their digit tuples do
-    return tuple(digits(x, of.dim, p) for x in sorted(out))
+    # packed vectors order as their digit tuples do
+    return tuple(map(packing.unpack, sorted(out)))
 
 
 def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[tuple[int, ...], ...]]:
@@ -350,18 +364,14 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
             x = [position_sum(a, b, p) for a, b in zip(x, step)]
 
 
-def _combinations(groups, p: int, width: int):
-    """Every combination of one (vector, syndrome) per group, lazily and in
-    itertools.product order, as (joined vector, syndrome sum mod p)."""
+def _combinations(groups, add):
+    """Every combination of one (vector, packed syndrome) per group, lazily
+    and in itertools.product order, as (joined vector, syndrome sum)."""
 
     def extend(combos, group):
-        return (
-            (x + v, tuple((a + b) % p for a, b in zip(s, t)))
-            for x, s in combos
-            for v, t in group
-        )
+        return ((x + v, add(s, t)) for x, s in combos for v, t in group)
 
-    combos = iter([((), (0,) * width)])
+    combos = iter([((), 0)])
     for group in groups:
         combos = extend(combos, group)
     return combos
@@ -374,22 +384,21 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
 
     x lies in G exactly when its residual M_G·x, the sum of its parts'
     syndromes (the residuals of x_O placed in O's slice, computed once per
-    admissible vector), is 0.  The orbits are cut where the prefix and
-    suffix combination counts add up least (meet in the middle).  The
-    suffix combinations are tabulated by syndrome sum, in lexicographic
-    order and keeping the first per sum; the prefixes are walked in
-    lexicographic order, each looking up the negated sum of its own
-    syndromes.  The first hit is therefore the first member of G in
-    product order.  Memory is bounded by the suffix table.  The cap bounds
-    the product of the V_O sizes and is checked before anything is
-    computed; an empty V_O leaves no combination, so the verdict is UNSAT
-    exhausted."""
+    admissible vector and packed into one int, fpalg.PackedDigits), is 0.
+    The orbits are cut where the prefix and suffix combination counts add
+    up least (meet in the middle).  The suffix combinations are tabulated
+    by syndrome sum, in lexicographic order and keeping the first per sum;
+    the prefixes are walked in lexicographic order, each looking up the
+    negated sum of its own syndromes.  The first hit is therefore the
+    first member of G in product order.  Memory is bounded by the suffix
+    table.  The cap bounds the product of the V_O sizes and is checked
+    before anything is computed; an empty V_O leaves no combination, so
+    the verdict is UNSAT exhausted."""
     total = 1
     for vo in vos:
         total *= len(vo)
         if total > cap:
             raise CapExceededError(f"product of V_O sizes exceeds cap {cap}")
-    p = fr.p
     sizes = [len(vo) for vo in vos]
 
     def cost(c):  # combinations walked plus tabulated; a tie takes the smaller table
@@ -397,18 +406,18 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
         return math.prod(sizes[:c]) + suffix, suffix
 
     cut = min(range(len(vos) + 1), key=cost)
+    packing = PackedDigits(fr.p, fr.dim)
     groups = []
     for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
         head, tail = (0,) * lo, (0,) * (fr.dim - hi)
-        # prefix syndromes enter negated, as the residuals of -v
-        groups.append([
-            (v, m_g.product(head + (tuple(-c % p for c in v) if i < cut else v) + tail))
-            for v in vo
-        ])
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for x, s in _combinations(groups[cut:], p, fr.dim):
+        group = [(v, packing.pack(m_g.product(head + v + tail))) for v in vo]
+        if i < cut:  # prefix syndromes enter negated
+            group = [(v, packing.neg(s)) for v, s in group]
+        groups.append(group)
+    table: dict[int, tuple[int, ...]] = {}
+    for x, s in _combinations(groups[cut:], packing.add):
         table.setdefault(s, x)
-    for x, s in _combinations(groups[:cut], p, fr.dim):
+    for x, s in _combinations(groups[:cut], packing.add):
         suffix = table.get(s)
         if suffix is not None:
             return SolveOutcome.sat(fr.perm_of_coords(x + suffix), "product")

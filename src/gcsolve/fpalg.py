@@ -11,10 +11,18 @@ other primes a row is a plain list of residues and elimination is
 schoolbook.  The reduced row echelon form is unique, so
 every result is the same in either representation.  Matrices are small (a
 few hundred rows at most in practice).
+
+PackedDigits packs a whole vector of residues into one int for the
+solvers' sums of vectors: one bit per entry at p = 2, where addition is
+XOR, and at odd p one field of p.bit_length() + 1 bits per entry, wide
+enough that adding two vectors never carries from one field into the
+next, so the sum mod p takes a few whole-int operations (SWAR, SIMD
+within a register).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +108,55 @@ def _unpack(bits: int, width: int) -> tuple[int, ...]:
         return ()
     # the binary digits, least significant first, turned into bytes 0 and 1
     return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_DIGITS_TO_BYTES))
+
+
+class PackedDigits:
+    """Vectors of count residues mod p, each packed into one int.
+
+    Entry j of a vector sits in one field of width bits, the first entry in
+    the top field, so packed vectors order as their tuples do.  At p = 2 a
+    field is one bit, add is XOR and neg is the identity.  At odd p the
+    width w is p.bit_length() + 1, so H = 2^(w-1) > p: a field of a + b is
+    at most 2p - 2 < 2^w and never carries into the next, and adding H - p
+    to every field sets a field's top bit exactly where the field is p or
+    more.  add subtracts p there; neg takes p - a field by field and
+    reduces the same way.
+    """
+
+    def __init__(self, p: int, count: int):
+        self.p = p
+        self.count = count
+        w = self.width = 1 if p == 2 else p.bit_length() + 1
+        ones = ((1 << w * count) - 1) // ((1 << w) - 1)
+        self._p_ones = p * ones
+        self._high = ones << (w - 1)
+        self._bias = self._high - self._p_ones
+        self.add = operator.xor if p == 2 else self._add
+
+    def pack(self, vec) -> int:
+        """The residues vec, count of them in [0, p), as one int."""
+        if len(vec) != self.count:
+            raise ValueError(f"vector length {len(vec)} != {self.count}")
+        w = self.width
+        code = 0
+        for c in vec:
+            code = (code << w) | c
+        return code
+
+    def unpack(self, code: int) -> tuple[int, ...]:
+        """The residues packed in code, first entry first."""
+        w = self.width
+        mask = (1 << w) - 1
+        return tuple((code >> w * k) & mask for k in range(self.count - 1, -1, -1))
+
+    def _add(self, a: int, b: int) -> int:
+        t = a + b
+        return t - self.p * (((t + self._bias) & self._high) >> (self.width - 1))
+
+    def neg(self, a: int) -> int:
+        """The packed vector -a mod p."""
+        # p·ONES - a has every field in [1, p], so no field borrows
+        return a if self.p == 2 else self._add(self._p_ones, -a)
 
 
 @dataclass(frozen=True)

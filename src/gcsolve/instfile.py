@@ -166,9 +166,19 @@ def render_instance(inst: GcInstance) -> str:
         f"m {len(inst.gens)}",
     ]
     for g in inst.gens:
-        out.append("g " + " ".join(str(b) for b in g.images) if g.n else "g")
-    for a in inst.constrained_points():
-        out.append(f"c {a} : " + " ".join(str(b) for b in sorted(inst.cmap[a])))
+        out.append("g " + " ".join(map(str, g.images)) if g.n else "g")
+    # each stated set cut to its point's orbit, written when the cut leaves
+    # out part of the orbit; an unstated point is constrained to its orbit
+    orbits = inst.orbits
+    orbit_sets: dict[int, frozenset[int]] = {}
+    for a in sorted(inst.constraints):
+        i = orbits.block_index(a)
+        orbit = orbit_sets.get(i)
+        if orbit is None:
+            orbit = orbit_sets[i] = frozenset(orbits.blocks[i])
+        cut = inst.constraints[a] & orbit
+        if len(cut) < len(orbit):
+            out.append(f"c {a} : " + " ".join(map(str, sorted(cut))))
     return "\n".join(line.rstrip() for line in out) + "\n"
 
 

@@ -133,9 +133,6 @@ class OrbitPartition:
     def block_index(self, a: int) -> int:
         return self._block_of[a]
 
-    def block_of(self, a: int) -> tuple[int, ...]:
-        return self.blocks[self._block_of[a]]
-
     def __eq__(self, other):
         return (
             isinstance(other, OrbitPartition)

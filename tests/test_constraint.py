@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from gcsolve.constraint import (
     verify_detail,
 )
 from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame
-from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
+from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance, translation_perm
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation
 from gcsolve.reduction import ClauseSet, reduce_1in_k
@@ -58,7 +60,7 @@ def test_normalize_empty_raw_gives_full_orbits():
     gens = list(eight_point_gens())
     inst = normalize([], 8, gens, 2)
     assert all(inst.cmap[a] == frozenset(range(1, 9)) for a in range(1, 9))
-    assert inst.constrained_points() == ()
+    assert constraint_k(inst) == 0
     assert verify(inst, Permutation.identity(8))
 
 
@@ -151,6 +153,31 @@ def test_compute_vo_keeps_no_translation_per_candidate():
     assert replayed <= k
     assert len(compute_vo(fr, inst, 0)) == n - 1
     assert len(fr._translations) == replayed
+
+
+def test_compute_vo_at_odd_p_keeps_no_table_per_candidate():
+    """The odd-p twin: one orbit of 3^6 points and one constrained point
+    whose set has all but one of them.  V_O has 728 vectors, the frame's
+    translation table is left as the replay filled it, and the call's
+    memory peak, the packed vector of each position and its map back to
+    the points included, stays within a few times the orbit's lex and pos."""
+    k, p = 6, 3
+    n = p**k
+    gens = [translation_perm(p, (k,), [int(i == j) for i in range(k)]) for j in range(k)]
+    inst = normalize([(1, set(range(2, n + 1)))], n, gens, p)
+    fr = build_frame(n, gens, p)
+    of = fr.orbit_frames[0]
+    replayed = len(fr._translations)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vo = compute_vo(fr, inst, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(vo) == n - 1
+    assert len(fr._translations) == replayed
+    assert peak < 8 * (sys.getsizeof(of.lex) + sys.getsizeof(of.pos))
 
 
 def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
@@ -479,6 +506,32 @@ def test_parse_and_solve_never_call_orbit_partition(monkeypatch):
         solve(parse_instance(text))
 
 
+def test_odd_p_decisions_never_call_position_sum(monkeypatch):
+    """At p = 3 and p = 5, compute_vo and the product fallback add packed
+    vectors: a product decision never calls position_sum, while the
+    enumerate fallback, which keeps its digit arithmetic, does."""
+    calls = []
+    real = frame.position_sum
+
+    def counted(i, j, p):
+        calls.append(p)
+        return real(i, j, p)
+
+    for module in (frame, constraint):
+        monkeypatch.setattr(module, "position_sum", counted)
+    clause = ClauseSet(("a", "b", "c", "d"), (("a", "b", "c"), ("b", "c", "d")))
+    for p in (3, 5):
+        inst = reduce_1in_k(clause, p).instance
+        fr = build_frame(inst.n, inst.gens, p)
+        assert isinstance(linearize(fr, compute_all_vo(fr, inst)), NotLinear)
+        out = solve(inst)
+        assert (out.status, out.method) == ("sat", "product")
+        assert calls == []
+        assert solve(inst, fallback="enumerate").status == "sat"
+        assert calls
+        calls.clear()
+
+
 def test_solve_reads_each_generator_once_per_decision(monkeypatch):
     """A linear, a product-fallback and an enumerate-fallback decision read
     each generator's coordinates once, when the frame is built."""
@@ -664,6 +717,35 @@ def test_solve_product_matches_brute_force_with_witnesses():
     assert 0 < sat < len(instances)
 
 
+@pytest.mark.parametrize("p, dims, dim_g, k", [(7, (1, 2, 1), 2, 2), (17, (2, 1), 2, 3),
+                                           (257, (1, 1), 1, 3)])
+def test_packed_paths_agree_with_the_oracles_at_larger_primes(p, dims, dim_g, k):
+    """At primes whose packed fields are 4, 6 and 10 bits wide, compute_vo
+    equals reference_vo on every orbit, and solve_product agrees with
+    solve_enumerate on the status, with a witness that verify_detail
+    accepts and that the brute-force product loop finds first.  One stated
+    point is kept per orbit, so V_O has k members, and every other
+    instance is planted."""
+    rng = SplitMix64(derive_seed(1414, p))
+    statuses = []
+    for seed in range(12):
+        cfg = GenConfig(p=p, seed=derive_seed(p, seed), k=k, sat_bias=float(seed % 2),
+                        dims=dims, dim_g=dim_g)
+        full = gen_instance(cfg).instance
+        kept = [block[rng.below(len(block))] for block in full.orbits.blocks]
+        inst = normalize([(a, full.constraints[a]) for a in kept], full.n, full.gens, p)
+        fr = build_frame(inst.n, inst.gens, p)
+        vos = compute_all_vo(fr, inst)
+        assert vos == [reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
+        assert isinstance(linearize(fr, vos), NotLinear)
+        out = assert_product_matches_reference(fr, vos, group_variety(fr))
+        assert out.status == solve_enumerate(fr, inst).status
+        if out.status == "sat":
+            assert verify_detail(inst, out.witness) == (True, None)
+        statuses.append(out.status)
+    assert set(statuses) == {"sat", "unsat"}
+
+
 def test_solve_product_empty_vo_in_any_position_is_exhausted():
     gens = [Permutation.from_cycles(6, [(1, 2)]), Permutation.from_cycles(6, [(3, 4), (5, 6)])]
     fr = build_frame(6, gens, 2)
@@ -828,7 +910,8 @@ def test_mmc_three_variable_shape():
     model = [1, 0, 1]
     instances = mmc_to_gc(model, [g], 3)
     assert len(instances) == 3
-    orbit = frozenset(instances[0].orbits.block_of(1))
+    orbits = instances[0].orbits
+    orbit = frozenset(orbits.blocks[orbits.block_index(1)])
     # disjunct 1 constrains only position 1 to strictly smaller values
     assert instances[0].cmap[1] == frozenset({2}) & orbit | frozenset({2})
     # disjunct 2: position 1 keeps its value class, position 2 strictly smaller

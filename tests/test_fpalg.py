@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gcsolve.fpalg import (
     FpMatrix,
+    PackedDigits,
     RowReducer,
     SingularMatrixError,
     inv_mod,
@@ -373,3 +374,50 @@ def test_p_beyond_the_exact_prime_test_is_refused():
         is_prime(psi_13)
     with pytest.raises(InstanceFormatError, match="line 2: p = .* too large"):
         parse_instance(f"gc 1\np {psi_13}\nn 1\nm 0\n")
+
+
+# primes at the edges of the packed field widths: 3 bits for 3, 4 for 5 and
+# 7, 5 for 11, 6 for 17 and 31, 10 for 257, 18 for 65537, 62 for 2^61 - 1
+PACKED_PRIMES = (2, 3, 5, 7, 11, 17, 31, 257, 65537, 2**61 - 1)
+
+
+def _digit_vectors(p, count):
+    digit = st.one_of(st.integers(0, p - 1), st.just(p - 1), st.just(0))
+    return st.lists(digit, min_size=count, max_size=count)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_packed_digits_add_and_negate_digit_by_digit(data):
+    """pack, add, neg and unpack against (a + b) % p and -a % p entry by
+    entry, and packed vectors order as their tuples."""
+    p = data.draw(st.sampled_from(PACKED_PRIMES))
+    count = data.draw(st.integers(0, 40))
+    a = data.draw(_digit_vectors(p, count))
+    b = data.draw(_digit_vectors(p, count))
+    packing = PackedDigits(p, count)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == tuple(a)
+    assert packing.add(pa, pb) == packing.pack([(x + y) % p for x, y in zip(a, b)])
+    assert packing.unpack(packing.add(pa, pb)) == tuple((x + y) % p for x, y in zip(a, b))
+    assert packing.neg(pa) == packing.pack([-x % p for x in a])
+    assert packing.add(pa, packing.neg(pa)) == 0
+    assert (pa < pb) == (tuple(a) < tuple(b))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_digits_largest_field_sums(p):
+    """All-(p - 1) operands give the largest field sums, 2p - 2, in every
+    field at once; the zero vector negates to itself."""
+    for count in range(41):
+        packing = PackedDigits(p, count)
+        top = packing.pack([p - 1] * count)
+        assert packing.unpack(packing.add(top, top)) == ((p - 2) % p,) * count
+        assert packing.unpack(packing.neg(top)) == (1 % p,) * count
+        assert packing.add(top, packing.neg(top)) == 0
+        assert packing.neg(0) == 0
+
+
+def test_packed_digits_refuse_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="vector length 2 != 3"):
+        PackedDigits(5, 3).pack((1, 2))

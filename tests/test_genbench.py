@@ -138,7 +138,7 @@ def test_gen_constraint_sizes_and_planting():
         res = gen_instance(cfg)
         inst = res.instance
         for a in range(1, inst.n + 1):
-            orbit = inst.orbits.block_of(a)
+            orbit = inst.orbits.blocks[inst.orbits.block_index(a)]
             assert len(inst.cmap[a]) == min(2, len(orbit))
         if res.witness is not None:
             planted += 1
