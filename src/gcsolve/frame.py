@@ -11,15 +11,19 @@ significant digit, and the points of O, listed by position (lex), grow
 by their own images under it.  So lex[i] is the point with position i
 and pos maps each point back to i.  Positions add digit by digit mod p,
 which at p = 2 is one XOR.  Digit tuples are made only where a vector
-leaves the frame: the coordinates coords_of_perm returns and the ones
+leaves the frame: the coordinates coords_of_perms returns and the ones
 perm_of_coords takes.  The concatenated per-orbit bases form a global
 basis of F of dimension d; the restrictions of the kept generators to
 their orbits are built when a basis is first read.
 The frame reads every generator's coordinates once, as its group check,
-and keeps them as gen_coords.  Every translation it applies, in that
-check and in perm_of_coords, goes through one table per frame from an
-orbit's dimension and a position X to an operator.itemgetter that
-translates a lex-ordered tuple by X in one C call.  A vector lies in a
+and keeps them as gen_coords.  The read goes orbit by orbit over all the
+generators, so each orbit's lex translated by X is made once per distinct
+image of its origin and dropped when the orbit is done; coords_of_perm is
+the same read of one permutation.  Every translation the frame applies,
+in that read and in perm_of_coords, goes through one table per frame from
+an orbit's dimension and a position X to an operator.itemgetter that
+translates a lex-ordered tuple by X in one C call; orbits of one
+dimension share its entries.  A vector lies in a
 subspace H of F when its residual against the reduced row echelon form
 of a basis of H is zero.  That residual is M·x for H's variety matrix M,
 which is written out only when read; no matrix is inverted.
@@ -183,11 +187,13 @@ class Frame:
         self.dim = start
         # (dim, position x) -> (digits of x, itemgetter translating
         # lex-ordered tuples by x), filled on first use; its keys are the
-        # per-orbit positions of the permutations coords_of_perm and
-        # perm_of_coords were given, and the dimension keeps orbits of
-        # different sizes apart
+        # per-orbit positions of the permutations coords_of_perms and
+        # perm_of_coords were given.  The dimension keeps orbits of
+        # different sizes apart, and orbits of one size share an entry;
+        # an orbit's lex translated by x is kept only while
+        # coords_of_perms reads that orbit
         self._translations: dict[tuple[int, int], tuple[tuple[int, ...], Callable]] = {}
-        self.gen_coords = tuple(self.coords_of_perm(g) for g in self.gens)
+        self.gen_coords = self.coords_of_perms(self.gens)
 
     @cached_property
     def basis(self) -> tuple[Permutation, ...]:
@@ -211,33 +217,56 @@ class Frame:
         return entry
 
     def coords_of_perm(self, u: Permutation) -> tuple[int, ...]:
-        """Coordinates of u in the global basis.
+        """Coordinates of u in the global basis (see coords_of_perms)."""
+        return self.coords_of_perms((u,))[0]
 
-        Per orbit, the position x is read off the image of the origin; u is
-        then replayed on every point of the orbit to confirm it decomposes
-        over the constituents: its images in lex order must be lex
-        translated by x.
+    def coords_of_perms(self, perms) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of each permutation of perms in the global basis.
+
+        The read goes orbit by orbit, and on each orbit over all of perms.
+        The position x is read off the image of the origin; each
+        permutation is then replayed on every point of the orbit to
+        confirm it decomposes over the constituents: its images in lex
+        order must be lex translated by x.  Within one orbit the digits of
+        x and lex translated by x are made once per distinct image of the
+        origin.  The first failing orbit raises, at its first failing
+        permutation, so a single permutation gets its orbits' errors in
+        orbit order.
         """
-        if u.n != self.n:
-            raise FrameError(f"domain size {u.n} differs from frame size {self.n}")
-        ui = u.images
-        out: list[int] = []
+        n = self.n
+        for u in perms:
+            if u.n != n:
+                raise FrameError(f"domain size {u.n} differs from frame size {n}")
+        images = [u.images for u in perms]
+        outs: list[list[int]] = [[] for _ in images]
+        translation = self.translation
         for of in self.orbit_frames:
             origin = of.origin
-            x = of.pos.get(ui[origin - 1])
-            if x is None:
-                raise NotInSuperspaceError(
-                    f"point {origin} leaves its orbit under the permutation"
-                )
+            at = origin - 1
             if of.dim == 0:
+                if any(ui[at] != origin for ui in images):
+                    raise NotInSuperspaceError(
+                        f"point {origin} leaves its orbit under the permutation")
                 continue
-            xd, shift = self.translation(of.dim, x)
-            if of.get(ui) != shift(of.lex):
-                raise NotInSuperspaceError(
-                    f"restriction to the orbit of {origin} is not in the constituent"
-                )
-            out.extend(xd)
-        return tuple(out)
+            dim, lex, get, pos = of.dim, of.lex, of.get, of.pos
+            # image of the origin -> (digits of x, lex translated by x),
+            # for this orbit of this call only
+            shifted: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+            for ui, out in zip(images, outs):
+                b = ui[at]
+                entry = shifted.get(b)
+                if entry is None:
+                    x = pos.get(b)
+                    if x is None:
+                        raise NotInSuperspaceError(
+                            f"point {origin} leaves its orbit under the permutation")
+                    xd, shift = translation(dim, x)
+                    entry = shifted[b] = (xd, shift(lex))
+                if get(ui) != entry[1]:
+                    raise NotInSuperspaceError(
+                        f"restriction to the orbit of {origin} is not in the constituent")
+                out += entry[0]
+        return tuple(map(tuple, outs))
 
     def perm_of_coords(self, x) -> Permutation:
         """The permutation with global coordinates x (sum of basis multiples)."""

@@ -534,24 +534,31 @@ def test_odd_p_decisions_never_call_position_sum(monkeypatch):
 
 def test_solve_reads_each_generator_once_per_decision(monkeypatch):
     """A linear, a product-fallback and an enumerate-fallback decision read
-    each generator's coordinates once, when the frame is built."""
-    calls = []
-    real = Frame.coords_of_perm
+    each generator's coordinates once, in one batched read when the frame
+    is built, and never read a single permutation's."""
+    batches, singles = [], []
+    real_batch, real_single = Frame.coords_of_perms, Frame.coords_of_perm
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted_batch(fr, perms):
+        batches.append(list(perms))
+        return real_batch(fr, perms)
 
-    monkeypatch.setattr(Frame, "coords_of_perm", counted)
+    def counted_single(fr, u):
+        singles.append(u)
+        return real_single(fr, u)
+
+    monkeypatch.setattr(Frame, "coords_of_perms", counted_batch)
+    monkeypatch.setattr(Frame, "coords_of_perm", counted_single)
     linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
     nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 3).instance
     for inst, fallback, method in ((linear, "product", "linear"),
                                    (nonlinear, "product", "product"),
                                    (nonlinear, "enumerate", "enumerate")):
-        calls.clear()
+        batches.clear()
         out = solve(inst, fallback=fallback)
         assert (out.status, out.method) == ("sat", method)
-        assert calls == list(inst.gens)
+        assert batches == [list(inst.gens)]
+        assert singles == []
 
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):

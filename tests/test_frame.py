@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
+from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.perm import (
     MAX_N,
     Permutation,
@@ -279,6 +280,44 @@ def test_coords_of_perm_matches_tuple_arithmetic(case):
         assert kind in ("translation", "shuffle")
         assert fr.coords_of_perm(u) == expected
         assert fr.perm_of_coords(expected) == u
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames_and_moves(), st.data())
+def test_coords_of_perms_matches_the_reference_per_permutation(case, data):
+    """The batched read against the digit-arithmetic reference taken one
+    permutation at a time, at p in {2, 3, 5}: gen_coords is the reference's
+    coordinates of each generator, and a batch of the generators with one
+    move put in among them gives every member's coordinates, or, since
+    only the move can fail, the move's own error."""
+    fr, u, _ = case
+    assert fr.gen_coords == tuple(reference_coords(fr, g) for g in fr.gens)
+    batch = list(fr.gens)
+    batch.insert(data.draw(st.integers(0, len(batch))), u)
+    try:
+        expected = reference_coords(fr, u)
+    except NotInSuperspaceError as exc:
+        with pytest.raises(NotInSuperspaceError) as got:
+            fr.coords_of_perms(batch)
+        assert str(got.value) == str(exc)
+    else:
+        assert fr.coords_of_perms(batch) == tuple(
+            expected if v is u else reference_coords(fr, v) for v in batch)
+
+
+@pytest.mark.parametrize("p,dims", [(2, (1, 2, 2, 3, 3)), (3, (1, 1, 2)), (5, (1, 2))])
+def test_build_frame_keeps_nothing_from_the_replay(p, dims):
+    """Building the frame adds no attribute for the replay, and the
+    translation table holds one entry per distinct (dim, x) among the
+    generators' positions on the orbits that move: the per-orbit images
+    the read translates are not kept."""
+    gens = gen_instance(GenConfig(p=p, seed=3, dims=dims)).instance.gens
+    fr = build_frame(len(gens[0].images), gens, p)
+    assert set(vars(fr)) == {"p", "n", "gens", "orbit_frames", "slices", "dim",
+                             "_translations", "gen_coords"}
+    assert set(fr._translations) == {
+        (of.dim, of.pos[g.image(of.origin)])
+        for g in gens for of in fr.orbit_frames if of.dim}
 
 
 def test_coords_of_perm_accepts_superspace_outside_group():
