@@ -9,9 +9,11 @@ Solving goes through the frame: per orbit the admissible constituent
 vectors V_O are collected; if
 every V_O is an affine subspace w + E the instance reduces to one linear
 system over F_p, otherwise explicit fallbacks search the product of the
-V_O sets or enumerate the whole group.  x lies in G when its residual
-against G's echelon form, M_G·x, is zero; that form is built only on the
-branches that test membership.  The V_O search and the product search
+V_O sets or enumerate the whole group.  The linear system is decided by
+one Gaussian elimination over G's generators and E's basis
+(solve_linear).  The product search tests membership: x lies in G when
+its residual against G's echelon form, M_G·x, is zero, and that form is
+built on no other branch.  The V_O search and the product search
 add whole vectors packed into ints (fpalg.PackedDigits); the enumeration
 oracle keeps its digit arithmetic (frame.position_sum), so that it stays
 independent of them.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import fpalg
-from .fpalg import FpMatrix, PackedDigits, RowReducer
+from .fpalg import PackedDigits, RowReducer
 from .frame import (
     Frame,
     NotInSuperspaceError,
@@ -291,21 +293,28 @@ class SolveOutcome:
 # -- solvers ---------------------------------------------------------------
 
 
-def solve_linear(fr: Frame, m_g: VarietyMatrix, lin: LinearizedConstraint) -> SolveOutcome:
-    """Find x = w + B_E·mu in G: M_G·x = 0 exactly when
-    (M_G·B_E)·mu = -M_G·w, d equations on dim E unknowns."""
-    p = fr.p
-    cols = [m_g.product(e) for e in lin.e_basis]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(fr.dim))
-    rhs = tuple(-y % p for y in m_g.product(lin.w))
-    mu = fpalg.solve(FpMatrix(p, rows), rhs)
-    if mu is None:
+def solve_linear(fr: Frame, lin: LinearizedConstraint) -> SolveOutcome:
+    """Find x in G ∩ (w + E) by one Gaussian elimination of width d.
+
+    The rows (g | 0), for each generator's coordinates g, and (e | e),
+    for each e of E's basis, span the pairs (g + e | e).  The residual of
+    (w | w) against them is zero on the left exactly when w = g + e for
+    some g in G and e in E; its right half is then w - e = g, the witness.
+    Otherwise the system is inconsistent.  An (e | e) row is kept exactly
+    when e is independent of G and the e before it, so x = w + B_E·mu
+    for the solution mu of (M_G·B_E)·mu = -M_G·w that is zero at the
+    columns dependent on the ones before them."""
+    d = fr.dim
+    zeros = (0,) * d
+    reducer = RowReducer(fr.p, d)
+    for g in fr.gen_coords:
+        reducer.add(g + zeros)
+    for e in lin.e_basis:
+        reducer.add(e + e)
+    residual = reducer.reduce(lin.w + lin.w)
+    if any(residual[:d]):
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    x = list(lin.w)
-    for c, e in zip(mu, lin.e_basis):
-        if c:
-            x = [(a + c * b) % p for a, b in zip(x, e)]
-    return SolveOutcome.sat(fr.perm_of_coords(x), "linear")
+    return SolveOutcome.sat(fr.perm_of_coords(residual[d:]), "linear")
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:
@@ -427,8 +436,8 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Full pipeline: frame, V_O sets, linearity test, then either the
     linear solver or the configured fallback (product | enumerate | none).
-    The group's echelon form is built only for the linear solver and the
-    product fallback, the two that test membership."""
+    The group's echelon form is built only for the product fallback, the
+    one that tests membership."""
     if fallback not in ("product", "enumerate", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
     fr = build_frame(inst.n, inst.gens, inst.p)
@@ -437,7 +446,7 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     if isinstance(lin, EmptyOrbit):
         return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=lin.orbit_min)
     if isinstance(lin, LinearizedConstraint):
-        return solve_linear(fr, group_variety(fr), lin)
+        return solve_linear(fr, lin)
     if fallback == "none":
         return SolveOutcome.not_linear(lin)
     try:

@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the field of integers mod a prime p.
 
-There is one elimination, RowReducer; solve and invert feed it augmented
-rows and read its reduced row echelon form, invert has no caller in the
-package, and membership in a span is a zero residual (RowReducer.reduce).
+There is one elimination, RowReducer: incremental Gaussian elimination,
+which keeps each row as it was reduced when it was added and builds the
+reduced row echelon form by back-substitution only when echelon() is
+read.  Membership in a span is a zero residual (RowReducer.reduce).
+solve and invert feed it augmented rows and read that form; nothing in
+the package calls them.
 Rows follow p.  At p = 2 a row is one Python int with bit j holding
 column j, so a row operation is one XOR of whole rows: the standard GF(2)
 technique (see M4RI in Albrecht, Bard and Hart, "Algorithm 898: Efficient
 multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010).  At
 other primes a row is a plain list of residues and elimination is
-schoolbook.  The reduced row echelon form is unique, so
+schoolbook.  Residuals and the reduced row echelon form are unique, so
 every result is the same in either representation.  Matrices are small (a
 few hundred rows at most in practice).
 
@@ -22,6 +25,7 @@ within a register).
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,21 +186,28 @@ class FpMatrix:
 
 
 class RowReducer:
-    """Incremental Gauss-Jordan elimination: feed vectors, keep the reduced
-    row echelon form of their span.
+    """Incremental Gaussian elimination: feed vectors, keep an echelon form
+    of their span.
 
     Pivots are searched in the first width columns.  A vector may carry
     more columns after those, such as a right-hand side or an identity
     block; they take part in every row operation but never hold a pivot.
     add() keeps a vector's residual, reduce(), as a new row when a pivot
     column of it is nonzero, scaled so that its pivot, its first nonzero
-    entry, is 1, and cleared from the older rows, so that no kept row has
-    a nonzero entry at another row's pivot.  A vector that reduces to zero
-    in the pivot columns but not after them sets `inconsistent`.
+    entry, is 1.  Rows already kept are never touched: a row is zero at
+    the pivots of the rows kept before it, but may be nonzero at the
+    pivots of later ones, which lie after its own.  reduce() therefore
+    walks the pivots in increasing order, and each subtraction can only
+    change entries at later pivots.  The residual against rows with
+    distinct pivots is unique, so it is the one the reduced row echelon
+    form gives; echelon() builds that form by back-substitution when it
+    is read.  A vector that reduces to zero in the pivot columns but not
+    after them sets `inconsistent`.
 
     At p = 2 the rows are packed ints, keyed by their pivot bit (the lowest
-    set bit), and the set pivot bits of a vector name exactly the rows to
-    XOR into it.  At other primes they are lists keyed by pivot column.
+    set bit), and the lowest pivot bit set in a vector names the next row
+    to XOR into it.  At other primes they are lists keyed by pivot column,
+    with the pivot columns kept in increasing order as rows are added.
     """
 
     def __init__(self, p: int, width: int):
@@ -207,6 +218,7 @@ class RowReducer:
         self._low = (1 << width) - 1
         self._rows: dict = {}
         self._pivot_bits = 0
+        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -227,17 +239,17 @@ class RowReducer:
         rows = self._rows
         if p == 2:
             v = _pack(vec)
-            hit = v & self._pivot_bits
+            pivot_bits = self._pivot_bits
+            hit = v & pivot_bits
             while hit:
-                bit = hit & -hit
-                v ^= rows[bit]
-                hit ^= bit
+                v ^= rows[hit & -hit]
+                hit = v & pivot_bits
             return v
         v = [x % p for x in vec]
-        for col, row in rows.items():
+        for col in self._pivots:
             factor = v[col]
             if factor:
-                v = [(a - factor * b) % p for a, b in zip(v, row)]
+                v = [(a - factor * b) % p for a, b in zip(v, rows[col])]
         return v
 
     def add(self, vec) -> bool:
@@ -246,16 +258,12 @@ class RowReducer:
         v = self._residual(vec)
         self._length = len(vec)
         p = self.p
-        rows = self._rows
         if p == 2:
             if not v & self._low:
                 self.inconsistent |= v != 0
                 return False
             bit = v & -v
-            for b, other in rows.items():
-                if other & bit:
-                    rows[b] = other ^ v
-            rows[bit] = v
+            self._rows[bit] = v
             self._pivot_bits |= bit
             return True
         col = next((i for i in range(self.width) if v[i]), None)
@@ -265,19 +273,39 @@ class RowReducer:
         inv = inv_mod(v[col], p)
         if inv != 1:
             v = [(x * inv) % p for x in v]
-        for c, other in rows.items():
-            factor = other[col]
-            if factor:
-                rows[c] = [(a - factor * b) % p for a, b in zip(other, v)]
-        rows[col] = v
+        self._rows[col] = v
+        bisect.insort(self._pivots, col)
         return True
 
     def echelon(self) -> dict[int, tuple[int, ...]]:
-        """The kept rows, extra columns included, keyed by pivot column."""
+        """The reduced row echelon form of the kept rows, extra columns
+        included, keyed by pivot column in increasing order."""
+        rows = self._rows
+        done = {}
         if self.p == 2:
-            return {bit.bit_length() - 1: _unpack(row, self._length)
-                    for bit, row in self._rows.items()}
-        return {col: tuple(row) for col, row in self._rows.items()}
+            # from the last pivot back: clear the later pivots set in a row
+            # with the rows already reduced, which are zero at every other pivot
+            pivot_bits = self._pivot_bits
+            for bit in sorted(rows, reverse=True):
+                row = rows[bit]
+                hit = (row ^ bit) & pivot_bits
+                while hit:
+                    b = hit & -hit
+                    row ^= done[b]
+                    hit ^= b
+                done[bit] = row
+            return {bit.bit_length() - 1: _unpack(done[bit], self._length)
+                    for bit in sorted(done)}
+        p = self.p
+        pivots = self._pivots
+        for i in range(len(pivots) - 1, -1, -1):
+            row = rows[pivots[i]]
+            for col in pivots[i + 1:]:
+                factor = row[col]
+                if factor:
+                    row = [(a - factor * b) % p for a, b in zip(row, done[col])]
+            done[pivots[i]] = row
+        return {col: tuple(done[col]) for col in pivots}
 
 
 def solve(a: FpMatrix, b) -> tuple[int, ...] | None:

@@ -23,16 +23,19 @@ the same read of one permutation.  Every translation the frame applies,
 in that read and in perm_of_coords, goes through one table per frame from
 an orbit's dimension and a position X to an operator.itemgetter that
 translates a lex-ordered tuple by X in one C call; orbits of one
-dimension share its entries.  A vector lies in a
-subspace H of F when its residual against the reduced row echelon form
-of a basis of H is zero.  That residual is M·x for H's variety matrix M,
-which is written out only when read; no matrix is inverted.
+dimension share its entries.  A vector lies in a subspace H of F when
+its residual against an echelon form of a basis of H is zero (every
+echelon form gives the same residual).  That residual is M·x for H's
+variety matrix M, which is written out only when read; no matrix is
+inverted.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import filterfalse
 from operator import itemgetter
 from typing import Callable
@@ -120,18 +123,37 @@ def position_sum(i: int, j: int, p: int) -> int:
     return out
 
 
+# the byte order of array("H"), in which the packed positions are read and written
+_BYTE_ORDER = sys.byteorder
+
+
+@lru_cache(maxsize=None)
+def _packed_range(dim: int) -> tuple[int, int]:
+    """range(2^dim) as one int of 16-bit fields, and the int with a 1 in
+    each of those fields.  MAX_N = 2^16 keeps every position of a frame
+    within a field; larger dimensions are refused (ValueError)."""
+    check_size(1 << dim)
+    fields = array("H", range(1 << dim)).tobytes()
+    ones = array("H", [1]).tobytes() * (1 << dim)
+    return int.from_bytes(fields, _BYTE_ORDER), int.from_bytes(ones, _BYTE_ORDER)
+
+
 def translation_positions(x, p: int) -> list[int]:
     """The translation by x (digits, most significant first) on
     F_p^len(x), with each vector numbered by its position: entry i is the
     position of the digits of i plus x.
 
-    At p = 2 that is i ^ position(x); otherwise the list is built from
-    the least significant digit up.  Either way no digit tuple is formed
-    per position.
+    At p = 2 that is i ^ position(x), taken for every i at once: the
+    positions are packed into 16-bit fields of one int, XORed with
+    position(x) in every field, and read back as a list.  Otherwise the
+    list is built from the least significant digit up.  Either way no
+    digit tuple is formed per position.
     """
     if p == 2:
-        shift = position(x, 2)
-        return [i ^ shift for i in range(1 << len(x))]
+        dim = len(x)
+        fields, ones = _packed_range(dim)
+        shifted = fields ^ position(x, 2) * ones
+        return array("H", shifted.to_bytes(2 << dim, _BYTE_ORDER)).tolist()
     pos = [0]
     stride = 1
     for xj in reversed(x):
@@ -296,7 +318,8 @@ class Frame:
         parity-check matrix of H (MacWilliams and Sloane, The Theory of
         Error-Correcting Codes, 1977, ch. 1): the row of a pivot column is
         zero, and the row of a free column j is e_j minus, at each pivot
-        column c, the entry at column j of c's echelon row."""
+        column c, the entry at column j of c's row in the reduced row
+        echelon form."""
         reducer = RowReducer(self.p, self.dim)
         for v in sub_basis:
             if not reducer.add(v):

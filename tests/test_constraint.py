@@ -1,6 +1,8 @@
 import itertools
+import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ from util import (
     relabelled_frames,
     satisfies_pointwise,
     schoolbook_rank,
-    schoolbook_solve,
+    schoolbook_solve_linear,
     schoolbook_variety_matrix,
 )
 
@@ -301,7 +303,7 @@ def test_solve_linear_detects_inconsistent_system():
     fr = build_frame(4, [g], 2)
     lin = linearize(fr, compute_all_vo(fr, inst))
     assert isinstance(lin, LinearizedConstraint)
-    direct = solve_linear(fr, group_variety(fr), lin)
+    direct = solve_linear(fr, lin)
     assert direct.status == "unsat" and direct.reason == "inconsistent"
     out = solve(inst)
     assert out.status == "unsat" and out.reason == "inconsistent"
@@ -363,9 +365,50 @@ def test_linear_path_agrees_with_enumeration(p, dim_range, k):
     assert linear >= 50
 
 
+@pytest.mark.parametrize("p, dim_range", [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
+    """solve_linear against M_G·B_E solved with free variables 0
+    (util.schoolbook_solve_linear, with M_G built by inversion): the same
+    status, reason and witness on each linear gen_instance draw, on the
+    draw with w moved to a random vector of F (often inconsistent), and on
+    the draw with a random member of G + E, g + e with g in G nonzero,
+    put into E's basis at a random place.  Then E ∩ G holds g, so there are
+    several solutions, and which one is returned depends on that place."""
+    rng = random.Random(100 * p + k)
+    seen = Counter()
+    for seed in range(40):
+        cfg = GenConfig(p=p, seed=2000 * p + 100 * k + seed, k=k, q_range=(1, 3),
+                        dim_range=dim_range)
+        inst = gen_instance(cfg).instance
+        fr = build_frame(inst.n, inst.gens, p)
+        lin = linearize(fr, compute_all_vo(fr, inst))
+        if not isinstance(lin, LinearizedConstraint):
+            continue
+        m_g = schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0])
+
+        def combination(vecs):
+            coeffs = [rng.randrange(p) for _ in vecs]
+            return tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) % p for j in range(fr.dim))
+
+        g = combination(fr.gen_coords)
+        member = tuple((a + b) % p for a, b in zip(g, combination(lin.e_basis)))
+        at = rng.randrange(len(lin.e_basis) + 1)
+        moved = LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr.dim)), lin.e_basis)
+        joined = LinearizedConstraint(lin.w, lin.e_basis[:at] + (member,) + lin.e_basis[at:])
+        for case in (lin, moved, joined):
+            out = solve_linear(fr, case)
+            ref = schoolbook_solve_linear(fr, m_g, case)
+            assert (out.status, out.reason, out.method, out.witness) == (
+                ref.status, ref.reason, ref.method, ref.witness), f"seed {cfg.seed}"
+            seen[out.status, out.reason] += 1
+        seen["joined"] += any(g)
+    assert seen["sat", None] and seen["unsat", "inconsistent"] and seen["joined"]
+
+
 def test_group_variety_built_only_to_test_membership(monkeypatch):
-    """empty-vo, fallback none and fallback enumerate never test membership
-    through M_G; the linear solver and the product fallback build it once."""
+    """empty-vo, the linear solver, fallback none and fallback enumerate
+    never build M_G; the product fallback builds it once."""
     vm_calls = []
     real = constraint.group_variety
 
@@ -374,16 +417,18 @@ def test_group_variety_built_only_to_test_membership(monkeypatch):
         return real(fr)
 
     monkeypatch.setattr(constraint, "group_variety", counted)
-    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
-    assert solve(linear).status == "sat"
     nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance
     assert solve(nonlinear, fallback="product").status == "sat"
-    assert len(vm_calls) == 2
+    assert len(vm_calls) == 1
 
     def refuse(fr):
         raise AssertionError("group_variety called")
 
     monkeypatch.setattr(constraint, "group_variety", refuse)
+    linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
+    assert solve(linear).status == "sat"
+    diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    assert solve(normalize([(1, {2}), (3, {3})], 4, [diagonal], 2)).reason == "inconsistent"
     empty = normalize([(1, set())], 8, list(eight_point_gens()), 2)
     assert solve(empty).reason == "empty-vo"
     assert solve(nonlinear, fallback="none").status == "notlinear"
@@ -408,12 +453,14 @@ def test_group_variety_has_the_row_space_of_the_inverted_change_of_basis(p):
 
 def test_no_solve_or_verify_path_inverts_a_matrix(monkeypatch):
     """A linear, a product-fallback and an inconsistent decision, and the
-    verification of their witnesses, run with fpalg.invert refused."""
+    verification of their witnesses, run with fpalg.invert and fpalg.solve
+    refused."""
 
-    def refuse(m):
-        raise AssertionError("fpalg.invert called")
+    def refuse(*args):
+        raise AssertionError("fpalg.invert or fpalg.solve called")
 
     monkeypatch.setattr(fpalg, "invert", refuse)
+    monkeypatch.setattr(fpalg, "solve", refuse)
     linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
     nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 3).instance
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -562,10 +609,10 @@ def test_solve_reads_each_generator_once_per_decision(monkeypatch):
 
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
-    """Status, reason and witness are the same when a schoolbook list
-    elimination stands in for fpalg's solve, and M_G is built by inverting
-    a change of basis and multiplied by list dot products instead of
-    giving packed residuals against an echelon form."""
+    """Status, reason and witness are the same when the linear branch is
+    the schoolbook reference, M_G·B_E solved by a list elimination, and
+    M_G is built by inverting a change of basis and multiplied by list dot
+    products instead of giving packed residuals against an echelon form."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -574,9 +621,12 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     assert {(out.status, out.reason) for out in packed} >= {
         ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent")}
 
-    monkeypatch.setattr(fpalg, "solve", schoolbook_solve)
-    monkeypatch.setattr(constraint, "group_variety",
-                        lambda fr: schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0]))
+    def list_variety(fr):
+        return schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0])
+
+    monkeypatch.setattr(constraint, "solve_linear",
+                        lambda fr, lin: schoolbook_solve_linear(fr, list_variety(fr), lin))
+    monkeypatch.setattr(constraint, "group_variety", list_variety)
     assert [solve(inst) for inst in insts] == packed
 
 

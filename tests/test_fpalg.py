@@ -18,7 +18,14 @@ from gcsolve.fpalg import (
     solve,
 )
 from gcsolve.instfile import InstanceFormatError, parse_instance
-from util import schoolbook_invert, schoolbook_rank, schoolbook_residual, schoolbook_solve
+from util import (
+    schoolbook_echelon,
+    schoolbook_invert,
+    schoolbook_rank,
+    schoolbook_residual,
+    schoolbook_rref,
+    schoolbook_solve,
+)
 
 
 def test_is_prime_small_values():
@@ -313,6 +320,85 @@ def test_reduce_matches_the_schoolbook_residual(shape, count, seed):
     assert not any(reducer.reduce(member))
     assert (not any(got)) == _spans(p, width, vecs, x)
     assert (reducer.echelon(), reducer.rank) == (echelon, len(echelon))
+
+
+def _snapshot(reducer):
+    # the kept rows as they are stored, copied so that a later edit shows
+    return {key: row if isinstance(row, int) else list(row) for key, row in reducer._rows.items()}
+
+
+@settings(max_examples=90, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), width=WIDTHS, count=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_add_keeps_earlier_rows_and_reading_echelon_changes_nothing(p, width, count, seed):
+    """add stores a row and leaves every row kept before it as it was;
+    echelon() is the schoolbook reduced row echelon form whether it is
+    read before, between or after adds, and reading it changes no later
+    add, reduce, rank or inconsistent flag."""
+    rng = random.Random(seed)
+    read = RowReducer(p, width)
+    unread = RowReducer(p, width)
+    assert read.echelon() == {}
+    seen = []
+    for _ in range(count):
+        if seen and rng.random() < 0.4:
+            picked = [(rng.randrange(p), v) for v in seen if rng.random() < 0.5]
+            vec = [sum(c * v[col] for c, v in picked) for col in range(width)]
+        else:
+            vec = _raw(rng, width)
+        before = _snapshot(read)
+        added = read.add(vec)
+        assert added == unread.add(vec)
+        after = _snapshot(read)
+        assert {key: after[key] for key in before} == before
+        assert len(after) == len(before) + added
+        seen.append(vec)
+        if rng.random() < 0.5:
+            assert read.echelon() == schoolbook_echelon(seen, p, width)
+        x = _raw(rng, width)
+        assert read.reduce(x) == unread.reduce(x)
+        assert read.rank == unread.rank
+    assert read.echelon() == unread.echelon() == schoolbook_echelon(seen, p, width)
+
+
+@settings(max_examples=90, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), width=WIDTHS, extra=st.integers(1, 6),
+       count=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), mapped=st.booleans())
+def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count, seed, mapped):
+    """Vectors with extra columns after the pivot width, pivots searched in
+    the first width columns.  inconsistent is set exactly when some
+    combination of the vectors is zero in the pivot columns but not after
+    them.  Without one, the residual and the echelon form are the
+    schoolbook elimination's; with one, the extra columns of the span's
+    rows are not unique, and the residual is so in the pivot columns.
+    When mapped, every vector's extra columns are a fixed linear image of
+    its pivot columns, so no such combination exists."""
+    rng = random.Random(seed)
+    image = [_raw(rng, width) for _ in range(extra)]
+    reducer = RowReducer(p, width)
+    vecs = []
+    for _ in range(count):
+        vec = _raw(rng, width + extra)
+        if vecs and rng.random() < 0.3:
+            # the pivot columns of an earlier vector, other extra columns
+            vec[:width] = vecs[rng.randrange(len(vecs))][:width]
+        if mapped:
+            vec[width:] = [sum(a * b for a, b in zip(row, vec)) for row in image]
+        reducer.add(vec)
+        vecs.append(vec)
+    rows = [[c % p for c in v] for v in vecs]
+    pivots = schoolbook_rref(rows, p, width)
+    inconsistent = any(any(row) for row in rows[len(pivots):])
+    assert reducer.inconsistent == inconsistent
+    assert not (mapped and inconsistent)
+    x = _raw(rng, width + extra)
+    want = schoolbook_residual(vecs, x, p, width)
+    if inconsistent:
+        assert reducer.reduce(x)[:width] == want[:width]
+        assert sorted(reducer.echelon()) == pivots
+    else:
+        assert reducer.reduce(x) == want
+        assert reducer.echelon() == schoolbook_echelon(vecs, p, width)
 
 
 def test_reduce_rejects_a_vector_of_the_wrong_length():

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcsolve.fpalg import RowReducer
-from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
+from gcsolve.frame import (
+    FrameError,
+    NotInSuperspaceError,
+    build_frame,
+    position,
+    translation_positions,
+)
 from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.perm import (
     MAX_N,
@@ -351,6 +357,24 @@ def test_translation_positions_at_p2_is_the_digit_construction(d):
     for x in keys:
         want = [index[tuple((a + b) % 2 for a, b in zip(k, x))] for k in keys]
         assert translation_positions(x, 2) == want
+
+
+@pytest.mark.parametrize("dim", range(17))
+def test_translation_positions_at_p2_is_the_xor_of_every_position(dim):
+    """The packed XOR against i ^ position(x) for every i: every x up to
+    dimension 6, and sampled x, the all-ones one included, above that,
+    up to the 2^16 = MAX_N positions a frame can hold."""
+    if dim <= 6:
+        xs = list(itertools.product(range(2), repeat=dim))
+    else:
+        rng = random.Random(dim)
+        xs = [(1,) * dim] + [tuple(rng.randrange(2) for _ in range(dim)) for _ in range(6)]
+    for x in xs:
+        shift = position(x, 2)
+        assert translation_positions(x, 2) == [i ^ shift for i in range(1 << dim)]
+    if dim == 16:
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            translation_positions((1,) * 17, 2)
 
 
 @pytest.mark.parametrize("x,p,want", [

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
-from gcsolve.constraint import normalize
+from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
 from gcsolve.fpalg import FpMatrix, SingularMatrixError, is_prime
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
 from gcsolve.genbench import GenConfig, gen_instance, translation_perm
@@ -197,11 +197,20 @@ def schoolbook_rank(vecs, p, width):
     return len(schoolbook_rref([[x % p for x in v] for v in vecs], p, width))
 
 
-def schoolbook_residual(vecs, x, p):
-    """x minus the combination of the reduced row echelon rows of vecs that
-    clears x at every pivot column."""
+def schoolbook_echelon(vecs, p, width):
+    """RowReducer.echelon's answer for vecs: the reduced row echelon rows,
+    pivots in the first width columns, keyed by pivot column."""
     rows = [[c % p for c in v] for v in vecs]
-    pivots = schoolbook_rref(rows, p, len(x))
+    pivots = schoolbook_rref(rows, p, width)
+    return {col: tuple(row) for col, row in zip(pivots, rows)}
+
+
+def schoolbook_residual(vecs, x, p, width=None):
+    """x minus the combination of the reduced row echelon rows of vecs that
+    clears x at every pivot column; pivots lie in the first width columns
+    (all of them by default)."""
+    rows = [[c % p for c in v] for v in vecs]
+    pivots = schoolbook_rref(rows, p, len(x) if width is None else width)
     out = [c % p for c in x]
     for row, col in zip(rows, pivots):
         factor = out[col]
@@ -221,6 +230,24 @@ def schoolbook_solve(a, b):
     for row, col in zip(rows, pivots):
         x[col] = row[n]
     return tuple(x)
+
+
+def schoolbook_solve_linear(fr, m_g, lin):
+    """constraint.solve_linear by the system it decides: x = w + B_E·mu
+    lies in G exactly when (M_G·B_E)·mu = -M_G·w, d equations on dim E
+    unknowns, solved with free variables 0 (schoolbook_solve).  m_g is a
+    variety matrix of G (any one: the answer depends on its kernel only)."""
+    p = fr.p
+    cols = [m_g.product(e) for e in lin.e_basis]
+    rows = tuple(tuple(col[i] for col in cols) for i in range(fr.dim))
+    rhs = tuple(-y % p for y in m_g.product(lin.w))
+    mu = schoolbook_solve(FpMatrix(p, rows), rhs)
+    if mu is None:
+        return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
+    x = list(lin.w)
+    for c, e in zip(mu, lin.e_basis):
+        x = [(a + c * b) % p for a, b in zip(x, e)]
+    return SolveOutcome.sat(fr.perm_of_coords(x), "linear")
 
 
 def schoolbook_invert(m):
