@@ -4,12 +4,13 @@ All randomness flows through SplitMix64 so runs are reproducible across
 platforms; per-sample streams are derived from (root seed, cell index,
 sample index).  Orbit i of an instance is a block of consecutive points,
 a copy of F_p^{d_i} numbered in lex order, so its generators and planted
-witness are translations built on frame.translation_positions, and the
-constraints are range-checked and kept as stated by constraint.normalize,
-as a parsed instance keeps its own.  The harness times the linear pipeline against the
-enumeration oracle and aggregates summary rows (means and standard
-deviations as a percent of the mean, with "-" for cells where the oracle
-was capped).
+witness are translations built on frame.translation_positions by
+translation_perms, whose one table per call builds each distinct block
+translation once, and the constraints are range-checked and kept as
+stated by constraint.normalize, as a parsed instance keeps its own.  The
+harness times the linear pipeline against the enumeration oracle and
+aggregates summary rows (means and standard deviations as a percent of
+the mean, with "-" for cells where the oracle was capped).
 """
 
 from __future__ import annotations
@@ -178,17 +179,34 @@ def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
         f"could not draw dims reaching dim_g={cfg.dim_g} with n <= {MAX_N} from {cfg}")
 
 
-def translation_perm(p: int, dims, vector) -> Permutation:
-    """The permutation translating consecutive blocks of points, block i a
+def translation_perms(p: int, dims, vectors) -> list[Permutation]:
+    """The permutations translating consecutive blocks of points, block i a
     copy of F_p^dims[i] numbered in lex order (see translation_positions),
-    each by the matching slice of vector."""
-    images: list[int] = []
-    lo = 0
-    for d in dims:
-        off = len(images)
-        images.extend(off + i + 1 for i in translation_positions(vector[lo:lo + d], p))
-        lo += d
-    return Permutation._trusted(tuple(images))
+    each by the matching slice of one of the vectors.
+
+    One table per call maps a block's digits to their translation, so
+    blocks of the same dimension share it and each distinct translation is
+    built once; a block's images are its positions shifted past the
+    blocks before it."""
+    table: dict[tuple[int, ...], list[int]] = {}
+    perms = []
+    for vector in vectors:
+        images: list[int] = []
+        lo = 0
+        for d in dims:
+            digits = tuple(vector[lo:lo + d])
+            positions = table.get(digits)
+            if positions is None:
+                positions = table[digits] = translation_positions(digits, p)
+            images.extend(map((len(images) + 1).__add__, positions))
+            lo += d
+        perms.append(Permutation._trusted(tuple(images)))
+    return perms
+
+
+def translation_perm(p: int, dims, vector) -> Permutation:
+    """The translation of the blocks by one vector (see translation_perms)."""
+    return translation_perms(p, dims, [vector])[0]
 
 
 def gen_instance(cfg: GenConfig) -> GenResult:
@@ -210,15 +228,17 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     for _ in range(100_000):
         cand = [[rng.below(p) for _ in range(d)] for _ in range(dim_g)]
         total = RowReducer(p, d)
-        if sum(total.add(row) for row in cand) != dim_g:
+        if not all(total.add(row) for row in cand):
             continue
         lo = 0
         ok = True
         for di in dims:
+            # more rows cannot change a rank that is already full
             block = RowReducer(p, di)
             for row in cand:
-                block.add(row[lo:lo + di])
-            if block.rank != di:
+                if block.add(row[lo:lo + di]) and block.rank == di:
+                    break
+            else:
                 ok = False
                 break
             lo += di
@@ -228,17 +248,19 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     if rows is None:
         raise ValueError(f"could not draw generators for {cfg}")
 
-    gens = [translation_perm(p, dims, row) for row in rows]
-
+    # building a permutation draws nothing, so the generators and the
+    # witness are built together, through one table, after the draws
     planted = rng.uniform01() < cfg.sat_bias
-    witness = None
+    vectors = list(rows)
     if planted:
         coeffs = [rng.below(p) for _ in range(dim_g)]
         witness_vec = [0] * d
         for c, row in zip(coeffs, rows):
             if c:
                 witness_vec = [(w + c * x) % p for w, x in zip(witness_vec, row)]
-        witness = translation_perm(p, dims, witness_vec)
+        vectors.append(witness_vec)
+    gens = translation_perms(p, dims, vectors)
+    witness = gens.pop() if planted else None
 
     cmap = {}
     off = 0

@@ -15,15 +15,19 @@ parse(render(x)) reproduces x exactly.
 
 The parser reads the point tokens of ``g`` and ``c`` lines through one
 table per parse, from the canonical names "1".."n" to their ints, so one
-lookup converts a token and checks its range; a ``g`` line whose tokens
-all hit the table then needs only the distinctness test.  A line with any
-other token (``+3``, ``007``, ``0``, ``x``) is read again with int(), so
-the same files are accepted and every error names its line.  The parsed
+lookup converts a token and checks its range.  The n tokens of a ``g``
+line (n > 1) are looked up in one ``operator.itemgetter`` call, and when
+all of them hit the table the line needs only the distinctness test.  A
+line with any other token (``+3``, ``007``, ``0``, ``x``), another token
+count, or n <= 1 is read again with int(), so the same files are
+accepted and every error names its line.  The parsed
 instance keeps the constraints as stated (see constraint.normalize); its
 orbits are found when the frame is built.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .constraint import GcInstance
 # normalize is re-exported: parse_instance builds its instance from tokens
@@ -131,12 +135,15 @@ def parse_instance(text: str) -> GcInstance:
     gens = []
     for _ in range(m):
         lineno, tokens = take("g")
-        try:
-            images = tuple(map(name, tokens[1:]))
-        except KeyError:
-            images = None
+        images = None
+        # n > 1 names read in one itemgetter call, which gives a tuple
+        if n > 1 and len(tokens) == n + 1:
+            try:
+                images = itemgetter(*tokens[1:])(names)
+            except KeyError:
+                pass
         # n distinct names of 1..n are a bijection on 1..n
-        if images is not None and len(images) == n and len(set(images)) == n:
+        if images is not None and len(set(images)) == n:
             gens.append(Permutation._trusted(images))
         else:
             gens.append(_generator(tokens, n, lineno))
@@ -165,8 +172,10 @@ def render_instance(inst: GcInstance) -> str:
         f"n {inst.n}",
         f"m {len(inst.gens)}",
     ]
+    # the names "0".."n" of the points, each made once per render
+    name = list(map(str, range(inst.n + 1))).__getitem__
     for g in inst.gens:
-        out.append("g " + " ".join(map(str, g.images)) if g.n else "g")
+        out.append("g " + " ".join(map(name, g.images)) if g.n else "g")
     # each stated set cut to its point's orbit, written when the cut leaves
     # out part of the orbit; an unstated point is constrained to its orbit
     orbits = inst.orbits
@@ -178,7 +187,7 @@ def render_instance(inst: GcInstance) -> str:
             orbit = orbit_sets[i] = frozenset(orbits.blocks[i])
         cut = inst.constraints[a] & orbit
         if len(cut) < len(orbit):
-            out.append(f"c {a} : " + " ".join(map(str, sorted(cut))))
+            out.append(f"c {a} : " + " ".join(map(name, sorted(cut))))
     return "\n".join(line.rstrip() for line in out) + "\n"
 
 

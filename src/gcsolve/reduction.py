@@ -6,8 +6,10 @@ clause, the p^k assignments of the clause's variables by translation; the
 second uses one p-cycle per variable plus one p-cycle per clause tracking
 the sum of the clause's variables.  Either way each block of points is a
 copy of F_p^k (or F_p) numbered in lex order, so every group element is a
-translation built by genbench.translation_perm, and the constraints are
-range-checked and kept as stated by constraint.normalize.
+translation built by genbench.translation_perms, whose one table per call
+builds each distinct block translation once for all the generators, and
+the constraints are range-checked and kept as stated by
+constraint.normalize.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from .constraint import GcInstance, normalize
 from .fpalg import is_prime
 from .frame import translation_positions
-from .genbench import translation_perm
+from .genbench import translation_perm, translation_perms
 from .perm import Permutation
 
 
@@ -119,11 +121,14 @@ class ReducedInstance:
         return _two_cstr_image(self.clause_set, self.p, values)
 
 
+def _one_in_k_shifts(s: ClauseSet, values: dict) -> list[int]:
+    """Per clause, the values of the clause's variables: the translation
+    of its block of assignments."""
+    return [values.get(v, 0) for clause in s.clauses for v in clause]
+
+
 def _one_in_k_image(s: ClauseSet, p: int, values: dict) -> Permutation:
-    """Per clause, the translation of its block of assignments by the
-    values of the clause's variables."""
-    shifts = [values.get(v, 0) for clause in s.clauses for v in clause]
-    return translation_perm(p, (s.k,) * len(s.clauses), shifts)
+    return translation_perm(p, (s.k,) * len(s.clauses), _one_in_k_shifts(s, values))
 
 
 def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
@@ -142,7 +147,8 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
             points[(t, w)] = t * block + sum(x * p ** (k - 1 - i) for i, x in enumerate(w)) + 1
             labels.append(f"c{t}:" + "".join(map(str, w)))
     n = block * len(s.clauses)
-    gens = [_one_in_k_image(s, p, {v: 1}) for v in s.sigma]
+    gens = translation_perms(p, (k,) * len(s.clauses),
+                             [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
     # each point may advance by one of the clause's variable indicators
     units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
     cmap = {}
@@ -153,12 +159,16 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
     return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
 
 
-def _two_cstr_image(s: ClauseSet, p: int, values: dict) -> Permutation:
+def _two_cstr_shifts(s: ClauseSet, p: int, values: dict) -> list[int]:
     """Each variable's cycle advanced by its value, and each clause's by the
     sum of its variables' values."""
     shifts = [values.get(v, 0) for v in s.sigma]
-    shifts += [sum(values.get(v, 0) for v in clause) % p for clause in s.clauses]
-    return translation_perm(p, (1,) * len(shifts), shifts)
+    return shifts + [sum(values.get(v, 0) for v in clause) % p for clause in s.clauses]
+
+
+def _two_cstr_image(s: ClauseSet, p: int, values: dict) -> Permutation:
+    return translation_perm(p, (1,) * (len(s.sigma) + len(s.clauses)),
+                            _two_cstr_shifts(s, p, values))
 
 
 def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
@@ -192,7 +202,8 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
             points[("clause", t, y)] = idx
             labels.append(f"c{t}:{y}")
     n = idx
-    gens = [_two_cstr_image(s, p, {v: 1}) for v in s.sigma]
+    gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
+                             [_two_cstr_shifts(s, p, {v: 1}) for v in s.sigma])
     cmap = {}
     for v in s.sigma:
         for x in range(p):

@@ -2,6 +2,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcsolve
 from gcsolve.constraint import MAX_N, solve, verify
@@ -16,9 +18,13 @@ from gcsolve.genbench import (
     gen_instance,
     n_sweep,
     rows_to_csv,
+    translation_perm,
+    translation_perms,
 )
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian
+from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
+from util import schoolbook_translation_perm
 
 
 def test_splitmix64_reference_vectors():
@@ -157,6 +163,35 @@ def test_gen_n_target_mode():
         assert sum(2**d for d in res.dims) == 32
 
 
+@st.composite
+def translation_cases(draw):
+    """(p, dims, vectors) at p in {2, 3, 5}: up to four blocks of dimension
+    1-3 (1-2 at p = 5), and vectors drawn at random, as zero vectors, or
+    as copies of earlier ones, so that blocks repeat within a vector and
+    across the list and hit the table."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    dims = tuple(draw(st.lists(st.integers(1, 2 if p == 5 else 3), min_size=1, max_size=4)))
+    d = sum(dims)
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(("random", "zero", "repeat")), max_size=8)):
+        if kind == "zero":
+            vectors.append([0] * d)
+        elif kind == "repeat" and vectors:
+            vectors.append(list(draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)))
+    return p, dims, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(translation_cases())
+def test_translation_perms_match_the_block_by_block_reference(case):
+    p, dims, vectors = case
+    expected = [schoolbook_translation_perm(p, dims, v) for v in vectors]
+    assert translation_perms(p, dims, vectors) == expected
+    assert [translation_perm(p, dims, v) for v in vectors] == expected
+
+
 def _pinned_configs():
     """Each mode of gen_instance (fixed dims, a dim_g target, an n_target)
     at p = 2, 3 and 5, never and always planted, over two seeds."""
@@ -181,6 +216,69 @@ def test_gen_output_is_pinned():
         h.update(render_witness(res.witness).encode() if res.witness else b"-\n")
         h.update(f"{res.dims} {res.dim_g}\n".encode())
     assert h.hexdigest() == "218ba8b1911afc3e0cf7951ca7de75d114a556c5d60f524c9c7b4d510abe043c"
+
+
+def _text_configs():
+    """gen_instance configs over p = 2, 3 and 5 and k = 1, 2 and 3, never
+    and always planted: many small orbits (dims 1-3), drawn dims with and
+    without a dim_g target, and an n_target; deep orbits (dims 8-10) at
+    p = 2; and configs whose first draws fail the total rank test
+    (dims (1,) * 6, dim_g 6) or a block rank test (dims (2, 2, 2),
+    dim_g 2, and the same at p = 3)."""
+    for p in (2, 3, 5):
+        modes = (
+            dict(dims=(3, 1, 2, 1, 3, 2)),
+            dict(q_range=(1, 4), dim_range=(1, 3)),
+            dict(dim_g=3, q_range=(1, 4), dim_range=(1, 3)),
+            dict(n_target=p**3 + 2 * p, dim_range=(1, 3)),
+        )
+        for k in (1, 2, 3):
+            for m, mode in enumerate(modes):
+                for sat_bias in (0.0, 1.0):
+                    yield GenConfig(p=p, seed=derive_seed(p, k, m, int(sat_bias)), k=k,
+                                    sat_bias=sat_bias, **mode)
+    for i, dims in enumerate(((10,), (9, 8), (8, 9, 8))):
+        for sat_bias in (0.0, 1.0):
+            yield GenConfig(p=2, seed=derive_seed(2, 8, i, int(sat_bias)), k=1 + i,
+                            sat_bias=sat_bias, dims=dims)
+    for p, mode in ((2, dict(dims=(1,) * 6, dim_g=6)), (2, dict(dims=(2, 2, 2), dim_g=2)),
+                    (3, dict(dims=(2, 2, 2), dim_g=2))):
+        for seed in range(4):
+            yield GenConfig(p=p, seed=derive_seed(p, 9, seed), k=2, sat_bias=seed % 2, **mode)
+
+
+def _clause_sets(p):
+    """Seeded clause sets over six variables: clauses of size 2 and 3, and
+    of size p for reduce_2cstr."""
+    rng = SplitMix64(derive_seed(p, 10))
+    sigma = tuple(f"x{i}" for i in range(1, 7))
+    for size in sorted({2, 3, p}):
+        count = rng.randint(1, 4)
+        yield ClauseSet(sigma, tuple(tuple(rng.sample(sigma, size)) for _ in range(count)))
+
+
+def test_generated_texts_are_pinned():
+    """The rendered instance and witness of every config above, and the
+    reductions of seeded clause sets with the image of one assignment:
+    a change to how instances are built that moves any draw, generator,
+    witness or constraint shows here."""
+    h = hashlib.sha256()
+    for cfg in _text_configs():
+        res = gen_instance(cfg)
+        h.update(render_instance(res.instance).encode())
+        h.update(render_witness(res.witness).encode() if res.witness else b"-\n")
+        h.update(f"{res.dims} {res.dim_g}\n".encode())
+    for p in (2, 3, 5):
+        rng = SplitMix64(derive_seed(p, 11))
+        for s in _clause_sets(p):
+            reductions = [reduce_1in_k(s, p)]
+            if s.k == p:
+                reductions.append(reduce_2cstr(s, p))
+            for red in reductions:
+                u = {v: rng.below(p) for v in s.sigma}
+                h.update(render_instance(red.instance).encode())
+                h.update(render_witness(red.morphism(u)).encode())
+    assert h.hexdigest() == "8cbdf3f49477b353fdcb5c0fafb545e332ad74f13029b049e892b18b67155972"
 
 
 def _outcome_configs():

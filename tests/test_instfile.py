@@ -88,6 +88,41 @@ def test_each_error_keeps_its_message_and_line(old, new, message):
     assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
 
 
+def _gc(n, *g_lines):
+    return f"gc 1\np 2\nn {n}\nm {len(g_lines)}\n" + "".join(f"{g}\n" for g in g_lines)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # n <= 1: every g line is read with int()
+    (_gc(0, "g"), [()]),
+    (_gc(0, "g 1"), "line 5: generator has 1 images, expected 0"),
+    (_gc(1, "g 1"), [(1,)]),
+    (_gc(1, "g 2"), "line 5: images do not form a bijection on 1..1"),
+    (_gc(1, "g"), "line 5: generator has 0 images, expected 1"),
+    (_gc(1, "g 1 1"), "line 5: generator has 2 images, expected 1"),
+    (_gc(1, "g x"), "line 5: generator images must be integers"),
+    # n = 2, the smallest line read in one lookup
+    (_gc(2, "g 2 1"), [(2, 1)]),
+    (_gc(2, "g 2 2"), "line 5: images do not form a bijection on 1..2"),
+    (_gc(2, "g 2"), "line 5: generator has 1 images, expected 2"),
+    (_gc(2, "g 2 1 1"), "line 5: generator has 3 images, expected 2"),
+    (_gc(2, "g 2 1", "g 1 x"), "line 6: generator images must be integers"),
+    # n and n + 2 tokens: one image too few or too many
+    (_gc(4, "g 2 1 4 3", "g 3 4 1"), "line 6: generator has 3 images, expected 4"),
+    (_gc(4, "g 2 1 4 3", "g 3 4 1 2 1"), "line 6: generator has 5 images, expected 4"),
+    (_gc(4, "g 2 1 4 3", "g 3 4 1 2 5"), "line 6: generator has 5 images, expected 4"),
+    (_gc(4, "g 2 1 4 3", "g 3 4 x 2 1"), "line 6: generator images must be integers"),
+])
+def test_g_lines_at_every_size_and_token_count(text, outcome):
+    if isinstance(outcome, list):
+        assert [g.images for g in parse_instance(text).gens] == outcome
+    else:
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == outcome
+    assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
 def test_tokens_outside_the_table_that_int_reads_are_accepted():
     text = SMALL.replace("g 2 1 4 3", "g 02 +1 004 3").replace("c 1 : 2 4", "c 01 : +2 4 2")
     inst = parse_instance(text)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
 from gcsolve.fpalg import FpMatrix, SingularMatrixError, is_prime
-from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame
-from gcsolve.genbench import GenConfig, gen_instance, translation_perm
+from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
+from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.instfile import InstanceFormatError
 from gcsolve.perm import MAX_N, Permutation, compose
 
@@ -79,6 +79,20 @@ def constraint_k(inst):
                 if len(cset) < len(orbits.blocks[orbits.block_index(a)])), default=0)
 
 
+def schoolbook_translation_perm(p, dims, vector):
+    """The translation of consecutive blocks of points, block i a copy of
+    F_p^dims[i] numbered in lex order, each by the matching slice of
+    vector: built block by block, one translation_positions call per
+    block and no table."""
+    images: list[int] = []
+    lo = 0
+    for d in dims:
+        off = len(images)
+        images.extend(off + i + 1 for i in translation_positions(vector[lo:lo + d], p))
+        lo += d
+    return Permutation(tuple(images))
+
+
 # -- tuple arithmetic on tables rebuilt from lex, a reference for positions --
 
 
@@ -106,7 +120,7 @@ def relabelled_frames(draw):
         return Permutation(tuple(out))
 
     vec = draw(st.lists(st.integers(0, p - 1), min_size=sum(dims), max_size=sum(dims)))
-    w = relabelled(translation_perm(p, dims, vec).images)
+    w = relabelled(schoolbook_translation_perm(p, dims, vec).images)
     planted = draw(st.booleans())
     raw = []
     for a in draw(st.lists(st.integers(1, n), max_size=6)):
