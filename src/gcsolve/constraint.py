@@ -495,9 +495,8 @@ def verify_detail(
     return True, None
 
 
-def verify(inst: GcInstance, g: Permutation, fr: Frame | None = None,
-           m_g: VarietyMatrix | None = None) -> bool:
-    return verify_detail(inst, g, fr, m_g)[0]
+def verify(inst: GcInstance, g: Permutation, fr: Frame | None = None) -> bool:
+    return verify_detail(inst, g, fr)[0]
 
 
 # -- lex-smaller model constraints -----------------------------------------

@@ -1,19 +1,19 @@
 """Exact dense linear algebra over the field of integers mod a prime p.
 
 There is one elimination, RowReducer: incremental Gaussian elimination,
-which keeps each row as it was reduced when it was added and builds the
-reduced row echelon form by back-substitution only when echelon() is
-read.  Membership in a span is a zero residual (RowReducer.reduce).
-solve and invert feed it augmented rows and read that form; nothing in
-the package calls them.
+which keeps each row as it was reduced when it was added.  Every answer
+is read as a residual against the kept rows (RowReducer.reduce): a
+vector is in their span exactly when its residual is zero, and solve and
+invert are residual reads too, of vectors carried with an identity
+block; nothing in the package calls those two.
 Rows follow p.  At p = 2 a row is one Python int with bit j holding
 column j, so a row operation is one XOR of whole rows: the standard GF(2)
 technique (see M4RI in Albrecht, Bard and Hart, "Algorithm 898: Efficient
 multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010).  At
 other primes a row is a plain list of residues and elimination is
-schoolbook.  Residuals and the reduced row echelon form are unique, so
-every result is the same in either representation.  Matrices are small (a
-few hundred rows at most in practice).
+schoolbook.  Residuals are unique, so every result is the same in either
+representation.  Matrices are small (a few hundred rows at most in
+practice).
 
 PackedDigits packs a whole vector of residues into one int for the
 solvers' sums of vectors: one bit per entry at p = 2, where addition is
@@ -25,10 +25,8 @@ within a register).
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # for every n below _PRIME_TEST_LIMIT, the 13th such threshold psi_13
@@ -75,17 +73,11 @@ def exact_log(size: int, p: int) -> int | None:
     return r if size == 1 else None
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> tuple[int, ...]:
-    # index 0 unused; p is prime so Fermat exponentiation works
-    return (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
-
-
 def inv_mod(x: int, p: int) -> int:
     """Multiplicative inverse of a nonzero residue."""
     if x % p == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return _inverse_table(p)[x % p]
+    return pow(x, -1, p)
 
 
 class SingularMatrixError(ValueError):
@@ -194,31 +186,26 @@ class RowReducer:
     block; they take part in every row operation but never hold a pivot.
     add() keeps a vector's residual, reduce(), as a new row when a pivot
     column of it is nonzero, scaled so that its pivot, its first nonzero
-    entry, is 1.  Rows already kept are never touched: a row is zero at
-    the pivots of the rows kept before it, but may be nonzero at the
-    pivots of later ones, which lie after its own.  reduce() therefore
-    walks the pivots in increasing order, and each subtraction can only
-    change entries at later pivots.  The residual against rows with
-    distinct pivots is unique, so it is the one the reduced row echelon
-    form gives; echelon() builds that form by back-substitution when it
-    is read.  A vector that reduces to zero in the pivot columns but not
-    after them sets `inconsistent`.
+    entry, is 1.  Rows already kept are never touched, so a row is zero
+    at the pivots of the rows kept before it.  reduce() walks the rows in
+    the order they were kept: subtracting a row to clear its pivot leaves
+    the earlier pivots zero and can change only later ones.  The
+    coefficients that clear every pivot are unique, so the residual is
+    too, in every column, extra columns included.
 
     At p = 2 the rows are packed ints, keyed by their pivot bit (the lowest
     set bit), and the lowest pivot bit set in a vector names the next row
     to XOR into it.  At other primes they are lists keyed by pivot column,
-    with the pivot columns kept in increasing order as rows are added.
+    in the order they were kept.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.inconsistent = False
         self._length = width
         self._low = (1 << width) - 1
         self._rows: dict = {}
         self._pivot_bits = 0
-        self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -246,10 +233,10 @@ class RowReducer:
                 hit = v & pivot_bits
             return v
         v = [x % p for x in vec]
-        for col in self._pivots:
+        for col, row in rows.items():
             factor = v[col]
             if factor:
-                v = [(a - factor * b) % p for a, b in zip(v, rows[col])]
+                v = [(a - factor * b) % p for a, b in zip(v, row)]
         return v
 
     def add(self, vec) -> bool:
@@ -260,7 +247,6 @@ class RowReducer:
         p = self.p
         if p == 2:
             if not v & self._low:
-                self.inconsistent |= v != 0
                 return False
             bit = v & -v
             self._rows[bit] = v
@@ -268,72 +254,50 @@ class RowReducer:
             return True
         col = next((i for i in range(self.width) if v[i]), None)
         if col is None:
-            self.inconsistent |= any(v)
             return False
         inv = inv_mod(v[col], p)
         if inv != 1:
             v = [(x * inv) % p for x in v]
         self._rows[col] = v
-        bisect.insort(self._pivots, col)
         return True
 
-    def echelon(self) -> dict[int, tuple[int, ...]]:
-        """The reduced row echelon form of the kept rows, extra columns
-        included, keyed by pivot column in increasing order."""
-        rows = self._rows
-        done = {}
-        if self.p == 2:
-            # from the last pivot back: clear the later pivots set in a row
-            # with the rows already reduced, which are zero at every other pivot
-            pivot_bits = self._pivot_bits
-            for bit in sorted(rows, reverse=True):
-                row = rows[bit]
-                hit = (row ^ bit) & pivot_bits
-                while hit:
-                    b = hit & -hit
-                    row ^= done[b]
-                    hit ^= b
-                done[bit] = row
-            return {bit.bit_length() - 1: _unpack(done[bit], self._length)
-                    for bit in sorted(done)}
-        p = self.p
-        pivots = self._pivots
-        for i in range(len(pivots) - 1, -1, -1):
-            row = rows[pivots[i]]
-            for col in pivots[i + 1:]:
-                factor = row[col]
-                if factor:
-                    row = [(a - factor * b) % p for a, b in zip(row, done[col])]
-            done[pivots[i]] = row
-        return {col: tuple(done[col]) for col in pivots}
+
+def _unit(j: int, n: int) -> tuple[int, ...]:
+    return (0,) * j + (1,) + (0,) * (n - 1 - j)
 
 
 def solve(a: FpMatrix, b) -> tuple[int, ...] | None:
     """One solution x of a·x = b, with free variables set to 0, or None
-    when the system is inconsistent (pivot in the augmented column)."""
+    when the system is inconsistent.
+
+    The columns of a are fed with identity tails, (a[:, j] | e_j), and
+    (b | 0) is reduced: its residual is (b - a·x | -x) for the x that
+    clears every pivot, and b lies in the column span exactly when the
+    left half is zero.  A column that depends on earlier ones is not
+    kept, so x is 0 there."""
     if len(b) != a.nrows:
         raise ValueError(f"right-hand side length {len(b)} != {a.nrows} rows")
     n = a.ncols
-    reducer = RowReducer(a.p, n)
-    for row, bi in zip(a.rows, b):
-        reducer.add(row + (bi,))
-    if reducer.inconsistent:
+    reducer = RowReducer(a.p, a.nrows)
+    for j, col in enumerate(zip(*a.rows)):
+        reducer.add(col + _unit(j, n))
+    r = reducer.reduce(tuple(b) + (0,) * n)
+    if any(r[:a.nrows]):
         return None
-    x = [0] * n
-    for col, row in reducer.echelon().items():
-        x[col] = row[n]
-    return tuple(x)
+    return tuple(-c % a.p for c in r[a.nrows:])
 
 
 def invert(m: FpMatrix) -> FpMatrix:
-    """Inverse of a square full-rank matrix: [m | I] reduces to [I | m^-1]."""
+    """Inverse of a square full-rank matrix: with the rows (m_i | e_i) kept,
+    the residual of (e_j | 0) is (0 | -y) for the y with y·m = e_j, row j
+    of m^-1."""
     d = m.nrows
     if d != m.ncols:
         raise SingularMatrixError(f"matrix is {d}x{m.ncols}, not square")
     reducer = RowReducer(m.p, d)
     for i, row in enumerate(m.rows):
-        reducer.add(row + (0,) * i + (1,) + (0,) * (d - 1 - i))
+        reducer.add(row + _unit(i, d))
     if reducer.rank != d:
         raise SingularMatrixError(f"matrix has rank {reducer.rank} < {d}")
-    rows = reducer.echelon()
-    return FpMatrix(m.p, tuple(rows[c][d:] for c in range(d)))
+    rows = (reducer.reduce(_unit(j, d) + (0,) * d)[d:] for j in range(d))
+    return FpMatrix(m.p, tuple(tuple(-c for c in row) for row in rows))

@@ -98,7 +98,9 @@ class GenConfig:
     q_range x dim_range, honoring dim_g (exact group dimension) or
     n_target (exact domain size) when set.  Every instance has at most
     perm.MAX_N points: a config that asks for more is refused, and
-    a drawn set of dimensions that gives more is drawn again.
+    a drawn set of dimensions that gives more is drawn again.  Dimensions
+    drawn for an n_target that cannot reach dim_g (it must lie between
+    their largest and their sum) are refused by gen_instance.
     """
 
     p: int
@@ -222,6 +224,9 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     p = cfg.p
     dims = _draw_dims(cfg, rng)
     d = sum(dims)
+    if cfg.dim_g is not None and not max(dims) <= cfg.dim_g <= d:
+        raise ValueError(f"drawn dims {dims} cannot reach dim_g={cfg.dim_g}: "
+                         "it must lie between max(dims) and sum(dims)")
     dim_g = cfg.dim_g if cfg.dim_g is not None else rng.randint(max(dims), d)
 
     rows = None

@@ -92,6 +92,15 @@ def test_gen_writes_the_largest_n_that_parses_and_refuses_one_more(tmp_path, cap
     assert not over.exists()
 
 
+def test_gen_refuses_an_n_target_that_cannot_reach_dim_g(tmp_path, capsys):
+    # 2 points at p = 2 are one orbit of dimension 1, below a dim_g of 2
+    out = tmp_path / "i.gc"
+    assert main(["gen", "--p", "2", "--n-target", "2", "--dim-g", "2", "--out", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "error: drawn dims (1,) cannot reach dim_g=2: it must lie between max(dims) and sum(dims)\n")
+    assert not out.exists()
+
+
 def test_solve_malformed_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.gc"
     path.write_text("gc 1\np 2\nn 3\nm 1\ng 2 2 1\n")

@@ -19,7 +19,6 @@ from gcsolve.fpalg import (
 )
 from gcsolve.instfile import InstanceFormatError, parse_instance
 from util import (
-    schoolbook_echelon,
     schoolbook_invert,
     schoolbook_rank,
     schoolbook_residual,
@@ -49,6 +48,14 @@ def test_field_axioms_exhaustive(p):
 def test_inv_mod_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         inv_mod(0, 5)
+
+
+def test_inv_mod_at_a_61_bit_prime():
+    p = 2**61 - 1
+    for x in (1, 2, p - 1, 3**38, -5, p + 7):
+        assert x * inv_mod(x, p) % p == 1
+    with pytest.raises(ZeroDivisionError):
+        inv_mod(2 * p, p)
 
 
 def _identity(p, d):
@@ -181,23 +188,33 @@ def test_row_reducer_tracks_span():
     assert not _spans(2, 3, basis, (0, 0, 1))
 
 
-def test_row_reducer_flags_a_vector_nonzero_only_after_the_pivot_columns():
+def test_row_reducer_refuses_a_vector_nonzero_only_after_the_pivot_columns():
+    """Such a vector is not kept, and its residual is zero in the pivot
+    columns only."""
     for p in (2, 3):
         reducer = RowReducer(p, 2)
         assert reducer.add((1, 1, 0))
         assert not reducer.add((2, 2, 0))  # dependent throughout
-        assert not reducer.inconsistent
+        assert reducer.reduce((2, 2, 0)) == (0, 0, 0)
         assert not reducer.add((1, 1, 1))  # zero in the pivot columns only
-        assert reducer.inconsistent
+        assert reducer.reduce((1, 1, 1)) == (0, 0, 1)
         assert reducer.rank == 1
 
 
-def test_row_reducer_echelon_is_reduced():
-    reducer = RowReducer(3, 3)
-    # the second row is scaled by 2 and then cleared from the first
-    for vec in ((1, 1, 0, 0), (0, 2, 1, 1), (1, 0, 1, 1)):
-        reducer.add(vec)
-    assert reducer.echelon() == {0: (1, 0, 1, 1), 1: (0, 1, 2, 2)}
+def test_rows_kept_out_of_column_order_reduce_as_the_schoolbook_reference():
+    """At p = 3 the first row kept has its pivot in column 1 and the second
+    in column 0: the residual of every vector of F_3^5, pivots in the
+    first 3 columns, is the schoolbook one."""
+    p, width = 3, 3
+    # (1, 2, 0, 2, 1) is kept as itself minus 2·(0, 1, 2, 1, 0); the third
+    # vector is the sum of the first two; the fourth is kept scaled by 2
+    vecs = [(0, 1, 2, 1, 0), (1, 2, 0, 2, 1), (1, 0, 2, 0, 1), (0, 0, 2, 1, 1)]
+    reducer = RowReducer(p, width)
+    assert [reducer.add(v) for v in vecs] == [True, True, False, True]
+    assert reducer._rows == {1: [0, 1, 2, 1, 0], 0: [1, 0, 2, 0, 1], 2: [0, 0, 1, 2, 2]}
+    assert list(reducer._rows) == [1, 0, 2]
+    for x in itertools.product(range(p), repeat=width + 2):
+        assert reducer.reduce(x) == schoolbook_residual(vecs, x, p, width)
 
 
 def test_row_reducer_rejects_a_short_vector_or_a_changed_length():
@@ -308,7 +325,7 @@ def test_reduce_matches_the_schoolbook_residual(shape, count, seed):
     reducer = RowReducer(p, width)
     for v in vecs:
         reducer.add(v)
-    echelon = reducer.echelon()
+    kept = _snapshot(reducer)
     x = _raw(rng, width)
     # a member of the span, and x moved by it within its coset
     coeffs = [rng.randrange(p) for _ in vecs]
@@ -319,7 +336,7 @@ def test_reduce_matches_the_schoolbook_residual(shape, count, seed):
     assert reducer.reduce(moved) == got
     assert not any(reducer.reduce(member))
     assert (not any(got)) == _spans(p, width, vecs, x)
-    assert (reducer.echelon(), reducer.rank) == (echelon, len(echelon))
+    assert (_snapshot(reducer), reducer.rank) == (kept, schoolbook_rank(vecs, p, width))
 
 
 def _snapshot(reducer):
@@ -330,15 +347,14 @@ def _snapshot(reducer):
 @settings(max_examples=90, deadline=None)
 @given(p=st.sampled_from([2, 3, 5]), width=WIDTHS, count=st.integers(0, 12),
        seed=st.integers(0, 2**32 - 1))
-def test_add_keeps_earlier_rows_and_reading_echelon_changes_nothing(p, width, count, seed):
+def test_add_keeps_earlier_rows_and_reduce_changes_nothing(p, width, count, seed):
     """add stores a row and leaves every row kept before it as it was;
-    echelon() is the schoolbook reduced row echelon form whether it is
-    read before, between or after adds, and reading it changes no later
-    add, reduce, rank or inconsistent flag."""
+    reduce gives the schoolbook residual whether it is called before,
+    between or after adds, and calling it changes no later add, reduce or
+    rank."""
     rng = random.Random(seed)
     read = RowReducer(p, width)
     unread = RowReducer(p, width)
-    assert read.echelon() == {}
     seen = []
     for _ in range(count):
         if seen and rng.random() < 0.4:
@@ -346,6 +362,8 @@ def test_add_keeps_earlier_rows_and_reading_echelon_changes_nothing(p, width, co
             vec = [sum(c * v[col] for c, v in picked) for col in range(width)]
         else:
             vec = _raw(rng, width)
+        if rng.random() < 0.5:
+            assert read.reduce(vec) == schoolbook_residual(seen, vec, p, width)
         before = _snapshot(read)
         added = read.add(vec)
         assert added == unread.add(vec)
@@ -353,12 +371,10 @@ def test_add_keeps_earlier_rows_and_reading_echelon_changes_nothing(p, width, co
         assert {key: after[key] for key in before} == before
         assert len(after) == len(before) + added
         seen.append(vec)
-        if rng.random() < 0.5:
-            assert read.echelon() == schoolbook_echelon(seen, p, width)
         x = _raw(rng, width)
-        assert read.reduce(x) == unread.reduce(x)
+        assert read.reduce(x) == schoolbook_residual(seen, x, p, width)
         assert read.rank == unread.rank
-    assert read.echelon() == unread.echelon() == schoolbook_echelon(seen, p, width)
+    assert _snapshot(read) == _snapshot(unread)
 
 
 @settings(max_examples=90, deadline=None)
@@ -366,17 +382,21 @@ def test_add_keeps_earlier_rows_and_reading_echelon_changes_nothing(p, width, co
        count=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), mapped=st.booleans())
 def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count, seed, mapped):
     """Vectors with extra columns after the pivot width, pivots searched in
-    the first width columns.  inconsistent is set exactly when some
-    combination of the vectors is zero in the pivot columns but not after
-    them.  Without one, the residual and the echelon form are the
-    schoolbook elimination's; with one, the extra columns of the span's
-    rows are not unique, and the residual is so in the pivot columns.
+    the first width columns.  add keeps a vector exactly when it raises
+    the rank of the pivot columns, and the residual, extra columns
+    included, is the schoolbook one against the vectors kept.  A vector
+    that is not kept has a residual that is zero in the pivot columns, and
+    some such residual is nonzero after them exactly when the vectors so
+    far have a combination that is zero in the pivot columns but not
+    after them.
     When mapped, every vector's extra columns are a fixed linear image of
     its pivot columns, so no such combination exists."""
     rng = random.Random(seed)
     image = [_raw(rng, width) for _ in range(extra)]
     reducer = RowReducer(p, width)
     vecs = []
+    kept = []
+    refused_nonzero = False
     for _ in range(count):
         vec = _raw(rng, width + extra)
         if vecs and rng.random() < 0.3:
@@ -384,21 +404,21 @@ def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count
             vec[:width] = vecs[rng.randrange(len(vecs))][:width]
         if mapped:
             vec[width:] = [sum(a * b for a, b in zip(row, vec)) for row in image]
-        reducer.add(vec)
+        independent = schoolbook_rank(kept + [vec], p, width) > len(kept)
+        assert reducer.add(vec) == independent
         vecs.append(vec)
-    rows = [[c % p for c in v] for v in vecs]
-    pivots = schoolbook_rref(rows, p, width)
-    inconsistent = any(any(row) for row in rows[len(pivots):])
-    assert reducer.inconsistent == inconsistent
-    assert not (mapped and inconsistent)
+        if independent:
+            kept.append(vec)
+        else:
+            r = reducer.reduce(vec)
+            assert not any(r[:width])
+            refused_nonzero |= any(r)
+        rows = [[c % p for c in v] for v in vecs]
+        pivots = schoolbook_rref(rows, p, width)
+        assert refused_nonzero == any(any(row) for row in rows[len(pivots):])
+    assert not (mapped and refused_nonzero)
     x = _raw(rng, width + extra)
-    want = schoolbook_residual(vecs, x, p, width)
-    if inconsistent:
-        assert reducer.reduce(x)[:width] == want[:width]
-        assert sorted(reducer.echelon()) == pivots
-    else:
-        assert reducer.reduce(x) == want
-        assert reducer.echelon() == schoolbook_echelon(vecs, p, width)
+    assert reducer.reduce(x) == schoolbook_residual(kept, x, p, width)
 
 
 def test_reduce_rejects_a_vector_of_the_wrong_length():

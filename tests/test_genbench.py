@@ -1,4 +1,5 @@
 import hashlib
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,20 @@ def test_drawn_dims_stay_within_the_limit():
     cfg = GenConfig(p=3, seed=0)
     sizes = [sum(3**d for d in _draw_dims(cfg, SplitMix64(seed))) for seed in range(300)]
     assert max(sizes) <= MAX_N
+
+
+def test_drawn_dims_that_cannot_reach_dim_g_are_refused_at_once():
+    """n_target draws dims without looking at dim_g; a dim_g below their
+    largest, or above their sum, is refused before any generator is drawn."""
+    cfg = GenConfig(p=2, seed=0, n_target=64, dim_g=2, dim_range=(3, 6))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"drawn dims \(.*\) cannot reach dim_g=2: "
+                                         r"it must lie between max\(dims\) and sum\(dims\)"):
+        gen_instance(cfg)
+    assert time.perf_counter() - t0 < 0.1
+    # 4 points at p = 2 are one orbit of dimension 2 or two of dimension 1
+    with pytest.raises(ValueError, match="cannot reach dim_g=3"):
+        gen_instance(GenConfig(p=2, seed=0, n_target=4, dim_g=3))
 
 
 def test_gen_smallest_config():

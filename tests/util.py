@@ -211,14 +211,6 @@ def schoolbook_rank(vecs, p, width):
     return len(schoolbook_rref([[x % p for x in v] for v in vecs], p, width))
 
 
-def schoolbook_echelon(vecs, p, width):
-    """RowReducer.echelon's answer for vecs: the reduced row echelon rows,
-    pivots in the first width columns, keyed by pivot column."""
-    rows = [[c % p for c in v] for v in vecs]
-    pivots = schoolbook_rref(rows, p, width)
-    return {col: tuple(row) for col, row in zip(pivots, rows)}
-
-
 def schoolbook_residual(vecs, x, p, width=None):
     """x minus the combination of the reduced row echelon rows of vecs that
     clears x at every pivot column; pivots lie in the first width columns
