@@ -14,7 +14,8 @@ one Gaussian elimination over G's generators and E's basis
 (solve_linear).  The product search tests membership: x lies in G when
 its residual against G's echelon form, M_G·x, is zero, and that form is
 built on no other branch.  The V_O search and the product search
-add whole vectors packed into ints (fpalg.PackedDigits); the enumeration
+add whole vectors packed into ints (fpalg.PackedDigits), the layout
+RowReducer keeps its rows in; the enumeration
 oracle keeps its digit arithmetic (frame.position_sum), so that it stays
 independent of them.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import fpalg
-from .fpalg import PackedDigits, RowReducer
+from .fpalg import RowReducer, packed_digits
 from .frame import (
     Frame,
     NotInSuperspaceError,
@@ -135,9 +136,10 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     constituent qualifies.  A candidate is a vector x, kept packed, and a
     point b maps to the point of b + x.  At p = 2 the packed vector is the
     position and the sum is one XOR.  At odd p it has one field per digit
-    (fpalg.PackedDigits): the packed vector of every position is listed
-    once per call, with a map back to the points, and the sum takes a few
-    int operations.  Digit tuples are made only for the vectors returned.
+    (fpalg.PackedDigits), and the sum takes a few int operations; the
+    packed vector of every position and the map back to positions are the
+    tables fpalg.packed_digits keeps per dimension.  Digit tuples are made
+    only for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
@@ -162,19 +164,18 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
                 out.append(x)
         # positions order as their digit tuples do
         return tuple(digits(x, of.dim, 2) for x in sorted(out))
-    packing = PackedDigits(p, of.dim)
-    add = packing.add
-    # the packed vector of each position, built from the least significant digit up
-    codes = [0]
-    for shift in range(0, packing.width * of.dim, packing.width):
-        codes = [(v << shift) | c for v in range(p) for c in codes]
-    at = dict(zip(codes, lex))
+    packing = packed_digits(p, of.dim)
+    codes = packing.codes
+    position_of = packing.positions
+    bias, high, top = packing.carry
     checks = [(codes[b], bset) for b, bset in checks]
     minus_base = packing.neg(codes[base])
     for pc in candidates:
-        x = add(codes[pc], minus_base)
+        x = packing.add(codes[pc], minus_base)
         for b, bset in checks:
-            if at[add(b, x)] not in bset:
+            # packing.add(b, x) written out, the call being most of its cost
+            t = b + x
+            if lex[position_of[t - p * (((t + bias) & high) >> top)]] not in bset:
                 break
         else:
             out.append(x)
@@ -392,8 +393,10 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
     vector per orbit that lies in G.
 
     x lies in G exactly when its residual M_G·x, the sum of its parts'
-    syndromes (the residuals of x_O placed in O's slice, computed once per
-    admissible vector and packed into one int, fpalg.PackedDigits), is 0.
+    syndromes, is 0.  A syndrome is the residual of x_O placed in O's
+    slice, computed once per admissible vector and kept packed, as
+    m_g.packed_product returns it (fpalg.PackedDigits), so the sums are
+    SWAR additions.
     The orbits are cut where the prefix and suffix combination counts add
     up least (meet in the middle).  The suffix combinations are tabulated
     by syndrome sum, in lexicographic order and keeping the first per sum;
@@ -415,11 +418,12 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
         return math.prod(sizes[:c]) + suffix, suffix
 
     cut = min(range(len(vos) + 1), key=cost)
-    packing = PackedDigits(fr.p, fr.dim)
+    packing = packed_digits(fr.p, fr.dim)
+    syndrome = m_g.packed_product
     groups = []
     for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
         head, tail = (0,) * lo, (0,) * (fr.dim - hi)
-        group = [(v, packing.pack(m_g.product(head + v + tail))) for v in vo]
+        group = [(v, syndrome(head + v + tail)) for v in vo]
         if i < cut:  # prefix syndromes enter negated
             group = [(v, packing.neg(s)) for v, s in group]
         groups.append(group)
@@ -514,18 +518,23 @@ def mmc_to_gc(model, gens, p: int) -> list[GcInstance]:
     """
     model = list(model)
     n = len(model)
+    check_size(n)
+    gens = tuple(gens)
     points = range(1, n + 1)
     # one set per value, shared by every disjunct that states it: the
-    # instances keep their sets as stated, so n^2 fresh copies would stay
+    # instances keep their sets as stated, so n^2 fresh copies would stay.
+    # Every member lies in 1..n, so the instances are built directly, in
+    # O(n) per disjunct, without normalize's range check of every set
     same: dict = {}
     below: dict = {}
     for v in model:
         if v not in same:
             same[v] = frozenset(a for a in points if model[a - 1] == v)
             below[v] = frozenset(a for a in points if model[a - 1] < v)
+    kept = [same[v] for v in model]
     instances = []
     for i in points:
-        raw = [(j, same[model[j - 1]]) for j in range(1, i)]
-        raw.append((i, below[model[i - 1]]))
-        instances.append(normalize(raw, n, gens, p))
+        stated = dict(zip(points, kept[:i - 1]))
+        stated[i] = below[model[i - 1]]
+        instances.append(GcInstance(p, n, gens, stated))
     return instances

@@ -6,27 +6,25 @@ is read as a residual against the kept rows (RowReducer.reduce): a
 vector is in their span exactly when its residual is zero, and solve and
 invert are residual reads too, of vectors carried with an identity
 block; nothing in the package calls those two.
-Rows follow p.  At p = 2 a row is one Python int with bit j holding
-column j, so a row operation is one XOR of whole rows: the standard GF(2)
-technique (see M4RI in Albrecht, Bard and Hart, "Algorithm 898: Efficient
-multiplication of dense matrices over GF(2)", ACM TOMS 37(1), 2010).  At
-other primes a row is a plain list of residues and elimination is
-schoolbook.  Residuals are unique, so every result is the same in either
-representation.  Matrices are small (a few hundred rows at most in
-practice).
 
-PackedDigits packs a whole vector of residues into one int for the
-solvers' sums of vectors: one bit per entry at p = 2, where addition is
-XOR, and at odd p one field of p.bit_length() + 1 bits per entry, wide
-enough that adding two vectors never carries from one field into the
-next, so the sum mod p takes a few whole-int operations (SWAR, SIMD
-within a register).
+PackedDigits packs a whole vector of residues into one int, column 0 in
+the top field, and every vector and row of RowReducer is packed so, at
+every prime.  At p = 2 a field is one bit and a row operation is one XOR
+of whole rows: the standard GF(2) technique (see M4RI in Albrecht, Bard
+and Hart, "Algorithm 898: Efficient multiplication of dense matrices
+over GF(2)", ACM TOMS 37(1), 2010).  At odd p a field is wide enough
+that adding two vectors never carries from one field into the next, so
+the sum mod p takes a few whole-int operations (SWAR, SIMD within a
+register), and a row is kept with its negated doublings, so that
+subtracting a multiple of it is a few such sums.  Matrices are small (a
+few hundred rows at most in practice).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # for every n below _PRIME_TEST_LIMIT, the 13th such threshold psi_13
@@ -84,26 +82,9 @@ class SingularMatrixError(ValueError):
     """Inversion was asked of a matrix without full rank."""
 
 
+# at p = 2 a vector's entries, one byte each, are read as binary digits
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _pack(vec) -> int:
-    """The residues of vec mod 2 as one int, bit j holding vec[j] mod 2."""
-    # one byte per entry, most significant first, its parity read as binary
-    try:
-        entries = bytes(reversed(vec))
-    except ValueError:  # an entry outside [0, 256)
-        entries = bytes([x & 1 for x in reversed(vec)])
-    return int(entries.translate(_PARITY_DIGITS) or b"0", 2)
-
-
-def _unpack(bits: int, width: int) -> tuple[int, ...]:
-    """The first width bits of bits as a tuple of 0s and 1s."""
-    if not width:
-        return ()
-    # the binary digits, least significant first, turned into bytes 0 and 1
-    return tuple(format(bits, f"0{width}b")[::-1].encode().translate(_DIGITS_TO_BYTES))
 
 
 class PackedDigits:
@@ -111,48 +92,125 @@ class PackedDigits:
 
     Entry j of a vector sits in one field of width bits, the first entry in
     the top field, so packed vectors order as their tuples do.  At p = 2 a
-    field is one bit, add is XOR and neg is the identity.  At odd p the
-    width w is p.bit_length() + 1, so H = 2^(w-1) > p: a field of a + b is
-    at most 2p - 2 < 2^w and never carries into the next, and adding H - p
-    to every field sets a field's top bit exactly where the field is p or
-    more.  add subtracts p there; neg takes p - a field by field and
-    reduces the same way.
+    field is one bit, add is XOR and neg is the identity, and a vector is
+    packed through its binary digits.  At odd p the width w has
+    H = 2^(w-1) > p: one byte below p = 128, so that pack is one
+    translate of the entries' bytes (mod p) and one int.from_bytes and
+    unpack one int.to_bytes, and p.bit_length() + 1 bits from p = 128 on,
+    packed field by field.  A field of a + b is at most 2p - 2 < 2^w and never carries
+    into the next, and adding H - p to every field sets a field's top bit
+    exactly where the field is p or more: add subtracts p there.  neg
+    takes p - a field by field and reduces the same way, and mul(a, c)
+    adds doublings of a.
+
+    codes lists the packed vector of every position, the count base-p
+    digits of 0 .. p^count - 1, and positions maps each back; both are
+    built on first read.  packed_digits(p, count) shares one instance per
+    (p, count).
     """
 
     def __init__(self, p: int, count: int):
         self.p = p
         self.count = count
-        w = self.width = 1 if p == 2 else p.bit_length() + 1
+        w = self.width = 1 if p == 2 else 8 if p < 128 else p.bit_length() + 1
+        if p == 2:
+            self.add = operator.xor
+            self.neg = operator.pos  # the identity on ints
+            self._binary = f"0{count}b"
+            self._table = _PARITY_DIGITS
+            return
         ones = ((1 << w * count) - 1) // ((1 << w) - 1)
-        self._p_ones = p * ones
-        self._high = ones << (w - 1)
-        self._bias = self._high - self._p_ones
-        self.add = operator.xor if p == 2 else self._add
+        high = ones << (w - 1)
+        # what add takes: H - p and H in every field, and H's bit in a field
+        self.carry = (high - p * ones, high, w - 1)
+        self.add, self.neg = _swar(p, p * ones, *self.carry)
+        self._table = bytes(b % p for b in range(256)) if w == 8 else None
 
     def pack(self, vec) -> int:
-        """The residues vec, count of them in [0, p), as one int."""
+        """The entries of vec, count of them, reduced mod p, as one int."""
         if len(vec) != self.count:
             raise ValueError(f"vector length {len(vec)} != {self.count}")
-        w = self.width
-        code = 0
-        for c in vec:
-            code = (code << w) | c
-        return code
+        table = self._table
+        if table is None:  # fields wider than a byte
+            p = self.p
+            w = self.width
+            code = 0
+            for c in vec:
+                code = (code << w) | c % p
+            return code
+        try:
+            entries = bytearray(vec)  # from a tuple, faster than bytes()
+        except ValueError:  # an entry outside [0, 256)
+            entries = bytearray([c % self.p for c in vec])
+        if self.p == 2:
+            return int(entries.translate(table) or b"0", 2)
+        return int.from_bytes(entries.translate(table), "big")
 
     def unpack(self, code: int) -> tuple[int, ...]:
         """The residues packed in code, first entry first."""
+        count = self.count
         w = self.width
+        if w == 8:
+            return tuple(code.to_bytes(count, "big"))
+        if w == 1:
+            if not count:
+                return ()
+            # the binary digits, turned into bytes 0 and 1
+            return tuple(format(code, self._binary).encode().translate(_DIGITS_TO_BYTES))
         mask = (1 << w) - 1
-        return tuple((code >> w * k) & mask for k in range(self.count - 1, -1, -1))
+        return tuple((code >> w * k) & mask for k in range(count - 1, -1, -1))
 
-    def _add(self, a: int, b: int) -> int:
+    def mul(self, a: int, c: int) -> int:
+        """The packed vector c·a mod p, by doubling."""
+        c %= self.p
+        out = 0
+        while c:
+            if c & 1:
+                out = self.add(out, a) if out else a
+            c >>= 1
+            if c:
+                a = self.add(a, a)
+        return out
+
+    @cached_property
+    def codes(self) -> list[int]:
+        """The packed vector of each position, position i holding the
+        base-p digits of i, most significant first."""
+        w = self.width
+        codes = [0]
+        # built from the least significant digit up
+        for shift in range(0, w * self.count, w):
+            codes = [(v << shift) | c for v in range(self.p) for c in codes]
+        return codes
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """The position of each packed vector of codes."""
+        return {c: i for i, c in enumerate(self.codes)}
+
+
+def _swar(p: int, p_ones: int, bias: int, high: int, top: int):
+    """add(a, b) and neg(a) of packed vectors at odd p (see PackedDigits);
+    p_ones holds p in every field."""
+
+    def add(a: int, b: int) -> int:
         t = a + b
-        return t - self.p * (((t + self._bias) & self._high) >> (self.width - 1))
+        # p off every field whose top bit t + bias sets
+        return t - p * (((t + bias) & high) >> top)
 
-    def neg(self, a: int) -> int:
-        """The packed vector -a mod p."""
+    def neg(a: int) -> int:
         # p·ONES - a has every field in [1, p], so no field borrows
-        return a if self.p == 2 else self._add(self._p_ones, -a)
+        t = p_ones - a
+        return t - p * (((t + bias) & high) >> top)
+
+    return add, neg
+
+
+@lru_cache(maxsize=32)
+def packed_digits(p: int, count: int) -> PackedDigits:
+    """PackedDigits(p, count), built once while it is among the last 32
+    asked for."""
+    return PackedDigits(p, count)
 
 
 @dataclass(frozen=True)
@@ -187,23 +245,28 @@ class RowReducer:
     add() keeps a vector's residual, reduce(), as a new row when a pivot
     column of it is nonzero, scaled so that its pivot, its first nonzero
     entry, is 1.  Rows already kept are never touched, so a row is zero
-    at the pivots of the rows kept before it.  reduce() walks the rows in
-    the order they were kept: subtracting a row to clear its pivot leaves
-    the earlier pivots zero and can change only later ones.  The
-    coefficients that clear every pivot are unique, so the residual is
-    too, in every column, extra columns included.
+    at the pivots of the rows kept before it.  The coefficients that clear
+    every pivot are unique, so the residual is too, in every column, extra
+    columns included.
 
-    At p = 2 the rows are packed ints, keyed by their pivot bit (the lowest
-    set bit), and the lowest pivot bit set in a vector names the next row
-    to XOR into it.  At other primes they are lists keyed by pivot column,
-    in the order they were kept.
+    A vector is packed whole into one int, as packed_digits(p, length)
+    packs it, column 0 in the top field; so is every row.  A row is zero
+    before its pivot, so in every field above it, and reduce() clears the
+    highest pivot still set in the vector first: that changes only lower
+    fields, so each pivot is cleared once at most, and a vector that is
+    zero at every pivot meets no row.  At p = 2 a row is keyed by the bit
+    length of its pivot, its highest set bit, and clearing a pivot is one
+    XOR.  At odd p a row is kept as its negated doublings, -2^i·row for
+    i < p.bit_length(), keyed by the shift of its pivot field, and a pivot
+    holding f is cleared by adding the doublings at the set bits of f,
+    popcount(f) SWAR additions.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
         self._length = width
-        self._low = (1 << width) - 1
+        self._packing: PackedDigits | None = None  # the kept rows' packing
         self._rows: dict = {}
         self._pivot_bits = 0
 
@@ -215,50 +278,73 @@ class RowReducer:
         """vec minus the combination of kept rows that clears every pivot
         column: zero exactly on their span, and equal for two vectors
         exactly when they differ by a member of it.  Nothing is kept."""
-        v = self._residual(vec)
-        return _unpack(v, len(vec)) if self.p == 2 else tuple(v)
+        packing, v = self._residual(vec)
+        return packing.unpack(v)
 
-    def _residual(self, vec):
-        # reduce() in the row representation
-        if len(vec) < self.width or self._rows and len(vec) != self._length:
-            raise ValueError(f"vector length {len(vec)} != {self._length}")
-        p = self.p
+    def residual(self, vec) -> int:
+        """reduce(vec), packed as packed_digits(p, len(vec)) packs it."""
+        return self._residual(vec)[1]
+
+    def _residual(self, vec) -> tuple[PackedDigits, int]:
+        # the packing of vec's length, and vec's residual in it
         rows = self._rows
-        if p == 2:
-            v = _pack(vec)
-            pivot_bits = self._pivot_bits
-            hit = v & pivot_bits
+        if len(vec) < self.width or rows and len(vec) != self._length:
+            raise ValueError(f"vector length {len(vec)} != {self._length}")
+        packing = self._packing if rows else packed_digits(self.p, len(vec))
+        v = packing.pack(vec)
+        pivot_bits = self._pivot_bits
+        hit = v & pivot_bits
+        if not hit:
+            return packing, v
+        if self.p == 2:
             while hit:
-                v ^= rows[hit & -hit]
+                v ^= rows[hit.bit_length()]
                 hit = v & pivot_bits
-            return v
-        v = [x % p for x in vec]
-        for col, row in rows.items():
-            factor = v[col]
-            if factor:
-                v = [(a - factor * b) % p for a, b in zip(v, row)]
-        return v
+            return packing, v
+        # packing.add written out, which halves the time of a residual
+        p = self.p
+        bias, high, top = packing.carry
+        w = packing.width
+        mask = (1 << w) - 1
+        while hit:
+            shift = (hit.bit_length() - 1) // w * w
+            negs = rows[shift]
+            f = (v >> shift) & mask
+            i = 0
+            while f:
+                if f & 1:
+                    t = v + negs[i]
+                    v = t - p * (((t + bias) & high) >> top)
+                f >>= 1
+                i += 1
+            hit = v & pivot_bits
+        return packing, v
 
     def add(self, vec) -> bool:
         """Add vec to the span; returns True when its residual, kept as the
         new row, was nonzero in the pivot columns."""
-        v = self._residual(vec)
+        packing, v = self._residual(vec)
         self._length = len(vec)
-        p = self.p
-        if p == 2:
-            if not v & self._low:
-                return False
-            bit = v & -v
-            self._rows[bit] = v
-            self._pivot_bits |= bit
-            return True
-        col = next((i for i in range(self.width) if v[i]), None)
-        if col is None:
+        w = packing.width
+        if not v >> (len(vec) - self.width) * w:
             return False
-        inv = inv_mod(v[col], p)
-        if inv != 1:
-            v = [(x * inv) % p for x in v]
-        self._rows[col] = v
+        self._packing = packing
+        top = v.bit_length()
+        if self.p == 2:
+            self._rows[top] = v
+            self._pivot_bits |= 1 << (top - 1)
+            return True
+        p = self.p
+        shift = (top - 1) // w * w  # the pivot field's, the top nonzero one
+        f = v >> shift
+        # -row, the multiple of v whose pivot is p - 1, and its doublings
+        neg = v if f == p - 1 else packing.neg(v) if f == 1 else packing.mul(v, -inv_mod(f, p))
+        negs = [neg]
+        for _ in range(p.bit_length() - 1):
+            neg = packing.add(neg, neg)
+            negs.append(neg)
+        self._rows[shift] = negs
+        self._pivot_bits |= ((1 << w) - 1) << shift
         return True
 
 

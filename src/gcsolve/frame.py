@@ -177,8 +177,12 @@ class VarietyMatrix:
     def product(self, x) -> tuple[int, ...]:
         return self.reducer.reduce(x)
 
+    def packed_product(self, x) -> int:
+        """product(x) packed, as fpalg.packed_digits(p, len(x)) packs it."""
+        return self.reducer.residual(x)
+
     def contains(self, x) -> bool:
-        return not any(self.reducer.reduce(x))
+        return not self.reducer.residual(x)
 
     @cached_property
     def m(self) -> FpMatrix:

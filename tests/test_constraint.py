@@ -1017,3 +1017,32 @@ def test_mmc_matches_brute_force_lex_comparison():
         for inst in instances:
             fr = build_frame(n, gens, 2)
             assert solve(inst).status == solve_enumerate(fr, inst).status
+
+
+def test_mmc_builds_the_instances_normalize_builds(monkeypatch):
+    """On a seeded model with repeated values, each disjunct equals the
+    instance normalize builds from its conjuncts, stated sets included,
+    and mmc_to_gc does not call normalize."""
+    rng = random.Random(19)
+    gens = list(eight_point_gens())
+    model = [rng.randrange(3) for _ in range(8)]
+    assert len(set(model)) < len(model)
+    expected = []
+    for i in range(1, 9):
+        raw = [(j, {a for a in range(1, 9) if model[a - 1] == model[j - 1]}) for j in range(1, i)]
+        raw.append((i, {a for a in range(1, 9) if model[a - 1] < model[i - 1]}))
+        expected.append(normalize(raw, 8, gens, 2))
+
+    def refuse(*args):
+        raise AssertionError("normalize called")
+
+    monkeypatch.setattr(constraint, "normalize", refuse)
+    instances = mmc_to_gc(model, gens, 2)
+    assert instances == expected
+    assert [inst.constraints for inst in instances] == [inst.constraints for inst in expected]
+    assert all(inst.gens == tuple(gens) for inst in instances)
+
+
+def test_mmc_refuses_a_model_above_the_size_limit():
+    with pytest.raises(ValueError, match="exceeds"):
+        mmc_to_gc([0] * (constraint.MAX_N + 1), [], 2)

@@ -211,8 +211,7 @@ def test_rows_kept_out_of_column_order_reduce_as_the_schoolbook_reference():
     vecs = [(0, 1, 2, 1, 0), (1, 2, 0, 2, 1), (1, 0, 2, 0, 1), (0, 0, 2, 1, 1)]
     reducer = RowReducer(p, width)
     assert [reducer.add(v) for v in vecs] == [True, True, False, True]
-    assert reducer._rows == {1: [0, 1, 2, 1, 0], 0: [1, 0, 2, 0, 1], 2: [0, 0, 1, 2, 2]}
-    assert list(reducer._rows) == [1, 0, 2]
+    assert _kept_rows(reducer) == [(1, (0, 1, 2, 1, 0)), (0, (1, 0, 2, 0, 1)), (2, (0, 0, 1, 2, 2))]
     for x in itertools.product(range(p), repeat=width + 2):
         assert reducer.reduce(x) == schoolbook_residual(vecs, x, p, width)
 
@@ -226,17 +225,36 @@ def test_row_reducer_rejects_a_short_vector_or_a_changed_length():
         reducer.add((0, 1, 0))
 
 
+def _kept_rows(reducer):
+    """The kept rows decoded, as (pivot column, row) in the order kept: at
+    p = 2 a row is keyed by its pivot's bit length, at odd p by the shift
+    of its pivot field, and kept as its negated doublings."""
+    packing = reducer._packing
+    out = []
+    for key, row in reducer._rows.items():
+        if reducer.p == 2:
+            out.append((packing.count - key, packing.unpack(row)))
+        else:
+            out.append((packing.count - 1 - key // packing.width,
+                        packing.unpack(packing.neg(row[0]))))
+    return out
+
+
 # -- RowReducer, solve and invert against a schoolbook elimination ----------
 
 # At p = 2, widths at and around one and two 64-bit words, where a packed
-# row's size in machine words changes, besides small ones.  Rows at other
-# primes are lists, so small widths reach every case there.
+# row's size in machine words changes, besides small ones.  At odd p a
+# field is 8 bits below 128 and 9, 10 and 17 bits at 131, 257 and 65521,
+# so widths up to 8 already span one and two words there.
 WIDTHS = st.one_of(st.integers(0, 6), st.sampled_from([63, 64, 65, 130]))
+# the first primes, and the primes on each side of the byte-field boundary
+# and at two wider fields
+SCHOOLBOOK_PRIMES = (2, 3, 5, 127, 131, 257, 65521)
 
 
 @st.composite
 def field_and_widths(draw, count):
-    p = draw(st.sampled_from([2, 3, 5]))
+    p = draw(st.sampled_from(SCHOOLBOOK_PRIMES))
     widths = WIDTHS if p == 2 else st.integers(0, 8)
     return (p, *(draw(widths) for _ in range(count)))
 
@@ -340,12 +358,12 @@ def test_reduce_matches_the_schoolbook_residual(shape, count, seed):
 
 
 def _snapshot(reducer):
-    # the kept rows as they are stored, copied so that a later edit shows
-    return {key: row if isinstance(row, int) else list(row) for key, row in reducer._rows.items()}
+    # the kept rows decoded, by pivot column
+    return dict(_kept_rows(reducer))
 
 
 @settings(max_examples=90, deadline=None)
-@given(p=st.sampled_from([2, 3, 5]), width=WIDTHS, count=st.integers(0, 12),
+@given(p=st.sampled_from(SCHOOLBOOK_PRIMES), width=WIDTHS, count=st.integers(0, 12),
        seed=st.integers(0, 2**32 - 1))
 def test_add_keeps_earlier_rows_and_reduce_changes_nothing(p, width, count, seed):
     """add stores a row and leaves every row kept before it as it was;
@@ -378,7 +396,7 @@ def test_add_keeps_earlier_rows_and_reduce_changes_nothing(p, width, count, seed
 
 
 @settings(max_examples=90, deadline=None)
-@given(p=st.sampled_from([2, 3, 5]), width=WIDTHS, extra=st.integers(1, 6),
+@given(p=st.sampled_from(SCHOOLBOOK_PRIMES), width=WIDTHS, extra=st.integers(1, 6),
        count=st.integers(0, 10), seed=st.integers(0, 2**32 - 1), mapped=st.booleans())
 def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count, seed, mapped):
     """Vectors with extra columns after the pivot width, pivots searched in
@@ -433,13 +451,22 @@ def test_reduce_rejects_a_vector_of_the_wrong_length():
 
 
 def test_representation_follows_p():
-    """RowReducer keeps packed ints at p = 2 and lists at other primes, and
-    solve and invert give the same answers through either."""
-    for p, row_type in ((2, int), (3, list), (5, list)):
+    """RowReducer keeps a row as one packed int at p = 2 and as its
+    p.bit_length() negated doublings at odd p, -2^i·row, and solve and
+    invert give the same answers through either."""
+    for p in (2, 3, 5, 127, 131):
         reducer = RowReducer(p, 2)
         for vec in ((1, 1, 0), (0, 1, 1), (1, 0, 1)):
             reducer.add(vec)
-        assert {type(row) for row in reducer._rows.values()} == {row_type}
+        packing = reducer._packing
+        for row in reducer._rows.values():
+            if p == 2:
+                assert isinstance(row, int)
+                continue
+            assert len(row) == p.bit_length()
+            first = packing.unpack(packing.neg(row[0]))
+            assert [packing.unpack(r) for r in row] == [
+                tuple(-(2**i) * c % p for c in first) for i in range(p.bit_length())]
         m = FpMatrix(p, ((1, 1), (0, 1)))
         assert invert(m) == FpMatrix(p, ((1, -1), (0, 1)))
         assert solve(m, (1, 1)) == (0, 1)
@@ -482,9 +509,9 @@ def test_p_beyond_the_exact_prime_test_is_refused():
         parse_instance(f"gc 1\np {psi_13}\nn 1\nm 0\n")
 
 
-# primes at the edges of the packed field widths: 3 bits for 3, 4 for 5 and
-# 7, 5 for 11, 6 for 17 and 31, 10 for 257, 18 for 65537, 62 for 2^61 - 1
-PACKED_PRIMES = (2, 3, 5, 7, 11, 17, 31, 257, 65537, 2**61 - 1)
+# primes at the edges of the packed field widths: one bit for 2, bytes for
+# 3 up to 127, 9 bits for 131, 10 for 257, 18 for 65537, 62 for 2^61 - 1
+PACKED_PRIMES = (2, 3, 5, 7, 11, 17, 31, 127, 131, 257, 65537, 2**61 - 1)
 
 
 def _digit_vectors(p, count):

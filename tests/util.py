@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
-from gcsolve.fpalg import FpMatrix, SingularMatrixError, is_prime
+from gcsolve.fpalg import FpMatrix, PackedDigits, SingularMatrixError, is_prime
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
 from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.instfile import InstanceFormatError
@@ -279,6 +279,9 @@ class SchoolbookVariety:
 
     def product(self, x):
         return tuple(sum(a * b for a, b in zip(row, x)) % self.p for row in self.rows)
+
+    def packed_product(self, x):
+        return PackedDigits(self.p, len(x)).pack(self.product(x))
 
     def contains(self, x):
         return not any(self.product(x))
