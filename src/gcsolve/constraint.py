@@ -136,10 +136,9 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     constituent qualifies.  A candidate is a vector x, kept packed, and a
     point b maps to the point of b + x.  At p = 2 the packed vector is the
     position and the sum is one XOR.  At odd p it has one field per digit
-    (fpalg.PackedDigits), and the sum takes a few int operations; the
-    packed vector of every position and the map back to positions are the
-    tables fpalg.packed_digits keeps per dimension.  Digit tuples are made
-    only for the vectors returned.
+    (fpalg.PackedDigits), the sum takes a few int operations, and the
+    packed vectors of the positions are mapped back to the points once
+    per call.  Digit tuples are made only for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
@@ -165,17 +164,15 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
         # positions order as their digit tuples do
         return tuple(digits(x, of.dim, 2) for x in sorted(out))
     packing = packed_digits(p, of.dim)
-    codes = packing.codes
-    position_of = packing.positions
-    bias, high, top = packing.carry
+    add = packing.add
+    codes = packing.position_codes()
+    at = dict(zip(codes, lex))
     checks = [(codes[b], bset) for b, bset in checks]
     minus_base = packing.neg(codes[base])
     for pc in candidates:
-        x = packing.add(codes[pc], minus_base)
+        x = add(codes[pc], minus_base)
         for b, bset in checks:
-            # packing.add(b, x) written out, the call being most of its cost
-            t = b + x
-            if lex[position_of[t - p * (((t + bias) & high) >> top)]] not in bset:
+            if at[add(b, x)] not in bset:
                 break
         else:
             out.append(x)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
 # for every n below _PRIME_TEST_LIMIT, the 13th such threshold psi_13
@@ -86,6 +86,10 @@ class SingularMatrixError(ValueError):
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
 
+# PackedDigits keeps its position codes up to this many; 32 cached
+# instances then hold a few hundred kB of them at most
+_KEPT_CODES = 256
+
 
 class PackedDigits:
     """Vectors of count residues mod p, each packed into one int.
@@ -93,65 +97,54 @@ class PackedDigits:
     Entry j of a vector sits in one field of width bits, the first entry in
     the top field, so packed vectors order as their tuples do.  At p = 2 a
     field is one bit, add is XOR and neg is the identity, and a vector is
-    packed through its binary digits.  At odd p the width w has
-    H = 2^(w-1) > p: one byte below p = 128, so that pack is one
-    translate of the entries' bytes (mod p) and one int.from_bytes and
-    unpack one int.to_bytes, and p.bit_length() + 1 bits from p = 128 on,
-    packed field by field.  A field of a + b is at most 2p - 2 < 2^w and never carries
-    into the next, and adding H - p to every field sets a field's top bit
-    exactly where the field is p or more: add subtracts p there.  neg
-    takes p - a field by field and reduces the same way, and mul(a, c)
-    adds doublings of a.
+    packed through its binary digits.  At odd p the width w is
+    p.bit_length() + 1, so H = 2^(w-1) > p: a field of a + b is at most
+    2p - 2 < 2^w and never carries into the next, and adding H - p to every
+    field sets a field's top bit exactly where the field is p or more: add
+    subtracts p there.  neg takes p - a field by field and reduces the same
+    way, and mul(a, c) adds doublings of a.
 
-    codes lists the packed vector of every position, the count base-p
-    digits of 0 .. p^count - 1, and positions maps each back; both are
-    built on first read.  packed_digits(p, count) shares one instance per
-    (p, count).
+    position_codes() lists the packed vector of every position, the count
+    base-p digits of 0 .. p^count - 1.  packed_digits(p, count) shares one
+    instance per (p, count).
     """
 
     def __init__(self, p: int, count: int):
         self.p = p
         self.count = count
-        w = self.width = 1 if p == 2 else 8 if p < 128 else p.bit_length() + 1
+        w = self.width = 1 if p == 2 else p.bit_length() + 1
         if p == 2:
             self.add = operator.xor
             self.neg = operator.pos  # the identity on ints
             self._binary = f"0{count}b"
-            self._table = _PARITY_DIGITS
             return
         ones = ((1 << w * count) - 1) // ((1 << w) - 1)
         high = ones << (w - 1)
-        # what add takes: H - p and H in every field, and H's bit in a field
-        self.carry = (high - p * ones, high, w - 1)
-        self.add, self.neg = _swar(p, p * ones, *self.carry)
-        self._table = bytes(b % p for b in range(256)) if w == 8 else None
+        # H - p and H in every field, and H's bit in a field
+        self.add, self.neg = _swar(p, p * ones, high - p * ones, high, w - 1)
 
     def pack(self, vec) -> int:
         """The entries of vec, count of them, reduced mod p, as one int."""
         if len(vec) != self.count:
             raise ValueError(f"vector length {len(vec)} != {self.count}")
-        table = self._table
-        if table is None:  # fields wider than a byte
-            p = self.p
-            w = self.width
-            code = 0
-            for c in vec:
-                code = (code << w) | c % p
-            return code
-        try:
-            entries = bytearray(vec)  # from a tuple, faster than bytes()
-        except ValueError:  # an entry outside [0, 256)
-            entries = bytearray([c % self.p for c in vec])
-        if self.p == 2:
-            return int(entries.translate(table) or b"0", 2)
-        return int.from_bytes(entries.translate(table), "big")
+        p = self.p
+        if p == 2:
+            try:
+                entries = bytearray(vec)  # from a tuple, faster than bytes()
+            except ValueError:  # an entry outside [0, 256)
+                entries = bytearray([c & 1 for c in vec])
+            # one byte per entry, its parity read as a binary digit
+            return int(entries.translate(_PARITY_DIGITS) or b"0", 2)
+        w = self.width
+        code = 0
+        for c in vec:
+            code = (code << w) | c % p
+        return code
 
     def unpack(self, code: int) -> tuple[int, ...]:
         """The residues packed in code, first entry first."""
         count = self.count
         w = self.width
-        if w == 8:
-            return tuple(code.to_bytes(count, "big"))
         if w == 1:
             if not count:
                 return ()
@@ -172,21 +165,23 @@ class PackedDigits:
                 a = self.add(a, a)
         return out
 
-    @cached_property
-    def codes(self) -> list[int]:
+    _codes = None
+
+    def position_codes(self) -> list[int]:
         """The packed vector of each position, position i holding the
-        base-p digits of i, most significant first."""
+        base-p digits of i, most significant first.  The list is kept for
+        the next call when it has at most _KEPT_CODES entries."""
+        codes = self._codes
+        if codes is not None:
+            return codes
         w = self.width
         codes = [0]
         # built from the least significant digit up
         for shift in range(0, w * self.count, w):
             codes = [(v << shift) | c for v in range(self.p) for c in codes]
+        if len(codes) <= _KEPT_CODES:
+            self._codes = codes
         return codes
-
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """The position of each packed vector of codes."""
-        return {c: i for i, c in enumerate(self.codes)}
 
 
 def _swar(p: int, p_ones: int, bias: int, high: int, top: int):
@@ -200,8 +195,7 @@ def _swar(p: int, p_ones: int, bias: int, high: int, top: int):
 
     def neg(a: int) -> int:
         # p·ONES - a has every field in [1, p], so no field borrows
-        t = p_ones - a
-        return t - p * (((t + bias) & high) >> top)
+        return add(p_ones, -a)
 
     return add, neg
 
@@ -301,9 +295,7 @@ class RowReducer:
                 v ^= rows[hit.bit_length()]
                 hit = v & pivot_bits
             return packing, v
-        # packing.add written out, which halves the time of a residual
-        p = self.p
-        bias, high, top = packing.carry
+        add = packing.add
         w = packing.width
         mask = (1 << w) - 1
         while hit:
@@ -313,8 +305,7 @@ class RowReducer:
             i = 0
             while f:
                 if f & 1:
-                    t = v + negs[i]
-                    v = t - p * (((t + bias) & high) >> top)
+                    v = add(v, negs[i])
                 f >>= 1
                 i += 1
             hit = v & pivot_bits

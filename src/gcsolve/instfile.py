@@ -14,12 +14,11 @@ A witness file is a single ``g`` line.  Rendering is canonical, so
 parse(render(x)) reproduces x exactly.
 
 The parser reads the point tokens of ``g`` and ``c`` lines through one
-table from the canonical names "1".."n" to their ints, so one lookup
-converts a token and checks its range; the table of the last n parsed is
-kept for the next parse.  The n tokens of a ``g`` line (n > 1) are
-looked up in one ``operator.itemgetter`` call, and when all of them hit
-the table the line needs only the distinctness test.  A line with any
-other token (``+3``, ``007``, ``0``, ``x``), another token
+table per parse, from the canonical names "1".."n" to their ints, so one
+lookup converts a token and checks its range.  The n tokens of a ``g``
+line (n > 1) are looked up in one ``operator.itemgetter`` call, and when
+all of them hit the table the line needs only the distinctness test.  A
+line with any other token (``+3``, ``007``, ``0``, ``x``), another token
 count, or n <= 1 is read again with int(), so the same files are
 accepted and every error names its line.  The parsed
 instance keeps the constraints as stated (see constraint.normalize); its
@@ -28,7 +27,6 @@ orbits are found when the frame is built.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 
 from .constraint import GcInstance
@@ -96,14 +94,6 @@ def _constraint(tokens, n: int, lineno: int) -> tuple[int, frozenset[int]]:
     return point, frozenset(members)
 
 
-@lru_cache(maxsize=1)
-def _point_names(n: int) -> dict[str, int]:
-    """The canonical names "1".."n" of the points, mapped to their ints.
-    One table serves every parse of the same n in a row; nothing writes to
-    it."""
-    return {str(a): a for a in range(1, n + 1)}
-
-
 def parse_instance(text: str) -> GcInstance:
     lines = _numbered_tokens(text)
 
@@ -140,7 +130,7 @@ def parse_instance(text: str) -> GcInstance:
 
     # the canonical names "1".."n" of the points: one lookup both converts a
     # token and checks its range, and the images share the table's ints
-    names = _point_names(n)
+    names = {str(a): a for a in range(1, n + 1)}
     name = names.__getitem__
     gens = []
     for _ in range(m):

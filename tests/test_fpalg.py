@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcsolve import fpalg
 from gcsolve.fpalg import (
     FpMatrix,
     PackedDigits,
@@ -244,11 +245,12 @@ def _kept_rows(reducer):
 
 # At p = 2, widths at and around one and two 64-bit words, where a packed
 # row's size in machine words changes, besides small ones.  At odd p a
-# field is 8 bits below 128 and 9, 10 and 17 bits at 131, 257 and 65521,
-# so widths up to 8 already span one and two words there.
+# field is p.bit_length() + 1 bits: 3 and 4 at p = 3 and 5, and 8, 9, 10
+# and 17 at 127, 131, 257 and 65521, so widths up to 8 already span one
+# and two words at the larger primes.
 WIDTHS = st.one_of(st.integers(0, 6), st.sampled_from([63, 64, 65, 130]))
-# the first primes, and the primes on each side of the byte-field boundary
-# and at two wider fields
+# the first primes, 127 and 131, where a field goes from 8 to 9 bits, and
+# two wider fields
 SCHOOLBOOK_PRIMES = (2, 3, 5, 127, 131, 257, 65521)
 
 
@@ -509,8 +511,9 @@ def test_p_beyond_the_exact_prime_test_is_refused():
         parse_instance(f"gc 1\np {psi_13}\nn 1\nm 0\n")
 
 
-# primes at the edges of the packed field widths: one bit for 2, bytes for
-# 3 up to 127, 9 bits for 131, 10 for 257, 18 for 65537, 62 for 2^61 - 1
+# primes at the edges of the packed field widths, p.bit_length() + 1 bits
+# at odd p: one bit for 2, 3 for 3, 4 for 5 and 7, 8 for 127, 9 for 131, 10
+# for 257, 18 for 65537, 62 for 2^61 - 1
 PACKED_PRIMES = (2, 3, 5, 7, 11, 17, 31, 127, 131, 257, 65537, 2**61 - 1)
 
 
@@ -554,3 +557,15 @@ def test_packed_digits_largest_field_sums(p):
 def test_packed_digits_refuse_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="vector length 2 != 3"):
         PackedDigits(5, 3).pack((1, 2))
+
+
+@pytest.mark.parametrize("p, count", [(3, 0), (3, 2), (5, 3), (3, 5), (131, 1), (17, 2), (3, 6)])
+def test_position_codes_pack_each_position_and_keep_only_short_lists(p, count):
+    """Position i's code packs its base-p digits, most significant first,
+    and the list is kept for the next call only up to _KEPT_CODES entries
+    (243 and 131 are kept, 289 and 729 are not)."""
+    packing = PackedDigits(p, count)
+    codes = packing.position_codes()
+    assert codes == [packing.pack(d) for d in itertools.product(range(p), repeat=count)]
+    assert (packing.position_codes() is codes) == (p**count <= fpalg._KEPT_CODES)
+

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcsolve import instfile
 from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.instfile import InstanceFormatError, parse_instance, render_instance
 from util import reference_parse_instance
@@ -136,20 +135,3 @@ def test_a_point_stated_twice_keeps_the_intersection():
     inst = parse_instance(SMALL + "c 1 : 4 3\n")
     assert inst.constraints[1] == frozenset({4})
     assert inst == reference_parse_instance(SMALL + "c 1 : 4 3\n")
-
-
-def test_parses_alternating_between_two_sizes_read_their_own_names():
-    """The name table is kept for the last n parsed: parses that alternate
-    between n = 4 and n = 6 give the instances int() gives, a token naming
-    5 still fails on its line at n = 4, and no parse changes the table."""
-    large = ("gc 1\np 3\nn 6\nm 1\ng 2 3 1 5 6 4\nc 1 : 2 3\nc 4 : 5\n")
-    bad = SMALL.replace("c 1 : 2 4", "c 1 : 2 5")
-    for _ in range(3):
-        for text in (SMALL, large):
-            assert parse_instance(text) == reference_parse_instance(text)
-        with pytest.raises(InstanceFormatError) as exc:
-            parse_instance(bad)
-        assert str(exc.value) == "line 7: constraint value 5 out of range 1..4"
-    assert instfile._point_names(4) == {"1": 1, "2": 2, "3": 3, "4": 4}
-    parse_instance(large)
-    assert instfile._point_names(6) == {str(a): a for a in range(1, 7)}
