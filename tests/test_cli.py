@@ -335,6 +335,31 @@ def test_a_file_that_is_not_utf8_names_its_line(tmp_path, capsys, argv, data, li
     assert f"line {line}: not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "MISSING"],
+    ["check", "MISSING", *map(str, range(1, 9))],
+    ["reduce", "MISSING", "--mode", "k3", "--p", "3"],
+    ["check", "INST", "--witness-file", "MISSING"],
+    ["gen", "--out", "MISSING"],
+    ["gen", "--sat-bias", "1", "--out", "SCRATCH", "--witness-out", "MISSING"],
+    ["reduce", "CLAUSES", "--mode", "k3", "--p", "2", "--out", "MISSING"],
+    ["bench", "--values", "2", "--samples", "1", "--out", "MISSING"],
+])
+def test_a_file_that_cannot_be_opened_exits_64(tmp_path, capsys, argv):
+    """A missing input, or an output in a directory that does not exist,
+    exits 64 with the operating system's message."""
+    missing = tmp_path / "absent" / "file"
+    inst = tmp_path / "inst.gc"
+    inst.write_text(EIGHT_POINT_FILE)
+    clauses = tmp_path / "cl.txt"
+    clauses.write_text("vars a b c\na b c\n")
+    paths = {"MISSING": missing, "INST": inst, "CLAUSES": clauses,
+             "SCRATCH": tmp_path / "scratch.gc"}
+    assert main([str(paths.get(a, a)) for a in argv]) == 64
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 def test_stdin_that_is_not_utf8_names_its_line(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
     assert main(["solve", "-"]) == 64
