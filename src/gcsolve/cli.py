@@ -2,7 +2,8 @@
 
 Exit codes: 0 = satisfiable / check passed, 1 = unsatisfiable / check
 failed, 2 = undecided (constraint not linear and no fallback ran), 64 =
-malformed input (a usage error included) or violated precondition.
+malformed input (a usage error included), a file that cannot be read or
+written, or violated precondition, 141 = stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -10,19 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
 from . import genbench
 from .constraint import DEFAULT_CAP, SAT, UNSAT, solve, verify_detail
-from .frame import FrameError
-from .instfile import (
-    InstanceFormatError,
-    parse_instance,
-    parse_witness,
-    render_instance,
-    render_witness,
-)
+from .instfile import parse_instance, parse_witness, render_instance, render_witness
 from .perm import Permutation
 from .reduction import parse_clauses, reduce_1in_k, reduce_2cstr
 
@@ -30,6 +25,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE: stdout closed by its reader
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,11 +60,6 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT
-
-
 def _text_report(report: dict) -> str:
     """The solve report as text: the status line, then one "name value"
     line per field that is not None, with the witness as its `g` line and
@@ -87,21 +78,12 @@ def _text_report(report: dict) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        text = _read(args.file)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    text = _read(args.file)
     t0 = time.perf_counter()
-    try:
-        inst = parse_instance(text)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    inst = parse_instance(text)
     parse_ms = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
-    try:
-        outcome = solve(inst, fallback=args.fallback, cap=args.cap)
-    except FrameError as exc:
-        return _fail(str(exc))
+    outcome = solve(inst, fallback=args.fallback, cap=args.cap)
     solve_ms = (time.perf_counter() - t0) * 1000.0
 
     # the outcome's fields in their declared order, then the two times
@@ -120,28 +102,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        inst = parse_instance(_read(args.file))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    inst = parse_instance(_read(args.file))
     if args.witness_file:
         if args.images:
-            return _fail("give either --witness-file or witness images, not both")
-        try:
-            g = parse_witness(_read(args.witness_file), inst.n)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+            raise ValueError("give either --witness-file or witness images, not both")
+        g = parse_witness(_read(args.witness_file), inst.n)
     else:
         if len(args.images) != inst.n:
-            return _fail(f"witness has {len(args.images)} images, expected {inst.n}")
-        try:
-            g = Permutation(tuple(args.images))
-        except ValueError as exc:
-            return _fail(str(exc))
-    try:
-        ok, reason = verify_detail(inst, g)
-    except FrameError as exc:
-        return _fail(str(exc))
+            raise ValueError(f"witness has {len(args.images)} images, expected {inst.n}")
+        g = Permutation(tuple(args.images))
+    ok, reason = verify_detail(inst, g)
     if ok:
         print("OK")
         return EXIT_SAT
@@ -150,47 +120,32 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        cfg = genbench.GenConfig(
-            p=args.p,
-            seed=args.seed,
-            k=args.k,
-            sat_bias=args.sat_bias,
-            dims=tuple(int(t) for t in args.dims.split(",")) if args.dims else None,
-            dim_g=args.dim_g,
-            n_target=args.n_target,
-        )
-        result = genbench.gen_instance(cfg)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        _write(args.out, render_instance(result.instance))
-        if args.witness_out:
-            if result.witness is None:
-                print("instance was not planted; no witness file written", file=sys.stderr)
-            else:
-                _write(args.witness_out, render_witness(result.witness))
-    except OSError as exc:
-        return _fail(str(exc))
+    cfg = genbench.GenConfig(
+        p=args.p,
+        seed=args.seed,
+        k=args.k,
+        sat_bias=args.sat_bias,
+        dims=tuple(int(t) for t in args.dims.split(",")) if args.dims else None,
+        dim_g=args.dim_g,
+        n_target=args.n_target,
+    )
+    result = genbench.gen_instance(cfg)
+    _write(args.out, render_instance(result.instance))
+    if args.witness_out:
+        if result.witness is None:
+            print("instance was not planted; no witness file written", file=sys.stderr)
+        else:
+            _write(args.witness_out, render_witness(result.witness))
     return EXIT_SAT
 
 
 def cmd_reduce(args) -> int:
-    try:
-        clauses = parse_clauses(_read(args.file))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        if args.mode == "k3":
-            red = reduce_1in_k(clauses, args.p)
-        else:
-            red = reduce_2cstr(clauses, args.p, strict=not args.any_clause_size)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        _write(args.out, render_instance(red.instance))
-    except OSError as exc:
-        return _fail(str(exc))
+    clauses = parse_clauses(_read(args.file))
+    if args.mode == "k3":
+        red = reduce_1in_k(clauses, args.p)
+    else:
+        red = reduce_2cstr(clauses, args.p, strict=not args.any_clause_size)
+    _write(args.out, render_instance(red.instance))
     if args.labels:
         for a, label in enumerate(red.labels, start=1):
             print(f"{a} {label}", file=sys.stderr)
@@ -220,29 +175,23 @@ def _parse_pair(flag: str, spec: str) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        values = _parse_values(args.values)
-        kwargs = dict(
-            seed=args.seed,
-            p=args.p,
-            k=args.k,
-            sat_bias=args.sat_bias,
-            q_range=_parse_pair("--q-range", args.q_range),
-            dim_range=_parse_pair("--dim-range", args.dim_range),
-        )
-        if args.sweep == "dimg":
-            configs = genbench.dim_g_sweep(values, **kwargs)
-        else:
-            configs = genbench.n_sweep(values, **kwargs)
-        rows = genbench.bench_run(
-            configs, args.samples, oracle_cap=args.oracle_cap, fallback=args.fallback
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        _write(args.out, genbench.rows_to_csv(rows))
-    except OSError as exc:
-        return _fail(str(exc))
+    values = _parse_values(args.values)
+    kwargs = dict(
+        seed=args.seed,
+        p=args.p,
+        k=args.k,
+        sat_bias=args.sat_bias,
+        q_range=_parse_pair("--q-range", args.q_range),
+        dim_range=_parse_pair("--dim-range", args.dim_range),
+    )
+    if args.sweep == "dimg":
+        configs = genbench.dim_g_sweep(values, **kwargs)
+    else:
+        configs = genbench.n_sweep(values, **kwargs)
+    rows = genbench.bench_run(
+        configs, args.samples, oracle_cap=args.oracle_cap, fallback=args.fallback
+    )
+    _write(args.out, genbench.rows_to_csv(rows))
     return EXIT_SAT
 
 
@@ -351,18 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every refusal surfaces here as an OSError or a
+    ValueError, printed as "error: <message>" with exit EXIT_INPUT; a
+    stdout closed by its reader exits EXIT_PIPE without a message."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         if argv[:1] == ["bench"]:
             _apply_config_file(argv, parser.bench_parser)
+        args = parser.parse_args(argv)
+        for flag in ("cap", "samples"):
+            if getattr(args, flag, 1) < 1:
+                parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
+        code = args.func(args)
+        # a report still buffered fails here, inside the boundary
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so that the
+        # flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    args = parser.parse_args(argv)
-    for flag in ("cap", "samples"):
-        if getattr(args, flag, 1) < 1:
-            parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
-    return args.func(args)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -61,16 +61,16 @@ def _int_field(tokens, lineno, what) -> int:
         raise InstanceFormatError(f"{what} is not an integer", lineno) from None
 
 
-def _generator(tokens, n: int, lineno: int) -> Permutation:
-    """A `g` line that is not n distinct names of 1..n, read with int() so
-    that its error names the line (or, for tokens such as `+3` or `007`,
-    its permutation)."""
+def _g_line(tokens, n: int, lineno: int, noun: str) -> Permutation:
+    """The permutation a `g` line names, read with int() so that each error
+    names the line and the noun ("generator" or "witness"), or, for tokens
+    such as `+3` or `007`, the permutation."""
     try:
         images = tuple(map(int, tokens[1:]))
     except ValueError:
-        raise InstanceFormatError("generator images must be integers", lineno) from None
+        raise InstanceFormatError(f"{noun} images must be integers", lineno) from None
     if len(images) != n:
-        raise InstanceFormatError(f"generator has {len(images)} images, expected {n}", lineno)
+        raise InstanceFormatError(f"{noun} has {len(images)} images, expected {n}", lineno)
     try:
         return Permutation(images)
     except ValueError as exc:
@@ -146,7 +146,7 @@ def parse_instance(text: str) -> GcInstance:
         if images is not None and len(set(images)) == n:
             gens.append(Permutation._trusted(images))
         else:
-            gens.append(_generator(tokens, n, lineno))
+            gens.append(_g_line(tokens, n, lineno, "generator"))
 
     # the stated constraints as normalize keeps them, each member checked
     # once, by its lookup or by _constraint
@@ -196,16 +196,7 @@ def parse_witness(text: str, n: int) -> Permutation:
     if len(items) != 1 or items[0][1][0] != "g":
         raise InstanceFormatError("witness file must contain a single `g` line")
     lineno, tokens = items[0]
-    try:
-        images = tuple(map(int, tokens[1:]))
-    except ValueError:
-        raise InstanceFormatError("witness images must be integers", lineno) from None
-    if len(images) != n:
-        raise InstanceFormatError(f"witness has {len(images)} images, expected {n}", lineno)
-    try:
-        return Permutation(images)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), lineno) from None
+    return _g_line(tokens, n, lineno, "witness")
 
 
 def render_witness(g: Permutation) -> str:

@@ -9,7 +9,8 @@ copy of F_p^k (or F_p) numbered in lex order, so every group element is a
 translation built by genbench.translation_perms, whose one table per call
 builds each distinct block translation once for all the generators, and
 the constraints are range-checked and kept as stated by
-constraint.normalize.
+constraint.normalize.  Both refuse a domain of more than MAX_N points
+before they build any of it.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from .constraint import GcInstance, normalize
 from .fpalg import is_prime
 from .frame import translation_positions
 from .genbench import translation_perm, translation_perms
-from .perm import Permutation
+from .instfile import InstanceFormatError
+from .perm import Permutation, check_size
 
 
-class ClauseFormatError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        prefix = f"line {lineno}: " if lineno is not None else ""
-        super().__init__(prefix + message)
+class ClauseFormatError(InstanceFormatError):
+    """A malformed clause file, its message prefixed by the line's number."""
 
 
 @dataclass(frozen=True)
@@ -140,13 +139,14 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
         raise ValueError(f"p = {p} is not prime")
     k = s.k
     block = p**k
+    n = block * len(s.clauses)
+    check_size(n)
     points = {}
     labels = []
     for t, clause in enumerate(s.clauses):
         for w in itertools.product(range(p), repeat=k):
             points[(t, w)] = t * block + sum(x * p ** (k - 1 - i) for i, x in enumerate(w)) + 1
             labels.append(f"c{t}:" + "".join(map(str, w)))
-    n = block * len(s.clauses)
     gens = translation_perms(p, (k,) * len(s.clauses),
                              [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
     # each point may advance by one of the clause's variable indicators
@@ -188,6 +188,8 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
                 raise ValueError(
                     f"clause {clause} has size {len(clause)}, expected exactly {p}"
                 )
+    n = p * (len(s.sigma) + len(s.clauses))
+    check_size(n)
     points = {}
     labels = []
     idx = 0
@@ -201,7 +203,6 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
             idx += 1
             points[("clause", t, y)] = idx
             labels.append(f"c{t}:{y}")
-    n = idx
     gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
                              [_two_cstr_shifts(s, p, {v: 1}) for v in s.sigma])
     cmap = {}

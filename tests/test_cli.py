@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcsolve
 from gcsolve.cli import build_parser, main
 from gcsolve.constraint import MAX_N, normalize, solve_enumerate
 from gcsolve.frame import build_frame
@@ -358,6 +361,24 @@ def test_a_file_that_cannot_be_opened_exits_64(tmp_path, capsys, argv):
     assert main([str(paths.get(a, a)) for a in argv]) == 64
     assert capsys.readouterr().err == (
         f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+@pytest.mark.parametrize("argv", [["solve", "INST", "--json"], ["gen", "--out", "-"]])
+def test_a_closed_stdout_exits_141_quietly(eight_point_path, argv):
+    """With stdout a pipe whose read end is already closed, the command
+    exits 128 + SIGPIPE and writes nothing to stderr."""
+    src = str(Path(gcsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcsolve.cli",
+             *(eight_point_path if a == "INST" else a for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_stdin_that_is_not_utf8_names_its_line(monkeypatch, capsys):

@@ -172,6 +172,22 @@ def test_reduce_2cstr_strict_rejects_size_mismatch():
     reduce_2cstr(ClauseSet(("a", "b"), (("a", "b"),)), 2)
 
 
+@pytest.mark.parametrize("reduce, s, p, n", [
+    # 80 clauses of ten variables: 80 blocks of 2^10 points
+    (reduce_1in_k, ClauseSet(tuple(f"v{i}" for i in range(10)),
+                             (tuple(f"v{i}" for i in range(10)),) * 80), 2, 81920),
+    # one variable's orbit of 65537 points, one over the limit
+    (reduce_2cstr, ClauseSet(("a",), ()), 65537, 65537),
+], ids=["1in_k", "2cstr"])
+def test_reductions_refuse_an_oversized_n_before_building_it(monkeypatch, reduce, s, p, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generators built")
+
+    monkeypatch.setattr("gcsolve.reduction.translation_perms", refuse)
+    with pytest.raises(ValueError, match=f"^n = {n} exceeds the limit 65536$"):
+        reduce(s, p)
+
+
 def test_reduce_2cstr_structure_and_morphism():
     rng = random.Random(13)
     s = ClauseSet(("a", "b", "c", "d"), (("a", "b", "c"), ("b", "c", "d")))
