@@ -17,8 +17,7 @@ import time
 
 from . import genbench
 from .constraint import DEFAULT_CAP, SAT, UNSAT, solve, verify_detail
-from .instfile import parse_instance, parse_witness, render_instance, render_witness
-from .perm import Permutation
+from .instfile import _g_line, parse_instance, parse_witness, render_instance, render_witness
 from .reduction import parse_clauses, reduce_1in_k, reduce_2cstr
 
 EXIT_SAT = 0
@@ -108,9 +107,7 @@ def cmd_check(args) -> int:
             raise ValueError("give either --witness-file or witness images, not both")
         g = parse_witness(_read(args.witness_file), inst.n)
     else:
-        if len(args.images) != inst.n:
-            raise ValueError(f"witness has {len(args.images)} images, expected {inst.n}")
-        g = Permutation(tuple(args.images))
+        g = _g_line(args.images, inst.n, "witness")
     ok, reason = verify_detail(inst, g)
     if ok:
         print("OK")

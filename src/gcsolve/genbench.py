@@ -6,8 +6,9 @@ sample index).  Orbit i of an instance is a block of consecutive points,
 a copy of F_p^{d_i} numbered in lex order, so its generators and planted
 witness are translations built on frame.translation_positions by
 translation_perms, whose one table per call builds each distinct block
-translation once, and the constraints are range-checked and kept as
-stated by constraint.normalize, as a parsed instance keeps its own.  The
+translation once.  Each point's constraint set is drawn inside its orbit
+and frozen as it is drawn, and the GcInstance is made from the sets
+directly, kept as stated as a parsed instance keeps its own.  The
 harness times the linear pipeline against the enumeration oracle and
 aggregates summary rows (means and standard deviations as a percent of
 the mean, with "-" for cells where the oracle was capped).
@@ -19,7 +20,7 @@ import time
 from dataclasses import astuple, dataclass, replace
 from statistics import fmean, pstdev
 
-from .constraint import GcInstance, normalize, solve, solve_enumerate
+from .constraint import GcInstance, solve, solve_enumerate
 from .fpalg import RowReducer, is_prime
 from .frame import build_frame, translation_positions
 from .perm import MAX_N, Permutation
@@ -267,7 +268,8 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     gens = translation_perms(p, dims, vectors)
     witness = gens.pop() if planted else None
 
-    cmap = {}
+    # every draw lies in its point's orbit, so the sets lie in 1..n
+    constraints = {}
     off = 0
     for di in dims:
         size = p**di
@@ -276,10 +278,10 @@ def gen_instance(cfg: GenConfig) -> GenResult:
             cset = {witness.images[a - 1]} if planted else set()
             while len(cset) < want:
                 cset.add(off + 1 + rng.below(size))
-            cmap[a] = cset
+            constraints[a] = frozenset(cset)
         off += size
 
-    inst = normalize(cmap.items(), len(cmap), gens, p)
+    inst = GcInstance(p, off, tuple(gens), constraints)
     return GenResult(inst, witness, dims, dim_g)
 
 

@@ -61,12 +61,13 @@ def _int_field(tokens, lineno, what) -> int:
         raise InstanceFormatError(f"{what} is not an integer", lineno) from None
 
 
-def _g_line(tokens, n: int, lineno: int, noun: str) -> Permutation:
-    """The permutation a `g` line names, read with int() so that each error
-    names the line and the noun ("generator" or "witness"), or, for tokens
-    such as `+3` or `007`, the permutation."""
+def _g_line(tokens, n: int, noun: str, lineno: int | None = None) -> Permutation:
+    """The permutation the images of a `g` line name (the tokens after the
+    `g`, or the images given on the command line), read with int() so that
+    each error names the line and the noun ("generator" or "witness"), or,
+    for tokens such as `+3` or `007`, the permutation."""
     try:
-        images = tuple(map(int, tokens[1:]))
+        images = tuple(map(int, tokens))
     except ValueError:
         raise InstanceFormatError(f"{noun} images must be integers", lineno) from None
     if len(images) != n:
@@ -146,7 +147,7 @@ def parse_instance(text: str) -> GcInstance:
         if images is not None and len(set(images)) == n:
             gens.append(Permutation._trusted(images))
         else:
-            gens.append(_g_line(tokens, n, lineno, "generator"))
+            gens.append(_g_line(tokens[1:], n, "generator", lineno))
 
     # the stated constraints as normalize keeps them, each member checked
     # once, by its lookup or by _constraint
@@ -175,20 +176,20 @@ def render_instance(inst: GcInstance) -> str:
     # the names "0".."n" of the points, each made once per render
     name = list(map(str, range(inst.n + 1))).__getitem__
     for g in inst.gens:
-        out.append("g " + " ".join(map(name, g.images)) if g.n else "g")
+        out.append(" ".join(["g", *map(name, g.images)]))
     # each stated set cut to its point's orbit, written when the cut leaves
-    # out part of the orbit; an unstated point is constrained to its orbit
+    # out part of the orbit; an unstated point is constrained to its orbit.
+    # A set that lies inside its orbit, as every built one does, is its cut
     orbits = inst.orbits
-    orbit_sets: dict[int, frozenset[int]] = {}
+    orbit_sets = [frozenset(b) for b in orbits.blocks]
     for a in sorted(inst.constraints):
-        i = orbits.block_index(a)
-        orbit = orbit_sets.get(i)
-        if orbit is None:
-            orbit = orbit_sets[i] = frozenset(orbits.blocks[i])
-        cut = inst.constraints[a] & orbit
+        orbit = orbit_sets[orbits.block_index(a)]
+        cset = inst.constraints[a]
+        cut = cset if cset <= orbit else cset & orbit
         if len(cut) < len(orbit):
-            out.append(f"c {a} : " + " ".join(map(name, sorted(cut))))
-    return "\n".join(line.rstrip() for line in out) + "\n"
+            out.append(" ".join(["c", name(a), ":", *map(name, sorted(cut))]))
+    out.append("")
+    return "\n".join(out)
 
 
 def parse_witness(text: str, n: int) -> Permutation:
@@ -196,7 +197,7 @@ def parse_witness(text: str, n: int) -> Permutation:
     if len(items) != 1 or items[0][1][0] != "g":
         raise InstanceFormatError("witness file must contain a single `g` line")
     lineno, tokens = items[0]
-    return _g_line(tokens, n, lineno, "witness")
+    return _g_line(tokens[1:], n, "witness", lineno)
 
 
 def render_witness(g: Permutation) -> str:

@@ -7,10 +7,11 @@ second uses one p-cycle per variable plus one p-cycle per clause tracking
 the sum of the clause's variables.  Either way each block of points is a
 copy of F_p^k (or F_p) numbered in lex order, so every group element is a
 translation built by genbench.translation_perms, whose one table per call
-builds each distinct block translation once for all the generators, and
-the constraints are range-checked and kept as stated by
-constraint.normalize.  Both refuse a domain of more than MAX_N points
-before they build any of it.
+builds each distinct block translation once for all the generators.  The
+constraint sets are built as frozensets of points in 1..n and the
+GcInstance is made from them directly, with no second pass over what was
+just built.  Both refuse a domain of more than MAX_N points before they
+build any of it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .constraint import GcInstance, normalize
+from .constraint import GcInstance
 from .fpalg import is_prime
 from .frame import translation_positions
 from .genbench import translation_perm, translation_perms
@@ -30,6 +31,31 @@ class ClauseFormatError(InstanceFormatError):
     """A malformed clause file, its message prefixed by the line's number."""
 
 
+class _ClauseReader:
+    """Checks clauses over an alphabet one at a time, as a clause file's
+    lines are read: each clause has distinct, declared variables and the
+    size of the first; it is returned sorted in alphabet order."""
+
+    def __init__(self, sigma: tuple[str, ...]):
+        if len(set(sigma)) != len(sigma):
+            raise ValueError("duplicate variable names")
+        self.sigma = sigma
+        self.pos = {v: i for i, v in enumerate(sigma)}
+        self.k = None
+
+    def __call__(self, clause: tuple[str, ...]) -> tuple[str, ...]:
+        if len(set(clause)) != len(clause):
+            raise ValueError(f"repeated variable in clause {clause}")
+        for v in clause:
+            if v not in self.pos:
+                raise ValueError(f"undeclared variable {v!r}")
+        if self.k is None:
+            self.k = len(clause)
+        elif len(clause) != self.k:
+            raise ValueError(f"clauses have mixed sizes {sorted({self.k, len(clause)})}")
+        return tuple(sorted(clause, key=self.pos.__getitem__))
+
+
 @dataclass(frozen=True)
 class ClauseSet:
     """Positive clauses over an ordered variable alphabet; every clause has
@@ -39,21 +65,8 @@ class ClauseSet:
     clauses: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if len(set(self.sigma)) != len(self.sigma):
-            raise ValueError("duplicate variable names")
-        pos = {v: i for i, v in enumerate(self.sigma)}
-        canon = []
-        for clause in self.clauses:
-            if len(set(clause)) != len(clause):
-                raise ValueError(f"repeated variable in clause {clause}")
-            for v in clause:
-                if v not in pos:
-                    raise ValueError(f"undeclared variable {v!r}")
-            canon.append(tuple(sorted(clause, key=pos.__getitem__)))
-        sizes = {len(c) for c in canon}
-        if len(sizes) > 1:
-            raise ValueError(f"clauses have mixed sizes {sorted(sizes)}")
-        object.__setattr__(self, "clauses", tuple(canon))
+        read = _ClauseReader(self.sigma)
+        object.__setattr__(self, "clauses", tuple(map(read, self.clauses)))
 
     @property
     def k(self) -> int:
@@ -62,37 +75,44 @@ class ClauseSet:
 
 def parse_clauses(text: str) -> ClauseSet:
     """Parse the clause file format: a `vars` header line, then one clause
-    of space-separated variable names per line."""
-    sigma = None
+    of space-separated variable names per line.  Each line is checked as
+    it is read, so an error names its line."""
+    read = None
     clauses = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
-        if sigma is None:
-            if tokens[0] != "vars" or len(tokens) < 2:
-                raise ClauseFormatError("expected `vars <name>...` header", lineno)
-            sigma = tuple(tokens[1:])
-            continue
-        clauses.append(tuple(tokens))
-    if sigma is None:
+        try:
+            if read is None:
+                if tokens[0] != "vars" or len(tokens) < 2:
+                    raise ValueError("expected `vars <name>...` header")
+                read = _ClauseReader(tuple(tokens[1:]))
+            else:
+                clauses.append(read(tuple(tokens)))
+        except ValueError as exc:
+            raise ClauseFormatError(str(exc), lineno) from None
+    if read is None:
         raise ClauseFormatError("missing `vars` header")
-    try:
-        return ClauseSet(sigma, tuple(clauses))
-    except ValueError as exc:
-        raise ClauseFormatError(str(exc)) from None
+    return ClauseSet(read.sigma, tuple(clauses))
 
 
 def one_in_k_brute(s: ClauseSet) -> frozenset[str] | None:
     """Exhaustive search for an interpretation meeting every clause in
     exactly one variable; None when there is none.  Limited to 20
-    variables (2^|sigma| subsets are scanned)."""
+    variables (2^|sigma| subsets are scanned).  A subset is a mask with
+    bit i for sigma[i], and the first mask that meets every clause's mask
+    in exactly one bit is returned."""
     if len(s.sigma) > 20:
         raise ValueError(f"alphabet too large for brute force: {len(s.sigma)} > 20")
+    bit = {v: 1 << i for i, v in enumerate(s.sigma)}
+    clauses = [sum(map(bit.__getitem__, c)) for c in dict.fromkeys(s.clauses)]
     for mask in range(1 << len(s.sigma)):
-        chosen = {v for i, v in enumerate(s.sigma) if mask >> i & 1}
-        if all(len(chosen.intersection(c)) == 1 for c in s.clauses):
-            return frozenset(chosen)
+        for c in clauses:
+            if (mask & c).bit_count() != 1:
+                break
+        else:
+            return frozenset(v for v in s.sigma if mask & bit[v])
     return None
 
 
@@ -141,21 +161,25 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
     block = p**k
     n = block * len(s.clauses)
     check_size(n)
+    # lex order is position order, so one enumeration numbers every block
+    words = list(itertools.product(range(p), repeat=k))
+    names = ["".join(map(str, w)) for w in words]
+    # the positions each position may advance to: one per variable indicator
+    units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
+    steps = [tuple(pos[r] for pos in units) for r in range(block)]
     points = {}
     labels = []
-    for t, clause in enumerate(s.clauses):
-        for w in itertools.product(range(p), repeat=k):
-            points[(t, w)] = t * block + sum(x * p ** (k - 1 - i) for i, x in enumerate(w)) + 1
-            labels.append(f"c{t}:" + "".join(map(str, w)))
+    constraints = {}
+    for t in range(len(s.clauses)):
+        off = t * block
+        points.update(zip(((t, w) for w in words), range(off + 1, off + block + 1)))
+        labels.extend(f"c{t}:{name}" for name in names)
+        shift = (off + 1).__add__
+        for r, step in enumerate(steps, start=off + 1):
+            constraints[r] = frozenset(map(shift, step))
     gens = translation_perms(p, (k,) * len(s.clauses),
                              [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
-    # each point may advance by one of the clause's variable indicators
-    units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
-    cmap = {}
-    for off in range(0, n, block):
-        for r in range(block):
-            cmap[off + r + 1] = {off + pos[r] + 1 for pos in units}
-    inst = normalize(cmap.items(), n, gens, p)
+    inst = GcInstance(p, n, tuple(gens), constraints)
     return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
 
 
@@ -192,27 +216,22 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     check_size(n)
     points = {}
     labels = []
-    idx = 0
-    for v in s.sigma:
+    constraints = {}
+    for i, v in enumerate(s.sigma):
         for x in range(p):
-            idx += 1
-            points[("var", v, x)] = idx
+            a = i * p + x + 1
+            points[("var", v, x)] = a
             labels.append(f"{v}:{x}")
+            # a variable's point may stay or advance by one
+            constraints[a] = frozenset((a, i * p + (x + 1) % p + 1))
     for t in range(len(s.clauses)):
+        off = (len(s.sigma) + t) * p
         for y in range(p):
-            idx += 1
-            points[("clause", t, y)] = idx
+            points[("clause", t, y)] = off + y + 1
             labels.append(f"c{t}:{y}")
+            # a clause's point must advance by one
+            constraints[off + y + 1] = frozenset((off + (y + 1) % p + 1,))
     gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
                              [_two_cstr_shifts(s, p, {v: 1}) for v in s.sigma])
-    cmap = {}
-    for v in s.sigma:
-        for x in range(p):
-            cmap[points[("var", v, x)]] = frozenset(
-                {points[("var", v, x)], points[("var", v, (x + 1) % p)]}
-            )
-    for t in range(len(s.clauses)):
-        for y in range(p):
-            cmap[points[("clause", t, y)]] = frozenset({points[("clause", t, (y + 1) % p)]})
-    inst = normalize(cmap.items(), n, gens, p)
+    inst = GcInstance(p, n, tuple(gens), constraints)
     return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)

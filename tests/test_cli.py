@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -208,6 +209,18 @@ def test_check_arity_mismatch(eight_point_path, capsys):
     assert "expected 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("images, message", [
+    (["1", "2"], "witness has 2 images, expected 8"),
+    (["1"] * 9, "witness has 9 images, expected 8"),
+    (["1", "1", "3", "4", "5", "6", "7", "8"], "images do not form a bijection on 1..8"),
+])
+def test_check_images_are_read_as_a_witness_line(eight_point_path, capsys, images, message):
+    """Images given on the command line go through the `g`-line reader,
+    with its messages and no line number."""
+    assert main(["check", eight_point_path, *images]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_witness_file(eight_point_path, tmp_path, capsys):
     wfile = tmp_path / "w.txt"
     wfile.write_text("g 3 4 1 2 7 8 5 6\n")
@@ -245,6 +258,22 @@ def test_reduce_2cstr_strict_and_relaxed(tmp_path, capsys):
     assert main(["reduce", str(clause_file), "--mode", "2cstr", "--p", "2",
                  "--any-clause-size", "--out", str(out)]) == 0
     assert parse_instance(out.read_text()).n == 8
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vars a b c\na b c\n\na d b\n", "line 4: undeclared variable 'd'"),
+    ("vars a b c\na b\nb c\na b c\n", "line 4: clauses have mixed sizes [2, 3]"),
+    ("vars a b c\na b c\na a b\n", "line 3: repeated variable in clause ('a', 'a', 'b')"),
+    ("vars a b a\na b\n", "line 1: duplicate variable names"),
+    ("\na b c\n", "line 2: expected `vars <name>...` header"),
+    ("\n\n", "missing `vars` header"),
+])
+def test_a_malformed_clause_file_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "cl.txt"
+    path.write_text(text)
+    assert main(["reduce", str(path), "--mode", "k3", "--p", "2",
+                 "--out", str(tmp_path / "out.gc")]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_writes_csv_with_capped_cell(tmp_path):
@@ -445,6 +474,51 @@ def test_mutated_instance_files_never_raise(tmp_path_factory, mutations):
     path.write_bytes(bytes(data))
     assert main(["solve", str(path)]) in (0, 1, 2, 64)
     assert main(["check", str(path), "3", "4", "1", "2", "7", "8", "5", "6"]) in (0, 1, 64)
+
+
+CLAUSE_FILE = "vars a b c d\na b c\nb c d\n"
+
+_CLAUSE_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 2**16),
+    st.sampled_from(b"abcdvz \n\x00\xff"),
+)
+
+# refusals that no one line of a clause file causes: no header, the
+# reduction's n above the limit, a clause size other than p (2cstr), and
+# the UTF-8 error, which names its line after the file's name
+WHOLE_FILE_ERRORS = re.compile(
+    r"missing `vars` header"
+    r"|n = \d+ exceeds the limit \d+"
+    r"|clause \(.*\) has size \d+, expected exactly 3"
+    r"|.*: line \d+: not UTF-8"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_CLAUSE_MUTATION, min_size=1, max_size=4),
+       mode=st.sampled_from(["k3", "2cstr"]))
+def test_mutated_clause_files_name_their_line(tmp_path_factory, mutations, mode):
+    data = bytearray(CLAUSE_FILE.encode())
+    for op, at, byte in mutations:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = bytes([byte])
+        elif at < len(data):
+            data[at:at + 1] = bytes([byte]) if op == "replace" else b""
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "mutated.txt"
+    path.write_bytes(bytes(data))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["reduce", str(path), "--mode", mode, "--p", "3",
+                     "--out", str(folder / "out.gc")])
+    assert code in (0, 64)
+    if code == 64:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.endswith("\n")
+        message = message[len("error: "):-1]
+        assert re.match(r"line \d+: ", message) or WHOLE_FILE_ERRORS.fullmatch(message), message
 
 
 def test_readme_synopsis_names_every_option():

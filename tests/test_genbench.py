@@ -25,7 +25,7 @@ from gcsolve.genbench import (
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
-from util import schoolbook_translation_perm
+from util import assert_same_instance, reference_gen_instance, schoolbook_translation_perm
 
 
 def test_splitmix64_reference_vectors():
@@ -231,6 +231,16 @@ def test_gen_output_is_pinned():
         h.update(render_witness(res.witness).encode() if res.witness else b"-\n")
         h.update(f"{res.dims} {res.dim_g}\n".encode())
     assert h.hexdigest() == "218ba8b1911afc3e0cf7951ca7de75d114a556c5d60f524c9c7b4d510abe043c"
+
+
+def test_gen_instance_matches_the_normalize_reference():
+    """Built in one pass, every pinned and text config gives the instance,
+    witness and dimensions that drawing Python sets through normalize
+    gave."""
+    for cfg in (*_pinned_configs(), *_text_configs()):
+        res, ref = gen_instance(cfg), reference_gen_instance(cfg)
+        assert_same_instance(res.instance, ref.instance)
+        assert (res.witness, res.dims, res.dim_g) == (ref.witness, ref.dims, ref.dim_g)
 
 
 def _text_configs():

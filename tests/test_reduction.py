@@ -5,7 +5,7 @@ import pytest
 
 from gcsolve.constraint import solve, solve_enumerate, verify
 from gcsolve.frame import build_frame
-from gcsolve.genbench import SplitMix64
+from gcsolve.genbench import SplitMix64, derive_seed
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import compose, is_elementary_abelian
 from gcsolve.reduction import (
@@ -16,7 +16,13 @@ from gcsolve.reduction import (
     reduce_1in_k,
     reduce_2cstr,
 )
-from util import constraint_k
+from util import (
+    assert_same_instance,
+    constraint_k,
+    reference_one_in_k_brute,
+    reference_reduce_1in_k,
+    reference_reduce_2cstr,
+)
 
 
 def running_example():
@@ -79,6 +85,46 @@ def test_one_in_k_brute_exhaustive_against_definition():
         assert (got is None) == (not all_good)
         if got is not None:
             assert got in all_good
+
+
+def _seeded_clause_sets(p, count=20, max_vars=7, max_clauses=5):
+    """Seeded clause sets of one to max_vars variables, with zero to
+    max_clauses clauses of size 1-3 (or p), repeats allowed."""
+    rng = SplitMix64(derive_seed(p, 12))
+    for _ in range(count):
+        sigma = tuple(f"v{i}" for i in range(rng.randint(1, max_vars)))
+        size = min(len(sigma), (1, 2, 3, p)[rng.below(4)])
+        clauses = tuple(tuple(rng.sample(sigma, size)) for _ in range(rng.randint(0, max_clauses)))
+        yield ClauseSet(sigma, clauses)
+
+
+def test_one_in_k_brute_returns_the_first_satisfying_subset_in_mask_order():
+    # bit i of a mask is sigma[i]: {a}, {b} fail (c d) and {a, b} fails
+    # (b c), so the first subset meeting both clauses once is {c}
+    s = ClauseSet(("a", "b", "c", "d"), (("b", "c"), ("c", "d")))
+    assert one_in_k_brute(s) == frozenset({"c"})
+    for p in (2, 3, 5):
+        for s in _seeded_clause_sets(p, count=40, max_vars=10, max_clauses=12):
+            assert one_in_k_brute(s) == reference_one_in_k_brute(s)
+
+
+def _assert_same_reduction(red, ref):
+    assert_same_instance(red.instance, ref.instance)
+    assert (red.clause_set, red.p, red.kind) == (ref.clause_set, ref.p, ref.kind)
+    assert red.labels == ref.labels
+    assert list(red._points.items()) == list(ref._points.items())
+    assert [red.point(key) for key in ref._points] == list(ref._points.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reductions_match_the_normalize_reference(p):
+    """Built in one pass, each reduction is the one normalize gave: the
+    same generators, constraints in the same key order, labels and
+    points."""
+    for s in _seeded_clause_sets(p):
+        if p ** s.k * len(s.clauses) <= 2000:
+            _assert_same_reduction(reduce_1in_k(s, p), reference_reduce_1in_k(s, p))
+        _assert_same_reduction(reduce_2cstr(s, p, strict=False), reference_reduce_2cstr(s, p))
 
 
 def test_reduce_1in_k_worked_example_bit_exact():
@@ -184,6 +230,7 @@ def test_reductions_refuse_an_oversized_n_before_building_it(monkeypatch, reduce
         raise AssertionError("generators built")
 
     monkeypatch.setattr("gcsolve.reduction.translation_perms", refuse)
+    monkeypatch.setattr("gcsolve.reduction.translation_positions", refuse)
     with pytest.raises(ValueError, match=f"^n = {n} exceeds the limit 65536$"):
         reduce(s, p)
 

@@ -9,11 +9,12 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
-from gcsolve.fpalg import FpMatrix, PackedDigits, SingularMatrixError, is_prime
+from gcsolve.fpalg import FpMatrix, PackedDigits, RowReducer, SingularMatrixError, is_prime
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
-from gcsolve.genbench import GenConfig, gen_instance
+from gcsolve.genbench import GenConfig, GenResult, SplitMix64, _draw_dims, gen_instance
 from gcsolve.instfile import InstanceFormatError
-from gcsolve.perm import MAX_N, Permutation, compose
+from gcsolve.perm import MAX_N, Permutation, check_size, compose
+from gcsolve.reduction import ReducedInstance
 
 
 def eight_point_gens():
@@ -91,6 +92,145 @@ def schoolbook_translation_perm(p, dims, vector):
         images.extend(off + i + 1 for i in translation_positions(vector[lo:lo + d], p))
         lo += d
     return Permutation(tuple(images))
+
+
+# -- the instance builders through normalize, a reference for their one pass --
+
+
+def reference_one_in_k_brute(s):
+    """reduction.one_in_k_brute as it built the set of every subset, in
+    mask order, and intersected it with each clause: the same first
+    satisfying subset, or None."""
+    for mask in range(1 << len(s.sigma)):
+        chosen = {v for i, v in enumerate(s.sigma) if mask >> i & 1}
+        if all(len(chosen.intersection(c)) == 1 for c in s.clauses):
+            return frozenset(chosen)
+    return None
+
+
+def reference_reduce_1in_k(s, p):
+    """reduction.reduce_1in_k as it numbered each point by a digit sum, made
+    each set a Python set and passed the sets through normalize; the
+    generators are built block by block (schoolbook_translation_perm)."""
+    k = s.k
+    block = p**k
+    n = block * len(s.clauses)
+    check_size(n)
+    points = {}
+    labels = []
+    for t in range(len(s.clauses)):
+        for w in itertools.product(range(p), repeat=k):
+            points[(t, w)] = t * block + sum(x * p ** (k - 1 - i) for i, x in enumerate(w)) + 1
+            labels.append(f"c{t}:" + "".join(map(str, w)))
+    gens = [schoolbook_translation_perm(p, (k,) * len(s.clauses),
+                                        [int(u == v) for clause in s.clauses for u in clause])
+            for v in s.sigma]
+    units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
+    cmap = {}
+    for off in range(0, n, block):
+        for r in range(block):
+            cmap[off + r + 1] = {off + pos[r] + 1 for pos in units}
+    inst = normalize(cmap.items(), n, gens, p)
+    return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
+
+
+def reference_reduce_2cstr(s, p):
+    """reduction.reduce_2cstr(strict=False) as it looked each point up by
+    its key and passed Python sets through normalize."""
+    n = p * (len(s.sigma) + len(s.clauses))
+    check_size(n)
+    points = {}
+    labels = []
+    idx = 0
+    for v in s.sigma:
+        for x in range(p):
+            idx += 1
+            points[("var", v, x)] = idx
+            labels.append(f"{v}:{x}")
+    for t in range(len(s.clauses)):
+        for y in range(p):
+            idx += 1
+            points[("clause", t, y)] = idx
+            labels.append(f"c{t}:{y}")
+    gens = [schoolbook_translation_perm(
+        p, (1,) * (len(s.sigma) + len(s.clauses)),
+        [int(u == v) for u in s.sigma] + [int(v in clause) for clause in s.clauses])
+        for v in s.sigma]
+    cmap = {}
+    for v in s.sigma:
+        for x in range(p):
+            cmap[points[("var", v, x)]] = {points[("var", v, x)], points[("var", v, (x + 1) % p)]}
+    for t in range(len(s.clauses)):
+        for y in range(p):
+            cmap[points[("clause", t, y)]] = {points[("clause", t, (y + 1) % p)]}
+    inst = normalize(cmap.items(), n, gens, p)
+    return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)
+
+
+def reference_gen_instance(cfg):
+    """genbench.gen_instance as it drew Python sets and passed them through
+    normalize: the same draws in the same order, the generators and the
+    witness built block by block (schoolbook_translation_perm)."""
+    rng = SplitMix64(cfg.seed)
+    p = cfg.p
+    dims = _draw_dims(cfg, rng)
+    d = sum(dims)
+    if cfg.dim_g is not None and not max(dims) <= cfg.dim_g <= d:
+        raise ValueError(f"drawn dims {dims} cannot reach dim_g={cfg.dim_g}")
+    dim_g = cfg.dim_g if cfg.dim_g is not None else rng.randint(max(dims), d)
+    rows = None
+    for _ in range(100_000):
+        cand = [[rng.below(p) for _ in range(d)] for _ in range(dim_g)]
+        total = RowReducer(p, d)
+        if not all(total.add(row) for row in cand):
+            continue
+        lo = 0
+        ok = True
+        for di in dims:
+            block = RowReducer(p, di)
+            for row in cand:
+                if block.add(row[lo:lo + di]) and block.rank == di:
+                    break
+            else:
+                ok = False
+                break
+            lo += di
+        if ok:
+            rows = cand
+            break
+    if rows is None:
+        raise ValueError(f"could not draw generators for {cfg}")
+    gens = [schoolbook_translation_perm(p, dims, row) for row in rows]
+    witness = None
+    if rng.uniform01() < cfg.sat_bias:
+        coeffs = [rng.below(p) for _ in range(dim_g)]
+        witness_vec = [0] * d
+        for c, row in zip(coeffs, rows):
+            witness_vec = [(w + c * x) % p for w, x in zip(witness_vec, row)]
+        witness = schoolbook_translation_perm(p, dims, witness_vec)
+    cmap = {}
+    off = 0
+    for di in dims:
+        size = p**di
+        want = min(cfg.k, size)
+        for a in range(off + 1, off + size + 1):
+            cset = {witness.image(a)} if witness else set()
+            while len(cset) < want:
+                cset.add(off + 1 + rng.below(size))
+            cmap[a] = cset
+        off += size
+    inst = normalize(cmap.items(), len(cmap), gens, p)
+    return GenResult(inst, witness, dims, dim_g)
+
+
+def assert_same_instance(inst, ref):
+    """inst is ref, with the same constraints in the same key order, each a
+    frozenset, and every stated point and member in 1..n."""
+    assert (inst.p, inst.n, inst.gens) == (ref.p, ref.n, ref.gens)
+    assert list(inst.constraints.items()) == list(ref.constraints.items())
+    for a, cset in inst.constraints.items():
+        assert type(cset) is frozenset
+        assert 1 <= a <= inst.n and all(1 <= b <= inst.n for b in cset)
 
 
 # -- tuple arithmetic on tables rebuilt from lex, a reference for positions --
