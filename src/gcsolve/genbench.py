@@ -281,7 +281,7 @@ def gen_instance(cfg: GenConfig) -> GenResult:
             constraints[a] = frozenset(cset)
         off += size
 
-    inst = GcInstance(p, off, tuple(gens), constraints)
+    inst = GcInstance(p, len(constraints), tuple(gens), constraints)
     return GenResult(inst, witness, dims, dim_g)
 
 

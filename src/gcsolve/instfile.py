@@ -188,8 +188,7 @@ def render_instance(inst: GcInstance) -> str:
         cut = cset if cset <= orbit else cset & orbit
         if len(cut) < len(orbit):
             out.append(" ".join(["c", name(a), ":", *map(name, sorted(cut))]))
-    out.append("")
-    return "\n".join(out)
+    return "\n".join(out) + "\n"
 
 
 def parse_witness(text: str, n: int) -> Permutation:

@@ -106,7 +106,7 @@ def one_in_k_brute(s: ClauseSet) -> frozenset[str] | None:
     if len(s.sigma) > 20:
         raise ValueError(f"alphabet too large for brute force: {len(s.sigma)} > 20")
     bit = {v: 1 << i for i, v in enumerate(s.sigma)}
-    clauses = [sum(map(bit.__getitem__, c)) for c in dict.fromkeys(s.clauses)]
+    clauses = [sum(map(bit.__getitem__, c)) for c in s.clauses]
     for mask in range(1 << len(s.sigma)):
         for c in clauses:
             if (mask & c).bit_count() != 1:
