@@ -2,11 +2,15 @@
 
 All randomness flows through SplitMix64 so runs are reproducible across
 platforms; per-sample streams are derived from (root seed, cell index,
-sample index).  Orbit i of an instance is a block of consecutive points,
-a copy of F_p^{d_i} numbered in lex order, so its generators and planted
-witness are translations built on frame.translation_positions by
-translation_perms, whose one table per call builds each distinct block
-translation once.  Each point's constraint set is drawn inside its orbit
+sample index).  Its outputs are computed in lane-packed batches, many
+states mixed at once inside one int, and handed out in stream order: the
+stream, and so the seed-0 vectors and every generated instance, is the
+one that mixing a state per draw gives.  Orbit i of an instance is a
+block of consecutive points, a copy of F_p^{d_i} numbered in lex order,
+so its generators and planted witness are translations built on
+frame.translation_positions by translation_perms, whose tables per call
+build each distinct block translation once and each block's shifted
+images once.  Each point's constraint set is drawn inside its orbit
 and frozen as it is drawn, and the GcInstance is made from the sets
 directly, kept as stated as a parsed instance keeps its own.  The
 harness times the linear pipeline against the enumeration oracle and
@@ -17,43 +21,113 @@ the mean, with "-" for cells where the oracle was capped).
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from statistics import fmean, pstdev
 
 from .constraint import GcInstance, solve, solve_enumerate
 from .fpalg import RowReducer, is_prime
-from .frame import build_frame, translation_positions
+from .frame import _BYTE_ORDER, build_frame, translation_positions
 from .perm import MAX_N, Permutation
 
 _MASK = (1 << 64) - 1
+_SPAN = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK
     return z ^ (z >> 31)
 
 
+# Draws are computed in batches of 16, 32, ... lanes, up to 4096, so that a
+# short stream computes few outputs it does not use and _lane_constants
+# holds at most nine sizes.  A batch of k holds the next k states in the
+# low halves of k 128-bit lanes of one int, lane i the i-th, and runs _mix
+# on all of them at once.  Each shift is masked back to the low 64 bits of
+# its lane, and each product of a 64-bit value and a 64-bit constant fits
+# its 128-bit lane, so no lane reaches the next.  The low words are read
+# back through array("Q"), last lane first, so that list.pop() hands them
+# out in stream order.
+_FIRST_BATCH = 16
+_MAX_BATCH = 4096
+_LOW_WORDS = slice(-2, None, -2) if _BYTE_ORDER == "little" else slice(1, None, 2)
+
+
+@lru_cache(maxsize=None)
+def _lane_constants(k: int) -> tuple[int, int, int]:
+    """For k lanes: a 1 in each lane, i golden gammas (mod 2^64) in lane
+    i - 1, and the 64-bit mask in each lane.  Lane i is bits 128i up, as
+    an int's value has it whatever the byte order of the host."""
+    lanes = [(i * _GOLDEN & _MASK).to_bytes(16, "little") for i in range(1, k + 1)]
+    ones = int.from_bytes((1).to_bytes(16, "little") * k, "little")
+    return ones, int.from_bytes(b"".join(lanes), "little"), ones * _MASK
+
+
 class SplitMix64:
-    """The splitmix64 generator: state += golden gamma, output = mix(state)."""
+    """The splitmix64 generator: state += golden gamma, output = mix(state).
+
+    Outputs are computed ahead in lane-packed batches (see _lane_constants)
+    and handed out in stream order, so every method gives what drawing one
+    output at a time gives."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self._state = seed & _MASK  # the state of the last output computed
+        self._batch = _FIRST_BATCH
+        self._ahead: list[int] = []  # outputs computed and not yet taken, last first
+
+    def _refill(self) -> list[int]:
+        """Compute the next batch; the batches double up to _MAX_BATCH."""
+        k = self._batch
+        self._batch = min(2 * k, _MAX_BATCH)
+        ones, ramp, mask = _lane_constants(k)
+        z = (self._state * ones + ramp) & mask
+        self._state = (self._state + k * _GOLDEN) & _MASK
+        z = (z ^ (z >> 30) & mask) * _MIX1 & mask
+        z = (z ^ (z >> 27) & mask) * _MIX2 & mask
+        z ^= z >> 31 & mask
+        self._ahead = array("Q", z.to_bytes(16 * k, _BYTE_ORDER))[_LOW_WORDS].tolist()
+        return self._ahead
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return _mix(self.state)
+        return (self._ahead or self._refill()).pop()
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
+        # above 2^64 no output lies below the limit, which would be 0
+        if not 0 < n <= _SPAN:
+            raise ValueError("below() needs a bound in 1..2^64")
+        limit = _SPAN - _SPAN % n
         while True:
-            u = self.next_u64()
+            u = (self._ahead or self._refill()).pop()
             if u < limit:
                 return u % n
+
+    def below_many(self, n: int, count: int) -> list[int]:
+        """[below(n) for _ in range(count)], taken from the computed
+        outputs a batch at a time; from the first batch holding an output
+        that below would reject, the rest are drawn by below."""
+        if not 0 < n <= _SPAN:
+            raise ValueError("below() needs a bound in 1..2^64")
+        limit = _SPAN - _SPAN % n
+        out: list[int] = []
+        need = count
+        while need > 0:
+            ahead = self._ahead or self._refill()
+            cut = max(len(ahead) - need, 0)
+            chunk = ahead[cut:]
+            if limit < _SPAN and max(chunk) >= limit:
+                out += [self.below(n) for _ in range(need)]
+                break
+            del ahead[cut:]
+            chunk.reverse()
+            out += map(n.__rmod__, chunk)
+            need -= len(chunk)
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends included."""
@@ -189,20 +263,29 @@ def translation_perms(p: int, dims, vectors) -> list[Permutation]:
 
     One table per call maps a block's digits to their translation, so
     blocks of the same dimension share it and each distinct translation is
-    built once; a block's images are its positions shifted past the
-    blocks before it."""
-    table: dict[tuple[int, ...], list[int]] = {}
+    built once.  Each block keeps its own table from digits to its images,
+    the positions shifted past the blocks before it, so each permutation
+    is a concatenation of ready lists."""
+    positions: dict[tuple[int, ...], list[int]] = {}
+    blocks = []
+    lo = off = 0
+    for d in dims:
+        blocks.append((lo, lo + d, off, {}))
+        lo += d
+        off += p**d
     perms = []
     for vector in vectors:
+        vector = tuple(vector)
         images: list[int] = []
-        lo = 0
-        for d in dims:
-            digits = tuple(vector[lo:lo + d])
-            positions = table.get(digits)
-            if positions is None:
-                positions = table[digits] = translation_positions(digits, p)
-            images.extend(map((len(images) + 1).__add__, positions))
-            lo += d
+        for lo, hi, off, shifted in blocks:
+            digits = vector[lo:hi]
+            part = shifted.get(digits)
+            if part is None:
+                table = positions.get(digits)
+                if table is None:
+                    table = positions[digits] = translation_positions(digits, p)
+                part = shifted[digits] = list(map((off + 1).__add__, table))
+            images += part
         perms.append(Permutation._trusted(tuple(images)))
     return perms
 
@@ -232,7 +315,8 @@ def gen_instance(cfg: GenConfig) -> GenResult:
 
     rows = None
     for _ in range(100_000):
-        cand = [[rng.below(p) for _ in range(d)] for _ in range(dim_g)]
+        flat = rng.below_many(p, dim_g * d)
+        cand = [flat[i:i + d] for i in range(0, dim_g * d, d)]
         total = RowReducer(p, d)
         if not all(total.add(row) for row in cand):
             continue
@@ -259,7 +343,7 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     planted = rng.uniform01() < cfg.sat_bias
     vectors = list(rows)
     if planted:
-        coeffs = [rng.below(p) for _ in range(dim_g)]
+        coeffs = rng.below_many(p, dim_g)
         witness_vec = [0] * d
         for c, row in zip(coeffs, rows):
             if c:

@@ -193,9 +193,11 @@ def render_instance(inst: GcInstance) -> str:
 
 def parse_witness(text: str, n: int) -> Permutation:
     items = list(_numbered_tokens(text))
-    if len(items) != 1 or items[0][1][0] != "g":
-        raise InstanceFormatError("witness file must contain a single `g` line")
-    lineno, tokens = items[0]
+    # a file of one line that is not a `g` line names it; no one line is at
+    # fault in a file of no lines or of several
+    lineno, tokens = items[0] if len(items) == 1 else (None, None)
+    if tokens is None or tokens[0] != "g":
+        raise InstanceFormatError("witness file must contain a single `g` line", lineno)
     return _g_line(tokens[1:], n, "witness", lineno)
 
 

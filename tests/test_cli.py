@@ -460,20 +460,75 @@ _MUTATION = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
-def test_mutated_instance_files_never_raise(tmp_path_factory, mutations):
-    data = bytearray(EIGHT_POINT_FILE.encode())
+def _mutated(text: str, mutations) -> bytes:
+    data = bytearray(text.encode())
     for op, at, byte in mutations:
         at %= len(data) + 1
         if op == "insert":
             data[at:at] = bytes([byte])
         elif at < len(data):
             data[at:at + 1] = bytes([byte]) if op == "replace" else b""
+    return bytes(data)
+
+
+def _run_naming_a_line(argv, whole_file_errors: re.Pattern) -> int:
+    """main(argv)'s exit status; a refusal (exit 64) must name its line, or
+    be one of whole_file_errors, which no one line causes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 64:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.endswith("\n")
+        message = message[len("error: "):-1]
+        assert re.match(r"line \d+: ", message) or whole_file_errors.fullmatch(message), message
+    return code
+
+
+# the UTF-8 error, which names its line after the file's name
+UTF8_ERROR = re.compile(r".*: line \d+: not UTF-8")
+
+# refusals of an instance file that no one line causes: the UTF-8 error and
+# the group check, which reads every generator
+INSTANCE_WHOLE_FILE_ERRORS = re.compile(
+    rf"{UTF8_ERROR.pattern}|generators are not an elementary Abelian \d+-group: .*")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+def test_mutated_instance_files_never_raise(tmp_path_factory, mutations):
     path = tmp_path_factory.mktemp("fuzz") / "mutated.gc"
-    path.write_bytes(bytes(data))
-    assert main(["solve", str(path)]) in (0, 1, 2, 64)
-    assert main(["check", str(path), "3", "4", "1", "2", "7", "8", "5", "6"]) in (0, 1, 64)
+    path.write_bytes(_mutated(EIGHT_POINT_FILE, mutations))
+    errors = INSTANCE_WHOLE_FILE_ERRORS
+    assert _run_naming_a_line(["solve", str(path)], errors) in (0, 1, 2, 64)
+    assert _run_naming_a_line(["check", str(path), "3", "4", "1", "2", "7", "8", "5", "6"],
+                              errors) in (0, 1, 64)
+
+
+_WITNESS_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 2**16),
+    st.sampled_from(b"0123456789 \ncg-\x00\xff"),
+)
+
+# refusals of a witness file that no one line causes: the UTF-8 error, and,
+# for a file of no lines or of several, the want of a single `g` line
+NOT_ONE_LINE_ERRORS = re.compile(rf"witness file must contain a single `g` line|{UTF8_ERROR.pattern}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_WITNESS_MUTATION, min_size=1, max_size=4))
+def test_mutated_witness_files_name_their_line(tmp_path_factory, mutations):
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "ex.gc").write_text(EIGHT_POINT_FILE)
+    path = folder / "mutated.txt"
+    data = _mutated("g 3 4 1 2 7 8 5 6\n", mutations)
+    path.write_bytes(data)
+    # no byte of the mutations splits lines or tokens other than as bytes do
+    lines = [line for line in data.split(b"\n") if line.split()]
+    errors = UTF8_ERROR if len(lines) == 1 else NOT_ONE_LINE_ERRORS
+    argv = ["check", str(folder / "ex.gc"), "--witness-file", str(path)]
+    assert _run_naming_a_line(argv, errors) in (0, 1, 64)
 
 
 CLAUSE_FILE = "vars a b c d\na b c\nb c d\n"
@@ -499,26 +554,11 @@ WHOLE_FILE_ERRORS = re.compile(
 @given(mutations=st.lists(_CLAUSE_MUTATION, min_size=1, max_size=4),
        mode=st.sampled_from(["k3", "2cstr"]))
 def test_mutated_clause_files_name_their_line(tmp_path_factory, mutations, mode):
-    data = bytearray(CLAUSE_FILE.encode())
-    for op, at, byte in mutations:
-        at %= len(data) + 1
-        if op == "insert":
-            data[at:at] = bytes([byte])
-        elif at < len(data):
-            data[at:at + 1] = bytes([byte]) if op == "replace" else b""
     folder = tmp_path_factory.mktemp("fuzz")
     path = folder / "mutated.txt"
-    path.write_bytes(bytes(data))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["reduce", str(path), "--mode", mode, "--p", "3",
-                     "--out", str(folder / "out.gc")])
-    assert code in (0, 64)
-    if code == 64:
-        message = err.getvalue()
-        assert message.startswith("error: ") and message.endswith("\n")
-        message = message[len("error: "):-1]
-        assert re.match(r"line \d+: ", message) or WHOLE_FILE_ERRORS.fullmatch(message), message
+    path.write_bytes(_mutated(CLAUSE_FILE, mutations))
+    argv = ["reduce", str(path), "--mode", mode, "--p", "3", "--out", str(folder / "out.gc")]
+    assert _run_naming_a_line(argv, WHOLE_FILE_ERRORS) in (0, 64)
 
 
 def test_readme_synopsis_names_every_option():

@@ -25,7 +25,12 @@ from gcsolve.genbench import (
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
-from util import assert_same_instance, reference_gen_instance, schoolbook_translation_perm
+from util import (
+    ScalarSplitMix64,
+    assert_same_instance,
+    reference_gen_instance,
+    schoolbook_translation_perm,
+)
 
 
 def test_splitmix64_reference_vectors():
@@ -178,6 +183,76 @@ def test_gen_n_target_mode():
         assert sum(2**d for d in res.dims) == 32
 
 
+# bounds for below: small ones, any up to 2^64, and ones that below rejects
+# often (2^63 + 1 and 3 * 2^62, about one output in two and in four) or
+# seldom (2^64 // 1000 + 1, about one in a thousand, so a bulk draw meets
+# its first rejection after some batches are taken whole)
+_BOUNDS = st.one_of(
+    st.integers(1, 7),
+    st.integers(1, 2**64),
+    st.sampled_from((2**63 + 1, 3 << 62, 2**64 // 1000 + 1, 2**64)),
+)
+_REPEATS = st.integers(1, 300)
+_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("next_u64"), st.just(()), _REPEATS),
+    st.tuples(st.just("below"), st.tuples(_BOUNDS), _REPEATS),
+    st.builds(lambda lo, span, r: ("randint", (lo, lo + span), r),
+              st.integers(-3, 3), st.integers(0, 2**64 - 1), _REPEATS),
+    st.tuples(st.just("uniform01"), st.just(()), _REPEATS),
+    st.builds(lambda s, k, r: ("sample", (tuple(range(s)), k), r),
+              st.integers(1, 40), st.integers(0, 45), st.integers(1, 20)),
+    st.tuples(st.just("below_many"), st.tuples(_BOUNDS, st.integers(0, 5000)), st.just(1)),
+), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+def test_splitmix64_matches_the_one_output_per_draw_reference(seed, calls):
+    """Interleaved calls on the batched generator and on the reference give
+    the same values in the same order, across batch boundaries."""
+    rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+    for name, args, repeat in calls:
+        for _ in range(repeat):
+            if name == "below_many":
+                n, count = args
+                assert rng.below_many(n, count) == [ref.below(n) for _ in range(count)]
+            else:
+                assert getattr(rng, name)(*args) == getattr(ref, name)(*args)
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_below_many_draws_one_at_a_time_from_a_rejection_on():
+    """A bulk draw that meets a rejection only in its second batch takes
+    the first whole and the rest one at a time, as below would."""
+    n = 2**64 // 1000 + 1
+    limit = 2**64 - 2**64 % n
+    ref = ScalarSplitMix64(5)
+    stream = [ref.next_u64() for _ in range(10_000)]
+    # 16 + 32 + ... + 2048 = 4080 outputs computed for 4000 single draws:
+    # the bulk draw takes the last 80 of them whole, then a batch of 4096
+    assert all(u < limit for u in stream[4000:4080])
+    assert any(u >= limit for u in stream[4080:8000])
+    rng, ref = SplitMix64(5), ScalarSplitMix64(5)
+    assert [rng.next_u64() for _ in range(4000)] == [ref.next_u64() for _ in range(4000)]
+    assert rng.below_many(n, 3000) == [ref.below(n) for _ in range(3000)]
+    assert rng.below_many(n, 0) == []
+    assert rng.next_u64() == ref.next_u64()
+    with pytest.raises(ValueError):
+        rng.below_many(0, 3)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.below(2**64 + 1),
+    lambda rng: rng.below_many(2**64 + 1, 1),
+    lambda rng: rng.randint(0, 2**64),
+])
+def test_a_bound_above_2_64_is_refused(draw):
+    """No 64-bit output lies below such a bound's limit, so drawing would
+    never end."""
+    with pytest.raises(ValueError, match="bound in 1..2"):
+        draw(SplitMix64(0))
+
+
 @st.composite
 def translation_cases(draw):
     """(p, dims, vectors) at p in {2, 3, 5}: up to four blocks of dimension
@@ -205,6 +280,29 @@ def test_translation_perms_match_the_block_by_block_reference(case):
     expected = [schoolbook_translation_perm(p, dims, v) for v in vectors]
     assert translation_perms(p, dims, vectors) == expected
     assert [translation_perm(p, dims, v) for v in vectors] == expected
+
+
+def _boundary_cases():
+    """n = MAX_N at p = 2: eight 13-dimensional blocks, whose last point,
+    65536, is one past a 16-bit field; vectors drawn at random, all ones,
+    zero, and one whose blocks all share their digits.  At p = 3 and 5,
+    blocks of the same dimension that share digits at different offsets."""
+    rng = SplitMix64(derive_seed(2, 13))
+    dims = (13,) * 8
+    block = rng.below_many(2, 13)
+    yield 2, dims, [rng.below_many(2, 104), rng.below_many(2, 104), [1] * 104, [0] * 104,
+                    block * 8]
+    yield 3, (2, 1, 2, 2, 1), [[1, 2, 0, 1, 2, 1, 2, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+                               [2, 1, 1, 2, 1, 2, 1, 1]]
+    yield 5, (1, 2, 1, 2), [[4, 3, 1, 4, 3, 1], [4, 3, 1, 4, 3, 1], [0, 0, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("p, dims, vectors", list(_boundary_cases()))
+def test_translation_perms_at_the_boundaries(p, dims, vectors):
+    expected = [schoolbook_translation_perm(p, dims, v) for v in vectors]
+    got = translation_perms(p, dims, vectors)
+    assert got == expected
+    assert got[0].n == sum(p**d for d in dims)
 
 
 def _pinned_configs():

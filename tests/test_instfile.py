@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcsolve.genbench import GenConfig, gen_instance
-from gcsolve.instfile import InstanceFormatError, parse_instance, render_instance
+from gcsolve.instfile import InstanceFormatError, parse_instance, parse_witness, render_instance
 from util import reference_parse_instance
 
 SMALL = "gc 1\np 2\nn 4\nm 2\ng 2 1 4 3\ng 3 4 1 2\nc 1 : 2 4\nc 3 : 3 4\n"
@@ -135,3 +135,24 @@ def test_a_point_stated_twice_keeps_the_intersection():
     inst = parse_instance(SMALL + "c 1 : 4 3\n")
     assert inst.constraints[1] == frozenset({4})
     assert inst == reference_parse_instance(SMALL + "c 1 : 4 3\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # one line that is not a `g` line is at fault, and is named
+    ("c 1 : 3\n", "line 1: witness file must contain a single `g` line"),
+    ("\n\n 1 2\n", "line 3: witness file must contain a single `g` line"),
+    # no line, or several: no one line is at fault
+    ("", "witness file must contain a single `g` line"),
+    ("\n \n", "witness file must contain a single `g` line"),
+    ("g 2 1\ng 2 1\n", "witness file must contain a single `g` line"),
+    ("\ng 2 x\n", "line 2: witness images must be integers"),
+    ("g 2 1 3\n", "line 1: witness has 3 images, expected 2"),
+])
+def test_witness_errors_name_the_line_at_fault(text, message):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_witness(text, 2)
+    assert str(exc.value) == message
+
+
+def test_a_witness_line_is_read_wherever_it_stands():
+    assert parse_witness("\n  g 2 1  \n\n", 2).images == (2, 1)

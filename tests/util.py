@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
 from gcsolve.fpalg import FpMatrix, PackedDigits, RowReducer, SingularMatrixError, is_prime
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
-from gcsolve.genbench import GenConfig, GenResult, SplitMix64, _draw_dims, gen_instance
+from gcsolve.genbench import GenConfig, GenResult, _draw_dims, gen_instance
 from gcsolve.instfile import InstanceFormatError
 from gcsolve.perm import MAX_N, Permutation, check_size, compose
 from gcsolve.reduction import ReducedInstance
@@ -94,6 +94,60 @@ def schoolbook_translation_perm(p, dims, vector):
     return Permutation(tuple(images))
 
 
+# -- splitmix64 one output per draw, a reference for the batched generator --
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+class ScalarSplitMix64:
+    """genbench.SplitMix64 as it computed each output when it was drawn:
+    the same stream and the same methods, one mix per output."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + _GOLDEN) & _MASK64
+        return _mix64(self.state)
+
+    def below(self, n):
+        if n <= 0:
+            raise ValueError("below() needs a positive bound")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def randint(self, lo, hi):
+        return lo + self.below(hi - lo + 1)
+
+    def uniform01(self):
+        return (self.next_u64() >> 11) / float(1 << 53)
+
+    def sample(self, seq, k):
+        s = len(seq)
+        if k >= s:
+            return list(seq)
+        if k > s // 2:
+            pool = list(seq)
+            for i in range(k):
+                j = self.randint(i, s - 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return pool[:k]
+        chosen = set()
+        while len(chosen) < k:
+            chosen.add(self.below(s))
+        return [seq[i] for i in sorted(chosen)]
+
+
 # -- the instance builders through normalize, a reference for their one pass --
 
 
@@ -169,9 +223,10 @@ def reference_reduce_2cstr(s, p):
 
 def reference_gen_instance(cfg):
     """genbench.gen_instance as it drew Python sets and passed them through
-    normalize: the same draws in the same order, the generators and the
-    witness built block by block (schoolbook_translation_perm)."""
-    rng = SplitMix64(cfg.seed)
+    normalize: the same draws in the same order, each drawn one at a time
+    (ScalarSplitMix64), the generators and the witness built block by block
+    (schoolbook_translation_perm)."""
+    rng = ScalarSplitMix64(cfg.seed)
     p = cfg.p
     dims = _draw_dims(cfg, rng)
     d = sum(dims)
