@@ -156,3 +156,22 @@ def test_witness_errors_name_the_line_at_fault(text, message):
 
 def test_a_witness_line_is_read_wherever_it_stands():
     assert parse_witness("\n  g 2 1  \n\n", 2).images == (2, 1)
+
+
+def test_generators_that_are_no_group_render_their_orbits():
+    """Rendering needs only the orbits, not a group: (1 2 3) and (1 2) do
+    not commute and (4 5 6 7) has order 4 at p = 2.  Point 1's set reaches
+    outside its orbit and is cut, point 3's covers its orbit and is left
+    out, and point 4's empty set is written empty."""
+    from gcsolve.constraint import normalize
+    from gcsolve.perm import Permutation
+
+    gens = [Permutation.from_cycles(8, [(1, 2, 3)]), Permutation.from_cycles(8, [(1, 2)]),
+            Permutation.from_cycles(8, [(4, 5, 6, 7)])]
+    inst = normalize([(1, {2, 5}), (3, {1, 2, 3, 8}), (4, set()), (6, {4, 6})], 8, gens, 2)
+    text = render_instance(inst)
+    assert text == ("gc 1\np 2\nn 8\nm 3\n"
+                    "g 2 3 1 4 5 6 7 8\ng 2 1 3 4 5 6 7 8\ng 1 2 3 5 6 7 4 8\n"
+                    "c 1 : 2\nc 4 :\nc 6 : 4 6\n")
+    assert parse_instance(text) == inst
+    assert render_instance(parse_instance(text)) == text
