@@ -43,7 +43,6 @@ from .instfile import (
     render_witness,
 )
 from .perm import (
-    OrbitPartition,
     Permutation,
     compose,
     is_elementary_abelian,

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import genbench
-from .constraint import DEFAULT_CAP, SAT, UNSAT, solve, verify_detail
+from .constraint import DEFAULT_CAP, MAX_N, SAT, UNSAT, solve, verify_detail
 from .instfile import _g_line, parse_instance, parse_witness, render_instance, render_witness
 from .reduction import parse_clauses, reduce_1in_k, reduce_2cstr
 
@@ -33,6 +33,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+class _Parsed(argparse.Action):
+    """Store what read(flag, value) makes of the flag's value.  A value
+    that read refuses raises its ValueError, which names the flag, past
+    argparse to main; a config line gets its FILE:LINE: in front."""
+
+    def __init__(self, option_strings, dest, read, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.read = read
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, self.read(option_string, value))
 
 
 def _read(path: str) -> str:
@@ -122,7 +135,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         k=args.k,
         sat_bias=args.sat_bias,
-        dims=tuple(int(t) for t in args.dims.split(",")) if args.dims else None,
+        dims=args.dims,
         dim_g=args.dim_g,
         n_target=args.n_target,
     )
@@ -149,18 +162,26 @@ def cmd_reduce(args) -> int:
     return EXIT_SAT
 
 
-def _parse_values(spec: str) -> list[int]:
-    out = []
+def _parse_dims(flag: str, spec: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in spec.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} {spec!r}: expected comma-separated ints") from None
+
+
+def _parse_values(flag: str, spec: str) -> list[int]:
+    """Comma-separated ints and lo:hi ranges, each bound in 1..MAX_N,
+    which no sweep cell exceeds, checked before a range is expanded."""
+    bounds = []
     try:
         for chunk in spec.split(","):
-            if ":" in chunk:
-                lo, hi = chunk.split(":", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(chunk))
+            lo, colon, hi = chunk.partition(":")
+            bounds.append((int(lo), int(hi if colon else lo)))
     except ValueError:
-        raise ValueError(f"--values {spec!r}: expected ints and lo:hi ranges") from None
-    return out
+        raise ValueError(f"{flag} {spec!r}: expected ints and lo:hi ranges") from None
+    if not all(1 <= v <= MAX_N for pair in bounds for v in pair):
+        raise ValueError(f"{flag} {spec!r}: values must lie in 1..{MAX_N}")
+    return [v for lo, hi in bounds for v in range(lo, hi + 1)]
 
 
 def _parse_pair(flag: str, spec: str) -> tuple[int, int]:
@@ -172,19 +193,9 @@ def _parse_pair(flag: str, spec: str) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
-    values = _parse_values(args.values)
-    kwargs = dict(
-        seed=args.seed,
-        p=args.p,
-        k=args.k,
-        sat_bias=args.sat_bias,
-        q_range=_parse_pair("--q-range", args.q_range),
-        dim_range=_parse_pair("--dim-range", args.dim_range),
-    )
-    if args.sweep == "dimg":
-        configs = genbench.dim_g_sweep(values, **kwargs)
-    else:
-        configs = genbench.n_sweep(values, **kwargs)
+    sweep = genbench.dim_g_sweep if args.sweep == "dimg" else genbench.n_sweep
+    configs = sweep(args.values, seed=args.seed, p=args.p, k=args.k, sat_bias=args.sat_bias,
+                    q_range=args.q_range, dim_range=args.dim_range)
     rows = genbench.bench_run(
         configs, args.samples, oracle_cap=args.oracle_cap, fallback=args.fallback
     )
@@ -195,8 +206,8 @@ def cmd_bench(args) -> int:
 def _apply_config_file(argv, parser):
     """Pre-scan for --config and install its key=value pairs as defaults,
     so explicit flags still win.  A line that is not key=value, names no
-    flag, or holds a value that the flag's type or choices refuse raises
-    ValueError naming the file and line."""
+    flag, or holds a value that the flag's type, choices or reader refuse
+    raises ValueError naming the file and line."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -219,11 +230,17 @@ def _apply_config_file(argv, parser):
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"{where} unknown key {key!r}")
-        try:
-            value = action.type(raw) if action.type else raw
-        except ValueError:
-            raise ValueError(
-                f"{where} {key}: invalid {action.type.__name__} value {raw!r}") from None
+        if isinstance(action, _Parsed):
+            try:
+                value = action.read(action.option_strings[0], raw)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
+        else:
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError:
+                raise ValueError(
+                    f"{where} {key}: invalid {action.type.__name__} value {raw!r}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{where} {key}: invalid choice {raw!r} "
                              f"(choose from {', '.join(action.choices)})")
@@ -256,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--k", type=int, default=2)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--sat-bias", type=float, default=0.5)
-    pg.add_argument("--dims", help="comma-separated per-orbit dimensions")
+    pg.add_argument("--dims", action=_Parsed, read=_parse_dims,
+                    help="comma-separated per-orbit dimensions")
     pg.add_argument("--dim-g", type=int, help="exact group dimension")
     pg.add_argument("--n-target", type=int, help="exact domain size")
     pg.add_argument("--out", default="-")
@@ -278,14 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="run a sweep and emit CSV aggregates")
     pb.add_argument("--sweep", choices=("dimg", "n"), default="dimg")
-    pb.add_argument("--values", default="5:10", help="comma list and/or lo:hi ranges")
+    pb.add_argument("--values", action=_Parsed, read=_parse_values, default=[5, 6, 7, 8, 9, 10],
+                    help=f"comma list and/or lo:hi ranges, in 1..{MAX_N}")
     pb.add_argument("--samples", type=int, default=20)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--p", type=int, default=2)
     pb.add_argument("--k", type=int, default=2)
     pb.add_argument("--sat-bias", type=float, default=0.5)
-    pb.add_argument("--q-range", default="1:6")
-    pb.add_argument("--dim-range", default="1:10")
+    pb.add_argument("--q-range", action=_Parsed, read=_parse_pair, default=(1, 6))
+    pb.add_argument("--dim-range", action=_Parsed, read=_parse_pair, default=(1, 10))
     pb.add_argument("--oracle-cap", type=int, default=2**20)
     pb.add_argument("--fallback", choices=("product", "enumerate", "none"), default="product")
     pb.add_argument("--out", default="-")

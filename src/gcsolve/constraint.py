@@ -39,7 +39,7 @@ from .frame import (
     position_sum,
 )
 # MAX_N is re-exported: the instance size limit reads as constraint.MAX_N too
-from .perm import MAX_N, OrbitPartition, Permutation, check_size, orbit_partition
+from .perm import MAX_N, Permutation, check_size, orbit_partition
 
 DEFAULT_CAP = 2**24
 
@@ -60,7 +60,7 @@ class CapExceededError(RuntimeError):
 class GcInstance:
     """An instance as stated: p, domain size, generators and the stated
     constraints, point -> the set its image must lie in (the sets of a
-    point stated twice intersected).  cmap and orbits, the normal form
+    point stated twice intersected).  orbit_of and cmap, the normal form
     with every point's set cut to its orbit, are built on first read."""
 
     p: int
@@ -69,16 +69,18 @@ class GcInstance:
     constraints: dict[int, frozenset[int]]
 
     @cached_property
-    def orbits(self) -> OrbitPartition:
-        return orbit_partition(self.gens, self.n)
+    def orbit_of(self) -> dict[int, frozenset[int]]:
+        """Every point's orbit, one frozenset shared by the orbit's points."""
+        orbit_of = {}
+        for block in orbit_partition(self.gens, self.n):
+            orbit_of.update(dict.fromkeys(block, frozenset(block)))
+        return orbit_of
 
     @cached_property
     def cmap(self) -> dict[int, frozenset[int]]:
         """Every point's constraint set cut to its orbit; an unstated
         point's set is its whole orbit."""
-        orbits = self.orbits
-        block_sets = [frozenset(b) for b in orbits.blocks]
-        cmap = {a: block_sets[orbits.block_index(a)] for a in range(1, self.n + 1)}
+        cmap = dict(self.orbit_of)
         for a, cset in self.constraints.items():
             cmap[a] = cmap[a] & cset
         return cmap

@@ -180,10 +180,9 @@ def render_instance(inst: GcInstance) -> str:
     # each stated set cut to its point's orbit, written when the cut leaves
     # out part of the orbit; an unstated point is constrained to its orbit.
     # A set that lies inside its orbit, as every built one does, is its cut
-    orbits = inst.orbits
-    orbit_sets = [frozenset(b) for b in orbits.blocks]
+    orbit_of = inst.orbit_of
     for a in sorted(inst.constraints):
-        orbit = orbit_sets[orbits.block_index(a)]
+        orbit = orbit_of[a]
         cset = inst.constraints[a]
         cut = cset if cset <= orbit else cset & orbit
         if len(cut) < len(orbit):

@@ -110,67 +110,23 @@ def order(g: Permutation) -> int:
     return math.lcm(*(len(c) for c in g.cycles()))
 
 
-class OrbitPartition:
-    """Partition of {1..n} into disjoint blocks, ordered by smallest element."""
-
-    __slots__ = ("n", "blocks", "_block_of")
-
-    def __init__(self, n: int, blocks):
-        canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-        self.n = n
-        self.blocks = tuple(canon)
-        self._block_of = [-1] * (n + 1)
-        count = 0
-        for i, block in enumerate(self.blocks):
-            for a in block:
-                if not 1 <= a <= n or self._block_of[a] != -1:
-                    raise ValueError("blocks are not a partition of 1..%d" % n)
-                self._block_of[a] = i
-            count += len(block)
-        if count != n:
-            raise ValueError("blocks do not cover 1..%d" % n)
-
-    def block_index(self, a: int) -> int:
-        return self._block_of[a]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrbitPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-        return f"OrbitPartition({self.n}, [{inner}])"
-
-    @staticmethod
-    def bottom(n: int) -> OrbitPartition:
-        check_size(n)
-        return OrbitPartition(n, [(a,) for a in range(1, n + 1)])
-
-
-def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
-    """Orbits of the group generated by gens, found in one breadth-first
-    pass over the generators' image tuples (O(m·n)).  n is required when
-    gens is empty; more than MAX_N points are refused (ValueError)."""
-    gens = list(gens)
-    if not gens:
-        if n is None:
-            raise ValueError("n is required for an empty generator list")
-        return OrbitPartition.bottom(n)
-    if n is None:
-        n = gens[0].n
-    check_size(n)
-    for g in gens:
-        if g.n != n:
-            raise DomainMismatchError(f"generator domain {g.n} differs from {n}")
+def orbit_partition(gens, n: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by gens, each an ascending tuple,
+    ordered by smallest point, found in one breadth-first pass over the
+    generators' image tuples (O(m·n)).  n is required when gens is empty;
+    more than MAX_N points are refused (ValueError)."""
     images = [g.images for g in gens]
+    if n is None:
+        if not images:
+            raise ValueError("n is required for an empty generator list")
+        n = len(images[0])
+    check_size(n)
+    for im in images:
+        if len(im) != n:
+            raise DomainMismatchError(f"generator domain {len(im)} differs from {n}")
     seen = bytearray(n + 1)
     blocks = []
+    # each orbit starts at the smallest point no earlier orbit holds
     for start in range(1, n + 1):
         if seen[start]:
             continue
@@ -182,8 +138,8 @@ def orbit_partition(gens, n: int | None = None) -> OrbitPartition:
                 if not seen[b]:
                     seen[b] = 1
                     block.append(b)
-        blocks.append(block)
-    return OrbitPartition(n, blocks)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 def is_elementary_abelian(gens, p: int) -> tuple[bool, str | None]:

@@ -105,6 +105,13 @@ def test_gen_refuses_an_n_target_that_cannot_reach_dim_g(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_dims_that_are_not_ints(tmp_path, capsys):
+    out = tmp_path / "i.gc"
+    assert main(["gen", "--dims", "1,x", "--out", str(out)]) == 64
+    assert capsys.readouterr().err == "error: --dims '1,x': expected comma-separated ints\n"
+    assert not out.exists()
+
+
 def test_solve_malformed_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.gc"
     path.write_text("gc 1\np 2\nn 3\nm 1\ng 2 2 1\n")
@@ -303,6 +310,10 @@ def test_bench_config_file_supplies_defaults(tmp_path):
     ("sampels=2", "unknown key 'sampels'"),
     ("sweep=bogus", "sweep: invalid choice 'bogus' (choose from dimg, n)"),
     ("samples=x", "samples: invalid int value 'x'"),
+    ("q-range=3", "--q-range '3': expected lo:hi"),
+    ("dim-range=a:2", "--dim-range 'a:2': expected lo:hi"),
+    ("values=5:x", "--values '5:x': expected ints and lo:hi ranges"),
+    ("values=1:65537", "--values '1:65537': values must lie in 1..65536"),
 ])
 def test_bench_config_file_refuses_a_bad_line(tmp_path, monkeypatch, capsys, line, message):
     """A bad line exits 64 naming its file and line before any run starts."""
@@ -424,6 +435,20 @@ def test_stdin_that_is_not_utf8_names_its_line(monkeypatch, capsys):
 def test_bench_rejects_a_malformed_range(tmp_path, capsys, flags, message):
     assert main(["bench", *flags, "--out", str(tmp_path / "out.csv")]) == 64
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0:3", "1:65537", "70000", "2,0"])
+def test_bench_refuses_values_outside_1_to_max_n(monkeypatch, capsys, spec):
+    """Each bound of --values is checked before any range is expanded,
+    and before any cell runs."""
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    assert main(["bench", "--values", spec]) == 64
+    assert capsys.readouterr().err == f"error: --values {spec!r}: values must lie in 1..{MAX_N}\n"
 
 
 @pytest.mark.parametrize("argv", [

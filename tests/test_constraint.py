@@ -29,7 +29,7 @@ from gcsolve.constraint import (
 from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance, translation_perm
 from gcsolve.instfile import parse_instance, render_instance
-from gcsolve.perm import Permutation
+from gcsolve.perm import Permutation, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k
 from util import (
     constraint_k,
@@ -789,7 +789,7 @@ def test_packed_paths_agree_with_the_oracles_at_larger_primes(p, dims, dim_g, k)
         cfg = GenConfig(p=p, seed=derive_seed(p, seed), k=k, sat_bias=float(seed % 2),
                         dims=dims, dim_g=dim_g)
         full = gen_instance(cfg).instance
-        kept = [block[rng.below(len(block))] for block in full.orbits.blocks]
+        kept = [block[rng.below(len(block))] for block in orbit_partition(full.gens, full.n)]
         inst = normalize([(a, full.constraints[a]) for a in kept], full.n, full.gens, p)
         fr = build_frame(inst.n, inst.gens, p)
         vos = compute_all_vo(fr, inst)
@@ -967,8 +967,7 @@ def test_mmc_three_variable_shape():
     model = [1, 0, 1]
     instances = mmc_to_gc(model, [g], 3)
     assert len(instances) == 3
-    orbits = instances[0].orbits
-    orbit = frozenset(orbits.blocks[orbits.block_index(1)])
+    orbit = instances[0].orbit_of[1]
     # disjunct 1 constrains only position 1 to strictly smaller values
     assert instances[0].cmap[1] == frozenset({2}) & orbit | frozenset({2})
     # disjunct 2: position 1 keeps its value class, position 2 strictly smaller

@@ -149,7 +149,7 @@ def test_the_frame_finds_the_orbits(case):
     points, the frame's orbits, in order of origin, are the orbit
     partition's blocks."""
     fr, _, _ = case
-    blocks = orbit_partition(fr.gens, fr.n).blocks
+    blocks = orbit_partition(fr.gens, fr.n)
     assert tuple(of.points for of in fr.orbit_frames) == blocks
     assert tuple(of.origin for of in fr.orbit_frames) == tuple(b[0] for b in blocks)
 

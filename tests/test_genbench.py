@@ -23,7 +23,7 @@ from gcsolve.genbench import (
     translation_perms,
 )
 from gcsolve.instfile import render_instance, render_witness
-from gcsolve.perm import is_elementary_abelian
+from gcsolve.perm import is_elementary_abelian, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
 from util import (
     ScalarSplitMix64,
@@ -139,7 +139,7 @@ def test_gen_respects_layout_and_dimension_target():
         inst = res.instance
         assert res.dims == (3, 2, 1)
         assert inst.n == 8 + 4 + 2
-        assert [len(b) for b in inst.orbits.blocks] == [8, 4, 2]
+        assert [len(b) for b in orbit_partition(inst.gens, inst.n)] == [8, 4, 2]
         ok, _ = is_elementary_abelian(inst.gens, 2)
         assert ok
         fr = build_frame(inst.n, inst.gens, 2)
@@ -164,8 +164,7 @@ def test_gen_constraint_sizes_and_planting():
         res = gen_instance(cfg)
         inst = res.instance
         for a in range(1, inst.n + 1):
-            orbit = inst.orbits.blocks[inst.orbits.block_index(a)]
-            assert len(inst.cmap[a]) == min(2, len(orbit))
+            assert len(inst.cmap[a]) == min(2, len(inst.orbit_of[a]))
         if res.witness is not None:
             planted += 1
             assert verify(inst, res.witness)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from gcsolve.perm import (
     MAX_N,
     DomainMismatchError,
-    OrbitPartition,
     Permutation,
     compose,
     is_elementary_abelian,
@@ -107,20 +106,17 @@ def test_order_eight_point_generators_is_two():
 
 def test_orbit_partition_single_generator():
     g = Permutation.from_cycles(6, [(1, 2), (3, 4, 5)])
-    part = orbit_partition([g])
-    assert part.blocks == ((1, 2), (3, 4, 5), (6,))
+    assert orbit_partition([g]) == ((1, 2), (3, 4, 5), (6,))
 
 
 def test_orbit_partition_empty_generators():
-    assert orbit_partition([], n=3) == OrbitPartition.bottom(3)
+    assert orbit_partition([], n=3) == ((1,), (2,), (3,))
     with pytest.raises(ValueError):
         orbit_partition([])
 
 
-def test_orbit_partition_and_bottom_refuse_n_above_the_limit():
+def test_orbit_partition_refuses_n_above_the_limit():
     message = f"n = {MAX_N + 1} exceeds the limit {MAX_N}"
-    with pytest.raises(ValueError, match=message):
-        OrbitPartition.bottom(MAX_N + 1)
     with pytest.raises(ValueError, match=message):
         orbit_partition([], MAX_N + 1)
     with pytest.raises(ValueError, match=message):
@@ -128,8 +124,7 @@ def test_orbit_partition_and_bottom_refuse_n_above_the_limit():
 
 
 def test_orbit_partition_eight_point_group_is_transitive():
-    part = orbit_partition(list(eight_point_gens()))
-    assert part.blocks == (tuple(range(1, 9)),)
+    assert orbit_partition(list(eight_point_gens())) == (tuple(range(1, 9)),)
 
 
 @settings(max_examples=60)
@@ -137,7 +132,7 @@ def test_orbit_partition_eight_point_group_is_transitive():
 def test_orbit_partition_matches_bfs_closure(gens):
     gens = list(gens)
     n = gens[0].n
-    assert orbit_partition(gens, n).blocks == bfs_orbits(gens, n)
+    assert orbit_partition(gens, n) == bfs_orbits(gens, n)
 
 
 @settings(max_examples=80)

@@ -74,10 +74,9 @@ def satisfies_pointwise(inst, g):
 def constraint_k(inst):
     """k of a k-constraint: the largest constraint set among the points
     constrained to a proper subset of their orbit, 0 when there is none."""
-    orbits = inst.orbits
     # C(a) is contained in the orbit, so proper subset = smaller size
     return max((len(cset) for a, cset in inst.cmap.items()
-                if len(cset) < len(orbits.blocks[orbits.block_index(a)])), default=0)
+                if len(cset) < len(inst.orbit_of[a])), default=0)
 
 
 def schoolbook_translation_perm(p, dims, vector):
