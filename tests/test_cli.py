@@ -112,6 +112,19 @@ def test_gen_refuses_dims_that_are_not_ints(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gc 1\np 4\nn 2\nm 0\n", "line 2: p = 4 is not prime"),
+    ("gc 1\np 2\nn 3\n", "unexpected end of file, expected `m`"),
+    ("gc 1\np 2\nn -1\nm 0\n", "line 3: n must be nonnegative"),
+    ("gc 1\np 2\nn 2\nm -1\n", "line 4: m must be nonnegative"),
+])
+def test_solve_refuses_a_bad_header(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.gc"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_malformed_file_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.gc"
     path.write_text("gc 1\np 2\nn 3\nm 1\ng 2 2 1\n")
@@ -234,6 +247,24 @@ def test_check_witness_file(eight_point_path, tmp_path, capsys):
     assert main(["check", eight_point_path, "--witness-file", str(wfile)]) == 0
 
 
+def test_check_refuses_a_witness_file_and_images_together(eight_point_path, tmp_path, capsys):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("g 3 4 1 2 7 8 5 6\n")
+    # argparse reads the images only before the flag: after it they are
+    # unrecognized arguments, a usage error
+    assert main(["check", eight_point_path, "2", "1", "--witness-file", str(wfile)]) == 64
+    assert capsys.readouterr().err == (
+        "error: give either --witness-file or witness images, not both\n")
+
+
+def test_gen_writes_no_witness_file_for_an_unplanted_instance(tmp_path, capsys):
+    wfile = tmp_path / "w.txt"
+    assert main(["gen", "--sat-bias", "0", "--out", str(tmp_path / "i.gc"),
+                 "--witness-out", str(wfile)]) == 0
+    assert capsys.readouterr().err == "instance was not planted; no witness file written\n"
+    assert not wfile.exists()
+
+
 def test_gen_deterministic_and_witness_checks(tmp_path, capsys):
     out1, out2 = tmp_path / "a.gc", tmp_path / "b.gc"
     wfile = tmp_path / "w.txt"
@@ -253,6 +284,18 @@ def test_reduce_writes_expected_instance(tmp_path, capsys):
                  "--out", str(out)]) == 0
     inst = parse_instance(out.read_text())
     assert inst.n == 8 and len(inst.gens) == 3
+
+
+def test_reduce_labels_name_each_point_on_stderr(tmp_path, capsys):
+    clause_file = tmp_path / "s.txt"
+    clause_file.write_text("vars a b c d\na b c\nb c d\n")
+    assert main(["reduce", str(clause_file), "--mode", "k3", "--p", "3", "--labels",
+                 "--out", str(tmp_path / "s.gc")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 54
+    assert lines[:3] == ["1 c0:000", "2 c0:001", "3 c0:002"]
+    assert lines[26:28] == ["27 c0:222", "28 c1:000"]
+    assert lines[-1] == "54 c1:222"
 
 
 def test_reduce_2cstr_strict_and_relaxed(tmp_path, capsys):
@@ -304,6 +347,33 @@ def test_bench_config_file_supplies_defaults(tmp_path):
     assert lines[1].split(",")[0] == "3"
     assert lines[1].split(",")[11] == "2"
 
+
+
+def test_bench_config_file_takes_the_equals_form_and_skips_comments(tmp_path, monkeypatch):
+    from gcsolve import genbench
+
+    seen = []
+    monkeypatch.setattr(genbench, "bench_run",
+                        lambda configs, samples, **kwargs: seen.append((configs, samples)) or [])
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("# a comment\n\nvalues=3\n   \n  # indented\nsamples=2\n")
+    assert main(["bench", f"--config={cfg}", "--out", str(tmp_path / "b.csv")]) == 0
+    [(configs, samples)] = seen
+    assert samples == 2
+    assert [c.dim_g for c in configs] == [3]
+
+
+def test_bench_config_line_without_equals_names_its_line(tmp_path, monkeypatch, capsys):
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("# values\nsamples 2\n")
+    assert main(["bench", "--config", str(cfg)]) == 64
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value\n"
 
 
 @pytest.mark.parametrize("line, message", [

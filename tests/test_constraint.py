@@ -650,6 +650,18 @@ def test_verify_rejects_non_group_witness():
     assert not ok
 
 
+def test_verify_detail_refuses_a_witness_on_another_n():
+    inst = normalize([], 8, list(eight_point_gens()), 2)
+    ok, reason = verify_detail(inst, Permutation.identity(4))
+    assert (ok, reason) == (False, "witness acts on 4 points, instance has 8")
+
+
+def test_solve_refuses_an_unknown_fallback():
+    inst = normalize([], 8, list(eight_point_gens()), 2)
+    with pytest.raises(ValueError, match=r"^unknown fallback 'bogus'$"):
+        solve(inst, fallback="bogus")
+
+
 def test_verify_superspace_member_outside_group():
     g = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     inst = normalize([], 4, [g], 2)

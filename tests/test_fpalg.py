@@ -18,7 +18,11 @@ from gcsolve.fpalg import (
     is_prime,
     solve,
 )
+from gcsolve.frame import build_frame
+from gcsolve.genbench import GenConfig
 from gcsolve.instfile import InstanceFormatError, parse_instance
+from gcsolve.perm import Permutation, is_elementary_abelian
+from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
 from util import (
     schoolbook_invert,
     schoolbook_rank,
@@ -509,6 +513,18 @@ def test_p_beyond_the_exact_prime_test_is_refused():
         is_prime(psi_13)
     with pytest.raises(InstanceFormatError, match="line 2: p = .* too large"):
         parse_instance(f"gc 1\np {psi_13}\nn 1\nm 0\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_frame(2, [Permutation((2, 1))], 4),
+    lambda: is_elementary_abelian([Permutation((2, 1))], 4),
+    lambda: GenConfig(p=4, seed=0),
+    lambda: reduce_1in_k(ClauseSet(("a", "b"), (("a", "b"),)), 4),
+    lambda: reduce_2cstr(ClauseSet(("a", "b"), (("a", "b"),)), 4, strict=False),
+], ids=["build_frame", "is_elementary_abelian", "GenConfig", "reduce_1in_k", "reduce_2cstr"])
+def test_every_builder_refuses_a_p_that_is_not_prime(build):
+    with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
+        build()
 
 
 # primes at the edges of the packed field widths, p.bit_length() + 1 bits
