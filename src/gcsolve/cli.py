@@ -48,6 +48,17 @@ class _Parsed(argparse.Action):
         setattr(namespace, self.dest, self.read(option_string, value))
 
 
+class _Count(argparse.Action):
+    """Store an int flag's value (--cap, --samples), refusing one below 1
+    as the flag's usage error; a config line gets its FILE:LINE: in
+    front."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _read(path: str) -> str:
     """The UTF-8 text of path, or of stdin for "-"; raises ValueError
     naming the line of a byte that is not UTF-8."""
@@ -205,9 +216,10 @@ def cmd_bench(args) -> int:
 
 def _apply_config_file(argv, parser):
     """Pre-scan for --config and install its key=value pairs as defaults,
-    so explicit flags still win.  A line that is not key=value, names no
-    flag, or holds a value that the flag's type, choices or reader refuse
-    raises ValueError naming the file and line."""
+    so explicit flags still win.  Each value goes through its flag's type,
+    choices and action as it would on the command line; a line that is
+    not key=value, names no flag, or holds a value that any of them
+    refuses raises ValueError naming the file and line."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -218,7 +230,7 @@ def _apply_config_file(argv, parser):
         return
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
-    defaults = {}
+    defaults = argparse.Namespace()
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -230,22 +242,22 @@ def _apply_config_file(argv, parser):
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"{where} unknown key {key!r}")
-        if isinstance(action, _Parsed):
-            try:
-                value = action.read(action.option_strings[0], raw)
-            except ValueError as exc:
-                raise ValueError(f"{where} {exc}") from None
-        else:
-            try:
-                value = action.type(raw) if action.type else raw
-            except ValueError:
-                raise ValueError(
-                    f"{where} {key}: invalid {action.type.__name__} value {raw!r}") from None
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise ValueError(
+                f"{where} {key}: invalid {action.type.__name__} value {raw!r}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{where} {key}: invalid choice {raw!r} "
                              f"(choose from {', '.join(action.choices)})")
-        defaults[action.dest] = value
-    parser.set_defaults(**defaults)
+        try:
+            action(parser, defaults, value, action.option_strings[0])
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{where} {key}: {exc.message}") from None
+        except ValueError as exc:
+            # a reader's error names the flag
+            raise ValueError(f"{where} {exc}") from None
+    parser.set_defaults(**vars(defaults))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("file")
     ps.add_argument("--fallback", choices=("product", "enumerate", "none"), default="product")
-    ps.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    ps.add_argument("--cap", type=int, action=_Count, default=DEFAULT_CAP)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_solve)
 
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--sweep", choices=("dimg", "n"), default="dimg")
     pb.add_argument("--values", action=_Parsed, read=_parse_values, default=[5, 6, 7, 8, 9, 10],
                     help=f"comma list and/or lo:hi ranges, in 1..{MAX_N}")
-    pb.add_argument("--samples", type=int, default=20)
+    pb.add_argument("--samples", type=int, action=_Count, default=20)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--p", type=int, default=2)
     pb.add_argument("--k", type=int, default=2)
@@ -325,9 +337,6 @@ def main(argv=None) -> int:
         if argv[:1] == ["bench"]:
             _apply_config_file(argv, parser.bench_parser)
         args = parser.parse_args(argv)
-        for flag in ("cap", "samples"):
-            if getattr(args, flag, 1) < 1:
-                parser.error(f"argument --{flag}: must be at least 1, got {getattr(args, flag)}")
         code = args.func(args)
         # a report still buffered fails here, inside the boundary
         sys.stdout.flush()

@@ -193,7 +193,6 @@ def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[tuple[int, ...], .
 class EmptyOrbit:
     """Some orbit admits no vector at all: the instance is unsatisfiable."""
 
-    orbit_index: int
     orbit_min: int
 
 
@@ -202,7 +201,6 @@ class NotLinear:
     """A V_O is not an affine subspace; span_dim is None when |V_O| is not
     even a power of p (the rank test is skipped then)."""
 
-    orbit_index: int
     orbit_min: int
     vo_size: int
     span_dim: int | None
@@ -226,13 +224,13 @@ def linearize(fr: Frame, vos):
     global variety.  Returns EmptyOrbit when some V_O is empty (every V_O
     is tested for emptiness before any linearity verdict), else NotLinear
     naming the first failing orbit, else a LinearizedConstraint."""
-    for i, (of, vo) in enumerate(zip(fr.orbit_frames, vos)):
+    for of, vo in zip(fr.orbit_frames, vos):
         if not vo:
-            return EmptyOrbit(i, of.origin)
+            return EmptyOrbit(of.origin)
     p = fr.p
     w: list[int] = []
     e_basis: list[tuple[int, ...]] = []
-    for i, (of, vo) in enumerate(zip(fr.orbit_frames, vos)):
+    for of, vo, (lo, hi) in zip(fr.orbit_frames, vos, fr.slices):
         size = len(vo)
         if size == p**of.dim:
             # V_O is the whole constituent: trivially an affine subspace
@@ -241,7 +239,7 @@ def linearize(fr: Frame, vos):
         else:
             r = fpalg.exact_log(size, p)
             if r is None:
-                return NotLinear(i, of.origin, size, None)
+                return NotLinear(of.origin, size, None)
             w_o = vo[0]
             reducer = RowReducer(p, of.dim)
             basis_o = []
@@ -250,8 +248,7 @@ def linearize(fr: Frame, vos):
                 if reducer.add(diff):
                     basis_o.append(diff)
             if reducer.rank != r:
-                return NotLinear(i, of.origin, size, reducer.rank)
-        lo, hi = fr.slices[i]
+                return NotLinear(of.origin, size, reducer.rank)
         w.extend(w_o)
         for v in basis_o:
             e_basis.append((0,) * lo + v + (0,) * (fr.dim - hi))

@@ -62,6 +62,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int):
+    """Refuse (ValueError) a p that is not prime; a p too large for
+    is_prime's exact test is refused with its error."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def exact_log(size: int, p: int) -> int | None:
     """r with p**r == size, for size >= 1; None when size is not a power of p."""
     r = 0

@@ -14,7 +14,7 @@ which at p = 2 is one XOR.  Digit tuples are made only where a vector
 leaves the frame: the coordinates coords_of_perms returns and the ones
 perm_of_coords takes.  The concatenated per-orbit bases form a global
 basis of F of dimension d; the restrictions of the kept generators to
-their orbits are built when a basis is first read.
+their orbit are built when the orbit's basis is first read.
 The frame reads every generator's coordinates once, as its group check,
 and keeps them as gen_coords.  The read goes orbit by orbit over all the
 generators, so each orbit's lex translated by X is made once per distinct
@@ -27,7 +27,10 @@ dimension share its entries.  A vector lies in a subspace H of F when
 its residual against an echelon form of a basis of H is zero (every
 echelon form gives the same residual).  That residual is M·x for H's
 variety matrix M, which is written out only when read; no matrix is
-inverted.
+inverted.  translation_perms builds the permutations that translate
+consecutive blocks of points, each a copy of F_p^d in lex order; the
+instance builders in genbench and reduction make their generators and
+witnesses with it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import filterfalse
 from operator import itemgetter
 from typing import Callable
 
-from .fpalg import FpMatrix, RowReducer, is_prime
+from .fpalg import FpMatrix, RowReducer, check_prime
 from .perm import Permutation, check_size, is_elementary_abelian
 # orbit_partition is re-exported: build_frame finds the orbits itself, and
 # frame.orbit_partition stays for the callers that look it up here (the
@@ -162,6 +165,40 @@ def translation_positions(x, p: int) -> list[int]:
     return pos
 
 
+def translation_perms(p: int, dims, vectors) -> list[Permutation]:
+    """The permutations translating consecutive blocks of points, block i a
+    copy of F_p^dims[i] numbered in lex order (see translation_positions),
+    each by the matching slice of one of the vectors.
+
+    One table per call maps a block's digits to their translation, so
+    blocks of the same dimension share it and each distinct translation is
+    built once.  Each block keeps its own table from digits to its images,
+    the positions shifted past the blocks before it, so each permutation
+    is a concatenation of ready lists."""
+    positions: dict[tuple[int, ...], list[int]] = {}
+    blocks = []
+    lo = off = 0
+    for d in dims:
+        blocks.append((lo, lo + d, off, {}))
+        lo += d
+        off += p**d
+    perms = []
+    for vector in vectors:
+        vector = tuple(vector)
+        images: list[int] = []
+        for lo, hi, off, shifted in blocks:
+            xd = vector[lo:hi]
+            part = shifted.get(xd)
+            if part is None:
+                table = positions.get(xd)
+                if table is None:
+                    table = positions[xd] = translation_positions(xd, p)
+                part = shifted[xd] = list(map((off + 1).__add__, table))
+            images += part
+        perms.append(Permutation._trusted(tuple(images)))
+    return perms
+
+
 @dataclass(frozen=True)
 class VarietyMatrix:
     """A subspace H of F as the echelon form of a basis: product(x), x's
@@ -220,11 +257,6 @@ class Frame:
         # coords_of_perms reads that orbit
         self._translations: dict[tuple[int, int], tuple[tuple[int, ...], Callable]] = {}
         self.gen_coords = self.coords_of_perms(self.gens)
-
-    @cached_property
-    def basis(self) -> tuple[Permutation, ...]:
-        """The per-orbit bases in orbit order, built on first read."""
-        return tuple(v for of in self.orbit_frames for v in of.basis)
 
     # -- coordinates ------------------------------------------------------
 
@@ -394,8 +426,7 @@ def build_frame(n: int, gens, p: int) -> Frame:
     for g in gens:
         if g.n != n:
             raise FrameError(f"generator domain {g.n} differs from n = {n}")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     check_size(n)
     seen: set[int] = set()
     try:

@@ -7,12 +7,12 @@ states mixed at once inside one int, and handed out in stream order: the
 stream, and so the seed-0 vectors and every generated instance, is the
 one that mixing a state per draw gives.  Orbit i of an instance is a
 block of consecutive points, a copy of F_p^{d_i} numbered in lex order,
-so its generators and planted witness are translations built on
-frame.translation_positions by translation_perms, whose tables per call
-build each distinct block translation once and each block's shifted
-images once.  Each point's constraint set is drawn inside its orbit
-and frozen as it is drawn, and the GcInstance is made from the sets
-directly, kept as stated as a parsed instance keeps its own.  The
+so its generators and planted witness are translations built by
+frame.translation_perms, whose tables per call build each distinct
+block translation once and each block's shifted images once.  Each
+point's constraint set is drawn inside its orbit and frozen as it is
+drawn, and the GcInstance is made from the sets directly, kept as
+stated as a parsed instance keeps its own.  The
 harness times the linear pipeline against the enumeration oracle and
 aggregates summary rows (means and standard deviations as a percent of
 the mean, with "-" for cells where the oracle was capped).
@@ -27,8 +27,8 @@ from functools import lru_cache
 from statistics import fmean, pstdev
 
 from .constraint import GcInstance, solve, solve_enumerate
-from .fpalg import RowReducer, is_prime
-from .frame import _BYTE_ORDER, build_frame, translation_positions
+from .fpalg import RowReducer, check_prime
+from .frame import _BYTE_ORDER, build_frame, translation_perms
 from .perm import MAX_N, Permutation
 
 _MASK = (1 << 64) - 1
@@ -189,8 +189,7 @@ class GenConfig:
     dim_range: tuple[int, int] = (1, 10)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_prime(self.p)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 <= self.sat_bias <= 1.0:
@@ -254,45 +253,6 @@ def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
             return dims
     raise ValueError(
         f"could not draw dims reaching dim_g={cfg.dim_g} with n <= {MAX_N} from {cfg}")
-
-
-def translation_perms(p: int, dims, vectors) -> list[Permutation]:
-    """The permutations translating consecutive blocks of points, block i a
-    copy of F_p^dims[i] numbered in lex order (see translation_positions),
-    each by the matching slice of one of the vectors.
-
-    One table per call maps a block's digits to their translation, so
-    blocks of the same dimension share it and each distinct translation is
-    built once.  Each block keeps its own table from digits to its images,
-    the positions shifted past the blocks before it, so each permutation
-    is a concatenation of ready lists."""
-    positions: dict[tuple[int, ...], list[int]] = {}
-    blocks = []
-    lo = off = 0
-    for d in dims:
-        blocks.append((lo, lo + d, off, {}))
-        lo += d
-        off += p**d
-    perms = []
-    for vector in vectors:
-        vector = tuple(vector)
-        images: list[int] = []
-        for lo, hi, off, shifted in blocks:
-            digits = vector[lo:hi]
-            part = shifted.get(digits)
-            if part is None:
-                table = positions.get(digits)
-                if table is None:
-                    table = positions[digits] = translation_positions(digits, p)
-                part = shifted[digits] = list(map((off + 1).__add__, table))
-            images += part
-        perms.append(Permutation._trusted(tuple(images)))
-    return perms
-
-
-def translation_perm(p: int, dims, vector) -> Permutation:
-    """The translation of the blocks by one vector (see translation_perms)."""
-    return translation_perms(p, dims, [vector])[0]
 
 
 def gen_instance(cfg: GenConfig) -> GenResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fpalg import is_prime
+from .fpalg import check_prime
 
 # Largest domain size: orbit partitions, frames and instances allocate per
 # point even without generators, so a larger n is refused before that.
@@ -148,8 +148,7 @@ def is_elementary_abelian(gens, p: int) -> tuple[bool, str | None]:
 
     Raises ValueError when p is not prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     gens = list(gens)
     for i, g in enumerate(gens):
         if g.is_identity():

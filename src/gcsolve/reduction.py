@@ -6,7 +6,7 @@ clause, the p^k assignments of the clause's variables by translation; the
 second uses one p-cycle per variable plus one p-cycle per clause tracking
 the sum of the clause's variables.  Either way each block of points is a
 copy of F_p^k (or F_p) numbered in lex order, so every group element is a
-translation built by genbench.translation_perms, whose one table per call
+translation built by frame.translation_perms, whose one table per call
 builds each distinct block translation once for all the generators.  The
 constraint sets are built as frozensets of points in 1..n and the
 GcInstance is made from them directly, with no second pass over what was
@@ -20,10 +20,9 @@ import itertools
 from dataclasses import dataclass
 
 from .constraint import GcInstance
-from .fpalg import is_prime
-from .frame import translation_positions
-from .genbench import translation_perm, translation_perms
-from .instfile import InstanceFormatError
+from .fpalg import check_prime
+from .frame import translation_perms, translation_positions
+from .instfile import InstanceFormatError, _numbered_tokens
 from .perm import Permutation, check_size
 
 
@@ -79,10 +78,7 @@ def parse_clauses(text: str) -> ClauseSet:
     it is read, so an error names its line."""
     read = None
     clauses = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
+    for lineno, tokens in _numbered_tokens(text):
         try:
             if read is None:
                 if tokens[0] != "vars" or len(tokens) < 2:
@@ -134,10 +130,12 @@ class ReducedInstance:
 
     def morphism(self, u: dict) -> Permutation:
         """Image in the permutation group of an assignment u: sigma -> F_p."""
-        values = {v: u.get(v, 0) % self.p for v in self.clause_set.sigma}
+        s, p = self.clause_set, self.p
+        values = {v: u.get(v, 0) % p for v in s.sigma}
         if self.kind == "one-in-k":
-            return _one_in_k_image(self.clause_set, self.p, values)
-        return _two_cstr_image(self.clause_set, self.p, values)
+            return translation_perms(p, (s.k,) * len(s.clauses), [_one_in_k_shifts(s, values)])[0]
+        return translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
+                                 [_two_cstr_shifts(s, p, values)])[0]
 
 
 def _one_in_k_shifts(s: ClauseSet, values: dict) -> list[int]:
@@ -146,17 +144,12 @@ def _one_in_k_shifts(s: ClauseSet, values: dict) -> list[int]:
     return [values.get(v, 0) for clause in s.clauses for v in clause]
 
 
-def _one_in_k_image(s: ClauseSet, p: int, values: dict) -> Permutation:
-    return translation_perm(p, (s.k,) * len(s.clauses), _one_in_k_shifts(s, values))
-
-
 def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
     """Clause satisfiability as a k-constraint: per clause, the p^k
     assignments of its variables form one orbit permuted by translation,
     and each point's constraint set shifts it by one of the clause's
     variable indicators."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     k = s.k
     block = p**k
     n = block * len(s.clauses)
@@ -190,11 +183,6 @@ def _two_cstr_shifts(s: ClauseSet, p: int, values: dict) -> list[int]:
     return shifts + [sum(values.get(v, 0) for v in clause) % p for clause in s.clauses]
 
 
-def _two_cstr_image(s: ClauseSet, p: int, values: dict) -> Permutation:
-    return translation_perm(p, (1,) * (len(s.sigma) + len(s.clauses)),
-                            _two_cstr_shifts(s, p, values))
-
-
 def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     """Clause satisfiability as a 2-constraint: one p-point orbit per
     variable (free to advance by 0 or 1) and one per clause (forced to
@@ -204,8 +192,7 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     exactly p; strict=False skips that size check so the construction can
     be inspected on other inputs.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     if strict:
         for clause in s.clauses:
             if len(clause) != p:

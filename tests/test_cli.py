@@ -398,6 +398,24 @@ def test_bench_config_file_refuses_a_bad_line(tmp_path, monkeypatch, capsys, lin
     assert main(["bench", "--config", str(cfg)]) == 64
     assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_config_count_below_one_names_its_line(tmp_path, monkeypatch, capsys, value):
+    """The count rule of --samples refuses a config value on its line,
+    before any run starts."""
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"values=3\nsamples={value}\n")
+    assert main(["bench", "--config", str(cfg)]) == 64
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: samples: must be at least 1, got {value}\n")
+
+
 def test_render_parse_roundtrip_corpus(tmp_path):
     from gcsolve.constraint import normalize
     from gcsolve.genbench import GenConfig, gen_instance
@@ -654,6 +672,51 @@ def test_mutated_clause_files_name_their_line(tmp_path_factory, mutations, mode)
     path.write_bytes(_mutated(CLAUSE_FILE, mutations))
     argv = ["reduce", str(path), "--mode", mode, "--p", "3", "--out", str(folder / "out.gc")]
     assert _run_naming_a_line(argv, WHOLE_FILE_ERRORS) in (0, 64)
+
+
+BENCH_CONFIG = "# a two-cell sweep\nvalues=2:3\nsamples=2\nseed=4\n"
+
+_CONFIG_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 2**16),
+    st.sampled_from(b"0123456789=:-# \nps\x00\xff"),
+)
+
+# refusals of a config file that no one line causes: the UTF-8 error, and
+# GenConfig's own rules, which it checks when the sweep builds its cells
+# (a line such as `p=4` is refused without its line)
+CONFIG_WHOLE_FILE_ERRORS = re.compile(
+    rf"{UTF8_ERROR.pattern}"
+    r"|p = -?\d+ is not prime|p = \d+ is too large: .*"
+    r"|k must be at least 1|sat_bias must lie in \[0, 1\]"
+    r"|dim_range must lie in 1\.\.13|bad q_range"
+    r"|n_target must be a multiple of p in p\.\.65536"
+    r"|q_range and dim_range give n above the limit 65536"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(_CONFIG_MUTATION, min_size=1, max_size=4))
+def test_mutated_config_files_name_their_line(tmp_path_factory, mutations):
+    """bench --config on a mutated file exits 0, or 64 with a message that
+    starts with FILE:N: or is one of the refusals no one line causes."""
+    from gcsolve import genbench
+
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "bench.cfg"
+    path.write_bytes(_mutated(BENCH_CONFIG, mutations))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(genbench, "bench_run", lambda *args, **kwargs: [])
+        mp.chdir(folder)
+        code = main(["bench", "--config", str(path), "--out", str(folder / "b.csv")])
+    assert code in (0, 64)
+    if code == 64:
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.endswith("\n")
+        message = message[len("error: "):-1]
+        assert (message.startswith(f"{path}:") and re.match(r"\d+: ", message[len(f"{path}:"):])
+                or CONFIG_WHOLE_FILE_ERRORS.fullmatch(message)), message
 
 
 def test_readme_synopsis_names_every_option():

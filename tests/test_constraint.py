@@ -26,8 +26,8 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
-from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame
-from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance, translation_perm
+from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame, translation_perms
+from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k
@@ -165,7 +165,7 @@ def test_compute_vo_at_odd_p_keeps_no_table_per_candidate():
     the points included, stays within a few times the orbit's lex and pos."""
     k, p = 6, 3
     n = p**k
-    gens = [translation_perm(p, (k,), [int(i == j) for i in range(k)]) for j in range(k)]
+    gens = translation_perms(p, (k,), [[int(i == j) for i in range(k)] for j in range(k)])
     inst = normalize([(1, set(range(2, n + 1)))], n, gens, p)
     fr = build_frame(n, gens, p)
     of = fr.orbit_frames[0]
@@ -183,8 +183,8 @@ def test_compute_vo_at_odd_p_keeps_no_table_per_candidate():
 
 
 def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
-    """The kept generators are restricted to their orbits (OrbitFrame.basis
-    and Frame.basis) only when a basis is read, and no decision reads one:
+    """The kept generators are restricted to their orbits (OrbitFrame.basis)
+    only when a basis is read, and no decision reads one:
     not a linear, a product or an enumerate decision, nor its verify."""
     restricted = []
     restrict = frame._restrict
@@ -200,8 +200,9 @@ def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
         assert out.method == method
         assert verify(inst, out.witness)
     assert restricted == []
-    fr = build_frame(8, gens, 2)
-    assert fr.basis == (g3, g2, g1)
+    # the eight points are one orbit, so its basis is the kept generators
+    [of] = build_frame(8, gens, 2).orbit_frames
+    assert of.basis == (g3, g2, g1)
     assert restricted == [g3, g2, g1]
 
 
@@ -323,7 +324,7 @@ def test_empty_vo_reported_before_a_nonlinear_orbit():
     h = Permutation.from_cycles(6, [(1, 3), (2, 4), (5, 6)])
     inst = normalize([(1, {2, 3, 4}), (5, set())], 6, [g, h], 2)
     fr = build_frame(6, [g, h], 2)
-    assert linearize(fr, compute_all_vo(fr, inst)) == EmptyOrbit(1, 5)
+    assert linearize(fr, compute_all_vo(fr, inst)) == EmptyOrbit(5)
     for fallback in ("product", "enumerate", "none"):
         out = solve(inst, fallback=fallback)
         assert (out.status, out.reason, out.orbit_min) == ("unsat", "empty-vo", 5)

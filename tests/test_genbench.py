@@ -19,9 +19,8 @@ from gcsolve.genbench import (
     gen_instance,
     n_sweep,
     rows_to_csv,
-    translation_perm,
-    translation_perms,
 )
+from gcsolve.frame import translation_perms
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
@@ -278,7 +277,7 @@ def test_translation_perms_match_the_block_by_block_reference(case):
     p, dims, vectors = case
     expected = [schoolbook_translation_perm(p, dims, v) for v in vectors]
     assert translation_perms(p, dims, vectors) == expected
-    assert [translation_perm(p, dims, v) for v in vectors] == expected
+    assert [translation_perms(p, dims, [v])[0] for v in vectors] == expected
 
 
 def _boundary_cases():
