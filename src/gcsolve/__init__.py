@@ -7,10 +7,8 @@ turning the constraint into a linear system over F_p whenever possible.
 from .constraint import (
     DEFAULT_CAP,
     CapExceededError,
-    EmptyOrbit,
     GcInstance,
     LinearizedConstraint,
-    NotLinear,
     SolveOutcome,
     compute_all_vo,
     compute_vo,

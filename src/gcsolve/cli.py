@@ -214,12 +214,16 @@ def cmd_bench(args) -> int:
     return EXIT_SAT
 
 
+_GEN_FIELDS = {f.name for f in dataclasses.fields(genbench.GenConfig)}
+
+
 def _apply_config_file(argv, parser):
     """Pre-scan for --config and install its key=value pairs as defaults,
     so explicit flags still win.  Each value goes through its flag's type,
-    choices and action as it would on the command line; a line that is
-    not key=value, names no flag, or holds a value that any of them
-    refuses raises ValueError naming the file and line."""
+    choices and action as it would on the command line, and a GenConfig
+    field's value through GenConfig's rule for it; a line that is not
+    key=value, names no flag, or holds a value that any of them refuses
+    raises ValueError naming the file and line."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -252,10 +256,16 @@ def _apply_config_file(argv, parser):
                              f"(choose from {', '.join(action.choices)})")
         try:
             action(parser, defaults, value, action.option_strings[0])
+            if action.dest in _GEN_FIELDS:
+                # GenConfig's own rule for the field; dims=(1,) leaves out
+                # the rule tying q_range and dim_range to p, which only the
+                # sweep's cells decide
+                genbench.GenConfig(**{"p": 2, "seed": 0, "dims": (1,),
+                                      action.dest: getattr(defaults, action.dest)})
         except argparse.ArgumentError as exc:
             raise ValueError(f"{where} {key}: {exc.message}") from None
         except ValueError as exc:
-            # a reader's error names the flag
+            # a reader's error names the flag, GenConfig's the field
             raise ValueError(f"{where} {exc}") from None
     parser.set_defaults(**vars(defaults))
 
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--config", help="key=value file supplying defaults for these flags")
     pb.set_defaults(func=cmd_bench)
 
-    parser.bench_parser = pb
+    parser.check_parser, parser.bench_parser = pc, pb
     return parser
 
 
@@ -336,7 +346,11 @@ def main(argv=None) -> int:
     try:
         if argv[:1] == ["bench"]:
             _apply_config_file(argv, parser.bench_parser)
-        args = parser.parse_args(argv)
+        if argv[:1] == ["check"]:
+            # intermixed, so that images may follow --witness-file
+            args = parser.check_parser.parse_intermixed_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         code = args.func(args)
         # a report still buffered fails here, inside the boundary
         sys.stdout.flush()

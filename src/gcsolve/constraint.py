@@ -6,25 +6,29 @@ one per constrained point; an unstated point is constrained only to its
 orbit, and the solvers cut each stated set to its point's orbit as they
 read it, so no orbit partition is built on the way to a verdict.
 Solving goes through the frame: per orbit the admissible constituent
-vectors V_O are collected; if
-every V_O is an affine subspace w + E the instance reduces to one linear
-system over F_p, otherwise explicit fallbacks search the product of the
-V_O sets or enumerate the whole group.  The linear system is decided by
-one Gaussian elimination over G's generators and E's basis
+vectors V_O are collected; if every V_O is an affine subspace w + E the
+instance reduces to one linear system over F_p, otherwise explicit
+fallbacks search the product of the V_O sets or enumerate the whole
+group.  The linearity test (linearize) returns that system, a
+LinearizedConstraint, or else the verdict as the one outcome type,
+SolveOutcome: UNSAT empty-vo naming the first orbit whose V_O is empty,
+or NOTLINEAR naming the first orbit whose V_O is not affine, which solve
+returns as it is unless a fallback decides.  The linear system is decided
+by one Gaussian elimination over G's generators and E's basis
 (solve_linear).  The product search tests membership: x lies in G when
-its residual against G's echelon form, M_G·x, is zero, and that form is
-built on no other branch.  The V_O search and the product search
-add whole vectors packed into ints (fpalg.PackedDigits), the layout
-RowReducer keeps its rows in; the enumeration
-oracle keeps its digit arithmetic (frame.position_sum), so that it stays
-independent of them.
+its residual against G's echelon form, M_G·x, is zero, and solve_product
+builds that form itself, on no other branch.  The V_O search and the
+product search add whole vectors packed into ints (fpalg.PackedDigits),
+the layout RowReducer keeps its rows in; the enumeration oracle keeps
+its digit arithmetic (frame.position_sum), so that it stays independent
+of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import fpalg
@@ -186,80 +190,16 @@ def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[tuple[int, ...], .
     return [compute_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
 
 
-# -- linearity ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmptyOrbit:
-    """Some orbit admits no vector at all: the instance is unsatisfiable."""
-
-    orbit_min: int
-
-
-@dataclass(frozen=True)
-class NotLinear:
-    """A V_O is not an affine subspace; span_dim is None when |V_O| is not
-    even a power of p (the rank test is skipped then)."""
-
-    orbit_min: int
-    vo_size: int
-    span_dim: int | None
-
-
-@dataclass(frozen=True)
-class LinearizedConstraint:
-    """The admissible set as one affine variety w + <e_basis> of the frame.
-
-    Per orbit, w holds the lexicographically smallest admissible vector and
-    e_basis an independent difference basis, padded with zeros outside the
-    orbit's slice of the frame.
-    """
-
-    w: tuple[int, ...]
-    e_basis: tuple[tuple[int, ...], ...]
-
-
-def linearize(fr: Frame, vos):
-    """Check per orbit that V_O is an affine subspace and assemble the
-    global variety.  Returns EmptyOrbit when some V_O is empty (every V_O
-    is tested for emptiness before any linearity verdict), else NotLinear
-    naming the first failing orbit, else a LinearizedConstraint."""
-    for of, vo in zip(fr.orbit_frames, vos):
-        if not vo:
-            return EmptyOrbit(of.origin)
-    p = fr.p
-    w: list[int] = []
-    e_basis: list[tuple[int, ...]] = []
-    for of, vo, (lo, hi) in zip(fr.orbit_frames, vos, fr.slices):
-        size = len(vo)
-        if size == p**of.dim:
-            # V_O is the whole constituent: trivially an affine subspace
-            w_o = (0,) * of.dim
-            basis_o = [tuple(1 if j == k else 0 for k in range(of.dim)) for j in range(of.dim)]
-        else:
-            r = fpalg.exact_log(size, p)
-            if r is None:
-                return NotLinear(of.origin, size, None)
-            w_o = vo[0]
-            reducer = RowReducer(p, of.dim)
-            basis_o = []
-            for v in vo[1:]:
-                diff = tuple((a - b) % p for a, b in zip(v, w_o))
-                if reducer.add(diff):
-                    basis_o.append(diff)
-            if reducer.rank != r:
-                return NotLinear(of.origin, size, reducer.rank)
-        w.extend(w_o)
-        for v in basis_o:
-            e_basis.append((0,) * lo + v + (0,) * (fr.dim - hi))
-    return LinearizedConstraint(tuple(w), tuple(e_basis))
-
-
 # -- outcomes -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """A verdict with its method, or its reason and the orbit behind it.
+    A NOTLINEAR outcome names the first orbit whose V_O is not an affine
+    subspace, |V_O| and the rank of its differences (span_dim, None when
+    |V_O| is not even a power of p: the rank test is skipped then)."""
+
     status: str
     witness: Permutation | None = None
     method: str | None = None
@@ -276,15 +216,60 @@ class SolveOutcome:
     def unsat(reason: str, method: str | None = None, orbit_min: int | None = None) -> SolveOutcome:
         return SolveOutcome(UNSAT, reason=reason, method=method, orbit_min=orbit_min)
 
-    @staticmethod
-    def not_linear(info: NotLinear, reason: str = "not linear") -> SolveOutcome:
-        return SolveOutcome(
-            NOTLINEAR,
-            reason=reason,
-            orbit_min=info.orbit_min,
-            vo_size=info.vo_size,
-            span_dim=info.span_dim,
-        )
+
+# -- linearity ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearizedConstraint:
+    """The admissible set as one affine variety w + <e_basis> of the frame.
+
+    Per orbit, w holds the lexicographically smallest admissible vector and
+    e_basis an independent difference basis, padded with zeros outside the
+    orbit's slice of the frame.
+    """
+
+    w: tuple[int, ...]
+    e_basis: tuple[tuple[int, ...], ...]
+
+
+def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
+    """Check per orbit that V_O is an affine subspace and assemble the
+    global variety.  Returns the UNSAT empty-vo outcome naming the first
+    empty V_O's orbit (every V_O is tested for emptiness before any
+    linearity verdict), else the NOTLINEAR outcome naming the first
+    failing orbit, else a LinearizedConstraint."""
+    for of, vo in zip(fr.orbit_frames, vos):
+        if not vo:
+            return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
+    p = fr.p
+    w: list[int] = []
+    e_basis: list[tuple[int, ...]] = []
+    for of, vo, (lo, hi) in zip(fr.orbit_frames, vos, fr.slices):
+        size = len(vo)
+        if size == p**of.dim:
+            # V_O is the whole constituent: trivially an affine subspace
+            w_o = (0,) * of.dim
+            basis_o = [tuple(1 if j == k else 0 for k in range(of.dim)) for j in range(of.dim)]
+        else:
+            r = fpalg.exact_log(size, p)
+            span_dim = None
+            if r is not None:
+                w_o = vo[0]
+                reducer = RowReducer(p, of.dim)
+                basis_o = []
+                for v in vo[1:]:
+                    diff = tuple((a - b) % p for a, b in zip(v, w_o))
+                    if reducer.add(diff):
+                        basis_o.append(diff)
+                span_dim = reducer.rank
+            if r is None or span_dim != r:
+                return SolveOutcome(NOTLINEAR, reason="not linear", orbit_min=of.origin,
+                                    vo_size=size, span_dim=span_dim)
+        w.extend(w_o)
+        for v in basis_o:
+            e_basis.append((0,) * lo + v + (0,) * (fr.dim - hi))
+    return LinearizedConstraint(tuple(w), tuple(e_basis))
 
 
 # -- solvers ---------------------------------------------------------------
@@ -323,6 +308,16 @@ def group_variety(fr: Frame) -> VarietyMatrix:
     return VarietyMatrix(reducer)
 
 
+def _frame_of(inst: GcInstance, fr: Frame | None = None) -> Frame:
+    """fr, refused (ValueError) unless it is the frame of inst's
+    generators, or that frame built when fr is None."""
+    if fr is None:
+        return build_frame(inst.n, inst.gens, inst.p)
+    if fr.gens != tuple(inst.gens):
+        raise ValueError("frame was built from other generators than the instance's")
+    return fr
+
+
 def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Ground-truth search: enumerate every element of G in lexicographic
     coordinate order and return the first satisfying one.  fr must be the
@@ -332,8 +327,7 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
     Refuses (CapExceededError) when |G| exceeds the cap rather than
     truncating the search.
     """
-    if fr.gens != tuple(inst.gens):
-        raise ValueError("frame was built from other generators than the instance's")
+    fr = _frame_of(inst, fr)
     basis, r = fr.subspace_basis(fr.gen_coords)
     p = fr.p
     if p**r > cap:
@@ -383,16 +377,16 @@ def _combinations(groups, add):
     return combos
 
 
-def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) -> SolveOutcome:
+def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Fallback for non-linear constraints: the lexicographically first
     combination, in itertools.product(*vos) order, of one admissible
     vector per orbit that lies in G.
 
     x lies in G exactly when its residual M_G·x, the sum of its parts'
     syndromes, is 0.  A syndrome is the residual of x_O placed in O's
-    slice, computed once per admissible vector and kept packed, as
-    m_g.packed_product returns it (fpalg.PackedDigits), so the sums are
-    SWAR additions.
+    slice against G's echelon form (group_variety), computed once per
+    admissible vector and kept packed, as VarietyMatrix.packed_product
+    returns it (fpalg.PackedDigits), so the sums are SWAR additions.
     The orbits are cut where the prefix and suffix combination counts add
     up least (meet in the middle).  The suffix combinations are tabulated
     by syndrome sum, in lexicographic order and keeping the first per sum;
@@ -400,8 +394,8 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
     negated sum of its own syndromes.  The first hit is therefore the
     first member of G in product order.  Memory is bounded by the suffix
     table.  The cap bounds the product of the V_O sizes and is checked
-    before anything is computed; an empty V_O leaves no combination, so
-    the verdict is UNSAT exhausted."""
+    before anything is computed, G's echelon form included; an empty V_O
+    leaves no combination, so the verdict is UNSAT exhausted."""
     total = 1
     for vo in vos:
         total *= len(vo)
@@ -415,7 +409,7 @@ def solve_product(fr: Frame, vos, m_g: VarietyMatrix, cap: int = DEFAULT_CAP) ->
 
     cut = min(range(len(vos) + 1), key=cost)
     packing = packed_digits(fr.p, fr.dim)
-    syndrome = m_g.packed_product
+    syndrome = group_variety(fr).packed_product
     groups = []
     for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
         head, tail = (0,) * lo, (0,) * (fr.dim - hi)
@@ -443,18 +437,16 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     fr = build_frame(inst.n, inst.gens, inst.p)
     vos = compute_all_vo(fr, inst)
     lin = linearize(fr, vos)
-    if isinstance(lin, EmptyOrbit):
-        return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=lin.orbit_min)
     if isinstance(lin, LinearizedConstraint):
         return solve_linear(fr, lin)
-    if fallback == "none":
-        return SolveOutcome.not_linear(lin)
+    if lin.status == UNSAT or fallback == "none":
+        return lin
     try:
         if fallback == "product":
-            return solve_product(fr, vos, group_variety(fr), cap=cap)
+            return solve_product(fr, vos, cap=cap)
         return solve_enumerate(fr, inst, cap=cap)
     except CapExceededError as exc:
-        return SolveOutcome.not_linear(lin, reason=f"not linear; fallback refused: {exc}")
+        return replace(lin, reason=f"not linear; fallback refused: {exc}")
 
 
 # -- verification ----------------------------------------------------------
@@ -477,10 +469,7 @@ def verify_detail(
     for a in sorted(stated):
         if g.image(a) not in stated[a]:
             return False, f"point {a} maps to {g.image(a)}, outside its constraint set"
-    if fr is None:
-        fr = build_frame(inst.n, inst.gens, inst.p)
-    elif fr.gens != tuple(inst.gens):
-        raise ValueError("frame was built from other generators than the instance's")
+    fr = _frame_of(inst, fr)
     if m_g is None:
         m_g = group_variety(fr)
     elif (not all(map(m_g.contains, fr.gen_coords))

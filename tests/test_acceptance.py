@@ -8,10 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from gcsolve.constraint import (
-    EmptyOrbit,
-    NotLinear,
     compute_all_vo,
-    group_variety,
     linearize,
     solve,
     solve_enumerate,
@@ -105,7 +102,8 @@ def test_criterion_3_oracle_equivalence_500():
             inst = res.instance
             fr = build_frame(inst.n, inst.gens, inst.p)
             lin = linearize(fr, compute_all_vo(fr, inst))
-            assert not isinstance(lin, NotLinear), f"instance {i} declared not linear"
+            status = getattr(lin, "status", "linear")
+            assert status != "notlinear", f"instance {i} declared not linear"
             fast = solve(inst, fallback="none")
             assert fast.status in ("sat", "unsat")
             slow = solve_enumerate(fr, inst)
@@ -210,12 +208,11 @@ def test_criterion_6_nonlinear_fraction_and_product_fallback():
             inst = red.instance
             fr = build_frame(inst.n, inst.gens, 2)
             vos = compute_all_vo(fr, inst)
-            lin = linearize(fr, vos)
-            assert not isinstance(lin, EmptyOrbit)
-            if isinstance(lin, NotLinear):
+            status = getattr(linearize(fr, vos), "status", "linear")
+            assert status != "unsat"
+            if status == "notlinear":
                 notlinear += 1
-                m_g = group_variety(fr)
-                via_product = solve_product(fr, vos, m_g, cap=2**22)
+                via_product = solve_product(fr, vos, cap=2**22)
                 oracle = solve_enumerate(fr, inst)
                 assert via_product.status == oracle.status
                 if via_product.status == "sat":

@@ -248,13 +248,14 @@ def test_check_witness_file(eight_point_path, tmp_path, capsys):
 
 
 def test_check_refuses_a_witness_file_and_images_together(eight_point_path, tmp_path, capsys):
+    """The images may come before or after the flag."""
     wfile = tmp_path / "w.txt"
     wfile.write_text("g 3 4 1 2 7 8 5 6\n")
-    # argparse reads the images only before the flag: after it they are
-    # unrecognized arguments, a usage error
-    assert main(["check", eight_point_path, "2", "1", "--witness-file", str(wfile)]) == 64
-    assert capsys.readouterr().err == (
-        "error: give either --witness-file or witness images, not both\n")
+    flag = ["--witness-file", str(wfile)]
+    for argv in (["2", "1", *flag], [*flag, "2", "1"]):
+        assert main(["check", eight_point_path, *argv]) == 64
+        assert capsys.readouterr().err == (
+            "error: give either --witness-file or witness images, not both\n")
 
 
 def test_gen_writes_no_witness_file_for_an_unplanted_instance(tmp_path, capsys):
@@ -384,6 +385,11 @@ def test_bench_config_line_without_equals_names_its_line(tmp_path, monkeypatch, 
     ("dim-range=a:2", "--dim-range 'a:2': expected lo:hi"),
     ("values=5:x", "--values '5:x': expected ints and lo:hi ranges"),
     ("values=1:65537", "--values '1:65537': values must lie in 1..65536"),
+    ("p=4", "p = 4 is not prime"),
+    ("k=0", "k must be at least 1"),
+    ("sat-bias=2", "sat_bias must lie in [0, 1]"),
+    ("dim-range=1:14", "dim_range must lie in 1..13"),
+    ("q-range=3:2", "bad q_range"),
 ])
 def test_bench_config_file_refuses_a_bad_line(tmp_path, monkeypatch, capsys, line, message):
     """A bad line exits 64 naming its file and line before any run starts."""
@@ -414,6 +420,26 @@ def test_a_config_count_below_one_names_its_line(tmp_path, monkeypatch, capsys, 
     assert main(["bench", "--config", str(cfg)]) == 64
     assert capsys.readouterr().err == (
         f"error: {cfg}:2: samples: must be at least 1, got {value}\n")
+
+
+def test_a_config_line_is_not_held_to_rules_across_fields(tmp_path, monkeypatch):
+    """A q-range whose smallest instance at p = 2 exceeds MAX_N is no
+    fault of its line: an n sweep, whose cells fix n, takes it, as it
+    takes a p whose single orbit fills MAX_N."""
+    from gcsolve import genbench
+
+    seen = []
+
+    def run(configs, *args, **kwargs):
+        seen.append(configs)
+        return []
+
+    monkeypatch.setattr(genbench, "bench_run", run)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("sweep=n\nvalues=65521\np=65521\nq-range=40000:40001\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+    [[cell]] = seen
+    assert (cell.p, cell.n_target, cell.q_range) == (65521, 65521, (40000, 40001))
 
 
 def test_render_parse_roundtrip_corpus(tmp_path):
@@ -683,13 +709,10 @@ _CONFIG_MUTATION = st.tuples(
 )
 
 # refusals of a config file that no one line causes: the UTF-8 error, and
-# GenConfig's own rules, which it checks when the sweep builds its cells
-# (a line such as `p=4` is refused without its line)
+# GenConfig's rules across fields, which it checks when the sweep builds
+# its cells
 CONFIG_WHOLE_FILE_ERRORS = re.compile(
     rf"{UTF8_ERROR.pattern}"
-    r"|p = -?\d+ is not prime|p = \d+ is too large: .*"
-    r"|k must be at least 1|sat_bias must lie in \[0, 1\]"
-    r"|dim_range must lie in 1\.\.13|bad q_range"
     r"|n_target must be a multiple of p in p\.\.65536"
     r"|q_range and dim_range give n above the limit 65536"
 )

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from gcsolve import constraint, fpalg, frame, perm
 from gcsolve.constraint import (
     CapExceededError,
-    EmptyOrbit,
     LinearizedConstraint,
-    NotLinear,
+    SolveOutcome,
     compute_all_vo,
     compute_vo,
     group_variety,
@@ -30,7 +29,7 @@ from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame, transla
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation, orbit_partition
-from gcsolve.reduction import ClauseSet, reduce_1in_k
+from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
 from util import (
     constraint_k,
     eight_point_gens,
@@ -218,7 +217,7 @@ def test_linearize_singletons_and_pairs_always_linear():
 def test_linearize_rejects_non_power_size():
     fr, _ = eight_point_frame_and_instance()
     lin = linearize(fr, [((0, 0, 0), (1, 0, 0), (0, 1, 0))])
-    assert isinstance(lin, NotLinear)
+    assert lin.status == "notlinear"
     assert lin.vo_size == 3 and lin.span_dim is None
 
 
@@ -229,14 +228,14 @@ def test_linearize_power_size_but_not_affine():
     assert isinstance(good, LinearizedConstraint)
     assert len(good.e_basis) == 2
     bad = linearize(fr, [((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))])
-    assert isinstance(bad, NotLinear)
+    assert bad.status == "notlinear"
     assert bad.vo_size == 4 and bad.span_dim == 3
 
 
 def test_linearize_empty_vo_reports_unsat_marker():
     fr, _ = eight_point_frame_and_instance()
     out = linearize(fr, [()])
-    assert isinstance(out, EmptyOrbit)
+    assert out.status == "unsat"
     assert out.orbit_min == 1
 
 
@@ -324,7 +323,7 @@ def test_empty_vo_reported_before_a_nonlinear_orbit():
     h = Permutation.from_cycles(6, [(1, 3), (2, 4), (5, 6)])
     inst = normalize([(1, {2, 3, 4}), (5, set())], 6, [g, h], 2)
     fr = build_frame(6, [g, h], 2)
-    assert linearize(fr, compute_all_vo(fr, inst)) == EmptyOrbit(5)
+    assert linearize(fr, compute_all_vo(fr, inst)) == SolveOutcome.unsat("empty-vo", orbit_min=5)
     for fallback in ("product", "enumerate", "none"):
         out = solve(inst, fallback=fallback)
         assert (out.status, out.reason, out.orbit_min) == ("unsat", "empty-vo", 5)
@@ -571,7 +570,7 @@ def test_odd_p_decisions_never_call_position_sum(monkeypatch):
     for p in (3, 5):
         inst = reduce_1in_k(clause, p).instance
         fr = build_frame(inst.n, inst.gens, p)
-        assert isinstance(linearize(fr, compute_all_vo(fr, inst)), NotLinear)
+        assert linearize(fr, compute_all_vo(fr, inst)).status == "notlinear"
         out = solve(inst)
         assert (out.status, out.method) == ("sat", "product")
         assert calls == []
@@ -719,23 +718,21 @@ def test_normalize_refuses_n_above_the_limit():
 
 def test_solve_product_single_orbit_cases():
     fr, inst = eight_point_frame_and_instance({3})
-    m_g = group_variety(fr)
     vos = compute_all_vo(fr, inst)
-    out = solve_product(fr, vos, m_g)
+    out = solve_product(fr, vos)
     assert out.status == "sat" and out.witness == eight_point_gens()[2]
-    assert solve_product(fr, [()], m_g).status == "unsat"
+    assert solve_product(fr, [()]).status == "unsat"
     with pytest.raises(CapExceededError):
-        solve_product(fr, [tuple(itertools.product(range(2), repeat=3))], m_g, cap=4)
+        solve_product(fr, [tuple(itertools.product(range(2), repeat=3))], cap=4)
 
 
 def test_solve_product_no_combination_in_group():
     g = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     fr = build_frame(4, [g], 2)
     inst = normalize([(1, {2}), (3, {3})], 4, [g], 2)
-    m_g = group_variety(fr)
     vos = compute_all_vo(fr, inst)
     assert all(len(v) == 1 for v in vos)
-    out = solve_product(fr, vos, m_g)
+    out = solve_product(fr, vos)
     assert out.status == "unsat" and out.reason == "exhausted"
     assert solve_enumerate(fr, inst).status == "unsat"
 
@@ -752,7 +749,7 @@ def product_reference(fr, vos, m_g):
 
 
 def assert_product_matches_reference(fr, vos, m_g):
-    out = solve_product(fr, vos, m_g)
+    out = solve_product(fr, vos)
     assert (out.status, out.reason, out.witness) == product_reference(fr, vos, m_g)
     return out
 
@@ -778,7 +775,7 @@ def test_solve_product_matches_brute_force_with_witnesses():
     for inst in instances:
         fr = build_frame(inst.n, inst.gens, inst.p)
         vos = compute_all_vo(fr, inst)
-        nonlinear += isinstance(linearize(fr, vos), NotLinear)
+        nonlinear += getattr(linearize(fr, vos), "status", "linear") == "notlinear"
         out = assert_product_matches_reference(fr, vos, group_variety(fr))
         if out.status == "sat":
             sat += 1
@@ -807,7 +804,7 @@ def test_packed_paths_agree_with_the_oracles_at_larger_primes(p, dims, dim_g, k)
         fr = build_frame(inst.n, inst.gens, p)
         vos = compute_all_vo(fr, inst)
         assert vos == [reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
-        assert isinstance(linearize(fr, vos), NotLinear)
+        assert linearize(fr, vos).status == "notlinear"
         out = assert_product_matches_reference(fr, vos, group_variety(fr))
         assert out.status == solve_enumerate(fr, inst).status
         if out.status == "sat":
@@ -819,13 +816,12 @@ def test_packed_paths_agree_with_the_oracles_at_larger_primes(p, dims, dim_g, k)
 def test_solve_product_empty_vo_in_any_position_is_exhausted():
     gens = [Permutation.from_cycles(6, [(1, 2)]), Permutation.from_cycles(6, [(3, 4), (5, 6)])]
     fr = build_frame(6, gens, 2)
-    m_g = group_variety(fr)
     assert len(fr.orbit_frames) == 3
     full = ((0,), (1,))
     for i in range(3):
         vos = [full] * 3
         vos[i] = ()
-        out = solve_product(fr, vos, m_g)
+        out = solve_product(fr, vos)
         assert (out.status, out.reason, out.method) == ("unsat", "exhausted", "product")
 
 
@@ -855,7 +851,7 @@ def test_solve_product_whole_superspace_takes_first_combination():
     fr = build_frame(7, gens, 3)
     m_g = group_variety(fr)
     assert not any(any(row) for row in m_g.m.rows)
-    out = solve_product(fr, [((2,), (1,)), ((1,),), ((),)], m_g)
+    out = solve_product(fr, [((2,), (1,)), ((1,),), ((),)])
     assert out.status == "sat" and out.witness == fr.perm_of_coords((2, 1))
 
 
@@ -871,15 +867,52 @@ def test_solve_product_single_orbit_takes_first_vector():
         assert out.witness == (fr.perm_of_coords(vo[0]) if vo else None)
 
 
-def test_solve_product_cap_refused_before_any_syndrome():
-    class Untouchable:
-        def __getattr__(self, name):
-            raise AssertionError(f"m_g.{name} read before the cap check")
+def test_solve_product_cap_refused_before_any_syndrome(monkeypatch):
+    def refuse(fr):
+        raise AssertionError("G's echelon form built before the cap check")
 
+    monkeypatch.setattr(constraint, "group_variety", refuse)
     fr, inst = eight_point_frame_and_instance(range(1, 9))
     vos = compute_all_vo(fr, inst)
     with pytest.raises(CapExceededError):
-        solve_product(fr, vos, Untouchable(), cap=len(vos[0]) - 1)
+        solve_product(fr, vos, cap=len(vos[0]) - 1)
+
+
+def test_solve_without_fallback_returns_the_linearity_verdict():
+    """Whenever linearize gives a verdict rather than a linear system,
+    solve with fallback none returns that outcome field for field: on
+    random instances at p in {2, 3, 5} x k in {1, 2, 3}, on both
+    reductions of random clause sets at p in {2, 3, 5} and on the
+    disjuncts of mmc_to_gc."""
+    instances = []
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            for seed in range(6):
+                cfg = GenConfig(p=p, seed=derive_seed(2525, p, k, seed), k=k,
+                                sat_bias=seed % 2, q_range=(1, 3), dim_range=(1, 2))
+                instances.append(gen_instance(cfg).instance)
+        rng = SplitMix64(derive_seed(2526, p))
+        sigma = tuple(f"v{i}" for i in range(5))
+        for _ in range(6):
+            for size in sorted({3, p}):
+                clauses = tuple(tuple(rng.sample(sigma, size)) for _ in range(rng.randint(1, 3)))
+                s = ClauseSet(sigma, clauses)
+                instances.append(reduce_1in_k(s, p).instance)
+                if size == p:
+                    instances.append(reduce_2cstr(s, p).instance)
+    rng = random.Random(2527)
+    for _ in range(6):
+        model = [rng.randrange(3) for _ in range(8)]
+        instances.extend(mmc_to_gc(model, eight_point_gens(), 2))
+    statuses = Counter()
+    for inst in instances:
+        fr = build_frame(inst.n, inst.gens, inst.p)
+        lin = linearize(fr, compute_all_vo(fr, inst))
+        if isinstance(lin, LinearizedConstraint):
+            continue
+        statuses[lin.status] += 1
+        assert solve(inst, fallback="none") == lin
+    assert statuses["unsat"] and statuses["notlinear"]
 
 
 def test_solve_fallback_none_reports_notlinear():
