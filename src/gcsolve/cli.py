@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="verify a witness against an instance file")
     pc.add_argument("file")
-    pc.add_argument("images", nargs="*", type=int)
+    pc.add_argument("images", nargs="*", type=int, default=[])
     pc.add_argument("--witness-file")
     pc.set_defaults(func=cmd_check)
 

@@ -6,22 +6,24 @@ one per constrained point; an unstated point is constrained only to its
 orbit, and the solvers cut each stated set to its point's orbit as they
 read it, so no orbit partition is built on the way to a verdict.
 Solving goes through the frame: per orbit the admissible constituent
-vectors V_O are collected; if every V_O is an affine subspace w + E the
-instance reduces to one linear system over F_p, otherwise explicit
+vectors V_O are collected; if every V_O is an affine subspace w_O + E_O
+the instance reduces to one linear system over F_p, otherwise explicit
 fallbacks search the product of the V_O sets or enumerate the whole
 group.  The linearity test (linearize) returns that system, a
 LinearizedConstraint, or else the verdict as the one outcome type,
 SolveOutcome: UNSAT empty-vo naming the first orbit whose V_O is empty,
 or NOTLINEAR naming the first orbit whose V_O is not affine, which solve
-returns as it is unless a fallback decides.  The linear system is decided
-by one Gaussian elimination over G's generators and E's basis
-(solve_linear).  The product search tests membership: x lies in G when
-its residual against G's echelon form, M_G·x, is zero, and solve_product
-builds that form itself, on no other branch.  The V_O search and the
-product search add whole vectors packed into ints (fpalg.PackedDigits),
-the layout RowReducer keeps its rows in; the enumeration oracle keeps
-its digit arithmetic (frame.position_sum), so that it stays independent
-of them.
+returns as it is unless a fallback decides.  E is the direct sum of
+per-orbit spaces E_O, kept as one echelon form per orbit, of the orbit's
+width; the linear system is decided by one Gaussian elimination over G's
+generators, each with its residual against E, so nothing of size d x d
+is built (solve_linear).  The product search tests membership: x lies
+in G when its residual against G's echelon form, M_G·x, is zero, and
+solve_product builds that form itself, on no other branch.  The V_O
+search and the product search add whole vectors packed into ints
+(fpalg.PackedDigits), the layout RowReducer keeps its rows in; the
+enumeration oracle keeps its digit arithmetic (frame.position_sum), so
+that it stays independent of them.
 """
 
 from __future__ import annotations
@@ -222,15 +224,17 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class LinearizedConstraint:
-    """The admissible set as one affine variety w + <e_basis> of the frame.
+    """The admissible set as one affine variety w + E of the frame, E the
+    direct sum of the orbits' spaces E_O.
 
-    Per orbit, w holds the lexicographically smallest admissible vector and
-    e_basis an independent difference basis, padded with zeros outside the
-    orbit's slice of the frame.
+    w holds, per orbit, the lexicographically smallest admissible vector.
+    e_orbits holds, per orbit, E_O as the echelon form of V_O's
+    differences from that vector (a RowReducer of width d_O, of rank 0
+    when V_O is one vector), or None when V_O is the whole constituent.
     """
 
     w: tuple[int, ...]
-    e_basis: tuple[tuple[int, ...], ...]
+    e_orbits: tuple[RowReducer | None, ...]
 
 
 def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
@@ -244,59 +248,62 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
             return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
     p = fr.p
     w: list[int] = []
-    e_basis: list[tuple[int, ...]] = []
-    for of, vo, (lo, hi) in zip(fr.orbit_frames, vos, fr.slices):
+    e_orbits: list[RowReducer | None] = []
+    for of, vo in zip(fr.orbit_frames, vos):
+        w.extend(vo[0])
         size = len(vo)
-        if size == p**of.dim:
-            # V_O is the whole constituent: trivially an affine subspace
-            w_o = (0,) * of.dim
-            basis_o = [tuple(1 if j == k else 0 for k in range(of.dim)) for j in range(of.dim)]
-        else:
+        reducer = None  # V_O is the whole constituent: trivially an affine subspace
+        if size < p**of.dim:
             r = fpalg.exact_log(size, p)
-            span_dim = None
+            reducer = RowReducer(p, of.dim)
             if r is not None:
-                w_o = vo[0]
-                reducer = RowReducer(p, of.dim)
-                basis_o = []
                 for v in vo[1:]:
-                    diff = tuple((a - b) % p for a, b in zip(v, w_o))
-                    if reducer.add(diff):
-                        basis_o.append(diff)
-                span_dim = reducer.rank
-            if r is None or span_dim != r:
+                    reducer.add(tuple((a - b) % p for a, b in zip(v, vo[0])))
+            if reducer.rank != r:
                 return SolveOutcome(NOTLINEAR, reason="not linear", orbit_min=of.origin,
-                                    vo_size=size, span_dim=span_dim)
-        w.extend(w_o)
-        for v in basis_o:
-            e_basis.append((0,) * lo + v + (0,) * (fr.dim - hi))
-    return LinearizedConstraint(tuple(w), tuple(e_basis))
+                                    vo_size=size, span_dim=None if r is None else reducer.rank)
+        e_orbits.append(reducer)
+    return LinearizedConstraint(tuple(w), tuple(e_orbits))
 
 
 # -- solvers ---------------------------------------------------------------
 
 
 def solve_linear(fr: Frame, lin: LinearizedConstraint) -> SolveOutcome:
-    """Find x in G ∩ (w + E) by one Gaussian elimination of width d.
+    """Find x in G ∩ (w + E) by one Gaussian elimination modulo E.
 
-    The rows (g | 0), for each generator's coordinates g, and (e | e),
-    for each e of E's basis, span the pairs (g + e | e).  The residual of
-    (w | w) against them is zero on the left exactly when w = g + e for
-    some g in G and e in E; its right half is then w - e = g, the witness.
-    Otherwise the system is inconsistent.  An (e | e) row is kept exactly
-    when e is independent of G and the e before it, so x = w + B_E·mu
-    for the solution mu of (M_G·B_E)·mu = -M_G·w that is zero at the
-    columns dependent on the ones before them."""
-    d = fr.dim
-    zeros = (0,) * d
-    reducer = RowReducer(fr.p, d)
+    res(x) is x's residual against E: per orbit, x_O's residual against
+    E_O, which is x_O itself where E_O is 0; an orbit whose E_O is the
+    whole constituent has residual 0 and is left out.  x lies in w + E
+    exactly when res(x) = res(w).  The rows (res(g) | g), one per
+    generator's coordinates g, span the pairs (res(x) | x) for x in G,
+    and the residual of (res(w) | 0) against them is zero on the left
+    exactly when the system is consistent; its right half is then -x.
+    A generator's row is kept exactly when res(g) is independent of the
+    rows kept before it, so x is the combination a of the kept generators
+    that solves (M_E·[g_1 ... g_m])·a = M_E·w with the other generators'
+    coefficients 0.  A row that is not kept leaves a residual (0 | y)
+    with y in G ∩ E, and those y span G ∩ E: the other solutions are x
+    plus its members.  Memory is O(m·d), and no row of E is built."""
+    orbits = list(zip(lin.e_orbits, fr.slices))
+    keep = [e is not None for e, (lo, hi) in orbits for _ in range(lo, hi)]  # not free
+    reduced = [(e, lo, hi) for e, (lo, hi) in orbits if e is not None and e.rank]
+
+    def res(x) -> tuple[int, ...]:
+        out = list(x)
+        for e, lo, hi in reduced:
+            out[lo:hi] = e.reduce(x[lo:hi])
+        return tuple(itertools.compress(out, keep))
+
+    left = res(lin.w)
+    width = len(left)
+    reducer = RowReducer(fr.p, width)
     for g in fr.gen_coords:
-        reducer.add(g + zeros)
-    for e in lin.e_basis:
-        reducer.add(e + e)
-    residual = reducer.reduce(lin.w + lin.w)
-    if any(residual[:d]):
+        reducer.add(res(g) + g)
+    residual = reducer.reduce(left + (0,) * fr.dim)
+    if any(residual[:width]):
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    return SolveOutcome.sat(fr.perm_of_coords(residual[d:]), "linear")
+    return SolveOutcome.sat(fr.perm_of_coords([-c for c in residual[width:]]), "linear")
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:

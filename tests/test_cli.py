@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from gcsolve.constraint import MAX_N, normalize, solve_enumerate
 from gcsolve.frame import build_frame
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation
-from util import eight_point_gens
+from util import eight_point_gens, many_orbit_text
 
 EIGHT_POINT_FILE = """gc 1
 p 2
@@ -239,6 +240,16 @@ def test_check_images_are_read_as_a_witness_line(eight_point_path, capsys, image
     with its messages and no line number."""
     assert main(["check", eight_point_path, *images]) == 64
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_without_a_file_names_only_the_file(capsys):
+    """The witness images are optional, so the usage error names the file
+    alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(
+        "gcsolve check: error: the following arguments are required: file\n")
 
 
 def test_check_witness_file(eight_point_path, tmp_path, capsys):
@@ -515,6 +526,38 @@ def test_a_file_that_cannot_be_opened_exits_64(tmp_path, capsys, argv):
     assert main([str(paths.get(a, a)) for a in argv]) == 64
     assert capsys.readouterr().err == (
         f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def _limited_run(argv, limit=1 << 30, timeout=60):
+    """gcsolve argv in a child process whose address space is limited to
+    limit bytes and which is killed after timeout seconds."""
+    src = str(Path(gcsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "gcsolve.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit_memory, timeout=timeout)
+
+
+@pytest.mark.parametrize("p, k, m", [(2, 32768, 16), (3, 21845, 10)])
+def test_many_orbits_at_max_n_decide_linear_within_a_gib(tmp_path, p, k, m):
+    """k orbits of p points under m generators, n = 65536 at p = 2 and
+    65535 at p = 3, with d = k: solve decides them linear and check
+    accepts the printed witness, each in a child process limited to 1 GiB
+    of address space and 60 s."""
+    inst = tmp_path / "many.gc"
+    inst.write_text(many_orbit_text(p, k, m))
+    assert p * k > MAX_N - p
+    solved = _limited_run(["solve", str(inst)])
+    assert solved.returncode == 0, solved.stderr
+    lines = solved.stdout.splitlines()
+    assert lines[0] == "SAT" and "method linear" in lines
+    witness = tmp_path / "many.w"
+    witness.write_text("".join(line + "\n" for line in lines if line.startswith("g ")))
+    checked = _limited_run(["check", str(inst), "--witness-file", str(witness)])
+    assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
 
 
 @pytest.mark.parametrize("argv", [["solve", "INST", "--json"], ["gen", "--out", "-"]])

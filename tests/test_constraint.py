@@ -34,6 +34,7 @@ from util import (
     constraint_k,
     eight_point_gens,
     group_closure,
+    many_orbit_text,
     reference_vo,
     relabelled_frames,
     satisfies_pointwise,
@@ -181,6 +182,27 @@ def test_compute_vo_at_odd_p_keeps_no_table_per_candidate():
     assert peak < 8 * (sys.getsizeof(of.lex) + sys.getsizeof(of.pos))
 
 
+def test_linear_branch_memory_grows_linearly_with_the_orbits():
+    """k two-point orbits under 16 generators with one stated point
+    (util.many_orbit_text), so that d = k and every orbit but the first is
+    free: doubling k from 1024 to 2048 at most about doubles the memory
+    peak of solve, which a d x d system would quadruple.  Each instance is
+    solved once before it is traced, so that caches filled on first use
+    are not counted."""
+    insts = [parse_instance(many_orbit_text(2, k, 16)) for k in (1024, 2048)]
+    peaks = []
+    for inst in insts:
+        assert solve(inst).method == "linear"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
     """The kept generators are restricted to their orbits (OrbitFrame.basis)
     only when a basis is read, and no decision reads one:
@@ -211,7 +233,8 @@ def test_linearize_singletons_and_pairs_always_linear():
     lin = linearize(fr, vos)
     assert isinstance(lin, LinearizedConstraint)
     assert lin.w == (1, 0, 0)
-    assert lin.e_basis == ()
+    [e_o] = lin.e_orbits
+    assert e_o.rank == 0
 
 
 def test_linearize_rejects_non_power_size():
@@ -226,7 +249,11 @@ def test_linearize_power_size_but_not_affine():
     fr, _ = eight_point_frame_and_instance()
     good = linearize(fr, [((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))])
     assert isinstance(good, LinearizedConstraint)
-    assert len(good.e_basis) == 2
+    [e_o] = good.e_orbits
+    assert e_o.rank == 2
+    assert [e_o.reduce(v) for v in ((0, 1, 0), (1, 0, 0), (0, 0, 1))] == [
+        (0, 0, 0), (0, 0, 0), (0, 0, 1)]
+    assert linearize(fr, [tuple(itertools.product(range(2), repeat=3))]).e_orbits == (None,)
     bad = linearize(fr, [((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))])
     assert bad.status == "notlinear"
     assert bad.vo_size == 4 and bad.span_dim == 3
@@ -253,8 +280,10 @@ def test_linearize_two_element_sets_over_f2_linear():
 
 
 def test_linearized_constraint_per_orbit_invariants():
-    """When linear: |V_O| = p^dim<E_O> per orbit, and every admissible
-    vector recomposes to a permutation satisfying the orbit's constraints."""
+    """When linear: |V_O| = p^dim E_O per orbit, E_O is None exactly when
+    V_O is the whole constituent, every difference from w's slice lies in
+    E_O, and every admissible vector recomposes to a permutation
+    satisfying the orbit's constraints."""
     from gcsolve.genbench import GenConfig, gen_instance
 
     for seed in range(10):
@@ -267,10 +296,13 @@ def test_linearized_constraint_per_orbit_invariants():
             continue
         for i, of in enumerate(fr.orbit_frames):
             lo, hi = fr.slices[i]
-            e_o = [e for e in lin.e_basis if any(e[lo:hi])]
-            assert len(vos[i]) == 2 ** len(e_o)
-            assert lin.w[lo:hi] in vos[i]
+            e_o = lin.e_orbits[i]
+            assert (e_o is None) == (len(vos[i]) == 2 ** of.dim)
+            assert len(vos[i]) == 2 ** (of.dim if e_o is None else e_o.rank)
+            assert lin.w[lo:hi] == vos[i][0]
             for v in vos[i]:
+                if e_o is not None:
+                    assert not any(e_o.reduce(tuple((a - b) % 2 for a, b in zip(v, vos[i][0]))))
                 padded = (0,) * lo + v + (0,) * (fr.dim - hi)
                 u = fr.perm_of_coords(padded)
                 assert all(u.image(b) in inst.cmap[b] for b in of.points)
@@ -368,13 +400,16 @@ def test_linear_path_agrees_with_enumeration(p, dim_range, k):
 @pytest.mark.parametrize("p, dim_range", [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
-    """solve_linear against M_G·B_E solved with free variables 0
-    (util.schoolbook_solve_linear, with M_G built by inversion): the same
-    status, reason and witness on each linear gen_instance draw, on the
-    draw with w moved to a random vector of F (often inconsistent), and on
-    the draw with a random member of G + E, g + e with g in G nonzero,
-    put into E's basis at a random place.  Then E ∩ G holds g, so there are
-    several solutions, and which one is returned depends on that place."""
+    """solve_linear against (M_E·[g_1 ... g_m])·a = M_E·w solved with free
+    variables 0 (util.schoolbook_solve_linear, with M_E built by inversion
+    from E's basis rebuilt from V_O): the same status, reason and witness
+    on each linear gen_instance draw, on the draw with w moved to a random
+    vector of F (often inconsistent), and on the draw with one more
+    generator, g + e for a random g in G and a nonzero e of one orbit's
+    E_O, put among the generators at a random place.  Then G ∩ E holds e,
+    so there are several solutions, and which one is returned depends on
+    that place.  When every E_O of the draw is 0, the sets of one orbit
+    are dropped first, so that its E_O is the whole constituent."""
     rng = random.Random(100 * p + k)
     seen = Counter()
     for seed in range(40):
@@ -382,28 +417,37 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
                         dim_range=dim_range)
         inst = gen_instance(cfg).instance
         fr = build_frame(inst.n, inst.gens, p)
-        lin = linearize(fr, compute_all_vo(fr, inst))
+        vos = compute_all_vo(fr, inst)
+        lin = linearize(fr, vos)
         if not isinstance(lin, LinearizedConstraint):
             continue
-        m_g = schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0])
-
-        def combination(vecs):
-            coeffs = [rng.randrange(p) for _ in vecs]
-            return tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) % p for j in range(fr.dim))
-
-        g = combination(fr.gen_coords)
-        member = tuple((a + b) % p for a, b in zip(g, combination(lin.e_basis)))
-        at = rng.randrange(len(lin.e_basis) + 1)
-        moved = LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr.dim)), lin.e_basis)
-        joined = LinearizedConstraint(lin.w, lin.e_basis[:at] + (member,) + lin.e_basis[at:])
-        for case in (lin, moved, joined):
-            out = solve_linear(fr, case)
-            ref = schoolbook_solve_linear(fr, m_g, case)
+        g = [0] * fr.dim
+        for x in fr.gen_coords:
+            c = rng.randrange(p)
+            g = [(a + c * b) % p for a, b in zip(g, x)]
+        wide = [i for i, vo in enumerate(vos) if len(vo) > 1]
+        i = rng.choice(wide or [i for i, of in enumerate(fr.orbit_frames) if of.dim])
+        of, (lo, hi), vo = fr.orbit_frames[i], fr.slices[i], vos[i]
+        stated = inst.constraints
+        if not wide:  # E is 0: drop the orbit's sets, so that its E_O is its constituent
+            stated = {a: cset for a, cset in stated.items() if a not in of.pos}
+            vo = tuple(itertools.product(range(p), repeat=of.dim))
+        g[lo:hi] = [(a + b - c) % p for a, b, c in zip(g[lo:hi], rng.choice(vo[1:]), vo[0])]
+        at = rng.randrange(len(inst.gens) + 1)
+        gens = inst.gens[:at] + (fr.perm_of_coords(g),) + inst.gens[at:]
+        joined = normalize(stated.items(), inst.n, gens, p)
+        fr_joined = build_frame(joined.n, joined.gens, p)
+        vos_joined = compute_all_vo(fr_joined, joined)
+        lin_joined = linearize(fr_joined, vos_joined)
+        moved = LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr.dim)), lin.e_orbits)
+        for fr_c, vos_c, lin_c in ((fr, vos, lin), (fr, vos, moved),
+                                   (fr_joined, vos_joined, lin_joined)):
+            out = solve_linear(fr_c, lin_c)
+            ref = schoolbook_solve_linear(fr_c, vos_c, lin_c.w)
             assert (out.status, out.reason, out.method, out.witness) == (
                 ref.status, ref.reason, ref.method, ref.witness), f"seed {cfg.seed}"
             seen[out.status, out.reason] += 1
-        seen["joined"] += any(g)
-    assert seen["sat", None] and seen["unsat", "inconsistent"] and seen["joined"]
+    assert seen["sat", None] and seen["unsat", "inconsistent"]
 
 
 def test_group_variety_built_only_to_test_membership(monkeypatch):
@@ -610,9 +654,10 @@ def test_solve_reads_each_generator_once_per_decision(monkeypatch):
 
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     """Status, reason and witness are the same when the linear branch is
-    the schoolbook reference, M_G·B_E solved by a list elimination, and
-    M_G is built by inverting a change of basis and multiplied by list dot
-    products instead of giving packed residuals against an echelon form."""
+    the schoolbook reference, M_E·[g_1 ... g_m] solved by a list
+    elimination, and M_E and M_G are built by inverting a change of basis
+    and multiplied by list dot products instead of giving packed residuals
+    against an echelon form."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
@@ -624,8 +669,12 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     def list_variety(fr):
         return schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0])
 
+    read = []  # the V_O sets of the instance being solved
+    real_vo = constraint.compute_all_vo
+    monkeypatch.setattr(constraint, "compute_all_vo",
+                        lambda fr, inst: read.append(real_vo(fr, inst)) or read[-1])
     monkeypatch.setattr(constraint, "solve_linear",
-                        lambda fr, lin: schoolbook_solve_linear(fr, list_variety(fr), lin))
+                        lambda fr, lin: schoolbook_solve_linear(fr, read[-1], lin.w))
     monkeypatch.setattr(constraint, "group_variety", list_variety)
     assert [solve(inst) for inst in insts] == packed
 

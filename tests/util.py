@@ -79,6 +79,21 @@ def constraint_k(inst):
                 if len(cset) < len(inst.orbit_of[a])), default=0)
 
 
+def many_orbit_text(p, k, m):
+    """An instance file of k orbits of p points each, orbit j holding
+    p·j + 1 .. p·j + p, under m generators: generator i shifts orbit j by
+    digit i of j + 1 in base p (at p = 2 it swaps pair j when bit i of
+    j + 1 is set).  The one stated constraint is c 1 : 2, so every orbit
+    but the first is free, and d = k while dim G <= m."""
+    lines = [f"gc 1\np {p}\nn {p * k}\nm {m}"]
+    for i in range(m):
+        shifts = [(j + 1) // p**i % p for j in range(k)]
+        images = [p * j + 1 + (t + s) % p for j, s in enumerate(shifts) for t in range(p)]
+        lines.append("g " + " ".join(map(str, images)))
+    lines.append("c 1 : 2\n")
+    return "\n".join(lines)
+
+
 def schoolbook_translation_perm(p, dims, vector):
     """The translation of consecutive blocks of points, block i a copy of
     F_p^dims[i] numbered in lex order, each by the matching slice of
@@ -432,21 +447,38 @@ def schoolbook_solve(a, b):
     return tuple(x)
 
 
-def schoolbook_solve_linear(fr, m_g, lin):
-    """constraint.solve_linear by the system it decides: x = w + B_E·mu
-    lies in G exactly when (M_G·B_E)·mu = -M_G·w, d equations on dim E
-    unknowns, solved with free variables 0 (schoolbook_solve).  m_g is a
-    variety matrix of G (any one: the answer depends on its kernel only)."""
+def schoolbook_e_basis(fr, vos):
+    """A basis of E, the direct sum of the orbits' E_O, rebuilt from the
+    V_O sets: per orbit, the differences of V_O's vectors from its first
+    one, padded with zeros outside the orbit's slice, each kept when it
+    raises the rank (schoolbook_rank)."""
+    p, d = fr.p, fr.dim
+    basis = []
+    for vo, (lo, hi) in zip(vos, fr.slices):
+        for v in vo[1:]:
+            e = (0,) * lo + tuple((a - b) % p for a, b in zip(v, vo[0])) + (0,) * (d - hi)
+            if schoolbook_rank(basis + [e], p, d) > len(basis):
+                basis.append(e)
+    return basis
+
+
+def schoolbook_solve_linear(fr, vos, w):
+    """constraint.solve_linear by the system it decides: x = sum a_i g_i,
+    over the generators' coordinates g_i, lies in w + E exactly when
+    (M_E·[g_1 ... g_m])·a = M_E·w, d equations on m unknowns, solved with
+    free variables 0 (schoolbook_solve).  M_E is a variety matrix of E
+    built by inversion (schoolbook_variety_matrix) from E's basis rebuilt
+    from the V_O sets vos; the answer depends on its kernel only."""
     p = fr.p
-    cols = [m_g.product(e) for e in lin.e_basis]
+    m_e = schoolbook_variety_matrix(fr, schoolbook_e_basis(fr, vos))
+    cols = [m_e.product(g) for g in fr.gen_coords]
     rows = tuple(tuple(col[i] for col in cols) for i in range(fr.dim))
-    rhs = tuple(-y % p for y in m_g.product(lin.w))
-    mu = schoolbook_solve(FpMatrix(p, rows), rhs)
-    if mu is None:
+    a = schoolbook_solve(FpMatrix(p, rows), m_e.product(w))
+    if a is None:
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    x = list(lin.w)
-    for c, e in zip(mu, lin.e_basis):
-        x = [(a + c * b) % p for a, b in zip(x, e)]
+    x = [0] * fr.dim
+    for c, g in zip(a, fr.gen_coords):
+        x = [(s + c * b) % p for s, b in zip(x, g)]
     return SolveOutcome.sat(fr.perm_of_coords(x), "linear")
 
 
