@@ -67,12 +67,37 @@ class GcInstance:
     """An instance as stated: p, domain size, generators and the stated
     constraints, point -> the set its image must lie in (the sets of a
     point stated twice intersected).  orbit_of and cmap, the normal form
-    with every point's set cut to its orbit, are built on first read."""
+    with every point's set cut to its orbit, are built on first read;
+    orbit_of by a search of the generators (perm.orbit_partition), except
+    on an instance made by _trusted, which is given its orbits as blocks.
+    gen_instance, reduce_1in_k and reduce_2cstr make theirs so (the last
+    unless a clause is empty); parsed instances, normalize and mmc_to_gc
+    search."""
 
     p: int
     n: int
     gens: tuple[Permutation, ...]
     constraints: dict[int, frozenset[int]]
+
+    @classmethod
+    def _trusted(cls, p: int, sizes, gens, constraints) -> GcInstance:
+        """The instance on sum(sizes) points whose orbits are the
+        consecutive blocks of the given sizes, set as orbit_of without the
+        search.  The caller guarantees that the generators translate those
+        blocks, each a copy of F_p^d of p^d points (frame.translation_perms),
+        and together span each block's F_p^d, so each block is exactly one
+        orbit.  An instance made from this one by dataclasses.replace
+        searches for its own."""
+        orbit_of: dict[int, frozenset[int]] = {}
+        lo = 1
+        for size in sizes:
+            block = range(lo, lo + size)
+            orbit_of.update(dict.fromkeys(block, frozenset(block)))
+            lo += size
+        inst = cls(p, lo - 1, tuple(gens), constraints)
+        # the slot cached_property fills on first read
+        inst.__dict__["orbit_of"] = orbit_of
+        return inst
 
     @cached_property
     def orbit_of(self) -> dict[int, frozenset[int]]:

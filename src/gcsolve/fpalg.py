@@ -93,6 +93,10 @@ class SingularMatrixError(ValueError):
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
 
+# At odd p PackedDigits.pack shifts in one entry at a time up to this many
+# entries, and packs a longer vector in chunks of this many
+_PACK_CHUNK = 64
+
 # PackedDigits keeps its position codes up to this many; 32 cached
 # instances then hold a few hundred kB of them at most
 _KEPT_CODES = 256
@@ -109,7 +113,9 @@ class PackedDigits:
     2p - 2 < 2^w and never carries into the next, and adding H - p to every
     field sets a field's top bit exactly where the field is p or more: add
     subtracts p there.  neg takes p - a field by field and reduces the same
-    way, and mul(a, c) adds doublings of a.
+    way, and mul(a, c) adds doublings of a.  pack shifts the fields in one
+    at a time, and for a count above _PACK_CHUNK a chunk at a time, so
+    that it takes time linear in count.
 
     position_codes() lists the packed vector of every position, the count
     base-p digits of 0 .. p^count - 1.  packed_digits(p, count) shares one
@@ -129,6 +135,8 @@ class PackedDigits:
         high = ones << (w - 1)
         # H - p and H in every field, and H's bit in a field
         self.add, self.neg = _swar(p, p * ones, high - p * ones, high, w - 1)
+        if count > _PACK_CHUNK:
+            self.pack = self._pack_chunks
 
     def pack(self, vec) -> int:
         """The entries of vec, count of them, reduced mod p, as one int."""
@@ -147,6 +155,19 @@ class PackedDigits:
         for c in vec:
             code = (code << w) | c % p
         return code
+
+    def _pack_chunks(self, vec) -> int:
+        """pack at odd p for a count above _PACK_CHUNK, where one shift of
+        a growing int per entry would be quadratic in count: the vector,
+        padded in front with zeros to whole chunks, is packed a chunk at a
+        time, and the chunks are read back together as binary digits."""
+        if len(vec) != self.count:
+            raise ValueError(f"vector length {len(vec)} != {self.count}")
+        chunk = packed_digits(self.p, _PACK_CHUNK).pack
+        vec = (0,) * (-self.count % _PACK_CHUNK) + tuple(vec)
+        bits = f"0{_PACK_CHUNK * self.width}b"
+        return int("".join([format(chunk(vec[i:i + _PACK_CHUNK]), bits)
+                            for i in range(0, len(vec), _PACK_CHUNK)]), 2)
 
     def unpack(self, code: int) -> tuple[int, ...]:
         """The residues packed in code, first entry first."""

@@ -12,7 +12,9 @@ frame.translation_perms, whose tables per call build each distinct
 block translation once and each block's shifted images once.  Each
 point's constraint set is drawn inside its orbit and frozen as it is
 drawn, and the GcInstance is made from the sets directly, kept as
-stated as a parsed instance keeps its own.  The
+stated as a parsed instance keeps its own, and is handed its orbits,
+the blocks, which the per-block rank check proves to be orbits
+(GcInstance._trusted), so rendering it searches for none.  The
 harness times the linear pipeline against the enumeration oracle and
 aggregates summary rows (means and standard deviations as a percent of
 the mean, with "-" for cells where the oracle was capped).
@@ -325,7 +327,8 @@ def gen_instance(cfg: GenConfig) -> GenResult:
             constraints[a] = frozenset(cset)
         off += size
 
-    inst = GcInstance(p, len(constraints), tuple(gens), constraints)
+    # the block rank checks above make each block exactly one orbit
+    inst = GcInstance._trusted(p, [p**di for di in dims], gens, constraints)
     return GenResult(inst, witness, dims, dim_g)
 
 

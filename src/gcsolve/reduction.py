@@ -10,8 +10,12 @@ translation built by frame.translation_perms, whose one table per call
 builds each distinct block translation once for all the generators.  The
 constraint sets are built as frozensets of points in 1..n and the
 GcInstance is made from them directly, with no second pass over what was
-just built.  Both refuse a domain of more than MAX_N points before they
-build any of it.
+just built, and is handed its orbits, the blocks (GcInstance._trusted):
+each clause block of the first gets the k unit shifts of its distinct
+variables, and each block of the second is shifted by 1, except an empty
+clause's (strict=False only), which is p fixed points, so that instance
+searches for its orbits.  Both refuse a domain of more than MAX_N points
+before they build any of it.
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
             constraints[r] = frozenset(map(shift, step))
     gens = translation_perms(p, (k,) * len(s.clauses),
                              [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
-    inst = GcInstance(p, n, tuple(gens), constraints)
+    # a clause's k variables are distinct, so its block gets the k unit
+    # shifts and is one orbit
+    inst = GcInstance._trusted(p, (block,) * len(s.clauses), gens, constraints)
     return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
 
 
@@ -220,5 +226,11 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
             constraints[off + y + 1] = frozenset((off + (y + 1) % p + 1,))
     gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
                              [_two_cstr_shifts(s, p, {v: 1}) for v in s.sigma])
-    inst = GcInstance(p, n, tuple(gens), constraints)
+    if all(s.clauses):
+        # a variable's block is shifted by 1 by its generator, and a
+        # clause's by each of its variables', so each block is one orbit
+        inst = GcInstance._trusted(p, (p,) * (len(s.sigma) + len(s.clauses)), gens, constraints)
+    else:
+        # an empty clause's block is fixed: p one-point orbits
+        inst = GcInstance(p, n, tuple(gens), constraints)
     return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)

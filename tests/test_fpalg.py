@@ -570,9 +570,32 @@ def test_packed_digits_largest_field_sums(p):
         assert packing.neg(0) == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 131, 65521])
+def test_pack_matches_one_shift_per_entry(p):
+    """pack gives the int that shifting each reduced entry in, first entry
+    first, gives, for short vectors and for long ones packed in chunks
+    (lengths around multiples of _PACK_CHUNK, and 21845), with entries
+    outside [0, p) and as lists or tuples."""
+    rng = random.Random(p)
+    w = p.bit_length() + 1
+    chunk = fpalg._PACK_CHUNK
+    for count in (0, 1, 21, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 7, 21845):
+        vec = [rng.randrange(-2 * p, 3 * p) for _ in range(count)]
+        code = 0
+        for c in vec:
+            code = (code << w) | c % p
+        packing = PackedDigits(p, count)
+        assert packing.pack(vec) == packing.pack(tuple(vec)) == code
+        assert packing.unpack(code) == tuple(c % p for c in vec)
+        assert packing.pack([p - 1] * count) == ((1 << w * count) - 1) // ((1 << w) - 1) * (p - 1)
+
+
 def test_packed_digits_refuse_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="vector length 2 != 3"):
         PackedDigits(5, 3).pack((1, 2))
+    # a count above _PACK_CHUNK, packed in chunks
+    with pytest.raises(ValueError, match="vector length 99 != 100"):
+        PackedDigits(3, 100).pack((1,) * 99)
 
 
 @pytest.mark.parametrize("p, count", [(3, 0), (3, 2), (5, 3), (3, 5), (131, 1), (17, 2), (3, 6)])

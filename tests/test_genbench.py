@@ -1,5 +1,6 @@
 import hashlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcsolve
-from gcsolve.constraint import MAX_N, solve, verify
+from gcsolve.constraint import MAX_N, GcInstance, solve, verify
 from gcsolve.frame import build_frame
 from gcsolve.genbench import (
     GenConfig,
@@ -400,6 +401,50 @@ def test_generated_texts_are_pinned():
                 h.update(render_instance(red.instance).encode())
                 h.update(render_witness(red.morphism(u)).encode())
     assert h.hexdigest() == "8cbdf3f49477b353fdcb5c0fafb545e332ad74f13029b049e892b18b67155972"
+
+
+def _built_instances():
+    """(instance, whether its builder handed it its orbits) for every
+    pinned and text config, and for reductions at p = 2, 3 and 5 of
+    seeded clause sets of sizes 1-4 and p, strict and strict=False, and
+    of one empty clause, whose reduce_2cstr block is p fixed points."""
+    for cfg in (*_pinned_configs(), *_text_configs()):
+        yield gen_instance(cfg).instance, True
+    sigma = tuple(f"x{i}" for i in range(1, 7))
+    for p in (2, 3, 5):
+        rng = SplitMix64(derive_seed(p, 12))
+        for size in sorted({1, 2, 3, 4, p}):
+            count = rng.randint(1, 4)
+            s = ClauseSet(sigma, tuple(tuple(rng.sample(sigma, size)) for _ in range(count)))
+            yield reduce_1in_k(s, p).instance, True
+            yield reduce_2cstr(s, p, strict=False).instance, True
+            if size == p:
+                yield reduce_2cstr(s, p).instance, True
+        empty = ClauseSet(("a", "b"), ((),))
+        yield reduce_1in_k(empty, p).instance, True
+        yield reduce_2cstr(empty, p, strict=False).instance, False
+
+
+def test_built_instances_carry_the_orbits_a_search_finds():
+    """Each orbit map a builder hands over equals the one orbit_partition
+    gives, one frozenset per orbit; rendering reads it to the same bytes
+    as the same instance built plainly, which searches; and an instance
+    made by dataclasses.replace searches for its own orbits."""
+    handed = 0
+    for inst, carried in _built_instances():
+        assert ("orbit_of" in vars(inst)) == carried
+        # the map's distinct sets are the orbits, each shared by its points
+        orbits = {id(orbit): orbit for orbit in inst.orbit_of.values()}.values()
+        assert sorted(tuple(sorted(orbit)) for orbit in orbits) == list(
+            orbit_partition(inst.gens, inst.n))
+        assert len(inst.orbit_of) == inst.n
+        assert all(a in orbit for a, orbit in inst.orbit_of.items())
+        plain = GcInstance(inst.p, inst.n, inst.gens, inst.constraints)
+        assert render_instance(inst) == render_instance(plain)
+        assert "orbit_of" not in vars(replace(inst))
+        assert replace(inst, gens=()).orbit_of == {a: frozenset({a}) for a in range(1, inst.n + 1)}
+        handed += carried
+    assert handed == 158  # 126 generated, 32 reduced
 
 
 def _outcome_configs():
