@@ -70,9 +70,8 @@ class GcInstance:
     with every point's set cut to its orbit, are built on first read;
     orbit_of by a search of the generators (perm.orbit_partition), except
     on an instance made by _trusted, which is given its orbits as blocks.
-    gen_instance, reduce_1in_k and reduce_2cstr make theirs so (the last
-    unless a clause is empty); parsed instances, normalize and mmc_to_gc
-    search."""
+    gen_instance, reduce_1in_k and reduce_2cstr make every instance they
+    build so; parsed instances, normalize and mmc_to_gc search."""
 
     p: int
     n: int
@@ -86,8 +85,12 @@ class GcInstance:
         search.  The caller guarantees that the generators translate those
         blocks, each a copy of F_p^d of p^d points (frame.translation_perms),
         and together span each block's F_p^d, so each block is exactly one
-        orbit.  An instance made from this one by dataclasses.replace
-        searches for its own."""
+        orbit.  A block may have dimension 0: one point that every
+        generator fixes, as each point of an empty clause's block in
+        reduce_2cstr is.  gen_instance, reduce_1in_k (whose point sets are
+        the points' images under their clause's generators) and
+        reduce_2cstr make every instance they build with it.  An instance
+        made from this one by dataclasses.replace searches for its own."""
         orbit_of: dict[int, frozenset[int]] = {}
         lo = 1
         for size in sizes:

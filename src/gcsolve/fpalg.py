@@ -93,8 +93,8 @@ class SingularMatrixError(ValueError):
 _PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)
 _DIGITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
 
-# At odd p PackedDigits.pack shifts in one entry at a time up to this many
-# entries, and packs a longer vector in chunks of this many
+# At odd p PackedDigits.pack and unpack shift one entry at a time up to this
+# many entries, and take a longer vector in chunks of this many
 _PACK_CHUNK = 64
 
 # PackedDigits keeps its position codes up to this many; 32 cached
@@ -114,8 +114,9 @@ class PackedDigits:
     field sets a field's top bit exactly where the field is p or more: add
     subtracts p there.  neg takes p - a field by field and reduces the same
     way, and mul(a, c) adds doublings of a.  pack shifts the fields in one
-    at a time, and for a count above _PACK_CHUNK a chunk at a time, so
-    that it takes time linear in count.
+    at a time and unpack shifts them out one at a time; for a count above
+    _PACK_CHUNK both go a chunk at a time through one binary-digit string,
+    so that each takes time linear in count.
 
     position_codes() lists the packed vector of every position, the count
     base-p digits of 0 .. p^count - 1.  packed_digits(p, count) shares one
@@ -137,6 +138,7 @@ class PackedDigits:
         self.add, self.neg = _swar(p, p * ones, high - p * ones, high, w - 1)
         if count > _PACK_CHUNK:
             self.pack = self._pack_chunks
+            self.unpack = self._unpack_chunks
 
     def pack(self, vec) -> int:
         """The entries of vec, count of them, reduced mod p, as one int."""
@@ -180,6 +182,18 @@ class PackedDigits:
             return tuple(format(code, self._binary).encode().translate(_DIGITS_TO_BYTES))
         mask = (1 << w) - 1
         return tuple((code >> w * k) & mask for k in range(count - 1, -1, -1))
+
+    def _unpack_chunks(self, code: int) -> tuple[int, ...]:
+        """unpack at odd p for a count above _PACK_CHUNK, where one shift of
+        the whole int per entry would be quadratic in count: the binary
+        digits of code, padded in front with zeros to whole chunks, are
+        read a chunk at a time, and each chunk is unpacked as above."""
+        chunk = packed_digits(self.p, _PACK_CHUNK).unpack
+        size = _PACK_CHUNK * self.width
+        pad = -self.count % _PACK_CHUNK
+        bits = format(code, f"0{(self.count + pad) * self.width}b")
+        return tuple([c for i in range(0, len(bits), size)
+                      for c in chunk(int(bits[i:i + size], 2))][pad:])
 
     def mul(self, a: int, c: int) -> int:
         """The packed vector c·a mod p, by doubling."""
@@ -287,7 +301,6 @@ class RowReducer:
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self._length = width
         self._packing: PackedDigits | None = None  # the kept rows' packing
         self._rows: dict = {}
         self._pivot_bits = 0
@@ -310,8 +323,9 @@ class RowReducer:
     def _residual(self, vec) -> tuple[PackedDigits, int]:
         # the packing of vec's length, and vec's residual in it
         rows = self._rows
-        if len(vec) < self.width or rows and len(vec) != self._length:
-            raise ValueError(f"vector length {len(vec)} != {self._length}")
+        if len(vec) < self.width:
+            raise ValueError(f"vector length {len(vec)} < {self.width}")
+        # once a row is kept, its packing's pack refuses any other length
         packing = self._packing if rows else packed_digits(self.p, len(vec))
         v = packing.pack(vec)
         pivot_bits = self._pivot_bits
@@ -343,7 +357,6 @@ class RowReducer:
         """Add vec to the span; returns True when its residual, kept as the
         new row, was nonzero in the pivot columns."""
         packing, v = self._residual(vec)
-        self._length = len(vec)
         w = packing.width
         if not v >> (len(vec) - self.width) * w:
             return False

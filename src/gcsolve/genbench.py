@@ -14,7 +14,10 @@ point's constraint set is drawn inside its orbit and frozen as it is
 drawn, and the GcInstance is made from the sets directly, kept as
 stated as a parsed instance keeps its own, and is handed its orbits,
 the blocks, which the per-block rank check proves to be orbits
-(GcInstance._trusted), so rendering it searches for none.  The
+(GcInstance._trusted), so rendering it searches for none.  Every
+instance the reductions build is handed its orbits the same way: a
+1-in-k point's set is its images under its clause's generators, and an
+empty clause's block is p blocks of dimension 0, one point each.  The
 harness times the linear pipeline against the enumeration oracle and
 aggregates summary rows (means and standard deviations as a percent of
 the mean, with "-" for cells where the oracle was capped).

@@ -8,14 +8,17 @@ the sum of the clause's variables.  Either way each block of points is a
 copy of F_p^k (or F_p) numbered in lex order, so every group element is a
 translation built by frame.translation_perms, whose one table per call
 builds each distinct block translation once for all the generators.  The
-constraint sets are built as frozensets of points in 1..n and the
-GcInstance is made from them directly, with no second pass over what was
-just built, and is handed its orbits, the blocks (GcInstance._trusted):
-each clause block of the first gets the k unit shifts of its distinct
-variables, and each block of the second is shifted by 1, except an empty
-clause's (strict=False only), which is p fixed points, so that instance
-searches for its orbits.  Both refuse a domain of more than MAX_N points
-before they build any of it.
+generators are built first, and in the first construction a point's
+constraint set is its images under its clause's variables' generators,
+so no translation is built outside that call.  The constraint sets are
+built as frozensets of points in 1..n and the GcInstance is made from
+them directly, with no second pass over what was just built, and every
+instance is handed its orbits (GcInstance._trusted): each clause block
+of the first gets the k unit shifts of its distinct variables, and each
+block of the second is shifted by 1, except an empty clause's
+(strict=False only), which is fixed, so it is p one-point orbits, blocks
+of dimension 0.  Both refuse a domain of more than MAX_N points before
+they build any of it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 from .constraint import GcInstance
 from .fpalg import check_prime
-from .frame import translation_perms, translation_positions
+from .frame import translation_perms
 from .instfile import InstanceFormatError, _numbered_tokens
 from .perm import Permutation, check_size
 
@@ -152,30 +155,29 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
     """Clause satisfiability as a k-constraint: per clause, the p^k
     assignments of its variables form one orbit permuted by translation,
     and each point's constraint set shifts it by one of the clause's
-    variable indicators."""
+    variable indicators, that is, holds its images under the clause's
+    variables' generators."""
     check_prime(p)
     k = s.k
     block = p**k
-    n = block * len(s.clauses)
-    check_size(n)
+    check_size(block * len(s.clauses))
+    gens = translation_perms(p, (k,) * len(s.clauses),
+                             [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
+    gen_of = dict(zip(s.sigma, gens))
     # lex order is position order, so one enumeration numbers every block
     words = list(itertools.product(range(p), repeat=k))
     names = ["".join(map(str, w)) for w in words]
-    # the positions each position may advance to: one per variable indicator
-    units = [translation_positions([int(j == i) for j in range(k)], p) for i in range(k)]
-    steps = [tuple(pos[r] for pos in units) for r in range(block)]
     points = {}
     labels = []
     constraints = {}
-    for t in range(len(s.clauses)):
+    for t, clause in enumerate(s.clauses):
         off = t * block
-        points.update(zip(((t, w) for w in words), range(off + 1, off + block + 1)))
+        block_points = range(off + 1, off + block + 1)
+        points.update(zip(((t, w) for w in words), block_points))
         labels.extend(f"c{t}:{name}" for name in names)
-        shift = (off + 1).__add__
-        for r, step in enumerate(steps, start=off + 1):
-            constraints[r] = frozenset(map(shift, step))
-    gens = translation_perms(p, (k,) * len(s.clauses),
-                             [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
+        images = [gen_of[v].images[off:off + block] for v in clause]
+        for a, *shifted in zip(block_points, *images):
+            constraints[a] = frozenset(shifted)
     # a clause's k variables are distinct, so its block gets the k unit
     # shifts and is one orbit
     inst = GcInstance._trusted(p, (block,) * len(s.clauses), gens, constraints)
@@ -199,14 +201,10 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     be inspected on other inputs.
     """
     check_prime(p)
-    if strict:
-        for clause in s.clauses:
-            if len(clause) != p:
-                raise ValueError(
-                    f"clause {clause} has size {len(clause)}, expected exactly {p}"
-                )
-    n = p * (len(s.sigma) + len(s.clauses))
-    check_size(n)
+    # every clause has the size of the first
+    if strict and s.clauses and s.k != p:
+        raise ValueError(f"clause {s.clauses[0]} has size {s.k}, expected exactly {p}")
+    check_size(p * (len(s.sigma) + len(s.clauses)))
     points = {}
     labels = []
     constraints = {}
@@ -226,11 +224,9 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
             constraints[off + y + 1] = frozenset((off + (y + 1) % p + 1,))
     gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
                              [_two_cstr_shifts(s, p, {v: 1}) for v in s.sigma])
-    if all(s.clauses):
-        # a variable's block is shifted by 1 by its generator, and a
-        # clause's by each of its variables', so each block is one orbit
-        inst = GcInstance._trusted(p, (p,) * (len(s.sigma) + len(s.clauses)), gens, constraints)
-    else:
-        # an empty clause's block is fixed: p one-point orbits
-        inst = GcInstance(p, n, tuple(gens), constraints)
+    # a variable's block is shifted by 1 by its generator, and a clause's
+    # by each of its variables', so each is one orbit; an empty clause's
+    # block is fixed, p one-point orbits
+    sizes = (p,) * len(s.sigma) + ((p,) if s.k else (1,) * p) * len(s.clauses)
+    inst = GcInstance._trusted(p, sizes, gens, constraints)
     return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)

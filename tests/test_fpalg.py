@@ -573,13 +573,14 @@ def test_packed_digits_largest_field_sums(p):
 @pytest.mark.parametrize("p", [3, 5, 131, 65521])
 def test_pack_matches_one_shift_per_entry(p):
     """pack gives the int that shifting each reduced entry in, first entry
-    first, gives, for short vectors and for long ones packed in chunks
-    (lengths around multiples of _PACK_CHUNK, and 21845), with entries
-    outside [0, p) and as lists or tuples."""
+    first, gives, and unpack reads the entries back, for short vectors and
+    for long ones packed and unpacked in chunks (lengths around multiples
+    of _PACK_CHUNK, 21845 and 43690), with entries outside [0, p) and as
+    lists or tuples."""
     rng = random.Random(p)
     w = p.bit_length() + 1
     chunk = fpalg._PACK_CHUNK
-    for count in (0, 1, 21, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 7, 21845):
+    for count in (0, 1, 21, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 7, 21845, 43690):
         vec = [rng.randrange(-2 * p, 3 * p) for _ in range(count)]
         code = 0
         for c in vec:

@@ -407,7 +407,7 @@ def _built_instances():
     """(instance, whether its builder handed it its orbits) for every
     pinned and text config, and for reductions at p = 2, 3 and 5 of
     seeded clause sets of sizes 1-4 and p, strict and strict=False, and
-    of one empty clause, whose reduce_2cstr block is p fixed points."""
+    of one empty clause, whose reduce_2cstr block is p one-point orbits."""
     for cfg in (*_pinned_configs(), *_text_configs()):
         yield gen_instance(cfg).instance, True
     sigma = tuple(f"x{i}" for i in range(1, 7))
@@ -422,7 +422,7 @@ def _built_instances():
                 yield reduce_2cstr(s, p).instance, True
         empty = ClauseSet(("a", "b"), ((),))
         yield reduce_1in_k(empty, p).instance, True
-        yield reduce_2cstr(empty, p, strict=False).instance, False
+        yield reduce_2cstr(empty, p, strict=False).instance, True
 
 
 def test_built_instances_carry_the_orbits_a_search_finds():
@@ -444,7 +444,7 @@ def test_built_instances_carry_the_orbits_a_search_finds():
         assert "orbit_of" not in vars(replace(inst))
         assert replace(inst, gens=()).orbit_of == {a: frozenset({a}) for a in range(1, inst.n + 1)}
         handed += carried
-    assert handed == 158  # 126 generated, 32 reduced
+    assert handed == 161  # 126 generated, 35 reduced
 
 
 def _outcome_configs():

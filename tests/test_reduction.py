@@ -230,7 +230,6 @@ def test_reductions_refuse_an_oversized_n_before_building_it(monkeypatch, reduce
         raise AssertionError("generators built")
 
     monkeypatch.setattr("gcsolve.reduction.translation_perms", refuse)
-    monkeypatch.setattr("gcsolve.reduction.translation_positions", refuse)
     with pytest.raises(ValueError, match=f"^n = {n} exceeds the limit 65536$"):
         reduce(s, p)
 
