@@ -172,9 +172,10 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
     constituent qualifies.  A candidate is a vector x, kept packed, and a
     point b maps to the point of b + x.  At p = 2 the packed vector is the
     position and the sum is one XOR.  At odd p it has one field per digit
-    (fpalg.PackedDigits), the sum takes a few int operations, and the
-    packed vectors of the positions are mapped back to the points once
-    per call.  Digit tuples are made only for the vectors returned.
+    (fpalg.PackedDigits), the sum takes a few int operations, written out
+    in the loop with the packing's constants, and the packed vectors of
+    the positions are mapped back to the points once per call.  Digit
+    tuples are made only for the vectors returned.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
@@ -200,15 +201,18 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
         # positions order as their digit tuples do
         return tuple(digits(x, of.dim, 2) for x in sorted(out))
     packing = packed_digits(p, of.dim)
-    add = packing.add
     codes = packing.position_codes()
     at = dict(zip(codes, lex))
     checks = [(codes[b], bset) for b, bset in checks]
     minus_base = packing.neg(codes[base])
+    # packing.add written out: p off each field that the bias carries
+    # into its top bit
+    bias, high, top = packing.bias, packing.high, packing.top
     for pc in candidates:
-        x = add(codes[pc], minus_base)
+        x = packing.add(codes[pc], minus_base)
         for b, bset in checks:
-            if at[add(b, x)] not in bset:
+            t = b + x
+            if at[t - p * (((t + bias) & high) >> top)] not in bset:
                 break
         else:
             out.append(x)
@@ -421,7 +425,9 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     syndromes, is 0.  A syndrome is the residual of x_O placed in O's
     slice against G's echelon form (group_variety), computed once per
     admissible vector and kept packed, as VarietyMatrix.packed_product
-    returns it (fpalg.PackedDigits), so the sums are SWAR additions.
+    returns it (fpalg.PackedDigits), so the sums are SWAR additions; the
+    vector is packed at O's width and shifted into place, so no d-wide
+    tuple is built.
     The orbits are cut where the prefix and suffix combination counts add
     up least (meet in the middle).  The suffix combinations are tabulated
     by syndrome sum, in lexicographic order and keeping the first per sum;
@@ -447,8 +453,10 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     syndrome = group_variety(fr).packed_product
     groups = []
     for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
-        head, tail = (0,) * lo, (0,) * (fr.dim - hi)
-        group = [(v, syndrome(head + v + tail)) for v in vo]
+        # x_O packed at O's width and shifted into O's slice of the frame
+        pack = packed_digits(fr.p, hi - lo).pack
+        shift = (fr.dim - hi) * packing.width
+        group = [(v, syndrome(pack(v) << shift)) for v in vo]
         if i < cut:  # prefix syndromes enter negated
             group = [(v, packing.neg(s)) for v, s in group]
         groups.append(group)

@@ -113,10 +113,14 @@ class PackedDigits:
     2p - 2 < 2^w and never carries into the next, and adding H - p to every
     field sets a field's top bit exactly where the field is p or more: add
     subtracts p there.  neg takes p - a field by field and reduces the same
-    way, and mul(a, c) adds doublings of a.  pack shifts the fields in one
-    at a time and unpack shifts them out one at a time; for a count above
-    _PACK_CHUNK both go a chunk at a time through one binary-digit string,
-    so that each takes time linear in count.
+    way, and mul(a, c) adds doublings of a.  The constants of that sum,
+    bias (H - p in every field), high (H in every field) and top (the
+    shift of H's bit in a field), are attributes at odd p, shared with
+    constraint.compute_vo, which writes the same sum out in its candidate
+    loop.  pack shifts the fields in one at a time and unpack shifts them
+    out one at a time; for a count above _PACK_CHUNK both go a chunk at a
+    time through one binary-digit string, so that each takes time linear
+    in count.
 
     position_codes() lists the packed vector of every position, the count
     base-p digits of 0 .. p^count - 1.  packed_digits(p, count) shares one
@@ -133,9 +137,11 @@ class PackedDigits:
             self._binary = f"0{count}b"
             return
         ones = ((1 << w * count) - 1) // ((1 << w) - 1)
-        high = ones << (w - 1)
         # H - p and H in every field, and H's bit in a field
-        self.add, self.neg = _swar(p, p * ones, high - p * ones, high, w - 1)
+        self.high = ones << (w - 1)
+        self.bias = self.high - p * ones
+        self.top = w - 1
+        self.add, self.neg = _swar(p, p * ones, self.bias, self.high, self.top)
         if count > _PACK_CHUNK:
             self.pack = self._pack_chunks
             self.unpack = self._unpack_chunks
@@ -322,21 +328,26 @@ class RowReducer:
 
     def _residual(self, vec) -> tuple[PackedDigits, int]:
         # the packing of vec's length, and vec's residual in it
-        rows = self._rows
         if len(vec) < self.width:
             raise ValueError(f"vector length {len(vec)} < {self.width}")
         # once a row is kept, its packing's pack refuses any other length
-        packing = self._packing if rows else packed_digits(self.p, len(vec))
-        v = packing.pack(vec)
+        packing = self._packing if self._rows else packed_digits(self.p, len(vec))
+        return packing, self.packed_residual(packing.pack(vec))
+
+    def packed_residual(self, v: int) -> int:
+        """residual(vec) for vec given packed, as the kept rows' packing
+        packs it; with no row kept, v itself."""
         pivot_bits = self._pivot_bits
         hit = v & pivot_bits
         if not hit:
-            return packing, v
+            return v
+        rows = self._rows
         if self.p == 2:
             while hit:
                 v ^= rows[hit.bit_length()]
                 hit = v & pivot_bits
-            return packing, v
+            return v
+        packing = self._packing
         add = packing.add
         w = packing.width
         mask = (1 << w) - 1
@@ -351,7 +362,7 @@ class RowReducer:
                 f >>= 1
                 i += 1
             hit = v & pivot_bits
-        return packing, v
+        return v
 
     def add(self, vec) -> bool:
         """Add vec to the span; returns True when its residual, kept as the

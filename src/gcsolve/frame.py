@@ -214,9 +214,10 @@ class VarietyMatrix:
     def product(self, x) -> tuple[int, ...]:
         return self.reducer.reduce(x)
 
-    def packed_product(self, x) -> int:
-        """product(x) packed, as fpalg.packed_digits(p, len(x)) packs it."""
-        return self.reducer.residual(x)
+    def packed_product(self, code: int) -> int:
+        """product(x) for x given packed, as fpalg.packed_digits(p, d)
+        packs it; the product is packed the same way."""
+        return self.reducer.packed_residual(code)
 
     def contains(self, x) -> bool:
         return not self.reducer.residual(x)

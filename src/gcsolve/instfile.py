@@ -14,8 +14,9 @@ A witness file is a single ``g`` line.  Rendering is canonical, so
 parse(render(x)) reproduces x exactly.
 
 The parser reads the point tokens of ``g`` and ``c`` lines through one
-table per parse, from the canonical names "1".."n" to their ints, so one
-lookup converts a token and checks its range.  The n tokens of a ``g``
+table per n, from the canonical names "1".."n" to their ints, so one
+lookup converts a token and checks its range; the table of the last n
+parsed is kept, so parses at one n share it.  The n tokens of a ``g``
 line (n > 1) are looked up in one ``operator.itemgetter`` call, and when
 all of them hit the table the line needs only the distinctness test.  A
 line with any other token (``+3``, ``007``, ``0``, ``x``), another token
@@ -27,6 +28,7 @@ orbits are found when the frame is built.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 
 from .constraint import GcInstance
@@ -43,6 +45,15 @@ class InstanceFormatError(ValueError):
         self.lineno = lineno
         prefix = f"line {lineno}: " if lineno is not None else ""
         super().__init__(prefix + message)
+
+
+@lru_cache(maxsize=1)
+def _point_names(n: int) -> dict[str, int]:
+    """The canonical names "1".."n" of the points, each mapped to its int:
+    one lookup both converts a token and checks its range, and the images
+    parsed share the table's ints.  Only the last n's table is kept, and
+    no caller changes it."""
+    return {str(a): a for a in range(1, n + 1)}
 
 
 def _numbered_tokens(text: str):
@@ -127,9 +138,7 @@ def parse_instance(text: str) -> GcInstance:
     if m < 0:
         raise InstanceFormatError("m must be nonnegative", lineno)
 
-    # the canonical names "1".."n" of the points: one lookup both converts a
-    # token and checks its range, and the images share the table's ints
-    names = {str(a): a for a in range(1, n + 1)}
+    names = _point_names(n)
     name = names.__getitem__
     gens = []
     for _ in range(m):

@@ -18,13 +18,16 @@ of the first gets the k unit shifts of its distinct variables, and each
 block of the second is shifted by 1, except an empty clause's
 (strict=False only), which is fixed, so it is p one-point orbits, blocks
 of dimension 0.  Both refuse a domain of more than MAX_N points before
-they build any of it.
+they build any of it.  Neither builds the points' labels or the map from
+structured keys to points: ReducedInstance derives them from the clause
+set when they are first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constraint import GcInstance
 from .fpalg import check_prime
@@ -122,14 +125,38 @@ def one_in_k_brute(s: ClauseSet) -> frozenset[str] | None:
 @dataclass(frozen=True)
 class ReducedInstance:
     """A group-constraint instance produced from a clause set, with the
-    bookkeeping needed to name points and map assignments to witnesses."""
+    bookkeeping needed to name points and map assignments to witnesses.
+    The labels and the point map are derived from the clause set on first
+    read, so a reduction builds only its instance."""
 
     instance: GcInstance
     clause_set: ClauseSet
     p: int
     kind: str
-    labels: tuple[str, ...]
-    _points: dict
+
+    def _keys_and_labels(self):
+        """(key, label) of every point, in order of the points."""
+        s, p = self.clause_set, self.p
+        if self.kind == "one-in-k":
+            # lex order is position order, so one enumeration numbers every
+            # block
+            words = list(itertools.product(range(p), repeat=s.k))
+            names = ["".join(map(str, w)) for w in words]
+            return [((t, w), f"c{t}:{name}")
+                    for t in range(len(s.clauses)) for w, name in zip(words, names)]
+        return ([(("var", v, x), f"{v}:{x}") for v in s.sigma for x in range(p)]
+                + [(("clause", t, y), f"c{t}:{y}")
+                   for t in range(len(s.clauses)) for y in range(p)])
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The label of each point, point 1's first."""
+        return tuple(label for _, label in self._keys_and_labels())
+
+    @cached_property
+    def _points(self) -> dict:
+        """Structured key -> point id."""
+        return {key: a for a, (key, _) in enumerate(self._keys_and_labels(), start=1)}
 
     def point(self, key) -> int:
         """Point id for a structured key (see the reduction that built this)."""
@@ -164,24 +191,15 @@ def reduce_1in_k(s: ClauseSet, p: int) -> ReducedInstance:
     gens = translation_perms(p, (k,) * len(s.clauses),
                              [_one_in_k_shifts(s, {v: 1}) for v in s.sigma])
     gen_of = dict(zip(s.sigma, gens))
-    # lex order is position order, so one enumeration numbers every block
-    words = list(itertools.product(range(p), repeat=k))
-    names = ["".join(map(str, w)) for w in words]
-    points = {}
-    labels = []
     constraints = {}
     for t, clause in enumerate(s.clauses):
         off = t * block
-        block_points = range(off + 1, off + block + 1)
-        points.update(zip(((t, w) for w in words), block_points))
-        labels.extend(f"c{t}:{name}" for name in names)
         images = [gen_of[v].images[off:off + block] for v in clause]
-        for a, *shifted in zip(block_points, *images):
-            constraints[a] = frozenset(shifted)
+        constraints.update(zip(range(off + 1, off + block + 1), map(frozenset, zip(*images))))
     # a clause's k variables are distinct, so its block gets the k unit
     # shifts and is one orbit
     inst = GcInstance._trusted(p, (block,) * len(s.clauses), gens, constraints)
-    return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
+    return ReducedInstance(inst, s, p, "one-in-k")
 
 
 def _two_cstr_shifts(s: ClauseSet, p: int, values: dict) -> list[int]:
@@ -205,21 +223,15 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     if strict and s.clauses and s.k != p:
         raise ValueError(f"clause {s.clauses[0]} has size {s.k}, expected exactly {p}")
     check_size(p * (len(s.sigma) + len(s.clauses)))
-    points = {}
-    labels = []
     constraints = {}
-    for i, v in enumerate(s.sigma):
+    for i in range(len(s.sigma)):
         for x in range(p):
             a = i * p + x + 1
-            points[("var", v, x)] = a
-            labels.append(f"{v}:{x}")
             # a variable's point may stay or advance by one
             constraints[a] = frozenset((a, i * p + (x + 1) % p + 1))
     for t in range(len(s.clauses)):
         off = (len(s.sigma) + t) * p
         for y in range(p):
-            points[("clause", t, y)] = off + y + 1
-            labels.append(f"c{t}:{y}")
             # a clause's point must advance by one
             constraints[off + y + 1] = frozenset((off + (y + 1) % p + 1,))
     gens = translation_perms(p, (1,) * (len(s.sigma) + len(s.clauses)),
@@ -229,4 +241,4 @@ def reduce_2cstr(s: ClauseSet, p: int, strict: bool = True) -> ReducedInstance:
     # block is fixed, p one-point orbits
     sizes = (p,) * len(s.sigma) + ((p,) if s.k else (1,) * p) * len(s.clauses)
     inst = GcInstance._trusted(p, sizes, gens, constraints)
-    return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)
+    return ReducedInstance(inst, s, p, "two-cstr")

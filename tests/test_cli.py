@@ -153,6 +153,28 @@ def test_solve_out_of_range_constraint_reports_line(tmp_path, capsys, cline, mes
     assert capsys.readouterr().err == f"error: line 6: {message}\n"
 
 
+def test_the_table_of_point_names_follows_n_from_parse_to_parse(tmp_path, capsys):
+    """The parser keeps the table of the names 1..n of the last n it read:
+    after a parse at n = 8, a `g` or `c` token 5 at n = 4 is refused on its
+    line, and n = 8 then accepts 8 again."""
+    eight = "gc 1\np 2\nn 8\nm 1\ng 2 1 4 3 6 5 8 7\nc 1 : 2\nc 7 : 8\n"
+    four = "gc 1\np 2\nn 4\nm 1\n"
+    path = tmp_path / "i.gc"
+    for text, code, err in [
+        (eight, 0, ""),
+        (four + "g 2 1 5 3\n", 64, "error: line 5: images do not form a bijection on 1..4\n"),
+        (eight, 0, ""),
+        (four + "g 2 1 4 3\nc 1 : 5\n", 64,
+         "error: line 6: constraint value 5 out of range 1..4\n"),
+        (four + "g 2 1 4 3\nc 5 : 1\n", 64,
+         "error: line 6: constrained point 5 out of range 1..4\n"),
+        (eight, 0, ""),
+    ]:
+        path.write_text(text)
+        assert main(["solve", str(path)]) == code
+        assert capsys.readouterr().err == err
+
+
 def test_solve_notlinear_exit_code(tmp_path, capsys):
     clause_file = tmp_path / "cl.txt"
     clause_file.write_text("vars a b c\na b c\n")

@@ -139,6 +139,25 @@ def test_compute_vo_matches_tuple_arithmetic(case):
     ]
 
 
+@pytest.mark.parametrize("p, dims", [(7, (1, 2)), (7, (2, 2)), (131, (1,)), (131, (1, 1))])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compute_vo_matches_tuple_arithmetic_in_wide_fields(p, dims, k):
+    """V_O against the definition at p = 7 and p = 131, whose packed
+    fields are 4 and 9 bits wide, on gen_instance frames, planted and not:
+    with every generated set, and with the sets of every other point, so
+    that more candidates pass the first checks."""
+    for seed in range(4):
+        full = gen_instance(GenConfig(p=p, seed=seed, k=k, sat_bias=float(seed % 2),
+                                      dims=dims)).instance
+        fr = build_frame(full.n, full.gens, p)
+        thinned = normalize([(a, cset) for a, cset in full.constraints.items() if a % 2],
+                            full.n, full.gens, p)
+        for inst in (full, thinned):
+            assert compute_all_vo(fr, inst) == [
+                reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))
+            ]
+
+
 def test_compute_vo_keeps_no_translation_per_candidate():
     """One orbit of 2^k points and one constrained point whose set has all
     but one of them: V_O has 2^k - 1 candidates, and the frame's

@@ -131,6 +131,22 @@ def test_tokens_outside_the_table_that_int_reads_are_accepted():
     assert inst.constraints == {1: frozenset({2, 4}), 3: frozenset({3, 4})}
 
 
+def test_parses_at_one_n_share_one_table_of_names():
+    """Two parses at n = 300 in a row read their points through one table,
+    so the ints they hold are the same objects (int() makes each int above
+    256 anew).  Only the last n's table is kept: a parse at n = 301 in
+    between replaces it, and the next parse at n = 300 builds a new one."""
+    text = "gc 1\np 2\nn 300\nm 0\nc 299 : 300 298\n"
+    first = parse_instance(text)
+    parse_instance(text.replace("n 300", "n 301"))
+    second, third = parse_instance(text), parse_instance(text)
+    (a,), (b,), (c,) = first.constraints, second.constraints, third.constraints
+    assert a == b == c == 299
+    assert b is c
+    assert max(second.constraints[b]) is max(third.constraints[c]) == 300
+    assert a is not b
+
+
 def test_a_point_stated_twice_keeps_the_intersection():
     inst = parse_instance(SMALL + "c 1 : 4 3\n")
     assert inst.constraints[1] == frozenset({4})

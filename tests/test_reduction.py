@@ -127,6 +127,21 @@ def test_reductions_match_the_normalize_reference(p):
         _assert_same_reduction(reduce_2cstr(s, p, strict=False), reference_reduce_2cstr(s, p))
 
 
+def test_a_reduction_derives_its_labels_and_points_on_first_read():
+    """Each reduction builds only its instance: the labels and the point
+    map appear when first read, and are kept for the next read."""
+    s = ClauseSet(("a", "b", "c"), (("a", "b", "c"),))
+    for red in (reduce_1in_k(s, 3), reduce_2cstr(s, 3)):
+        assert "labels" not in vars(red) and "_points" not in vars(red)
+        labels = red.labels
+        assert "labels" in vars(red) and "_points" not in vars(red)
+        assert red.labels is labels and len(labels) == red.instance.n
+        assert red.point(next(iter(red._points))) == 1
+        assert red._points is red._points
+    assert reduce_1in_k(s, 3).labels[:2] == ("c0:000", "c0:001")
+    assert reduce_2cstr(s, 3).labels[:2] == ("a:0", "a:1")
+
+
 def test_reduce_1in_k_worked_example_bit_exact():
     red = reduce_1in_k(running_example(), 2)
     inst = red.instance

@@ -14,7 +14,6 @@ from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, transla
 from gcsolve.genbench import GenConfig, GenResult, _draw_dims, gen_instance
 from gcsolve.instfile import InstanceFormatError
 from gcsolve.perm import MAX_N, Permutation, check_size, compose
-from gcsolve.reduction import ReducedInstance
 
 
 def eight_point_gens():
@@ -176,6 +175,19 @@ def reference_one_in_k_brute(s):
     return None
 
 
+@dataclass(frozen=True)
+class ReferenceReduction:
+    """What a reference reduction gives, with its labels and point map
+    built eagerly, point by point."""
+
+    instance: object
+    clause_set: object
+    p: int
+    kind: str
+    labels: tuple[str, ...]
+    _points: dict
+
+
 def reference_reduce_1in_k(s, p):
     """reduction.reduce_1in_k as it numbered each point by a digit sum, made
     each set a Python set and passed the sets through normalize; the
@@ -199,7 +211,7 @@ def reference_reduce_1in_k(s, p):
         for r in range(block):
             cmap[off + r + 1] = {off + pos[r] + 1 for pos in units}
     inst = normalize(cmap.items(), n, gens, p)
-    return ReducedInstance(inst, s, p, "one-in-k", tuple(labels), points)
+    return ReferenceReduction(inst, s, p, "one-in-k", tuple(labels), points)
 
 
 def reference_reduce_2cstr(s, p):
@@ -232,7 +244,7 @@ def reference_reduce_2cstr(s, p):
         for y in range(p):
             cmap[points[("clause", t, y)]] = {points[("clause", t, (y + 1) % p)]}
     inst = normalize(cmap.items(), n, gens, p)
-    return ReducedInstance(inst, s, p, "two-cstr", tuple(labels), points)
+    return ReferenceReduction(inst, s, p, "two-cstr", tuple(labels), points)
 
 
 def reference_gen_instance(cfg):
@@ -506,8 +518,11 @@ class SchoolbookVariety:
     def product(self, x):
         return tuple(sum(a * b for a, b in zip(row, x)) % self.p for row in self.rows)
 
-    def packed_product(self, x):
-        return PackedDigits(self.p, len(x)).pack(self.product(x))
+    def packed_product(self, code):
+        # x given packed, as the syndromes of solve_product are read: the
+        # list dot products of its entries, then packed the same way
+        packing = PackedDigits(self.p, len(self.rows))
+        return packing.pack(self.product(packing.unpack(code)))
 
     def contains(self, x):
         return not any(self.product(x))
