@@ -19,7 +19,9 @@ width; the linear system is decided by one Gaussian elimination over G's
 generators, each with its residual against E, so nothing of size d x d
 is built (solve_linear).  The product search tests membership: x lies
 in G when its residual against G's echelon form, M_G·x, is zero, and
-solve_product builds that form itself, on no other branch.  The V_O
+solve_product builds that form itself, on no other branch.  It walks
+the orbits depth first in product order and cuts a prefix as soon as
+its residual is nonzero on the orbits it fixes.  The V_O
 search and the product search add whole vectors packed into ints
 (fpalg.PackedDigits), the layout RowReducer keeps its rows in; the
 enumeration oracle keeps its digit arithmetic (frame.position_sum), so
@@ -29,7 +31,6 @@ that it stays independent of them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -403,19 +404,6 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
             x = [position_sum(a, b, p) for a, b in zip(x, step)]
 
 
-def _combinations(groups, add):
-    """Every combination of one (vector, packed syndrome) per group, lazily
-    and in itertools.product order, as (joined vector, syndrome sum)."""
-
-    def extend(combos, group):
-        return ((x + v, add(s, t)) for x, s in combos for v, t in group)
-
-    combos = iter([((), 0)])
-    for group in groups:
-        combos = extend(combos, group)
-    return combos
-
-
 def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Fallback for non-linear constraints: the lexicographically first
     combination, in itertools.product(*vos) order, of one admissible
@@ -428,46 +416,56 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     returns it (fpalg.PackedDigits), so the sums are SWAR additions; the
     vector is packed at O's width and shifted into place, so no d-wide
     tuple is built.
-    The orbits are cut where the prefix and suffix combination counts add
-    up least (meet in the middle).  The suffix combinations are tabulated
-    by syndrome sum, in lexicographic order and keeping the first per sum;
-    the prefixes are walked in lexicographic order, each looking up the
-    negated sum of its own syndromes.  The first hit is therefore the
-    first member of G in product order.  Memory is bounded by the suffix
-    table.  The cap bounds the product of the V_O sizes and is checked
-    before anything is computed, G's echelon form included; an empty V_O
-    leaves no combination, so the verdict is UNSAT exhausted."""
+    The search walks depth first over the orbits in frame order and over
+    each V_O in its order, so its first leaf in G is the first member of G
+    in product order.  A prefix is extended only while its syndrome sum is
+    zero on the columns of the orbits it fixes.  The residual of a vector
+    that is zero on its first c columns is zero there too, so that holds
+    exactly when some member of G agrees with the prefix on those orbits.
+    Members of one V_O with equal syndromes lead to the same subtree, so
+    only the first of them is tried.  At most sum_j prod_{i<=j} |V_O_i|
+    candidates are tested, under twice the product of the V_O sizes when
+    every V_O has two or more members; memory is O(number of orbits)
+    beside the syndromes.  The cap bounds the product of the V_O sizes and
+    is checked before anything is computed, G's echelon form included; an
+    empty V_O leaves no combination, so the verdict is UNSAT exhausted."""
     total = 1
     for vo in vos:
         total *= len(vo)
         if total > cap:
             raise CapExceededError(f"product of V_O sizes exceeds cap {cap}")
-    sizes = [len(vo) for vo in vos]
-
-    def cost(c):  # combinations walked plus tabulated; a tie takes the smaller table
-        suffix = math.prod(sizes[c:])
-        return math.prod(sizes[:c]) + suffix, suffix
-
-    cut = min(range(len(vos) + 1), key=cost)
     packing = packed_digits(fr.p, fr.dim)
+    add = packing.add
     syndrome = group_variety(fr).packed_product
-    groups = []
-    for i, ((lo, hi), vo) in enumerate(zip(fr.slices, vos)):
+    levels = []  # per orbit, its slice's shift and its members to try
+    for (lo, hi), vo in zip(fr.slices, vos):
         # x_O packed at O's width and shifted into O's slice of the frame
         pack = packed_digits(fr.p, hi - lo).pack
         shift = (fr.dim - hi) * packing.width
-        group = [(v, syndrome(pack(v) << shift)) for v in vo]
-        if i < cut:  # prefix syndromes enter negated
-            group = [(v, packing.neg(s)) for v, s in group]
-        groups.append(group)
-    table: dict[int, tuple[int, ...]] = {}
-    for x, s in _combinations(groups[cut:], packing.add):
-        table.setdefault(s, x)
-    for x, s in _combinations(groups[:cut], packing.add):
-        suffix = table.get(s)
-        if suffix is not None:
-            return SolveOutcome.sat(fr.perm_of_coords(x + suffix), "product")
-    return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="product")
+        first = {}  # syndrome -> the first member of V_O that has it
+        for v in vo:
+            first.setdefault(syndrome(pack(v) << shift), v)
+        levels.append((shift, list(first.items())))
+    depth = len(levels)
+    # chosen[j + 1]: the syndrome sum of the prefix through orbit j, and
+    # the member fixed on orbit j
+    chosen = [(0, ())] * (depth + 1)
+    left = [iter(members) for _, members in levels]  # members not yet tried
+    j = 0
+    while 0 <= j < depth:
+        (shift, members), (prefix, _) = levels[j], chosen[j]
+        for t, v in left[j]:
+            s = add(prefix, t)
+            if not s >> shift:  # zero on the columns of orbits 0..j
+                j += 1
+                chosen[j] = (s, v)
+                break
+        else:  # orbit j is exhausted under this prefix: rewind it, back up one
+            left[j] = iter(members)
+            j -= 1
+    if j < 0:
+        return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="product")
+    return SolveOutcome.sat(fr.perm_of_coords([c for _, v in chosen for c in v]), "product")
 
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:

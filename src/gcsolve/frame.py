@@ -216,7 +216,11 @@ class VarietyMatrix:
 
     def packed_product(self, code: int) -> int:
         """product(x) for x given packed, as fpalg.packed_digits(p, d)
-        packs it; the product is packed the same way."""
+        packs it; the product is packed the same way.  It is the residual
+        against the echelon form, not any M with H as its kernel: every
+        row starts at its pivot, so where x is zero on its first c
+        columns, so is product(x).  constraint.solve_product prunes on
+        that."""
         return self.reducer.packed_residual(code)
 
     def contains(self, x) -> bool:

@@ -178,9 +178,13 @@ class GenConfig:
     q_range x dim_range, honoring dim_g (exact group dimension) or
     n_target (exact domain size) when set.  Every instance has at most
     perm.MAX_N points: a config that asks for more is refused, and
-    a drawn set of dimensions that gives more is drawn again.  Dimensions
-    drawn for an n_target that cannot reach dim_g (it must lie between
-    their largest and their sum) are refused by gen_instance.
+    a drawn set of dimensions that gives more is drawn again.  An n_target
+    must equal the n that dims give, or with dims=None be a multiple of
+    p^dim_range[0], the smallest orbit the draw may take; the draw then
+    takes the orbits greedily, none larger than what is left, and fills
+    n_target exactly.  Dimensions drawn for an n_target that cannot reach
+    dim_g (it must lie between their largest and their sum) are refused
+    by gen_instance.
     """
 
     p: int
@@ -214,10 +218,14 @@ class GenConfig:
             raise ValueError(f"dim_range must lie in 1..{MAX_DIM}")
         if self.q_range[0] < 1 or self.q_range[0] > self.q_range[1]:
             raise ValueError("bad q_range")
-        if self.n_target is not None and not (
-            self.p <= self.n_target <= MAX_N and self.n_target % self.p == 0
-        ):
-            raise ValueError(f"n_target must be a multiple of p in p..{MAX_N}")
+        if self.n_target is not None:
+            if not (self.p <= self.n_target <= MAX_N and self.n_target % self.p == 0):
+                raise ValueError(f"n_target must be a multiple of p in p..{MAX_N}")
+            if self.dims is not None and n != self.n_target:
+                raise ValueError(f"dims give n = {n}, but n_target = {self.n_target}")
+            if self.dims is None and self.n_target % self.p ** self.dim_range[0]:
+                raise ValueError(f"n_target must be a multiple of p^{self.dim_range[0]}, "
+                                 "the smallest orbit that dim_range allows")
         if self.dims is None and self.n_target is None and (
             self.q_range[0] * self.p ** self.dim_range[0] > MAX_N
         ):
@@ -240,13 +248,12 @@ def _draw_dims(cfg: GenConfig, rng: SplitMix64) -> tuple[int, ...]:
     if cfg.dims is not None:
         return cfg.dims
     if cfg.n_target is not None:
-        dims = []
-        remaining = cfg.n_target
+        dims, remaining = [], cfg.n_target
+        lo, hi = cfg.dim_range
+        # remaining stays a multiple of p^lo (GenConfig), so an orbit fits
         while remaining:
-            top = cfg.dim_range[1]
-            while cfg.p**top > remaining:
-                top -= 1
-            dims.append(rng.randint(cfg.dim_range[0], max(cfg.dim_range[0], top)))
+            top = max(d for d in range(lo, hi + 1) if cfg.p**d <= remaining)
+            dims.append(rng.randint(lo, top))
             remaining -= cfg.p ** dims[-1]
         return tuple(dims)
     for _ in range(100_000):

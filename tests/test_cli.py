@@ -106,6 +106,16 @@ def test_gen_refuses_an_n_target_that_cannot_reach_dim_g(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_dims_and_an_n_target_that_disagree(tmp_path, capsys):
+    # dims 2,2 at p = 2 give 8 points, not 64; an n_target they meet is taken
+    out = tmp_path / "i.gc"
+    assert main(["gen", "--dims", "2,2", "--n-target", "64", "--out", str(out)]) == 64
+    assert capsys.readouterr().err == "error: dims give n = 8, but n_target = 64\n"
+    assert not out.exists()
+    assert main(["gen", "--dims", "2,2", "--n-target", "8", "--out", str(out)]) == 0
+    assert parse_instance(out.read_text()).n == 8
+
+
 def test_gen_refuses_dims_that_are_not_ints(tmp_path, capsys):
     out = tmp_path / "i.gc"
     assert main(["gen", "--dims", "1,x", "--out", str(out)]) == 64

@@ -31,6 +31,7 @@ from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
 from util import (
+    SchoolbookResidual,
     constraint_k,
     eight_point_gens,
     group_closure,
@@ -674,19 +675,25 @@ def test_solve_reads_each_generator_once_per_decision(monkeypatch):
 def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     """Status, reason and witness are the same when the linear branch is
     the schoolbook reference, M_E·[g_1 ... g_m] solved by a list
-    elimination, and M_E and M_G are built by inverting a change of basis
-    and multiplied by list dot products instead of giving packed residuals
-    against an echelon form."""
+    elimination with M_E built by inverting a change of basis, and the
+    product fallback reads its syndromes from a list residual against G's
+    generators (SchoolbookResidual) instead of packed residuals against an
+    echelon form.  Reductions of clause sets with two to five clauses put
+    the product fallback on groups of several orbits."""
     insts = [parse_instance(text) for text in _p2_texts()]
     insts.append(reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 2).instance)
+    rng = SplitMix64(derive_seed(2, 30))
+    for _ in range(12):
+        sigma = tuple(f"v{i}" for i in range(rng.randint(4, 7)))
+        clauses = tuple(tuple(rng.sample(sigma, 3)) for _ in range(rng.randint(2, 5)))
+        insts.append(reduce_1in_k(ClauseSet(sigma, clauses), 2).instance)
     diagonal = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     insts.append(normalize([(1, {2}), (3, {3})], 4, [diagonal], 2))
     packed = [solve(inst) for inst in insts]
     assert {(out.status, out.reason) for out in packed} >= {
-        ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent")}
-
-    def list_variety(fr):
-        return schoolbook_variety_matrix(fr, fr.subspace_basis(fr.gen_coords)[0])
+        ("sat", None), ("unsat", "empty-vo"), ("unsat", "inconsistent"), ("unsat", "exhausted")}
+    assert sum(out.method == "product" and len(orbit_partition(inst.gens, inst.n)) > 1
+               for inst, out in zip(insts, packed)) >= 10
 
     read = []  # the V_O sets of the instance being solved
     real_vo = constraint.compute_all_vo
@@ -694,7 +701,8 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
                         lambda fr, inst: read.append(real_vo(fr, inst)) or read[-1])
     monkeypatch.setattr(constraint, "solve_linear",
                         lambda fr, lin: schoolbook_solve_linear(fr, read[-1], lin.w))
-    monkeypatch.setattr(constraint, "group_variety", list_variety)
+    monkeypatch.setattr(constraint, "group_variety",
+                        lambda fr: SchoolbookResidual(fr.p, fr.dim, fr.gen_coords))
     assert [solve(inst) for inst in insts] == packed
 
 
@@ -824,8 +832,9 @@ def assert_product_matches_reference(fr, vos, m_g):
 
 def test_solve_product_matches_brute_force_with_witnesses():
     """Same status, reason and witness as the brute-force loop on random
-    instances at p in {2, 3, 5} x k in {1, 2, 3} and on reduced 1-in-3
-    clause sets at p in {2, 3}."""
+    instances at p in {2, 3, 5} x k in {1, 2, 3}, on reduced 1-in-3
+    clause sets at p in {2, 3}, and on the mmc_to_gc disjuncts of random
+    models over groups of two or three orbits at p in {2, 3, 5}."""
     instances = []
     for p, dim_range in [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))]:
         for k in (1, 2, 3):
@@ -839,16 +848,26 @@ def test_solve_product_matches_brute_force_with_witnesses():
             sigma = tuple(f"v{i}" for i in range(rng.randint(3, 6)))
             clauses = tuple(tuple(rng.sample(sigma, 3)) for _ in range(rng.randint(1, 5)))
             instances.append(reduce_1in_k(ClauseSet(sigma, clauses), p).instance)
-    nonlinear = sat = 0
-    for inst in instances:
+    disjuncts = []
+    for p, dims in ((2, (2, 1, 2)), (3, (1, 1, 1)), (5, (1, 1))):
+        for seed in range(10):
+            group = gen_instance(GenConfig(p=p, seed=derive_seed(88, p, seed), dims=dims, k=1))
+            rng = SplitMix64(derive_seed(89, p, seed))
+            model = [rng.below(4) for _ in range(group.instance.n)]
+            disjuncts.extend(mmc_to_gc(model, group.instance.gens, p))
+    nonlinear = Counter()
+    sat = 0
+    for i, inst in enumerate(instances + disjuncts):
         fr = build_frame(inst.n, inst.gens, inst.p)
         vos = compute_all_vo(fr, inst)
-        nonlinear += getattr(linearize(fr, vos), "status", "linear") == "notlinear"
+        if getattr(linearize(fr, vos), "status", "linear") == "notlinear":
+            nonlinear["disjunct" if i >= len(instances) else "instance"] += 1
         out = assert_product_matches_reference(fr, vos, group_variety(fr))
         if out.status == "sat":
             sat += 1
             assert verify(inst, out.witness, fr)
-    assert 3 * nonlinear >= len(instances)
+    assert 3 * nonlinear["instance"] >= len(instances)
+    assert nonlinear["disjunct"] >= 20
     assert 0 < sat < len(instances)
 
 
@@ -944,6 +963,34 @@ def test_solve_product_cap_refused_before_any_syndrome(monkeypatch):
     vos = compute_all_vo(fr, inst)
     with pytest.raises(CapExceededError):
         solve_product(fr, vos, cap=len(vos[0]) - 1)
+
+
+def test_solve_product_memory_about_doubles_with_the_orbits():
+    """Chained 1-in-3 sets at p = 3 with 7 and then 14 clauses, clause i
+    on variables i, i + 1 and i + 2: one orbit and three admissible
+    vectors per clause, so the product of the V_O sizes goes from 3^7 to
+    3^14.  The walk holds one prefix beside the syndromes, so the memory
+    peak of solve_product at most about doubles, where a table over half
+    of the orbits would grow 27-fold.  Each search runs once before it is
+    traced, so that caches filled on first use are not counted."""
+    peaks = []
+    for count in (7, 14):
+        sigma = tuple(f"x{i}" for i in range(count + 2))
+        chained = ClauseSet(sigma, tuple(sigma[i:i + 3] for i in range(count)))
+        inst = reduce_1in_k(chained, 3).instance
+        fr = build_frame(inst.n, inst.gens, 3)
+        vos = compute_all_vo(fr, inst)
+        assert [len(vo) for vo in vos] == [3] * count
+        solve_product(fr, vos)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = solve_product(fr, vos)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert out.status == "sat" and verify(inst, out.witness, fr)
+    assert peaks[1] <= 3 * peaks[0]
 
 
 def test_solve_without_fallback_returns_the_linearity_verdict():

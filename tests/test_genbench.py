@@ -91,6 +91,15 @@ def test_gen_config_validation():
         GenConfig(p=3, seed=0, dims=(10, 8))
     with pytest.raises(ValueError, match=r"n_target must be a multiple of p in p\.\.65536"):
         GenConfig(p=2, seed=0, n_target=65538)
+    # drawn orbits have multiples of p^dim_range[0] points, so no draw of
+    # dimensions 2..3 ends at 6 points
+    with pytest.raises(ValueError, match=r"^n_target must be a multiple of p\^2, "
+                                         r"the smallest orbit that dim_range allows$"):
+        GenConfig(p=2, seed=1, n_target=6, dim_range=(2, 3))
+    with pytest.raises(ValueError, match=r"^n_target must be a multiple of p in p\.\.65536$"):
+        GenConfig(p=2, seed=1, n_target=7, dim_range=(2, 3))
+    # fixed dims are not held to dim_range
+    GenConfig(p=2, seed=1, dims=(1, 2), n_target=6, dim_range=(2, 3))
     with pytest.raises(ValueError, match="q_range and dim_range give n above the limit"):
         GenConfig(p=3, seed=0, q_range=(2, 3), dim_range=(10, 10))
 
@@ -114,6 +123,28 @@ def test_drawn_dims_that_cannot_reach_dim_g_are_refused_at_once():
     # 4 points at p = 2 are one orbit of dimension 2 or two of dimension 1
     with pytest.raises(ValueError, match="cannot reach dim_g=3"):
         gen_instance(GenConfig(p=2, seed=0, n_target=4, dim_g=3))
+
+
+def test_every_accepted_n_target_draw_fills_it():
+    """A config accepts exactly the n_target that are multiples of
+    p^dim_range[0], and each is drawn to exactly, with every dimension
+    inside dim_range, at each p, dim_range and n_target tried."""
+    accepted = 0
+    for p in (2, 3, 5):
+        for lo in range(1, 4):
+            for hi in range(lo, 5):
+                for n_target in range(p, min(3 * p**hi, MAX_N) + 1, p):
+                    args = dict(p=p, seed=n_target, n_target=n_target, dim_range=(lo, hi))
+                    if n_target % p**lo:
+                        with pytest.raises(ValueError, match="smallest orbit"):
+                            GenConfig(**args)
+                        continue
+                    cfg = GenConfig(**args)
+                    accepted += 1
+                    dims = _draw_dims(cfg, SplitMix64(derive_seed(p, lo, hi, n_target)))
+                    assert sum(p**d for d in dims) == n_target
+                    assert all(lo <= d <= hi for d in dims)
+    assert accepted > 100
 
 
 def test_gen_smallest_config():

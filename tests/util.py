@@ -518,14 +518,26 @@ class SchoolbookVariety:
     def product(self, x):
         return tuple(sum(a * b for a, b in zip(row, x)) % self.p for row in self.rows)
 
-    def packed_product(self, code):
-        # x given packed, as the syndromes of solve_product are read: the
-        # list dot products of its entries, then packed the same way
-        packing = PackedDigits(self.p, len(self.rows))
-        return packing.pack(self.product(packing.unpack(code)))
-
     def contains(self, x):
         return not any(self.product(x))
+
+
+@dataclass(frozen=True)
+class SchoolbookResidual:
+    """VarietyMatrix.packed_product as solve_product reads it: x given
+    packed, its residual against the reduced row echelon form of vecs by
+    list arithmetic (schoolbook_residual), packed the same way.  The
+    product search reads the leading columns of a sum of residuals, so a
+    matrix with the right kernel alone (schoolbook_variety_matrix) is not
+    a reference for it."""
+
+    p: int
+    width: int
+    vecs: tuple[tuple[int, ...], ...]
+
+    def packed_product(self, code):
+        packing = PackedDigits(self.p, self.width)
+        return packing.pack(schoolbook_residual(self.vecs, packing.unpack(code), self.p))
 
 
 def schoolbook_variety_matrix(fr, basis):
