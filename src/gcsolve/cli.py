@@ -1,7 +1,8 @@
 """Command-line front end: solve, check, gen, reduce and bench.
 
 Exit codes: 0 = satisfiable / check passed, 1 = unsatisfiable / check
-failed, 2 = undecided (constraint not linear and no fallback ran), 64 =
+failed, 2 = undecided (constraint not linear, and the fallback was off
+or its walk passed --cap), 64 =
 malformed input (a usage error included), a file that cannot be read or
 written, or violated precondition, 141 = stdout closed by its reader.
 """
@@ -203,10 +204,24 @@ def _parse_pair(flag: str, spec: str) -> tuple[int, int]:
         raise ValueError(f"{flag} {spec!r}: expected lo:hi") from None
 
 
+# the flag that sets each GenConfig field a sweep cell takes from --values
+_SWEEP_FIELDS = {"dim_g": "values", "n_target": "values"}
+
+
 def cmd_bench(args) -> int:
     sweep = genbench.dim_g_sweep if args.sweep == "dimg" else genbench.n_sweep
-    configs = sweep(args.values, seed=args.seed, p=args.p, k=args.k, sat_bias=args.sat_bias,
-                    q_range=args.q_range, dim_range=args.dim_range)
+    try:
+        configs = sweep(args.values, seed=args.seed, p=args.p, k=args.k,
+                        sat_bias=args.sat_bias, q_range=args.q_range, dim_range=args.dim_range)
+    except genbench.CrossFieldError as exc:
+        # name the last config line that set a field the rule reads to
+        # the value the rule saw (no flag gave another)
+        dests = {_SWEEP_FIELDS.get(f, f) for f in exc.fields}
+        lines = [(lineno, where) for dest, (lineno, where, value) in args.config_lines.items()
+                 if dest in dests and getattr(args, dest) == value]
+        if not lines:
+            raise
+        raise ValueError(f"{max(lines)[1]} {exc}") from None
     rows = genbench.bench_run(
         configs, args.samples, oracle_cap=args.oracle_cap, fallback=args.fallback
     )
@@ -223,7 +238,9 @@ def _apply_config_file(argv, parser):
     choices and action as it would on the command line, and a GenConfig
     field's value through GenConfig's rule for it; a line that is not
     key=value, names no flag, or holds a value that any of them refuses
-    raises ValueError naming the file and line."""
+    raises ValueError naming the file and line.  The rules across fields
+    wait for the sweep's cells; config_lines keeps, per flag, the line
+    and value that set it, for cmd_bench to name."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -235,6 +252,7 @@ def _apply_config_file(argv, parser):
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     defaults = argparse.Namespace()
+    config_lines = {}
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -267,7 +285,8 @@ def _apply_config_file(argv, parser):
         except ValueError as exc:
             # a reader's error names the flag, GenConfig's the field
             raise ValueError(f"{where} {exc}") from None
-    parser.set_defaults(**vars(defaults))
+        config_lines[action.dest] = (lineno, where, getattr(defaults, action.dest))
+    parser.set_defaults(**vars(defaults), config_lines=config_lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve an instance file")
     ps.add_argument("file")
-    ps.add_argument("--fallback", choices=("product", "enumerate", "none"), default="product")
+    ps.add_argument("--fallback", choices=("product", "none"), default="product")
     ps.add_argument("--cap", type=int, action=_Count, default=DEFAULT_CAP)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_solve)
@@ -328,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--q-range", action=_Parsed, read=_parse_pair, default=(1, 6))
     pb.add_argument("--dim-range", action=_Parsed, read=_parse_pair, default=(1, 10))
     pb.add_argument("--oracle-cap", type=int, default=2**20)
-    pb.add_argument("--fallback", choices=("product", "enumerate", "none"), default="product")
+    pb.add_argument("--fallback", choices=("product", "none"), default="product")
     pb.add_argument("--out", default="-")
     pb.add_argument("--config", help="key=value file supplying defaults for these flags")
-    pb.set_defaults(func=cmd_bench)
+    pb.set_defaults(func=cmd_bench, config_lines={})
 
     parser.check_parser, parser.bench_parser = pc, pb
     return parser

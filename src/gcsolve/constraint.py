@@ -7,25 +7,27 @@ orbit, and the solvers cut each stated set to its point's orbit as they
 read it, so no orbit partition is built on the way to a verdict.
 Solving goes through the frame: per orbit the admissible constituent
 vectors V_O are collected; if every V_O is an affine subspace w_O + E_O
-the instance reduces to one linear system over F_p, otherwise explicit
-fallbacks search the product of the V_O sets or enumerate the whole
-group.  The linearity test (linearize) returns that system, a
-LinearizedConstraint, or else the verdict as the one outcome type,
-SolveOutcome: UNSAT empty-vo naming the first orbit whose V_O is empty,
-or NOTLINEAR naming the first orbit whose V_O is not affine, which solve
-returns as it is unless a fallback decides.  E is the direct sum of
-per-orbit spaces E_O, kept as one echelon form per orbit, of the orbit's
-width; the linear system is decided by one Gaussian elimination over G's
-generators, each with its residual against E, so nothing of size d x d
-is built (solve_linear).  The product search tests membership: x lies
-in G when its residual against G's echelon form, M_G·x, is zero, and
-solve_product builds that form itself, on no other branch.  It walks
-the orbits depth first in product order and cuts a prefix as soon as
-its residual is nonzero on the orbits it fixes.  The V_O
-search and the product search add whole vectors packed into ints
-(fpalg.PackedDigits), the layout RowReducer keeps its rows in; the
-enumeration oracle keeps its digit arithmetic (frame.position_sum), so
-that it stays independent of them.
+the instance reduces to one linear system over F_p, otherwise the
+product fallback searches the product of the V_O sets.  The enumeration
+oracle (solve_enumerate), which walks the whole group, is no fallback of
+solve: tests call it directly.  The linearity test (linearize) returns
+that system, a LinearizedConstraint, or else the verdict as the one
+outcome type, SolveOutcome: UNSAT empty-vo naming the first orbit whose
+V_O is empty, or NOTLINEAR naming the first orbit whose V_O is not
+affine, which solve returns as it is unless a fallback decides.  E is
+the direct sum of per-orbit spaces E_O, kept as one echelon form per
+orbit, of the orbit's width; the linear system is decided by one
+Gaussian elimination over G's generators, each with its residual against
+E, so nothing of size d x d is built (solve_linear).  The product search
+tests membership: x lies in G when its residual against G's echelon
+form, M_G·x, is zero, and solve_product builds that form itself, on no
+other branch.  It walks the orbits depth first in product order and cuts
+a prefix as soon as its residual is nonzero on the orbits it fixes, and
+the cap bounds the candidates it tests.  The V_O search and the product
+search add whole vectors packed into ints (fpalg.PackedDigits), the
+layout RowReducer keeps its rows in; the enumeration oracle keeps its
+digit arithmetic (frame.position_sum), so that it stays independent of
+them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ UNSAT_EXHAUSTED = "exhausted"
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration fallback would exceed its configured cap."""
+    """A search would exceed its configured cap: the group size for
+    solve_enumerate, the candidates tested for solve_product."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,17 +426,14 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     that is zero on its first c columns is zero there too, so that holds
     exactly when some member of G agrees with the prefix on those orbits.
     Members of one V_O with equal syndromes lead to the same subtree, so
-    only the first of them is tried.  At most sum_j prod_{i<=j} |V_O_i|
-    candidates are tested, under twice the product of the V_O sizes when
-    every V_O has two or more members; memory is O(number of orbits)
-    beside the syndromes.  The cap bounds the product of the V_O sizes and
-    is checked before anything is computed, G's echelon form included; an
+    only the first of them is tried.  A candidate is one (syndrome,
+    member) pair added to a prefix sum; at most
+    sum_j prod_{i<=j} |V_O_i| are tested, under twice the product of the
+    V_O sizes when every V_O has two or more members, and the walk
+    refuses (CapExceededError) once it has tested more than cap.  The
+    syndromes before the walk take sum |V_O| <= n residuals and no
+    budget.  Memory is O(number of orbits) beside the syndromes.  An
     empty V_O leaves no combination, so the verdict is UNSAT exhausted."""
-    total = 1
-    for vo in vos:
-        total *= len(vo)
-        if total > cap:
-            raise CapExceededError(f"product of V_O sizes exceeds cap {cap}")
     packing = packed_digits(fr.p, fr.dim)
     add = packing.add
     syndrome = group_variety(fr).packed_product
@@ -451,10 +451,14 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     # the member fixed on orbit j
     chosen = [(0, ())] * (depth + 1)
     left = [iter(members) for _, members in levels]  # members not yet tried
+    tested = 0
     j = 0
     while 0 <= j < depth:
         (shift, members), (prefix, _) = levels[j], chosen[j]
         for t, v in left[j]:
+            tested += 1
+            if tested > cap:
+                raise CapExceededError(f"candidates tested exceed cap {cap}")
             s = add(prefix, t)
             if not s >> shift:  # zero on the columns of orbits 0..j
                 j += 1
@@ -470,10 +474,12 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Full pipeline: frame, V_O sets, linearity test, then either the
-    linear solver or the configured fallback (product | enumerate | none).
-    The group's echelon form is built only for the product fallback, the
-    one that tests membership."""
-    if fallback not in ("product", "enumerate", "none"):
+    linear solver or the configured fallback (product | none).  The
+    group's echelon form is built only for the product fallback, the one
+    that tests membership.  A product walk that tests more than cap
+    candidates is refused: the NOTLINEAR outcome is returned with the
+    refusal as its reason."""
+    if fallback not in ("product", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
     fr = build_frame(inst.n, inst.gens, inst.p)
     vos = compute_all_vo(fr, inst)
@@ -483,9 +489,7 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     if lin.status == UNSAT or fallback == "none":
         return lin
     try:
-        if fallback == "product":
-            return solve_product(fr, vos, cap=cap)
-        return solve_enumerate(fr, inst, cap=cap)
+        return solve_product(fr, vos, cap=cap)
     except CapExceededError as exc:
         return replace(lin, reason=f"not linear; fallback refused: {exc}")
 

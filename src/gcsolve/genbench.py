@@ -170,6 +170,16 @@ def derive_seed(root: int, *parts: int) -> int:
 MAX_DIM = 13
 
 
+class CrossFieldError(ValueError):
+    """A GenConfig rule across fields that a sweep's cells meet refused the
+    config; fields names the fields the rule reads, so that a caller can
+    say where they were set."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Recipe for one random instance (or, in the harness, one sweep cell).
@@ -220,16 +230,19 @@ class GenConfig:
             raise ValueError("bad q_range")
         if self.n_target is not None:
             if not (self.p <= self.n_target <= MAX_N and self.n_target % self.p == 0):
-                raise ValueError(f"n_target must be a multiple of p in p..{MAX_N}")
+                raise CrossFieldError(f"n_target must be a multiple of p in p..{MAX_N}",
+                                      "p", "n_target")
             if self.dims is not None and n != self.n_target:
                 raise ValueError(f"dims give n = {n}, but n_target = {self.n_target}")
             if self.dims is None and self.n_target % self.p ** self.dim_range[0]:
-                raise ValueError(f"n_target must be a multiple of p^{self.dim_range[0]}, "
-                                 "the smallest orbit that dim_range allows")
+                raise CrossFieldError(f"n_target must be a multiple of p^{self.dim_range[0]}, "
+                                      "the smallest orbit that dim_range allows",
+                                      "p", "dim_range", "n_target")
         if self.dims is None and self.n_target is None and (
             self.q_range[0] * self.p ** self.dim_range[0] > MAX_N
         ):
-            raise ValueError(f"q_range and dim_range give n above the limit {MAX_N}")
+            raise CrossFieldError(f"q_range and dim_range give n above the limit {MAX_N}",
+                                  "p", "q_range", "dim_range")
 
 
 @dataclass(frozen=True)
@@ -384,9 +397,10 @@ def bench_run(
     oracle_cap: int = 2**20,
     fallback: str = "product",
 ) -> list[BenchRow]:
-    """Generate and solve `samples` instances per cell config, timing the
-    linear pipeline (t1) and the enumeration oracle (t2, skipped whenever
-    p^dim_g exceeds oracle_cap; the row then shows no oracle time)."""
+    """Generate and solve `samples` instances per cell config, timing
+    solve with the given fallback, product or none (t1), and the
+    enumeration oracle solve_enumerate (t2, skipped whenever p^dim_g
+    exceeds oracle_cap; the row then shows no oracle time)."""
     rows = []
     for ci, cfg in enumerate(configs):
         if cfg.dim_g is None and cfg.n_target is None:

@@ -485,6 +485,36 @@ def test_a_config_line_is_not_held_to_rules_across_fields(tmp_path, monkeypatch)
     assert (cell.p, cell.n_target, cell.q_range) == (65521, 65521, (40000, 40001))
 
 
+@pytest.mark.parametrize("lines, flags, where, message", [
+    (["q-range=100:100", "dim-range=13:13", "values=2:3"], [], 2,
+     "q_range and dim_range give n above the limit 65536"),
+    (["sweep=n", "values=3:3"], [], 2, "n_target must be a multiple of p in p..65536"),
+    (["values=6", "p=3", "sweep=n", "dim-range=2:2"], [], 4,
+     "n_target must be a multiple of p^2, the smallest orbit that dim_range allows"),
+    # a flag wins over its config line, which the message then does not name
+    (["q-range=100:100", "dim-range=1:1"], ["--dim-range", "13:13"], 1,
+     "q_range and dim_range give n above the limit 65536"),
+    (["samples=2"], ["--q-range", "100:100", "--dim-range", "13:13"], None,
+     "q_range and dim_range give n above the limit 65536"),
+])
+def test_a_rule_across_fields_names_the_last_config_line_it_reads(
+        tmp_path, monkeypatch, capsys, lines, flags, where, message):
+    """GenConfig's rules across fields run when the sweep builds its cells;
+    a refusal names the last config line that set one of the fields the
+    rule reads, and names none when flags set them all."""
+    from gcsolve import genbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran")
+
+    monkeypatch.setattr(genbench, "bench_run", refuse)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["bench", "--config", str(cfg), *flags]) == 64
+    prefix = "" if where is None else f"{cfg}:{where}: "
+    assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+
 def test_render_parse_roundtrip_corpus(tmp_path):
     from gcsolve.constraint import normalize
     from gcsolve.genbench import GenConfig, gen_instance
@@ -641,7 +671,8 @@ def test_bench_refuses_values_outside_1_to_max_n(monkeypatch, capsys, spec):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", "F", "--cap", "x"], ["check", "F", "1", "x"], ["solve"], ["frobnicate"]])
+    ["solve", "F", "--cap", "x"], ["check", "F", "1", "x"], ["solve"], ["frobnicate"],
+    ["solve", "F", "--fallback", "enumerate"], ["bench", "--fallback", "enumerate"]])
 def test_a_usage_error_exits_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -3,12 +3,14 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 
 from gcsolve import constraint, fpalg, frame, perm
 from gcsolve.constraint import (
+    DEFAULT_CAP,
     CapExceededError,
     LinearizedConstraint,
     SolveOutcome,
@@ -29,7 +31,7 @@ from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame, transla
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation, orbit_partition
-from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
+from gcsolve.reduction import ClauseSet, one_in_k_brute, reduce_1in_k, reduce_2cstr
 from util import (
     SchoolbookResidual,
     constraint_k,
@@ -234,10 +236,9 @@ def test_no_solve_or_verify_path_restricts_a_generator(monkeypatch):
     g1, g2, g3 = gens = eight_point_gens()
     linear = normalize([(1, {3})], 8, gens, 2)
     nonlinear = normalize([(1, {2, 3, 4})], 8, gens, 2)
-    for inst, fallback, method in [(linear, "product", "linear"),
-                                   (nonlinear, "product", "product"),
-                                   (nonlinear, "enumerate", "enumerate")]:
-        out = solve(inst, fallback=fallback)
+    decisions = [(linear, solve(linear), "linear"), (nonlinear, solve(nonlinear), "product"),
+                 (nonlinear, solve_enumerate(build_frame(8, gens, 2), nonlinear), "enumerate")]
+    for inst, out, method in decisions:
         assert out.method == method
         assert verify(inst, out.witness)
     assert restricted == []
@@ -376,9 +377,10 @@ def test_empty_vo_reported_before_a_nonlinear_orbit():
     inst = normalize([(1, {2, 3, 4}), (5, set())], 6, [g, h], 2)
     fr = build_frame(6, [g, h], 2)
     assert linearize(fr, compute_all_vo(fr, inst)) == SolveOutcome.unsat("empty-vo", orbit_min=5)
-    for fallback in ("product", "enumerate", "none"):
+    for fallback in ("product", "none"):
         out = solve(inst, fallback=fallback)
         assert (out.status, out.reason, out.orbit_min) == ("unsat", "empty-vo", 5)
+    assert solve_enumerate(fr, inst).status == "unsat"
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -471,8 +473,8 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
 
 
 def test_group_variety_built_only_to_test_membership(monkeypatch):
-    """empty-vo, the linear solver, fallback none and fallback enumerate
-    never build M_G; the product fallback builds it once."""
+    """empty-vo, the linear solver, fallback none and the enumeration
+    oracle never build M_G; the product fallback builds it once."""
     vm_calls = []
     real = constraint.group_variety
 
@@ -496,7 +498,7 @@ def test_group_variety_built_only_to_test_membership(monkeypatch):
     empty = normalize([(1, set())], 8, list(eight_point_gens()), 2)
     assert solve(empty).reason == "empty-vo"
     assert solve(nonlinear, fallback="none").status == "notlinear"
-    out = solve(nonlinear, fallback="enumerate")
+    out = solve_enumerate(build_frame(nonlinear.n, nonlinear.gens, 2), nonlinear)
     assert out.status == "sat" and satisfies_pointwise(nonlinear, out.witness)
 
 
@@ -595,8 +597,8 @@ def _p2_texts():
 
 
 def test_parse_and_solve_never_call_orbit_partition(monkeypatch):
-    """The frame finds the orbits: parsing and solving a linear, a
-    product-fallback and an enumerate-fallback decision, and generated
+    """The frame finds the orbits: parsing and solving a linear and a
+    product-fallback decision, the enumeration oracle, and generated
     instances, never call orbit_partition (rendering does)."""
     clause = ClauseSet(("a", "b", "c"), (("a", "b", "c"),))
     linear = render_instance(normalize([(1, {3})], 8, list(eight_point_gens()), 2))
@@ -608,11 +610,12 @@ def test_parse_and_solve_never_call_orbit_partition(monkeypatch):
 
     for module in (perm, constraint, frame):
         monkeypatch.setattr(module, "orbit_partition", refuse)
-    for text, fallback, method in ((linear, "product", "linear"),
-                                   (nonlinear, "product", "product"),
-                                   (nonlinear, "enumerate", "enumerate")):
-        out = solve(parse_instance(text), fallback=fallback)
+    for text, method in ((linear, "linear"), (nonlinear, "product")):
+        out = solve(parse_instance(text))
         assert (out.status, out.method) == ("sat", method)
+    inst = parse_instance(nonlinear)
+    out = solve_enumerate(build_frame(inst.n, inst.gens, inst.p), inst)
+    assert (out.status, out.method) == ("sat", "enumerate")
     for text in texts:
         solve(parse_instance(text))
 
@@ -620,7 +623,7 @@ def test_parse_and_solve_never_call_orbit_partition(monkeypatch):
 def test_odd_p_decisions_never_call_position_sum(monkeypatch):
     """At p = 3 and p = 5, compute_vo and the product fallback add packed
     vectors: a product decision never calls position_sum, while the
-    enumerate fallback, which keeps its digit arithmetic, does."""
+    enumeration oracle, which keeps its digit arithmetic, does."""
     calls = []
     real = frame.position_sum
 
@@ -638,15 +641,16 @@ def test_odd_p_decisions_never_call_position_sum(monkeypatch):
         out = solve(inst)
         assert (out.status, out.method) == ("sat", "product")
         assert calls == []
-        assert solve(inst, fallback="enumerate").status == "sat"
+        assert solve_enumerate(fr, inst).status == "sat"
         assert calls
         calls.clear()
 
 
 def test_solve_reads_each_generator_once_per_decision(monkeypatch):
-    """A linear, a product-fallback and an enumerate-fallback decision read
-    each generator's coordinates once, in one batched read when the frame
-    is built, and never read a single permutation's."""
+    """A linear and a product-fallback decision, and the enumeration oracle
+    with the frame it builds, read each generator's coordinates once, in
+    one batched read when the frame is built, and never read a single
+    permutation's."""
     batches, singles = [], []
     real_batch, real_single = Frame.coords_of_perms, Frame.coords_of_perm
 
@@ -662,11 +666,11 @@ def test_solve_reads_each_generator_once_per_decision(monkeypatch):
     monkeypatch.setattr(Frame, "coords_of_perm", counted_single)
     linear = normalize([(1, {3})], 8, list(eight_point_gens()), 2)
     nonlinear = reduce_1in_k(ClauseSet(("a", "b", "c"), (("a", "b", "c"),)), 3).instance
-    for inst, fallback, method in ((linear, "product", "linear"),
-                                   (nonlinear, "product", "product"),
-                                   (nonlinear, "enumerate", "enumerate")):
+    for inst, decide, method in ((linear, solve, "linear"),
+                                 (nonlinear, solve, "product"),
+                                 (nonlinear, lambda inst: solve_enumerate(None, inst), "enumerate")):
         batches.clear()
-        out = solve(inst, fallback=fallback)
+        out = decide(inst)
         assert (out.status, out.method) == ("sat", method)
         assert batches == [list(inst.gens)]
         assert singles == []
@@ -734,8 +738,9 @@ def test_verify_detail_refuses_a_witness_on_another_n():
 
 def test_solve_refuses_an_unknown_fallback():
     inst = normalize([], 8, list(eight_point_gens()), 2)
-    with pytest.raises(ValueError, match=r"^unknown fallback 'bogus'$"):
-        solve(inst, fallback="bogus")
+    for fallback in ("bogus", "enumerate"):
+        with pytest.raises(ValueError, match=rf"^unknown fallback '{fallback}'$"):
+            solve(inst, fallback=fallback)
 
 
 def test_verify_superspace_member_outside_group():
@@ -798,8 +803,10 @@ def test_solve_product_single_orbit_cases():
     out = solve_product(fr, vos)
     assert out.status == "sat" and out.witness == eight_point_gens()[2]
     assert solve_product(fr, [()]).status == "unsat"
-    with pytest.raises(CapExceededError):
-        solve_product(fr, [tuple(itertools.product(range(2), repeat=3))], cap=4)
+    # G is the whole constituent, so the first of its 8 vectors decides:
+    # the cap bounds the candidates tested, not |V_O|
+    out = solve_product(fr, [tuple(itertools.product(range(2), repeat=3))], cap=1)
+    assert out.status == "sat" and out.witness.is_identity()
 
 
 def test_solve_product_no_combination_in_group():
@@ -954,15 +961,92 @@ def test_solve_product_single_orbit_takes_first_vector():
         assert out.witness == (fr.perm_of_coords(vo[0]) if vo else None)
 
 
-def test_solve_product_cap_refused_before_any_syndrome(monkeypatch):
-    def refuse(fr):
-        raise AssertionError("G's echelon form built before the cap check")
+def test_solve_product_refuses_once_its_candidates_pass_the_cap(monkeypatch):
+    """One generator acting diagonally on two orbits, asked to move one and
+    fix the other: the walk tests orbit 0's one vector, then orbit 1's one
+    vector, and cuts it.  Two candidates decide UNSAT, so a cap of 2
+    decides and a cap of 1 refuses, after G's echelon form is built."""
+    built = []
+    real = constraint.group_variety
+    monkeypatch.setattr(constraint, "group_variety", lambda fr: built.append(fr) or real(fr))
+    g = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    fr = build_frame(4, [g], 2)
+    vos = compute_all_vo(fr, normalize([(1, {2}), (3, {3})], 4, [g], 2))
+    out = solve_product(fr, vos, cap=2)
+    assert (out.status, out.reason) == ("unsat", "exhausted")
+    built.clear()
+    with pytest.raises(CapExceededError, match=r"^candidates tested exceed cap 1$"):
+        solve_product(fr, vos, cap=1)
+    assert built == [fr]
 
-    monkeypatch.setattr(constraint, "group_variety", refuse)
-    fr, inst = eight_point_frame_and_instance(range(1, 9))
+
+def coupled_shape(kk):
+    """README's coupled shape at p = 2: 2·kk orbits of 4 points, generator
+    b of pair i translating orbit i and orbit kk + i by e_b together; orbit
+    i's origin may go to positions {0, 1, 2} and orbit kk + i's only to
+    position 3, so the instance is UNSAT with prod |V_O| = 3^kk."""
+    vectors = []
+    for i in range(kk):
+        for e in ((1, 0), (0, 1)):
+            v = [0] * (4 * kk)
+            v[2 * i:2 * i + 2] = v[2 * (kk + i):2 * (kk + i) + 2] = e
+            vectors.append(v)
+    gens = translation_perms(2, [2] * (2 * kk), vectors)
+    stated = [(4 * i + 1, {4 * i + 1, 4 * i + 2, 4 * i + 3}) for i in range(kk)]
+    stated += [(4 * (kk + i) + 1, {4 * (kk + i) + 4}) for i in range(kk)]
+    return normalize(stated, 8 * kk, gens, 2)
+
+
+def test_solve_product_cap_is_a_budget_of_candidates():
+    """On the coupled shape at kk = 4 the walk exhausts every prefix in
+    201 candidates (3 + 9 + 27 + 81 on orbits 0 to 3, and 81 on orbit 4,
+    where every prefix is cut): a cap of 201 decides UNSAT exhausted, 200 refuses, and
+    solve turns the refusal into NOTLINEAR with it as the reason."""
+    inst = coupled_shape(4)
+    fr = build_frame(inst.n, inst.gens, 2)
     vos = compute_all_vo(fr, inst)
+    assert [len(vo) for vo in vos] == [3] * 4 + [1] * 4
+    out = solve_product(fr, vos, cap=201)
+    assert (out.status, out.reason, out.method) == ("unsat", "exhausted", "product")
     with pytest.raises(CapExceededError):
-        solve_product(fr, vos, cap=len(vos[0]) - 1)
+        solve_product(fr, vos, cap=200)
+    lin = linearize(fr, vos)
+    assert solve(inst, cap=200) == SolveOutcome(
+        "notlinear", reason="not linear; fallback refused: candidates tested exceed cap 200",
+        orbit_min=lin.orbit_min, vo_size=3, span_dim=lin.span_dim)
+
+
+def _clause_sets_18_by_18():
+    """1-in-3 sets of 18 variables and 18 clauses: four seeded random sets
+    and the circulant sets with clause i on x_i, x_{i+1} and x_{i+5} (SAT)
+    or x_{i+7} (UNSAT), indices mod 18."""
+    sigma = tuple(f"x{i}" for i in range(18))
+    rng = SplitMix64(derive_seed(31, 18))
+    sets = [ClauseSet(sigma, tuple(tuple(rng.sample(sigma, 3)) for _ in range(18)))
+            for _ in range(4)]
+    for step in (5, 7):
+        sets.append(ClauseSet(sigma, tuple((sigma[i], sigma[(i + 1) % 18], sigma[(i + step) % 18])
+                                           for i in range(18))))
+    return sets
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_solve_decides_clause_sets_whose_vo_product_passes_the_cap(p):
+    """Each set's prod |V_O| is 3^18, above the default cap, and the walk
+    decides each under that cap, which bounds the candidates it tests.
+    Every verdict equals one_in_k_brute's, and every SAT witness
+    verifies."""
+    verdicts = []
+    for s in _clause_sets_18_by_18():
+        inst = reduce_1in_k(s, p).instance
+        fr = build_frame(inst.n, inst.gens, p)
+        assert prod(map(len, compute_all_vo(fr, inst))) > DEFAULT_CAP
+        out = solve(inst)
+        assert out.method == "product", out
+        assert (out.status == "sat") == (one_in_k_brute(s) is not None)
+        assert out.status == "unsat" or verify(inst, out.witness, fr)
+        verdicts.append(out.status)
+    assert verdicts[-2:] == ["sat", "unsat"] and "unsat" in verdicts[:-2]
 
 
 def test_solve_product_memory_about_doubles_with_the_orbits():
@@ -1042,11 +1126,14 @@ def test_solve_fallback_none_reports_notlinear():
 
 
 def test_solve_fallback_cap_refusal_is_undecided():
+    """The walk decides the clause stated twice in two candidates: a cap
+    of 1 leaves it NOTLINEAR, with the refusal as its reason."""
     clause = ClauseSet(("a", "b", "c"), (("a", "b", "c"), ("a", "b", "c")))
     inst = reduce_1in_k(clause, 2).instance
-    out = solve(inst, fallback="product", cap=2)
+    out = solve(inst, fallback="product", cap=1)
     assert out.status == "notlinear"
-    assert "refused" in out.reason
+    assert out.reason == "not linear; fallback refused: candidates tested exceed cap 1"
+    assert solve(inst, fallback="product", cap=2).status == "sat"
 
 
 def test_satisfaction_lemma_on_whole_superspace():
