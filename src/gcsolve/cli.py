@@ -50,9 +50,9 @@ class _Parsed(argparse.Action):
 
 
 class _Count(argparse.Action):
-    """Store an int flag's value (--cap, --samples), refusing one below 1
-    as the flag's usage error; a config line gets its FILE:LINE: in
-    front."""
+    """Store an int flag's value (--cap, --samples, --oracle-cap), refusing
+    one below 1 as the flag's usage error; a config line gets its
+    FILE:LINE: in front."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if value < 1:
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--sat-bias", type=float, default=0.5)
     pb.add_argument("--q-range", action=_Parsed, read=_parse_pair, default=(1, 6))
     pb.add_argument("--dim-range", action=_Parsed, read=_parse_pair, default=(1, 10))
-    pb.add_argument("--oracle-cap", type=int, default=2**20)
+    pb.add_argument("--oracle-cap", type=int, action=_Count, default=2**20)
     pb.add_argument("--fallback", choices=("product", "none"), default="product")
     pb.add_argument("--out", default="-")
     pb.add_argument("--config", help="key=value file supplying defaults for these flags")

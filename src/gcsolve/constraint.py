@@ -14,7 +14,10 @@ solve: tests call it directly.  The linearity test (linearize) returns
 that system, a LinearizedConstraint, or else the verdict as the one
 outcome type, SolveOutcome: UNSAT empty-vo naming the first orbit whose
 V_O is empty, or NOTLINEAR naming the first orbit whose V_O is not
-affine, which solve returns as it is unless a fallback decides.  E is
+affine, which solve returns as it is unless a fallback decides.  solve
+computes the V_O sets orbit by orbit in frame order and returns UNSAT
+empty-vo at the first empty one, without computing the rest;
+compute_all_vo computes every orbit's.  E is
 the direct sum of per-orbit spaces E_O, kept as one echelon form per
 orbit, of the orbit's width; the linear system is decided by one
 Gaussian elimination over G's generators, each with its residual against
@@ -474,7 +477,10 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
     """Full pipeline: frame, V_O sets, linearity test, then either the
-    linear solver or the configured fallback (product | none).  The
+    linear solver or the configured fallback (product | none).  The V_O
+    sets are computed orbit by orbit in frame order, and the first empty
+    one ends the decision as UNSAT empty-vo naming its orbit, the orbit
+    linearize would name, before any later orbit's V_O is computed.  The
     group's echelon form is built only for the product fallback, the one
     that tests membership.  A product walk that tests more than cap
     candidates is refused: the NOTLINEAR outcome is returned with the
@@ -482,11 +488,16 @@ def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -
     if fallback not in ("product", "none"):
         raise ValueError(f"unknown fallback {fallback!r}")
     fr = build_frame(inst.n, inst.gens, inst.p)
-    vos = compute_all_vo(fr, inst)
+    vos = []
+    for i, of in enumerate(fr.orbit_frames):
+        vo = compute_vo(fr, inst, i)
+        if not vo:  # the orbits after it are not read
+            return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
+        vos.append(vo)
     lin = linearize(fr, vos)
     if isinstance(lin, LinearizedConstraint):
         return solve_linear(fr, lin)
-    if lin.status == UNSAT or fallback == "none":
+    if fallback == "none":
         return lin
     try:
         return solve_product(fr, vos, cap=cap)

@@ -187,7 +187,8 @@ class GenConfig:
     With dims=None the per-orbit dimensions are drawn per instance from
     q_range x dim_range, honoring dim_g (exact group dimension) or
     n_target (exact domain size) when set.  Every instance has at most
-    perm.MAX_N points: a config that asks for more is refused, and
+    perm.MAX_N points: a config that asks for more is refused (a p above
+    MAX_N on its own, since every orbit has at least p points), and
     a drawn set of dimensions that gives more is drawn again.  An n_target
     must equal the n that dims give, or with dims=None be a multiple of
     p^dim_range[0], the smallest orbit the draw may take; the draw then
@@ -209,6 +210,9 @@ class GenConfig:
 
     def __post_init__(self):
         check_prime(self.p)
+        if self.p > MAX_N:
+            raise ValueError(f"p = {self.p} is above the limit {MAX_N}: "
+                             "every orbit has at least p points")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0.0 <= self.sat_bias <= 1.0:

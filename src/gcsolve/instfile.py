@@ -21,9 +21,18 @@ line (n > 1) are looked up in one ``operator.itemgetter`` call, and when
 all of them hit the table the line needs only the distinctness test.  A
 line with any other token (``+3``, ``007``, ``0``, ``x``), another token
 count, or n <= 1 is read again with int(), so the same files are
-accepted and every error names its line.  The parsed
-instance keeps the constraints as stated (see constraint.normalize); its
-orbits are found when the frame is built.
+accepted and every error names its line.
+
+The ``c`` lines after the generators form one section.  When it has two
+or more lines, each starting with ``c `` and all of one width with at
+least one member, as gen_instance and reduce_1in_k write them, the
+section is split once and its points and members are looked up in one
+itemgetter call each (_uniform_section).  Any other section (a blank
+line, mixed widths, no members, a point stated twice, a token outside
+the table, a line that is not a ``c`` line) is read line by line
+(_constraint_lines), with the same result or the same error on the same
+line.  The parsed instance keeps the constraints as stated (see
+constraint.normalize); its orbits are found when the frame is built.
 """
 
 from __future__ import annotations
@@ -106,17 +115,76 @@ def _constraint(tokens, n: int, lineno: int) -> tuple[int, frozenset[int]]:
     return point, frozenset(members)
 
 
+def _uniform_section(rest: list[str], names: dict[str, int]) -> dict[int, frozenset[int]] | None:
+    """The stated sets of a constraint section of two or more lines that
+    all start with `c `, all have one width w > 3 and all name points of
+    the table, with no point stated twice; None for any other section.
+    The section is split once, and its points and members are looked up
+    in one itemgetter call each and grouped at C speed."""
+    count = len(rest)
+    section = "\n".join(rest)
+    if count < 2 or not section.startswith("c ") or section.count("\nc ") != count - 1:
+        return None
+    tokens = section.split()
+    w, extra = divmod(len(tokens), count)
+    if extra or w < 4 or tokens[2::w].count(":") != count:
+        return None
+    # Every line starts with a `c` token, and the lookups below find every
+    # token off the multiples of w to be ":" or a point name, none of which
+    # is `c`.  So the count line starts fall on the count multiples of w,
+    # and each line is one group of w tokens: `c`, its point, `:` and its
+    # w - 3 members
+    points = tokens[1::w]
+    # drop each line's `:`, then its point, then its `c`: the members are left
+    del tokens[2::w], tokens[1::w - 1], tokens[::w - 2]
+    try:
+        points = itemgetter(*points)(names)
+        members = itemgetter(*tokens)(names)
+    except KeyError:
+        return None
+    stated = dict(zip(points, map(frozenset, zip(*[iter(members)] * (w - 3)))))
+    return stated if len(stated) == count else None
+
+
+def _constraint_lines(rest: list[str], first: int, n: int,
+                      names: dict[str, int]) -> dict[int, frozenset[int]]:
+    """The stated sets of a constraint section that starts on line first,
+    read line by line, so that each error names its line; the sets of a
+    point stated twice are intersected."""
+    name = names.__getitem__
+    # the stated constraints as normalize keeps them, each member checked
+    # once, by its lookup or by _constraint
+    stated: dict[int, frozenset[int]] = {}
+    for lineno, line in enumerate(rest, start=first):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if tokens[0] != "c":
+            raise InstanceFormatError(f"expected `c` line, found `{tokens[0]}`", lineno)
+        if len(tokens) < 3 or tokens[2] != ":":
+            raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
+        try:
+            point, members = name(tokens[1]), frozenset(map(name, tokens[3:]))
+        except KeyError:
+            point, members = _constraint(tokens, n, lineno)
+        stated[point] = stated[point] & members if point in stated else members
+    return stated
+
+
 def parse_instance(text: str) -> GcInstance:
-    lines = _numbered_tokens(text)
+    lines = text.splitlines()
+    at = 0  # the index of the next line to read, and the number of the last read
 
     def take(expect: str):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise InstanceFormatError(f"unexpected end of file, expected `{expect}`") from None
-        if tokens[0] != expect:
-            raise InstanceFormatError(f"expected `{expect}`, found `{tokens[0]}`", lineno)
-        return lineno, tokens
+        nonlocal at
+        while at < len(lines):
+            tokens = lines[at].split()
+            at += 1
+            if tokens:
+                if tokens[0] != expect:
+                    raise InstanceFormatError(f"expected `{expect}`, found `{tokens[0]}`", at)
+                return at, tokens
+        raise InstanceFormatError(f"unexpected end of file, expected `{expect}`")
 
     lineno, tokens = take("gc")
     if tokens[1:] != ["1"]:
@@ -139,7 +207,6 @@ def parse_instance(text: str) -> GcInstance:
         raise InstanceFormatError("m must be nonnegative", lineno)
 
     names = _point_names(n)
-    name = names.__getitem__
     gens = []
     for _ in range(m):
         lineno, tokens = take("g")
@@ -156,20 +223,10 @@ def parse_instance(text: str) -> GcInstance:
         else:
             gens.append(_g_line(tokens[1:], n, "generator", lineno))
 
-    # the stated constraints as normalize keeps them, each member checked
-    # once, by its lookup or by _constraint
-    stated: dict[int, frozenset[int]] = {}
-    for lineno, tokens in lines:
-        if tokens[0] != "c":
-            raise InstanceFormatError(f"expected `c` line, found `{tokens[0]}`", lineno)
-        if len(tokens) < 3 or tokens[2] != ":":
-            raise InstanceFormatError("expected `c <point> : <points...>`", lineno)
-        try:
-            point, members = name(tokens[1]), frozenset(map(name, tokens[3:]))
-        except KeyError:
-            point, members = _constraint(tokens, n, lineno)
-        stated[point] = stated[point] & members if point in stated else members
-
+    rest = lines[at:]
+    stated = _uniform_section(rest, names)
+    if stated is None:
+        stated = _constraint_lines(rest, at + 1, n, names)
     return GcInstance(p, n, tuple(gens), stated)
 
 

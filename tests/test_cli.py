@@ -93,7 +93,8 @@ def test_gen_writes_the_largest_n_that_parses_and_refuses_one_more(tmp_path, cap
     # 65537 is prime, so one orbit of F_65537 is one point over the limit
     over = tmp_path / "over.gc"
     assert main(["gen", "--p", "65537", "--dims", "1", "--out", str(over)]) == 64
-    assert capsys.readouterr().err == "error: dims give n = 65537, above the limit 65536\n"
+    assert capsys.readouterr().err == (
+        "error: p = 65537 is above the limit 65536: every orbit has at least p points\n")
     assert not over.exists()
 
 
@@ -433,6 +434,9 @@ def test_bench_config_line_without_equals_names_its_line(tmp_path, monkeypatch, 
     ("sat-bias=2", "sat_bias must lie in [0, 1]"),
     ("dim-range=1:14", "dim_range must lie in 1..13"),
     ("q-range=3:2", "bad q_range"),
+    ("p=65537", "p = 65537 is above the limit 65536: every orbit has at least p points"),
+    ("oracle-cap=0", "oracle-cap: must be at least 1, got 0"),
+    ("oracle-cap=-5", "oracle-cap: must be at least 1, got -5"),
 ])
 def test_bench_config_file_refuses_a_bad_line(tmp_path, monkeypatch, capsys, line, message):
     """A bad line exits 64 naming its file and line before any run starts."""
@@ -684,6 +688,8 @@ def test_a_usage_error_exits_64(capsys, argv):
     (["solve", "F", "--cap", "-1"], "--cap"),
     (["solve", "F", "--cap", "0"], "--cap"),
     (["bench", "--samples", "0"], "--samples"),
+    (["bench", "--oracle-cap", "0"], "--oracle-cap"),
+    (["bench", "--oracle-cap", "-5"], "--oracle-cap"),
 ])
 def test_a_count_below_one_is_a_usage_error(monkeypatch, capsys, argv, flag):
     from gcsolve import genbench

@@ -383,6 +383,32 @@ def test_empty_vo_reported_before_a_nonlinear_orbit():
     assert solve_enumerate(fr, inst).status == "unsat"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_solve_stops_at_the_first_empty_orbit(monkeypatch, p):
+    """Four orbits of p points, one p-cycle on each; the second and the
+    fourth admit no vector.  solve names the second and computes no V_O
+    after it, and compute_all_vo still computes all four."""
+    n = 4 * p
+    gens = [Permutation.from_cycles(n, [tuple(range(lo, lo + p))]) for lo in range(1, n, p)]
+    inst = normalize([(1, {2}), (p + 1, set()), (2 * p + 1, {2 * p + 2}), (3 * p + 1, set())],
+                     n, gens, p)
+    fr = build_frame(n, gens, p)
+    vos = compute_all_vo(fr, inst)
+    assert [len(vo) for vo in vos] == [1, 0, 1, 0]
+    first = SolveOutcome.unsat("empty-vo", orbit_min=p + 1)
+    assert linearize(fr, vos) == first
+
+    computed = []
+    real_vo = constraint.compute_vo
+    monkeypatch.setattr(constraint, "compute_vo",
+                        lambda fr, inst, i: computed.append(i) or real_vo(fr, inst, i))
+    for fallback in ("product", "none"):
+        computed.clear()
+        assert solve(inst, fallback=fallback) == first
+        assert computed == [0, 1]
+    assert solve_enumerate(fr, inst).status == "unsat"
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_solve_linear_inconsistent_diagonal_p_cycle(p):
     """One p-cycle acting diagonally on two orbits: every group element
@@ -699,10 +725,10 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     assert sum(out.method == "product" and len(orbit_partition(inst.gens, inst.n)) > 1
                for inst, out in zip(insts, packed)) >= 10
 
-    read = []  # the V_O sets of the instance being solved
-    real_vo = constraint.compute_all_vo
-    monkeypatch.setattr(constraint, "compute_all_vo",
-                        lambda fr, inst: read.append(real_vo(fr, inst)) or read[-1])
+    read = []  # the V_O sets of the instance being solved, as linearize reads them
+    real_linearize = constraint.linearize
+    monkeypatch.setattr(constraint, "linearize",
+                        lambda fr, vos: read.append(vos) or real_linearize(fr, vos))
     monkeypatch.setattr(constraint, "solve_linear",
                         lambda fr, lin: schoolbook_solve_linear(fr, read[-1], lin.w))
     monkeypatch.setattr(constraint, "group_variety",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcsolve import instfile
 from gcsolve.genbench import GenConfig, gen_instance
 from gcsolve.instfile import InstanceFormatError, parse_instance, parse_witness, render_instance
 from util import reference_parse_instance
@@ -79,6 +80,12 @@ def test_a_bad_point_token_fails_as_the_int_reader_does(case, data):
     ("c 1 : 2 4", "c 1 : 2 -4", "line 7: constraint value -4 out of range 1..4"),
     ("c 3 : 3 4", "c 3 : 3 1.5", "line 8: constraint points must be integers"),
     ("c 3 : 3 4", "c 03 : 5 4", "line 8: constraint value 5 out of range 1..4"),
+    # a section the section reader does not take, read line by line
+    ("c 3 : 3 4", "c 3 : 3 4\n\nc 5 : 1 2", "line 10: constrained point 5 out of range 1..4"),
+    ("c 3 : 3 4", "c 3 : 3 4\ng 2 1 4 3", "line 9: expected `c` line, found `g`"),
+    ("c 3 : 3 4", "c 3 : 3 4\nc 1 2 4", "line 9: expected `c <point> : <points...>`"),
+    ("c 1 : 2 4", "c 1 : 2 4 c 3 : 3\nc ", "line 7: constraint points must be integers"),
+    ("c 1 : 2 4", "c 1 : 2 9", "line 7: constraint value 9 out of range 1..4"),
 ])
 def test_each_error_keeps_its_message_and_line(old, new, message):
     text = SMALL.replace(old, new)
@@ -86,6 +93,107 @@ def test_each_error_keeps_its_message_and_line(old, new, message):
         parse_instance(text)
     assert str(exc.value) == message
     assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+    assert _outcome(parse_instance, text) == _line_by_line(text)[0]
+
+
+def _line_by_line(text):
+    """The outcome of parsing text with its constraint section read line by
+    line, and whether the section reader, left on, reads the section."""
+    read = []
+
+    def spy(rest, names):
+        read.append(real(rest, names))
+        return read[-1]
+
+    real = instfile._uniform_section
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instfile, "_uniform_section", spy)
+        _outcome(parse_instance, text)
+        mp.setattr(instfile, "_uniform_section", lambda rest, names: None)
+        outcome = _outcome(parse_instance, text)
+    return outcome, read[0] is not None if read else False
+
+
+def _assert_both_readers_agree(text):
+    """The section reader, the line-by-line reading and the int() reader
+    give an equal instance with equal stated sets, or one error on one
+    line; returns whether the section reader read the section."""
+    by_line, taken = _line_by_line(text)
+    outcome = _outcome(parse_instance, text)
+    assert outcome == by_line == _outcome(reference_parse_instance, text)
+    if outcome[0] == "ok":
+        assert outcome[1].constraints == by_line[1].constraints
+        assert outcome[1].constraints == reference_parse_instance(text).constraints
+    return taken
+
+
+def _generated_texts():
+    texts = []
+    for p, dims in ((2, (2, 3)), (3, (1, 2)), (5, (1, 1))):
+        for k in range(1, 5):
+            for seed in range(3):
+                cfg = GenConfig(p=p, seed=seed, k=k, sat_bias=0.5, dims=dims)
+                texts.append(render_instance(gen_instance(cfg).instance))
+    return texts
+
+
+def test_the_section_reader_reads_what_the_line_loop_reads():
+    """gen_instance and reduce_1in_k state k members for each point they
+    state, so the section reader reads their files whole; reduce_2cstr
+    states sets of several sizes, as most mmc_to_gc disjuncts do, and
+    such a section is read line by line."""
+    from gcsolve.constraint import mmc_to_gc
+    from gcsolve.perm import Permutation
+    from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
+
+    uniform = _generated_texts()
+    clauses = ClauseSet(("a", "b", "c", "d"), (("a", "b", "c"), ("b", "c", "d")))
+    for p in (2, 3, 5):
+        uniform.append(render_instance(reduce_1in_k(clauses, p).instance))
+    assert all(map(_assert_both_readers_agree, uniform))
+
+    mixed = [render_instance(reduce_2cstr(clauses, 3).instance)]
+    gens = [Permutation.from_cycles(6, [(1, 2), (3, 4)]), Permutation.from_cycles(6, [(5, 6)])]
+    for model in ([1, 0, 1, 0, 1, 0], [0, 1, 2, 0, 1, 2], [2, 2, 1, 1, 0, 0]):
+        mixed.extend(render_instance(inst) for inst in mmc_to_gc(model, gens, 2))
+    taken = list(map(_assert_both_readers_agree, mixed))
+    assert not taken[0] and not all(taken)
+
+
+@pytest.mark.parametrize("section, taken", [
+    ("c 1 : 2 4\nc 3 : 3 4\n", True),
+    ("c 1\t:  2\t4 \nc 3 : 3 4\r\n", True),
+    ("c 1 : 2 4\n\nc 3 : 3 4\n", False),  # a blank line
+    ("c 1 : 2 4\nc 3 : 3 4\n\n", False),  # a blank line at the end
+    ("c 1 : 2 4\nc 1 : 4 3\n", False),  # a repeated point
+    (" c 1 : 2 4\nc 3 : 3 4\n", False),  # leading whitespace
+    ("c\t1 : 2 4\nc 3 : 3 4\n", False),  # a tab after the `c`
+    ("c 1 : 2 4\nc 3 : 3\n", False),  # mixed widths
+    ("c 1 : 2\nc 3 : 3 4 1\n", False),  # mixed widths, 2 lines of 5 tokens on average
+    ("c 1 :\nc 3 :\n", False),  # no members
+    ("c 5 :\nc 3 :\n", False),
+    ("c 1 : 2 4\n", False),  # a single `c` line
+    ("c 1 : +2 004\nc 3 : 3 4\n", False),  # tokens outside the table
+    ("c 1 : 2 4\nc 3 : 3 4\ng 2 1 4 3\n", False),  # a trailing non-`c` line
+    ("c 1 : 2 4 c 3 : 3 4\nc 2 : 1\n", False),  # two groups on one line
+    ("c 1 : 2 4 c 3 : 3 4\n\n", False),  # two groups on one line, then a blank line
+    ("c 1 : 2 4\nx 3 : 3 4\n", False),  # a line of the same width that is not a `c` line
+    ("c 1 2 4 3\nc 3 : 3 4\n", False),  # a line of the same width without its `:`
+])
+def test_crafted_sections_read_alike(section, taken):
+    text = SMALL[:SMALL.index("\nc ") + 1] + section
+    assert _assert_both_readers_agree(text) == taken
+
+
+@pytest.mark.parametrize("text", [
+    "gc 1\np 2\nn 1\nm 1\ng 1\nc 1 : 1\n",
+    "gc 1\np 2\nn 1\nm 0\nc 1 : 1\nc 1 : 1\n",
+    "gc 1\np 2\nn 1\nm 0\nc 1 : 1\nc 2 : 1\n",
+    "gc 1\np 2\nn 0\nm 0\nc 1 : 1\nc 1 : 1\n",
+    "gc 1\np 2\nn 2\nm 0\n",
+])
+def test_tiny_sections_read_alike(text):
+    assert not _assert_both_readers_agree(text)
 
 
 def _gc(n, *g_lines):
