@@ -6,29 +6,32 @@ one per constrained point; an unstated point is constrained only to its
 orbit, and the solvers cut each stated set to its point's orbit as they
 read it, so no orbit partition is built on the way to a verdict.
 Solving goes through the frame: per orbit the admissible constituent
-vectors V_O are collected; if every V_O is an affine subspace w_O + E_O
-the instance reduces to one linear system over F_p, otherwise the
-product fallback searches the product of the V_O sets.  The enumeration
-oracle (solve_enumerate), which walks the whole group, is no fallback of
-solve: tests call it directly.  The linearity test (linearize) returns
-that system, a LinearizedConstraint, or else the verdict as the one
-outcome type, SolveOutcome: UNSAT empty-vo naming the first orbit whose
-V_O is empty, or NOTLINEAR naming the first orbit whose V_O is not
-affine, which solve returns as it is unless a fallback decides.  solve
-computes the V_O sets orbit by orbit in frame order and returns UNSAT
-empty-vo at the first empty one, without computing the rest;
-compute_all_vo computes every orbit's.  E is
-the direct sum of per-orbit spaces E_O, kept as one echelon form per
-orbit, of the orbit's width; the linear system is decided by one
-Gaussian elimination over G's generators, each with its residual against
-E, so nothing of size d x d is built (solve_linear).  The product search
-tests membership: x lies in G when its residual against G's echelon
-form, M_G·x, is zero, and solve_product builds that form itself, on no
-other branch.  It walks the orbits depth first in product order and cuts
-a prefix as soon as its residual is nonzero on the orbits it fixes, and
-the cap bounds the candidates it tests.  The V_O search and the product
-search add whole vectors packed into ints (fpalg.PackedDigits), the
-layout RowReducer keeps its rows in; the enumeration oracle keeps its
+vectors V_O are collected, each member packed into one int at the
+orbit's width (fpalg.PackedDigits) and kept so from compute_vo to the
+witness; if every V_O is an affine subspace w_O + E_O the instance
+reduces to one linear system over F_p, otherwise the product fallback
+searches the product of the V_O sets.  The enumeration oracle
+(solve_enumerate), which walks the whole group, is no fallback of solve:
+tests call it directly.  The linearity test (linearize) returns that
+system, a LinearizedConstraint, or else the verdict as the one outcome
+type, SolveOutcome: UNSAT empty-vo naming the first orbit whose V_O is
+empty, or NOTLINEAR naming the first orbit whose V_O is not affine,
+which solve returns as it is unless a fallback decides.  solve computes
+the V_O sets orbit by orbit in frame order and returns UNSAT empty-vo at
+the first empty one, without computing the rest; compute_all_vo computes
+every orbit's.  E is the direct sum of per-orbit spaces E_O, kept as one
+echelon form per orbit, of the orbit's width; the linear system is
+decided by one Gaussian elimination over G's generators, each with its
+residual against E, so nothing of size d x d is built (solve_linear).
+The product search tests membership: x lies in G when its residual
+against G's echelon form, M_G·x, is zero, and solve_product builds that
+form itself, on no other branch.  It walks the orbits depth first in
+product order and cuts a prefix as soon as its residual is nonzero on
+the orbits it fixes, and the cap bounds the candidates it tests.  The
+V_O search and the product search add whole packed vectors, the layout
+RowReducer keeps its rows in, and digits are unpacked only where
+linearize hands w_O and the differences v - w_O to its rank test and
+where solve_product reads its witness; the enumeration oracle keeps its
 digit arithmetic (frame.position_sum), so that it stays independent of
 them.
 """
@@ -168,29 +171,31 @@ def _orbit_checks(of, constraints) -> list[tuple[int, frozenset[int]]]:
     ]
 
 
-def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int, ...], ...]:
-    """Constituent vectors compatible with the constraint on one orbit, in
-    ascending lexicographic order.
+def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[int, ...]:
+    """Constituent vectors compatible with the constraint on one orbit, each
+    packed as packed_digits(p, d_O) packs it, in ascending order, which is
+    the lexicographic order of their digit tuples.
 
     Candidates come from the stated set with the fewest members, the
     first such in order of position, and a member outside the orbit is
     skipped; a candidate is kept when every other constrained point of
     the orbit maps inside its set.  With no constrained point the whole
-    constituent qualifies.  A candidate is a vector x, kept packed, and a
-    point b maps to the point of b + x.  At p = 2 the packed vector is the
-    position and the sum is one XOR.  At odd p it has one field per digit
-    (fpalg.PackedDigits), the sum takes a few int operations, written out
-    in the loop with the packing's constants, and the packed vectors of
-    the positions are mapped back to the points once per call.  Digit
-    tuples are made only for the vectors returned.
+    constituent qualifies: every position's packed vector
+    (PackedDigits.position_codes).  A candidate is a packed vector x, and
+    a point b maps to the point of b + x.  At p = 2 the packed vector is
+    the position and the sum is one XOR.  At odd p it has one field per
+    digit, the sum takes a few int operations, written out in the loop
+    with the packing's constants, and the packed vectors of the positions
+    are mapped back to the points once per call.
     """
     of = fr.orbit_frames[orbit_index]
     p = fr.p
     lex = of.lex
     pos = of.pos
+    packing = packed_digits(p, of.dim)
     checks = _orbit_checks(of, inst.constraints)
     if not checks:
-        return tuple(itertools.product(range(p), repeat=of.dim))
+        return tuple(packing.position_codes())
     sizes = [len(cset) for _, cset in checks]
     base, pivot_set = checks[sizes.index(min(sizes))]
     if len(pivot_set) > len(lex):  # walk the orbit rather than a larger set
@@ -205,9 +210,7 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
                     break
             else:
                 out.append(x)
-        # positions order as their digit tuples do
-        return tuple(digits(x, of.dim, 2) for x in sorted(out))
-    packing = packed_digits(p, of.dim)
+        return tuple(sorted(out))
     codes = packing.position_codes()
     at = dict(zip(codes, lex))
     checks = [(codes[b], bset) for b, bset in checks]
@@ -223,11 +226,11 @@ def compute_vo(fr: Frame, inst: GcInstance, orbit_index: int) -> tuple[tuple[int
                 break
         else:
             out.append(x)
-    # packed vectors order as their digit tuples do
-    return tuple(map(packing.unpack, sorted(out)))
+    return tuple(sorted(out))
 
 
-def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[tuple[int, ...], ...]]:
+def compute_all_vo(fr: Frame, inst: GcInstance) -> list[tuple[int, ...]]:
+    """compute_vo of every orbit, in frame order."""
     return [compute_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
 
 
@@ -277,11 +280,13 @@ class LinearizedConstraint:
 
 
 def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
-    """Check per orbit that V_O is an affine subspace and assemble the
-    global variety.  Returns the UNSAT empty-vo outcome naming the first
-    empty V_O's orbit (every V_O is tested for emptiness before any
-    linearity verdict), else the NOTLINEAR outcome naming the first
-    failing orbit, else a LinearizedConstraint."""
+    """Check per orbit that V_O, its members packed as compute_vo packs
+    them, is an affine subspace and assemble the global variety.  Returns
+    the UNSAT empty-vo outcome naming the first empty V_O's orbit (every
+    V_O is tested for emptiness before any linearity verdict), else the
+    NOTLINEAR outcome naming the first failing orbit, else a
+    LinearizedConstraint.  Only w_O and the differences v - w_O that the
+    rank test adds are unpacked to digits."""
     for of, vo in zip(fr.orbit_frames, vos):
         if not vo:
             return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
@@ -289,15 +294,17 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
     w: list[int] = []
     e_orbits: list[RowReducer | None] = []
     for of, vo in zip(fr.orbit_frames, vos):
-        w.extend(vo[0])
+        packing = packed_digits(p, of.dim)
+        w.extend(packing.unpack(vo[0]))
         size = len(vo)
         reducer = None  # V_O is the whole constituent: trivially an affine subspace
         if size < p**of.dim:
             r = fpalg.exact_log(size, p)
             reducer = RowReducer(p, of.dim)
             if r is not None:
+                minus_w = packing.neg(vo[0])
                 for v in vo[1:]:
-                    reducer.add(tuple((a - b) % p for a, b in zip(v, vo[0])))
+                    reducer.add(packing.unpack(packing.add(v, minus_w)))
             if reducer.rank != r:
                 return SolveOutcome(NOTLINEAR, reason="not linear", orbit_min=of.origin,
                                     vo_size=size, span_dim=None if r is None else reducer.rank)
@@ -419,9 +426,10 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     syndromes, is 0.  A syndrome is the residual of x_O placed in O's
     slice against G's echelon form (group_variety), computed once per
     admissible vector and kept packed, as VarietyMatrix.packed_product
-    returns it (fpalg.PackedDigits), so the sums are SWAR additions; the
-    vector is packed at O's width and shifted into place, so no d-wide
-    tuple is built.
+    returns it (fpalg.PackedDigits), so the sums are SWAR additions; each
+    member of V_O, packed at O's width as compute_vo gives it, is shifted
+    into O's slice, so no d-wide tuple is built but the witness's, which
+    is unpacked once from the sum of the members chosen.
     The search walks depth first over the orbits in frame order and over
     each V_O in its order, so its first leaf in G is the first member of G
     in product order.  A prefix is extended only while its syndrome sum is
@@ -441,18 +449,17 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     add = packing.add
     syndrome = group_variety(fr).packed_product
     levels = []  # per orbit, its slice's shift and its members to try
-    for (lo, hi), vo in zip(fr.slices, vos):
-        # x_O packed at O's width and shifted into O's slice of the frame
-        pack = packed_digits(fr.p, hi - lo).pack
+    for (_, hi), vo in zip(fr.slices, vos):
         shift = (fr.dim - hi) * packing.width
-        first = {}  # syndrome -> the first member of V_O that has it
+        first = {}  # syndrome -> the first member of V_O that has it, in O's slice
         for v in vo:
-            first.setdefault(syndrome(pack(v) << shift), v)
+            v <<= shift
+            first.setdefault(syndrome(v), v)
         levels.append((shift, list(first.items())))
     depth = len(levels)
     # chosen[j + 1]: the syndrome sum of the prefix through orbit j, and
-    # the member fixed on orbit j
-    chosen = [(0, ())] * (depth + 1)
+    # the member fixed on orbit j, in its slice
+    chosen = [(0, 0)] * (depth + 1)
     left = [iter(members) for _, members in levels]  # members not yet tried
     tested = 0
     j = 0
@@ -472,7 +479,9 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
             j -= 1
     if j < 0:
         return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="product")
-    return SolveOutcome.sat(fr.perm_of_coords([c for _, v in chosen for c in v]), "product")
+    # the members' slices are disjoint, so their sum is the whole vector
+    return SolveOutcome.sat(fr.perm_of_coords(packing.unpack(sum(v for _, v in chosen))),
+                            "product")
 
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:

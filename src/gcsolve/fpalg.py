@@ -78,13 +78,6 @@ def exact_log(size: int, p: int) -> int | None:
     return r if size == 1 else None
 
 
-def inv_mod(x: int, p: int) -> int:
-    """Multiplicative inverse of a nonzero residue."""
-    if x % p == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(x, -1, p)
-
-
 class SingularMatrixError(ValueError):
     """Inversion was asked of a matrix without full rank."""
 
@@ -381,7 +374,7 @@ class RowReducer:
         shift = (top - 1) // w * w  # the pivot field's, the top nonzero one
         f = v >> shift
         # -row, the multiple of v whose pivot is p - 1, and its doublings
-        neg = v if f == p - 1 else packing.neg(v) if f == 1 else packing.mul(v, -inv_mod(f, p))
+        neg = packing.mul(v, -pow(f, -1, p))
         negs = [neg]
         for _ in range(p.bit_length() - 1):
             neg = packing.add(neg, neg)

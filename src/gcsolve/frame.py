@@ -292,7 +292,9 @@ class Frame:
         confirm it decomposes over the constituents: its images in lex
         order must be lex translated by x.  Within one orbit the digits of
         x and lex translated by x are made once per distinct image of the
-        origin.  The first failing orbit raises, at its first failing
+        origin.  A one-point orbit is read the same way: its only position
+        is 0, and the replay compares the image of the point with the
+        point.  The first failing orbit raises, at its first failing
         permutation, so a single permutation gets its orbits' errors in
         orbit order.
         """
@@ -306,11 +308,6 @@ class Frame:
         for of in self.orbit_frames:
             origin = of.origin
             at = origin - 1
-            if of.dim == 0:
-                if any(ui[at] != origin for ui in images):
-                    raise NotInSuperspaceError(
-                        f"point {origin} leaves its orbit under the permutation")
-                continue
             dim, lex, get, pos = of.dim, of.lex, of.get, of.pos
             # image of the origin -> (digits of x, lex translated by x),
             # for this orbit of this call only

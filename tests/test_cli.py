@@ -626,6 +626,47 @@ def test_many_orbits_at_max_n_decide_linear_within_a_gib(tmp_path, p, k, m):
     assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
 
 
+def _one_orbit_text(dim, stated):
+    """One orbit of 2^dim points at p = 2: generator i sends point a to
+    ((a - 1) XOR 2^i) + 1, so the orbit is F_2^dim; stated is its
+    constraint lines."""
+    n = 1 << dim
+    lines = [f"gc 1\np 2\nn {n}\nm {dim}"]
+    for i in range(dim):
+        lines.append("g " + " ".join(str(((a - 1) ^ (1 << i)) + 1) for a in range(1, n + 1)))
+    return "\n".join(lines + stated) + "\n"
+
+
+def _big_prime_orbit_text():
+    """One orbit of p = 65521 points, the largest prime below 2^16: the
+    cycle 1 -> 2 -> ... -> p -> 1, with 1 sent to 3."""
+    p = 65521
+    return f"gc 1\np {p}\nn {p}\nm 1\ng {' '.join(map(str, range(2, p + 1)))} 1\nc 1 : 3\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _one_orbit_text(16, []),
+    lambda: _one_orbit_text(16, ["c 1 : 2 3"]),
+    _big_prime_orbit_text,
+], ids=["dim16-free", "dim16-two-members", "p65521"])
+def test_one_large_orbit_decides_linear_within_a_gib(tmp_path, make):
+    """One orbit of dimension 16 at p = 2, once free (V_O is all 65,536
+    vectors) and once with point 1 sent into {2, 3}, and one orbit of
+    p = 65521 points: solve decides each linear and check accepts the
+    printed witness, each in a child process limited to 1 GiB of address
+    space and 60 s."""
+    inst = tmp_path / "one.gc"
+    inst.write_text(make())
+    solved = _limited_run(["solve", str(inst)])
+    assert solved.returncode == 0, solved.stderr
+    lines = solved.stdout.splitlines()
+    assert lines[0] == "SAT" and "method linear" in lines
+    witness = tmp_path / "one.w"
+    witness.write_text("".join(line + "\n" for line in lines if line.startswith("g ")))
+    checked = _limited_run(["check", str(inst), "--witness-file", str(witness)])
+    assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
+
+
 @pytest.mark.parametrize("argv", [["solve", "INST", "--json"], ["gen", "--out", "-"]])
 def test_a_closed_stdout_exits_141_quietly(eight_point_path, argv):
     """With stdout a pipe whose read end is already closed, the command

@@ -34,16 +34,18 @@ from gcsolve.perm import Permutation, orbit_partition
 from gcsolve.reduction import ClauseSet, one_in_k_brute, reduce_1in_k, reduce_2cstr
 from util import (
     SchoolbookResidual,
+    assert_vos_match_reference,
     constraint_k,
     eight_point_gens,
     group_closure,
     many_orbit_text,
-    reference_vo,
+    pack_vos,
     relabelled_frames,
     satisfies_pointwise,
     schoolbook_rank,
     schoolbook_solve_linear,
     schoolbook_variety_matrix,
+    unpack_vos,
 )
 
 
@@ -93,19 +95,21 @@ def test_normalize_idempotent():
 def test_compute_vo_unconstrained_orbit_is_whole_constituent():
     fr, inst = eight_point_frame_and_instance(cset=set(range(1, 9)))
     vo = compute_vo(fr, inst, 0)
-    assert vo == tuple(itertools.product(range(2), repeat=3))
+    # at p = 2 a packed vector is its position
+    assert vo == tuple(range(8))
+    assert unpack_vos(fr, [vo]) == [tuple(itertools.product(range(2), repeat=3))]
 
 
 def test_compute_vo_pinned_point_constraint():
     fr, inst = eight_point_frame_and_instance({3})
-    assert compute_vo(fr, inst, 0) == ((1, 0, 0),)
+    assert unpack_vos(fr, [compute_vo(fr, inst, 0)]) == [((1, 0, 0),)]
 
 
 def test_compute_vo_mutual_swap():
     g = Permutation.from_cycles(2, [(1, 2)])
     inst = normalize([(1, {2}), (2, {1})], 2, [g], 2)
     fr = build_frame(2, [g], 2)
-    assert compute_vo(fr, inst, 0) == ((1,),)
+    assert unpack_vos(fr, [compute_vo(fr, inst, 0)]) == [((1,),)]
 
 
 def test_compute_vo_empty_when_unsatisfiable_on_orbit():
@@ -128,18 +132,42 @@ def test_compute_vo_matches_definition_exhaustively():
         for u in elements
         if all(u.image(a) in inst.cmap[a] for a in range(1, 9))
     }
-    assert set(compute_vo(fr, inst, 0)) == expected
+    [vo] = unpack_vos(fr, [compute_vo(fr, inst, 0)])
+    assert set(vo) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(relabelled_frames())
 def test_compute_vo_matches_tuple_arithmetic(case):
     """V_O against the definition by digit arithmetic, on every orbit, at p
-    in {2, 3, 5}."""
+    in {2, 3, 5}: the members ascend, and unpacked they are the
+    definition's vectors in lex order."""
     fr, inst, _ = case
-    assert compute_all_vo(fr, inst) == [
-        reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))
-    ]
+    assert_vos_match_reference(fr, inst)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compute_vo_matches_the_definition_on_reductions_and_disjuncts(p):
+    """V_O against the definition on reduce_2cstr(..., strict=False) with
+    empty clauses, whose blocks are p one-point orbits each, with clauses
+    of two variables, and on the mmc_to_gc disjuncts of seeded models
+    over gen_instance groups: the members ascend, and unpacked they are
+    the definition's vectors."""
+    sigma = ("a", "b", "c", "d")
+    insts = [reduce_2cstr(ClauseSet(sigma, clauses), p, strict=False).instance
+             for clauses in (((),), ((), ()), (("a", "b"), ("b", "d")))]
+    rng = SplitMix64(derive_seed(3131, p))
+    for seed in range(4):
+        group = gen_instance(GenConfig(p=p, seed=derive_seed(3132, p, seed),
+                                       dims=(2, 1) if p == 2 else (1, 1), k=1))
+        model = [rng.below(3) for _ in range(group.instance.n)]
+        insts.extend(mmc_to_gc(model, group.instance.gens, p))
+    dims = set()
+    for inst in insts:
+        fr = build_frame(inst.n, inst.gens, p)
+        assert_vos_match_reference(fr, inst)
+        dims.update(of.dim for of in fr.orbit_frames)
+    assert 0 in dims and 1 in dims
 
 
 @pytest.mark.parametrize("p, dims", [(7, (1, 2)), (7, (2, 2)), (131, (1,)), (131, (1, 1))])
@@ -156,9 +184,7 @@ def test_compute_vo_matches_tuple_arithmetic_in_wide_fields(p, dims, k):
         thinned = normalize([(a, cset) for a, cset in full.constraints.items() if a % 2],
                             full.n, full.gens, p)
         for inst in (full, thinned):
-            assert compute_all_vo(fr, inst) == [
-                reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))
-            ]
+            assert_vos_match_reference(fr, inst)
 
 
 def test_compute_vo_keeps_no_translation_per_candidate():
@@ -260,7 +286,7 @@ def test_linearize_singletons_and_pairs_always_linear():
 
 def test_linearize_rejects_non_power_size():
     fr, _ = eight_point_frame_and_instance()
-    lin = linearize(fr, [((0, 0, 0), (1, 0, 0), (0, 1, 0))])
+    lin = linearize(fr, pack_vos(fr, [((0, 0, 0), (1, 0, 0), (0, 1, 0))]))
     assert lin.status == "notlinear"
     assert lin.vo_size == 3 and lin.span_dim is None
 
@@ -268,16 +294,37 @@ def test_linearize_rejects_non_power_size():
 def test_linearize_power_size_but_not_affine():
     # {000, 100, 010, 110} is affine; {000, 100, 010, 001} is not
     fr, _ = eight_point_frame_and_instance()
-    good = linearize(fr, [((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))])
+    good = linearize(fr, pack_vos(fr, [((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0))]))
     assert isinstance(good, LinearizedConstraint)
     [e_o] = good.e_orbits
     assert e_o.rank == 2
     assert [e_o.reduce(v) for v in ((0, 1, 0), (1, 0, 0), (0, 0, 1))] == [
         (0, 0, 0), (0, 0, 0), (0, 0, 1)]
-    assert linearize(fr, [tuple(itertools.product(range(2), repeat=3))]).e_orbits == (None,)
-    bad = linearize(fr, [((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))])
+    whole = pack_vos(fr, [tuple(itertools.product(range(2), repeat=3))])
+    assert linearize(fr, whole).e_orbits == (None,)
+    bad = linearize(fr, pack_vos(fr, [((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))]))
     assert bad.status == "notlinear"
     assert bad.vo_size == 4 and bad.span_dim == 3
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_linearize_lines_off_the_origin_at_odd_p(p):
+    """One orbit F_p^2 at odd p: a line w + span(e) with w off the line
+    through 0 is affine, with E_O its direction and w its first member,
+    whatever e is; a line bent at its last member is not."""
+    g = Permutation.from_cycles(p * p, [tuple(range(lo, lo + p)) for lo in range(1, p * p, p)])
+    h = Permutation.from_cycles(p * p, [tuple(range(c, p * p + 1, p)) for c in range(1, p + 1)])
+    fr = build_frame(p * p, [g, h], p)
+    for e in ((0, 1), (1, 1), (1, p - 1)):
+        line = sorted(((1 + t * e[0]) % p, t * e[1] % p) for t in range(p))
+        lin = linearize(fr, pack_vos(fr, [line]))
+        assert isinstance(lin, LinearizedConstraint), e
+        [e_o] = lin.e_orbits
+        assert lin.w == line[0] and e_o.rank == 1
+        assert not any(e_o.reduce(e)) and any(e_o.reduce((1, 0) if e[0] == 0 else (0, 1)))
+        bent = line[:-1] + [((line[-1][0] + 1) % p, line[-1][1])]
+        out = linearize(fr, pack_vos(fr, [sorted(bent)]))
+        assert (out.status, out.vo_size, out.span_dim) == ("notlinear", p, 2)
 
 
 def test_linearize_empty_vo_reports_unsat_marker():
@@ -297,7 +344,7 @@ def test_linearize_two_element_sets_over_f2_linear():
         for of, size in zip(fr.orbit_frames, vo_sizes):
             space = list(itertools.product(range(2), repeat=of.dim))
             vos.append(tuple(space[:size]))
-        assert isinstance(linearize(fr, vos), LinearizedConstraint)
+        assert isinstance(linearize(fr, pack_vos(fr, vos)), LinearizedConstraint)
 
 
 def test_linearized_constraint_per_orbit_invariants():
@@ -311,10 +358,11 @@ def test_linearized_constraint_per_orbit_invariants():
         inst = gen_instance(GenConfig(p=2, seed=seed + 300, k=2, q_range=(1, 3),
                                       dim_range=(1, 4))).instance
         fr = build_frame(inst.n, inst.gens, 2)
-        vos = compute_all_vo(fr, inst)
-        lin = linearize(fr, vos)
+        packed = compute_all_vo(fr, inst)
+        lin = linearize(fr, packed)
         if not isinstance(lin, LinearizedConstraint):
             continue
+        vos = unpack_vos(fr, packed)
         for i, of in enumerate(fr.orbit_frames):
             lo, hi = fr.slices[i]
             e_o = lin.e_orbits[i]
@@ -475,7 +523,7 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
             g = [(a + c * b) % p for a, b in zip(g, x)]
         wide = [i for i, vo in enumerate(vos) if len(vo) > 1]
         i = rng.choice(wide or [i for i, of in enumerate(fr.orbit_frames) if of.dim])
-        of, (lo, hi), vo = fr.orbit_frames[i], fr.slices[i], vos[i]
+        of, (lo, hi), vo = fr.orbit_frames[i], fr.slices[i], unpack_vos(fr, vos)[i]
         stated = inst.constraints
         if not wide:  # E is 0: drop the orbit's sets, so that its E_O is its constituent
             stated = {a: cset for a, cset in stated.items() if a not in of.pos}
@@ -831,7 +879,7 @@ def test_solve_product_single_orbit_cases():
     assert solve_product(fr, [()]).status == "unsat"
     # G is the whole constituent, so the first of its 8 vectors decides:
     # the cap bounds the candidates tested, not |V_O|
-    out = solve_product(fr, [tuple(itertools.product(range(2), repeat=3))], cap=1)
+    out = solve_product(fr, pack_vos(fr, [tuple(itertools.product(range(2), repeat=3))]), cap=1)
     assert out.status == "sat" and out.witness.is_identity()
 
 
@@ -847,10 +895,11 @@ def test_solve_product_no_combination_in_group():
 
 
 def product_reference(fr, vos, m_g):
-    """Brute-force product fallback: the first combination in
+    """Brute-force product fallback over the V_O sets vos, as compute_vo
+    gives them and unpacked first: the first combination in
     itertools.product order whose M_G product is 0, as (status, reason,
     witness)."""
-    for combo in itertools.product(*vos):
+    for combo in itertools.product(*unpack_vos(fr, vos)):
         x = tuple(c for part in combo for c in part)
         if m_g.contains(x):
             return "sat", None, fr.perm_of_coords(x)
@@ -922,8 +971,7 @@ def test_packed_paths_agree_with_the_oracles_at_larger_primes(p, dims, dim_g, k)
         kept = [block[rng.below(len(block))] for block in orbit_partition(full.gens, full.n)]
         inst = normalize([(a, full.constraints[a]) for a in kept], full.n, full.gens, p)
         fr = build_frame(inst.n, inst.gens, p)
-        vos = compute_all_vo(fr, inst)
-        assert vos == [reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
+        vos = assert_vos_match_reference(fr, inst)
         assert linearize(fr, vos).status == "notlinear"
         out = assert_product_matches_reference(fr, vos, group_variety(fr))
         assert out.status == solve_enumerate(fr, inst).status
@@ -941,7 +989,7 @@ def test_solve_product_empty_vo_in_any_position_is_exhausted():
     for i in range(3):
         vos = [full] * 3
         vos[i] = ()
-        out = solve_product(fr, vos)
+        out = solve_product(fr, pack_vos(fr, vos))
         assert (out.status, out.reason, out.method) == ("unsat", "exhausted", "product")
 
 
@@ -961,7 +1009,7 @@ def test_solve_product_exhaustive_with_fixed_points():
     subsets = [tuple(s) for r in range(4) for s in itertools.combinations(line, r)]
     outcomes = set()
     for a, b, c in itertools.product(subsets, repeat=3):
-        out = assert_product_matches_reference(fr, [a, ((),), b, c], m_g)
+        out = assert_product_matches_reference(fr, pack_vos(fr, [a, ((),), b, c]), m_g)
         outcomes.add(out.status)
     assert outcomes == {"sat", "unsat"}
 
@@ -971,7 +1019,7 @@ def test_solve_product_whole_superspace_takes_first_combination():
     fr = build_frame(7, gens, 3)
     m_g = group_variety(fr)
     assert not any(any(row) for row in m_g.m.rows)
-    out = solve_product(fr, [((2,), (1,)), ((1,),), ((),)])
+    out = solve_product(fr, pack_vos(fr, [((2,), (1,)), ((1,),), ((),)]))
     assert out.status == "sat" and out.witness == fr.perm_of_coords((2, 1))
 
 
@@ -983,7 +1031,7 @@ def test_solve_product_single_orbit_takes_first_vector():
     plane = tuple(itertools.product(range(3), repeat=2))
     for r in range(len(plane) + 1):
         vo = plane[::-1][:r]
-        out = assert_product_matches_reference(fr, [vo], m_g)
+        out = assert_product_matches_reference(fr, pack_vos(fr, [vo]), m_g)
         assert out.witness == (fr.perm_of_coords(vo[0]) if vo else None)
 
 
@@ -1184,7 +1232,7 @@ def test_satisfaction_lemma_on_whole_superspace():
     for raw, gens, n, p in cases:
         inst = normalize(raw, n, gens, p)
         fr = build_frame(n, gens, p)
-        vos = [set(v) for v in compute_all_vo(fr, inst)]
+        vos = [set(v) for v in unpack_vos(fr, compute_all_vo(fr, inst))]
         for x in itertools.product(range(p), repeat=fr.dim):
             u = fr.perm_of_coords(x)
             slices = [x[lo:hi] for lo, hi in fr.slices]

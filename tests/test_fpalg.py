@@ -13,7 +13,6 @@ from gcsolve.fpalg import (
     PackedDigits,
     RowReducer,
     SingularMatrixError,
-    inv_mod,
     invert,
     is_prime,
     solve,
@@ -46,21 +45,6 @@ def test_field_axioms_exhaustive(p):
         assert ((a + b) + c) % p == (a + (b + c)) % p
         assert ((a * b) * c) % p == (a * (b * c)) % p
         assert (a * (b + c)) % p == (a * b + a * c) % p
-    for a in range(1, p):
-        assert a * inv_mod(a, p) % p == 1
-
-
-def test_inv_mod_of_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        inv_mod(0, 5)
-
-
-def test_inv_mod_at_a_61_bit_prime():
-    p = 2**61 - 1
-    for x in (1, 2, p - 1, 3**38, -5, p + 7):
-        assert x * inv_mod(x, p) % p == 1
-    with pytest.raises(ZeroDivisionError):
-        inv_mod(2 * p, p)
 
 
 def _identity(p, d):
@@ -219,6 +203,24 @@ def test_rows_kept_out_of_column_order_reduce_as_the_schoolbook_reference():
     assert _kept_rows(reducer) == [(1, (0, 1, 2, 1, 0)), (0, (1, 0, 2, 0, 1)), (2, (0, 0, 1, 2, 2))]
     for x in itertools.product(range(p), repeat=width + 2):
         assert reducer.reduce(x) == schoolbook_residual(vecs, x, p, width)
+
+
+@pytest.mark.parametrize("p", [5, 7, 2**61 - 1])
+def test_add_scales_every_pivot_to_one(p):
+    """A kept row is the residual times the inverse of its pivot f, for
+    every f in 1..p-1 (a sample of them at 2^61 - 1), f = 1 and f = p - 1
+    included: two vectors with pivots f in columns 0 and 1 are kept scaled
+    to pivot 1, and residuals are the schoolbook ones."""
+    fs = range(1, p) if p < 100 else (1, 2, 3, 3**38, (p + 1) // 2, p - 2, p - 1)
+    for f in fs:
+        inv = pow(f, p - 2, p)
+        vecs = [(f, 2, p - 1, 3), (0, f, 1, 0)]
+        reducer = RowReducer(p, 2)
+        assert all(reducer.add(v) for v in vecs)
+        assert _kept_rows(reducer) == [(col, tuple(c * inv % p for c in v))
+                                       for col, v in enumerate(vecs)]
+        for x in ((3, 1, 4, 1), (p - 1, f, 0, 5)):
+            assert reducer.reduce(x) == schoolbook_residual(vecs, x, p, 2)
 
 
 def test_row_reducer_rejects_a_short_vector_or_a_changed_length():

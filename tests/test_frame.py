@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcsolve.constraint import normalize, verify_detail
 from gcsolve.fpalg import RowReducer
 from gcsolve.frame import (
     FrameError,
@@ -166,6 +167,11 @@ def test_the_frame_finds_the_orbits(case):
     # one orbit of size 4 = 2^2, both generators involutions
     (4, [[(1, 2), (3, 4)], [(1, 3)]], 2, "generators 1 and 2 do not commute"),
     (5, [[(1, 2, 3)], [(3, 4, 5)]], 3, "generators 1 and 2 do not commute"),
+    # a third generator moving points that the first two fix, each a
+    # one-point orbit of theirs
+    (7, [[(2, 3)], [(5, 6)], [(1, 2)]], 2, "generators 1 and 3 do not commute"),
+    (7, [[(2, 3)], [(5, 6)], [(1, 4, 7)]], 2, "generator 3 has order 3, expected 2"),
+    (9, [[(2, 3, 4)], [(6, 7, 8)], [(1, 5)]], 3, "generator 3 has order 2, expected 3"),
 ])
 def test_frame_found_orbits_name_the_violation(n, cycles, p, detail):
     gens = [Permutation.from_cycles(n, c) for c in cycles]
@@ -314,6 +320,58 @@ def test_coords_of_perms_matches_the_reference_per_permutation(case, data):
     else:
         assert fr.coords_of_perms(batch) == tuple(
             expected if v is u else reference_coords(fr, v) for v in batch)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_point_orbits_replay_as_every_orbit_does(p):
+    """One-point orbits are read by the same replay as the others.  Every
+    permutation of the 7 points at p = 2, and at p = 3 each member of the
+    superspace, each with the images of a fixed point and one other point
+    swapped, and seeded shuffles: coords_of_perm gives the reference's
+    coordinates or its error, alone and in a batch after the generators,
+    and verify_detail accepts or names that error.  Permutations that fix
+    every one-point orbit's origin and ones that move each of them are
+    both among them.  The points 1, p + 2 and 2p + 3 are fixed, one-point
+    orbits before, between and after two p-point orbits, each turned by
+    its own p-cycle."""
+    n = 2 * p + 3
+    gens = [Permutation.from_cycles(n, [tuple(range(lo, lo + p))]) for lo in (2, p + 3)]
+    fr = build_frame(n, gens, p)
+    assert [of.dim for of in fr.orbit_frames] == [0, 1, 0, 1, 0]
+    fixed = (1, p + 2, 2 * p + 3)
+    assert fr.gen_coords == ((1, 0), (0, 1))
+    inst = normalize([], n, gens, p)
+    if p == 2:
+        perms = [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+    else:
+        members = [fr.perm_of_coords(x) for x in itertools.product(range(p), repeat=2)]
+        perms = list(members)
+        for u, f, q in itertools.product(members, fixed, range(1, n + 1)):
+            images = list(u.images)
+            images[f - 1], images[q - 1] = images[q - 1], images[f - 1]
+            perms.append(Permutation(tuple(images)))
+        rng = random.Random(31)
+        perms += [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(200)]
+    seen = set()
+    for u in perms:
+        try:
+            expected = reference_coords(fr, u)
+        except NotInSuperspaceError as exc:
+            for read in (fr.coords_of_perm, lambda u: fr.coords_of_perms(gens + [u])):
+                with pytest.raises(NotInSuperspaceError) as got:
+                    read(u)
+                assert str(got.value) == str(exc)
+            assert verify_detail(inst, u, fr) == (False, f"witness not in group: {exc}")
+            seen.add(str(exc))
+        else:
+            assert fr.coords_of_perm(u) == expected
+            assert fr.coords_of_perms(gens + [u]) == ((1, 0), (0, 1), expected)
+            assert verify_detail(inst, u, fr) == (True, None)
+            seen.add("member")
+    # a permutation that moves the last point, 2p + 3, moves an earlier
+    # orbit's point too, and that orbit's error comes first
+    assert seen >= {"member"} | {f"point {a} leaves its orbit under the permutation"
+                                 for a in fixed[:2]}
 
 
 @pytest.mark.parametrize("p,dims", [(2, (1, 2, 2, 3, 3)), (3, (1, 1, 2)), (5, (1, 2))])

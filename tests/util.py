@@ -8,8 +8,15 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
-from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, normalize
-from gcsolve.fpalg import FpMatrix, PackedDigits, RowReducer, SingularMatrixError, is_prime
+from gcsolve.constraint import UNSAT_INCONSISTENT, SolveOutcome, compute_all_vo, normalize
+from gcsolve.fpalg import (
+    FpMatrix,
+    PackedDigits,
+    RowReducer,
+    SingularMatrixError,
+    is_prime,
+    packed_digits,
+)
 from gcsolve.frame import FrameError, NotInSuperspaceError, build_frame, translation_positions
 from gcsolve.genbench import GenConfig, GenResult, _draw_dims, gen_instance
 from gcsolve.instfile import InstanceFormatError
@@ -397,6 +404,32 @@ def reference_vo(fr, inst, orbit_index):
     )
 
 
+def pack_vos(fr, vos):
+    """V_O sets given as digit tuples, one per orbit of fr from the first,
+    in the form compute_vo gives: each member packed at its orbit's width
+    (packed_digits(p, d_O)), in the order given."""
+    return [tuple(map(packed_digits(fr.p, of.dim).pack, vo))
+            for of, vo in zip(fr.orbit_frames, vos)]
+
+
+def unpack_vos(fr, vos):
+    """pack_vos undone: each member of V_O sets in compute_vo's form, one
+    per orbit of fr from the first, as its digit tuple."""
+    return [tuple(map(packed_digits(fr.p, of.dim).unpack, vo))
+            for of, vo in zip(fr.orbit_frames, vos)]
+
+
+def assert_vos_match_reference(fr, inst):
+    """compute_all_vo on every orbit: members ascending, and as digit
+    tuples the vectors reference_vo finds by the definition; returns the
+    V_O sets as compute_all_vo gives them."""
+    vos = compute_all_vo(fr, inst)
+    for vo in vos:
+        assert all(a < b for a, b in zip(vo, vo[1:]))
+    assert unpack_vos(fr, vos) == [reference_vo(fr, inst, i) for i in range(len(fr.orbit_frames))]
+    return vos
+
+
 # -- schoolbook elimination over F_p, a reference for fpalg ------------------
 
 
@@ -461,12 +494,13 @@ def schoolbook_solve(a, b):
 
 def schoolbook_e_basis(fr, vos):
     """A basis of E, the direct sum of the orbits' E_O, rebuilt from the
-    V_O sets: per orbit, the differences of V_O's vectors from its first
-    one, padded with zeros outside the orbit's slice, each kept when it
-    raises the rank (schoolbook_rank)."""
+    V_O sets, given as compute_vo gives them and unpacked first: per
+    orbit, the differences of V_O's vectors from its first one, padded
+    with zeros outside the orbit's slice, each kept when it raises the
+    rank (schoolbook_rank)."""
     p, d = fr.p, fr.dim
     basis = []
-    for vo, (lo, hi) in zip(vos, fr.slices):
+    for vo, (lo, hi) in zip(unpack_vos(fr, vos), fr.slices):
         for v in vo[1:]:
             e = (0,) * lo + tuple((a - b) % p for a, b in zip(v, vo[0])) + (0,) * (d - hi)
             if schoolbook_rank(basis + [e], p, d) > len(basis):
@@ -480,7 +514,8 @@ def schoolbook_solve_linear(fr, vos, w):
     (M_E·[g_1 ... g_m])·a = M_E·w, d equations on m unknowns, solved with
     free variables 0 (schoolbook_solve).  M_E is a variety matrix of E
     built by inversion (schoolbook_variety_matrix) from E's basis rebuilt
-    from the V_O sets vos; the answer depends on its kernel only."""
+    from the V_O sets vos, as compute_vo gives them (schoolbook_e_basis
+    unpacks them); the answer depends on its kernel only."""
     p = fr.p
     m_e = schoolbook_variety_matrix(fr, schoolbook_e_basis(fr, vos))
     cols = [m_e.product(g) for g in fr.gen_coords]
