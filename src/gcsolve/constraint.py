@@ -22,23 +22,24 @@ the first empty one, without computing the rest; compute_all_vo computes
 every orbit's.  E is the direct sum of per-orbit spaces E_O, kept as one
 echelon form per orbit, of the orbit's width; the linear system is
 decided by one Gaussian elimination over G's generators, each with its
-residual against E, so nothing of size d x d is built (solve_linear).
+residual against E, so nothing of size d x d is built (solve_linear);
+its rows are packed ints, each generator packed once, and a free
+orbit's columns stay in them as zero columns.
 The product search tests membership: x lies in G when its residual
 against G's echelon form, M_G·x, is zero, and solve_product builds that
 form itself, on no other branch.  It walks the orbits depth first in
 product order and cuts a prefix as soon as its residual is nonzero on
 the orbits it fixes, and the cap bounds the candidates it tests.  The
-V_O search and the product search add whole packed vectors, the layout
-RowReducer keeps its rows in, and digits are unpacked only where
-linearize hands w_O and the differences v - w_O to its rank test and
-where solve_product reads its witness; the enumeration oracle keeps its
-digit arithmetic (frame.position_sum), so that it stays independent of
-them.
+V_O search, the rank test, the linear system and the product search
+add whole packed vectors, the layout RowReducer keeps its rows in
+(RowReducer.packed_add), and digits are unpacked only where linearize
+reads w_O and where solve_linear and solve_product read their witness;
+the enumeration oracle keeps its digit arithmetic (frame.position_sum),
+so that it stays independent of them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -285,8 +286,8 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
     the UNSAT empty-vo outcome naming the first empty V_O's orbit (every
     V_O is tested for emptiness before any linearity verdict), else the
     NOTLINEAR outcome naming the first failing orbit, else a
-    LinearizedConstraint.  Only w_O and the differences v - w_O that the
-    rank test adds are unpacked to digits."""
+    LinearizedConstraint.  The rank test adds the differences v - w_O
+    packed (RowReducer.packed_add); only w_O is unpacked to digits."""
     for of, vo in zip(fr.orbit_frames, vos):
         if not vo:
             return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
@@ -304,7 +305,7 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
             if r is not None:
                 minus_w = packing.neg(vo[0])
                 for v in vo[1:]:
-                    reducer.add(packing.unpack(packing.add(v, minus_w)))
+                    reducer.packed_add(packing.add(v, minus_w), of.dim)
             if reducer.rank != r:
                 return SolveOutcome(NOTLINEAR, reason="not linear", orbit_min=of.origin,
                                     vo_size=size, span_dim=None if r is None else reducer.rank)
@@ -319,45 +320,76 @@ def solve_linear(fr: Frame, lin: LinearizedConstraint) -> SolveOutcome:
     """Find x in G ∩ (w + E) by one Gaussian elimination modulo E.
 
     res(x) is x's residual against E: per orbit, x_O's residual against
-    E_O, which is x_O itself where E_O is 0; an orbit whose E_O is the
-    whole constituent has residual 0 and is left out.  x lies in w + E
-    exactly when res(x) = res(w).  The rows (res(g) | g), one per
-    generator's coordinates g, span the pairs (res(x) | x) for x in G,
-    and the residual of (res(w) | 0) against them is zero on the left
-    exactly when the system is consistent; its right half is then -x.
-    A generator's row is kept exactly when res(g) is independent of the
-    rows kept before it, so x is the combination a of the kept generators
-    that solves (M_E·[g_1 ... g_m])·a = M_E·w with the other generators'
-    coefficients 0.  A row that is not kept leaves a residual (0 | y)
-    with y in G ∩ E, and those y span G ∩ E: the other solutions are x
-    plus its members.  Memory is O(m·d), and no row of E is built."""
-    orbits = list(zip(lin.e_orbits, fr.slices))
-    keep = [e is not None for e, (lo, hi) in orbits for _ in range(lo, hi)]  # not free
-    reduced = [(e, lo, hi) for e, (lo, hi) in orbits if e is not None and e.rank]
+    E_O, which is x_O itself where E_O is 0, and 0 where E_O is the whole
+    constituent.  x lies in w + E exactly when res(x) = res(w).  The rows
+    (res(g) | g), one per generator's coordinates g, span the pairs
+    (res(x) | x) for x in G, and the residual of (res(w) | 0) against
+    them is zero on the left exactly when the system is consistent; its
+    right half is then -x.  A generator's row is kept exactly when res(g)
+    is independent of the rows kept before it, so x is the combination a
+    of the kept generators that solves (M_E·[g_1 ... g_m])·a = M_E·w with
+    the other generators' coefficients 0.  A row that is not kept leaves
+    a residual (0 | y) with y in G ∩ E, and those y span G ∩ E: the other
+    solutions are x plus its members.
 
-    def res(x) -> tuple[int, ...]:
-        out = list(x)
-        for e, lo, hi in reduced:
-            out[lo:hi] = e.reduce(x[lo:hi])
-        return tuple(itertools.compress(out, keep))
+    Every vector is packed, as fpalg.packed_digits packs it, and each
+    generator is packed once: res(x) keeps the fields of the orbits that
+    are not free by a mask, and replaces each orbit's slice whose E_O has
+    rank above 0 by its packed residual against E_O.  A free orbit's
+    columns stay as zero columns, which hold no pivot, so the rows kept,
+    their pivots and the answer are those of the system without them.  A
+    row (res(g) | g) is res(g) shifted above g, fed to
+    RowReducer.packed_add.  Memory is O(m·d), and no row of E is built."""
+    p, d = fr.p, fr.dim
+    packing = packed_digits(p, d)
+    w = packing.width
+    half = d * w
+    # every field of an orbit that is not free set, as one binary string
+    keep = int("".join(("0" if e is None else "1") * ((hi - lo) * w)
+                       for e, (lo, hi) in zip(lin.e_orbits, fr.slices)) or "0", 2)
+    # per orbit whose E_O has rank above 0: its packed residual, and its
+    # slice's bits in the binary string of a packed vector
+    reduced = [(e.packed_residual, lo * w, hi * w)
+               for e, (lo, hi) in zip(lin.e_orbits, fr.slices) if e is not None and e.rank]
+    binary = f"0{half}b"
 
-    left = res(lin.w)
-    width = len(left)
-    reducer = RowReducer(fr.p, width)
-    for g in fr.gen_coords:
-        reducer.add(res(g) + g)
-    residual = reducer.reduce(left + (0,) * fr.dim)
-    if any(residual[:width]):
+    def res(x: int) -> int:
+        # the slices are cut from x's binary digits, so that the pass takes
+        # time linear in d however many orbits it reduces
+        x &= keep
+        if not reduced:
+            return x
+        bits = format(x, binary)
+        pieces = []
+        done = 0  # bits[:done] is in pieces
+        for residual, a, b in reduced:
+            part = int(bits[a:b], 2)
+            if (new := residual(part)) != part:
+                pieces += bits[done:a], format(new, f"0{b - a}b")
+                done = b
+        if not done:
+            return x
+        pieces.append(bits[done:])
+        return int("".join(pieces), 2)
+
+    reducer = RowReducer(p, d)
+    for g in map(packing.pack, fr.gen_coords):
+        reducer.packed_add(res(g) << half | g, 2 * d)
+    residual = reducer.packed_residual(res(packing.pack(lin.w)) << half)
+    if residual >> half:
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    return SolveOutcome.sat(fr.perm_of_coords([-c for c in residual[width:]]), "linear")
+    x = packing.neg(residual & ((1 << half) - 1))
+    return SolveOutcome.sat(fr.perm_of_coords(packing.unpack(x)), "linear")
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:
     """Variety matrix of G itself inside its frame: the echelon form of
-    fr.gen_coords, reduced in one RowReducer."""
-    reducer = RowReducer(fr.p, fr.dim)
+    fr.gen_coords, each packed once and added packed to one RowReducer."""
+    d = fr.dim
+    pack = packed_digits(fr.p, d).pack
+    reducer = RowReducer(fr.p, d)
     for x in fr.gen_coords:
-        reducer.add(x)
+        reducer.packed_add(pack(x), d)
     return VarietyMatrix(reducer)
 
 

@@ -16,8 +16,10 @@ over GF(2)", ACM TOMS 37(1), 2010).  At odd p a field is wide enough
 that adding two vectors never carries from one field into the next, so
 the sum mod p takes a few whole-int operations (SWAR, SIMD within a
 register), and a row is kept with its negated doublings, so that
-subtracting a multiple of it is a few such sums.  Matrices are small (a
-few hundred rows at most in practice).
+subtracting a multiple of it is a few such sums.  A caller that holds
+its vectors packed adds and reduces them so (RowReducer.packed_add and
+packed_residual), with no unpacking.  Matrices are small (a few hundred
+rows at most in practice).
 """
 
 from __future__ import annotations
@@ -285,7 +287,9 @@ class RowReducer:
     columns included.
 
     A vector is packed whole into one int, as packed_digits(p, length)
-    packs it, column 0 in the top field; so is every row.  A row is zero
+    packs it, column 0 in the top field; so is every row.  packed_add and
+    packed_residual take a vector so packed; add packs its vector and
+    hands it to packed_add, the one path that keeps a row.  A row is zero
     before its pivot, so in every field above it, and reduce() clears the
     highest pivot still set in the vector first: that changes only lower
     fields, so each pivot is cleared once at most, and a vector that is
@@ -359,10 +363,25 @@ class RowReducer:
 
     def add(self, vec) -> bool:
         """Add vec to the span; returns True when its residual, kept as the
-        new row, was nonzero in the pivot columns."""
-        packing, v = self._residual(vec)
+        new row, was nonzero in the pivot columns.  vec is packed and
+        handed to packed_add."""
+        length = len(vec)
+        return self.packed_add(packed_digits(self.p, length).pack(vec), length)
+
+    def packed_add(self, v: int, length: int) -> bool:
+        """add(vec) for vec of length entries given packed, as
+        packed_digits(p, length) packs it: the same rows, pivots and
+        scaling.  Once a row is kept, every vector added has its length."""
+        if length < self.width:
+            raise ValueError(f"vector length {length} < {self.width}")
+        packing = self._packing
+        if packing is None:
+            packing = packed_digits(self.p, length)
+        elif length != packing.count:
+            raise ValueError(f"vector length {length} != {packing.count}")
+        v = self.packed_residual(v)
         w = packing.width
-        if not v >> (len(vec) - self.width) * w:
+        if not v >> (length - self.width) * w:
             return False
         self._packing = packing
         top = v.bit_length()

@@ -19,7 +19,7 @@ from gcsolve.constraint import MAX_N, normalize, solve_enumerate
 from gcsolve.frame import build_frame
 from gcsolve.instfile import parse_instance, render_instance
 from gcsolve.perm import Permutation
-from util import eight_point_gens, many_orbit_text
+from util import eight_point_gens, every_point_text, many_orbit_text, near_square_text
 
 EIGHT_POINT_FILE = """gc 1
 p 2
@@ -607,23 +607,49 @@ def _limited_run(argv, limit=1 << 30, timeout=60):
                           text=True, env=env, preexec_fn=limit_memory, timeout=timeout)
 
 
+def _decides_linear_and_checks(tmp_path, text):
+    """solve decides the instance text SAT by the linear method and check
+    accepts the printed witness, each in a _limited_run child."""
+    inst = tmp_path / "inst.gc"
+    inst.write_text(text)
+    solved = _limited_run(["solve", str(inst)])
+    assert solved.returncode == 0, solved.stderr
+    lines = solved.stdout.splitlines()
+    assert lines[0] == "SAT" and "method linear" in lines
+    witness = tmp_path / "inst.w"
+    witness.write_text("".join(line + "\n" for line in lines if line.startswith("g ")))
+    checked = _limited_run(["check", str(inst), "--witness-file", str(witness)])
+    assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
+
+
 @pytest.mark.parametrize("p, k, m", [(2, 32768, 16), (3, 21845, 10)])
 def test_many_orbits_at_max_n_decide_linear_within_a_gib(tmp_path, p, k, m):
     """k orbits of p points under m generators, n = 65536 at p = 2 and
     65535 at p = 3, with d = k: solve decides them linear and check
     accepts the printed witness, each in a child process limited to 1 GiB
     of address space and 60 s."""
-    inst = tmp_path / "many.gc"
-    inst.write_text(many_orbit_text(p, k, m))
     assert p * k > MAX_N - p
-    solved = _limited_run(["solve", str(inst)])
-    assert solved.returncode == 0, solved.stderr
-    lines = solved.stdout.splitlines()
-    assert lines[0] == "SAT" and "method linear" in lines
-    witness = tmp_path / "many.w"
-    witness.write_text("".join(line + "\n" for line in lines if line.startswith("g ")))
-    checked = _limited_run(["check", str(inst), "--witness-file", str(witness)])
-    assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
+    _decides_linear_and_checks(tmp_path, many_orbit_text(p, k, m))
+
+
+@pytest.mark.parametrize("p, k", [(2, 16384), (3, 7281)])
+def test_every_point_stated_decides_linear_within_a_gib(tmp_path, p, k):
+    """k orbits of p^2 points, n = 65536 at p = 2 and 65529 at p = 3, every
+    point stated so that every V_O is an affine line (util's
+    every_point_text), so every orbit's slice of every generator is reduced
+    against its E_O: solve decides it linear and check accepts the printed
+    witness, each in a child process limited to 1 GiB and 60 s."""
+    assert p * p * k > MAX_N - p * p
+    _decides_linear_and_checks(tmp_path, every_point_text(p, k))
+
+
+def test_more_generators_than_orbits_decides_linear_within_a_gib(tmp_path):
+    """1,024 two-point orbits under 1,024 independent generators and one
+    redundant one (util's near_square_text), so the linear system has
+    m = d + 1 rows, each reduced against up to d kept ones: solve decides
+    it linear and check accepts the printed witness, each in a child
+    process limited to 1 GiB and 60 s."""
+    _decides_linear_and_checks(tmp_path, near_square_text(1024))
 
 
 def _one_orbit_text(dim, stated):
@@ -655,16 +681,7 @@ def test_one_large_orbit_decides_linear_within_a_gib(tmp_path, make):
     p = 65521 points: solve decides each linear and check accepts the
     printed witness, each in a child process limited to 1 GiB of address
     space and 60 s."""
-    inst = tmp_path / "one.gc"
-    inst.write_text(make())
-    solved = _limited_run(["solve", str(inst)])
-    assert solved.returncode == 0, solved.stderr
-    lines = solved.stdout.splitlines()
-    assert lines[0] == "SAT" and "method linear" in lines
-    witness = tmp_path / "one.w"
-    witness.write_text("".join(line + "\n" for line in lines if line.startswith("g ")))
-    checked = _limited_run(["check", str(inst), "--witness-file", str(witness)])
-    assert (checked.returncode, checked.stdout) == (0, "OK\n"), checked.stderr
+    _decides_linear_and_checks(tmp_path, make())
 
 
 @pytest.mark.parametrize("argv", [["solve", "INST", "--json"], ["gen", "--out", "-"]])

@@ -27,6 +27,7 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
+from gcsolve.fpalg import PackedDigits, RowReducer
 from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame, translation_perms
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
@@ -38,7 +39,9 @@ from util import (
     constraint_k,
     eight_point_gens,
     group_closure,
+    every_point_text,
     many_orbit_text,
+    near_square_text,
     pack_vos,
     relabelled_frames,
     satisfies_pointwise,
@@ -493,7 +496,7 @@ def test_linear_path_agrees_with_enumeration(p, dim_range, k):
     assert linear >= 50
 
 
-@pytest.mark.parametrize("p, dim_range", [(2, (1, 3)), (3, (1, 2)), (5, (1, 2))])
+@pytest.mark.parametrize("p, dim_range", [(2, (1, 3)), (3, (1, 2)), (5, (1, 2)), (131, (1, 1))])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
     """solve_linear against (M_E·[g_1 ... g_m])·a = M_E·w solved with free
@@ -505,9 +508,27 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
     E_O, put among the generators at a random place.  Then G ∩ E holds e,
     so there are several solutions, and which one is returned depends on
     that place.  When every E_O of the draw is 0, the sets of one orbit
-    are dropped first, so that its E_O is the whole constituent."""
+    are dropped first, so that its E_O is the whole constituent.  At
+    p = 131 a field is 9 bits wide.  Where orbits of dimension 2 are
+    drawn, one more instance mixes every kind of orbit: util's
+    every_point_text on k + 2 orbits, each with E_O of rank 1, with the
+    first orbit's sets dropped, so that it is free, and the second's first
+    point sent to one point, so that its E_O is 0; it is checked as
+    stated and with w moved."""
     rng = random.Random(100 * p + k)
     seen = Counter()
+
+    def check(fr_c, vos_c, lin_c, note):
+        out = solve_linear(fr_c, lin_c)
+        ref = schoolbook_solve_linear(fr_c, vos_c, lin_c.w)
+        assert (out.status, out.reason, out.method, out.witness) == (
+            ref.status, ref.reason, ref.method, ref.witness), note
+        seen[out.status, out.reason] += 1
+
+    def moved(fr_c, lin_c):
+        return LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr_c.dim)),
+                                    lin_c.e_orbits)
+
     for seed in range(40):
         cfg = GenConfig(p=p, seed=2000 * p + 100 * k + seed, k=k, q_range=(1, 3),
                         dim_range=dim_range)
@@ -535,15 +556,49 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
         fr_joined = build_frame(joined.n, joined.gens, p)
         vos_joined = compute_all_vo(fr_joined, joined)
         lin_joined = linearize(fr_joined, vos_joined)
-        moved = LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr.dim)), lin.e_orbits)
-        for fr_c, vos_c, lin_c in ((fr, vos, lin), (fr, vos, moved),
+        for fr_c, vos_c, lin_c in ((fr, vos, lin), (fr, vos, moved(fr, lin)),
                                    (fr_joined, vos_joined, lin_joined)):
-            out = solve_linear(fr_c, lin_c)
-            ref = schoolbook_solve_linear(fr_c, vos_c, lin_c.w)
-            assert (out.status, out.reason, out.method, out.witness) == (
-                ref.status, ref.reason, ref.method, ref.witness), f"seed {cfg.seed}"
-            seen[out.status, out.reason] += 1
+            check(fr_c, vos_c, lin_c, f"seed {cfg.seed}")
     assert seen["sat", None] and seen["unsat", "inconsistent"]
+    if dim_range[1] > 1:
+        base = parse_instance(every_point_text(p, k + 2))
+        q = p * p
+        stated = {a: cset for a, cset in base.constraints.items() if a > q}
+        stated[q + 1] = frozenset([min(stated[q + 1])])
+        inst = normalize(stated.items(), base.n, base.gens, p)
+        fr = build_frame(inst.n, inst.gens, p)
+        vos = compute_all_vo(fr, inst)
+        lin = linearize(fr, vos)
+        assert [None if e is None else e.rank for e in lin.e_orbits] == [None, 0] + [1] * k
+        check(fr, vos, lin, "mixed")
+        check(fr, vos, moved(fr, lin), "mixed, w moved")
+
+
+@pytest.mark.parametrize("text", [every_point_text(2, 6), every_point_text(3, 4),
+                                  near_square_text(12)], ids=["p2", "p3", "near-square"])
+def test_a_linear_solve_adds_packed_rows_only(monkeypatch, text):
+    """On a linear solve nothing calls RowReducer.add or RowReducer.reduce:
+    linearize and solve_linear add packed vectors, and solve_linear packs
+    each generator's coordinates once, then w."""
+    inst = parse_instance(text)
+    fr = build_frame(inst.n, inst.gens, inst.p)
+    lin = linearize(fr, compute_all_vo(fr, inst))
+    packed = []
+    real_pack = PackedDigits.pack
+
+    def pack(self, vec):
+        packed.append(tuple(vec))
+        return real_pack(self, vec)
+
+    def refuse(*args):
+        raise AssertionError("RowReducer.add or RowReducer.reduce called")
+
+    monkeypatch.setattr(PackedDigits, "pack", pack)
+    monkeypatch.setattr(RowReducer, "add", refuse)
+    monkeypatch.setattr(RowReducer, "reduce", refuse)
+    out = solve(inst)
+    assert (out.status, out.method) == ("sat", "linear")
+    assert packed == [*fr.gen_coords, lin.w]
 
 
 def test_group_variety_built_only_to_test_membership(monkeypatch):

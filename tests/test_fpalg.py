@@ -318,9 +318,14 @@ def test_packed_solve_matches_list_path(shape, seed, planted):
 @settings(max_examples=90, deadline=None)
 @given(shape=field_and_widths(1), count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
 def test_packed_row_reducer_matches_list_elimination(shape, count, seed):
+    """add keeps a vector exactly when it leaves the schoolbook span, and a
+    second reducer fed the same vectors packed, through packed_add, gives
+    the same answers, rank, residuals and rows."""
     p, width = shape
     rng = random.Random(seed)
     reducer = RowReducer(p, width)
+    packed = RowReducer(p, width)  # fed the same vectors through packed_add
+    pack = fpalg.packed_digits(p, width).pack
     seen = []
     for _ in range(count + 1):
         if seen and rng.random() < 0.5:
@@ -332,11 +337,14 @@ def test_packed_row_reducer_matches_list_elimination(shape, count, seed):
             vec = _raw(rng, width)
         independent = schoolbook_rank(seen + [vec], p, width) > schoolbook_rank(seen, p, width)
         assert _spans(p, width, seen, vec) == (not independent)
+        assert packed.packed_residual(pack(vec)) == reducer.residual(vec)
         if len(seen) == count:
             break  # the last vector only probes the span
         assert reducer.add(vec) == independent
+        assert packed.packed_add(pack(vec), width) == independent
         seen.append(vec)
-        assert reducer.rank == schoolbook_rank(seen, p, width)
+        assert reducer.rank == packed.rank == schoolbook_rank(seen, p, width)
+    assert _snapshot(packed) == _snapshot(reducer)
 
 
 @settings(max_examples=90, deadline=None)
@@ -416,10 +424,14 @@ def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count
     far have a combination that is zero in the pivot columns but not
     after them.
     When mapped, every vector's extra columns are a fixed linear image of
-    its pivot columns, so no such combination exists."""
+    its pivot columns, so no such combination exists.  A second reducer
+    fed the same vectors packed, through packed_add, gives the same
+    answers, rank, residuals and rows."""
     rng = random.Random(seed)
     image = [_raw(rng, width) for _ in range(extra)]
     reducer = RowReducer(p, width)
+    packed = RowReducer(p, width)  # fed the same vectors through packed_add
+    pack = fpalg.packed_digits(p, width + extra).pack
     vecs = []
     kept = []
     refused_nonzero = False
@@ -431,7 +443,10 @@ def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count
         if mapped:
             vec[width:] = [sum(a * b for a, b in zip(row, vec)) for row in image]
         independent = schoolbook_rank(kept + [vec], p, width) > len(kept)
+        assert packed.packed_residual(pack(vec)) == reducer.residual(vec)
         assert reducer.add(vec) == independent
+        assert packed.packed_add(pack(vec), width + extra) == independent
+        assert packed.rank == reducer.rank
         vecs.append(vec)
         if independent:
             kept.append(vec)
@@ -445,6 +460,8 @@ def test_extra_columns_reduce_as_the_schoolbook_reference(p, width, extra, count
     assert not (mapped and refused_nonzero)
     x = _raw(rng, width + extra)
     assert reducer.reduce(x) == schoolbook_residual(kept, x, p, width)
+    assert packed.packed_residual(pack(x)) == reducer.residual(x)
+    assert _snapshot(packed) == _snapshot(reducer)
 
 
 def test_reduce_rejects_a_vector_of_the_wrong_length():
@@ -452,9 +469,15 @@ def test_reduce_rejects_a_vector_of_the_wrong_length():
         reducer = RowReducer(p, 3)
         with pytest.raises(ValueError, match="vector length 2"):
             reducer.reduce((1, 0))
+        with pytest.raises(ValueError, match="vector length 2 < 3"):
+            reducer.packed_add(1, 2)
         reducer.add((1, 0, 0))
         with pytest.raises(ValueError, match="vector length 4 != 3"):
             reducer.reduce((1, 0, 0, 1))
+        with pytest.raises(ValueError, match="vector length 4 != 3"):
+            reducer.add((1, 0, 0, 1))
+        with pytest.raises(ValueError, match="vector length 4 != 3"):
+            reducer.packed_add(1, 4)
         assert reducer.reduce((1, 1, 1)) == (0, 1, 1)
 
 

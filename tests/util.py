@@ -100,6 +100,60 @@ def many_orbit_text(p, k, m):
     return "\n".join(lines)
 
 
+def every_point_text(p, k):
+    """An instance file of k orbits of p^2 points each, orbit j a copy of
+    F_p^2 holding p^2·j + 1 .. p^2·j + p^2 in lex order of their vectors,
+    with every point stated.  Generators 0 and 1 shift every orbit by
+    (1, 0) and (0, 1); generator 2 + i shifts orbit j by digit i of j + 1
+    in base p^2, read as the vector of its two base-p digits.  The point at
+    u in orbit j must map into u + x_j + <e_j>, x_j orbit j's part of the
+    sum of the digit generators and e_j the line of F_p^2 numbered j mod
+    (p + 1), so every V_O is the affine line x_j + <e_j>, every E_O has
+    rank 1, and that sum is a witness."""
+    q = p * p
+    digits = 1
+    while q**digits <= k:
+        digits += 1
+    shifts = [[(1, 0)] * k, [(0, 1)] * k]
+    shifts += [[divmod((j + 1) // q**i % q, p) for j in range(k)] for i in range(digits)]
+
+    def point(j, u, s):
+        # the point of orbit j at u + s, u a position and s a vector
+        a, b = divmod(u, p)
+        return q * j + 1 + (a + s[0]) % p * p + (b + s[1]) % p
+
+    lines = [f"gc 1\np {p}\nn {q * k}\nm {len(shifts)}"]
+    for row in shifts:
+        lines.append("g " + " ".join(str(point(j, u, s)) for j, s in enumerate(row)
+                                     for u in range(q)))
+    directions = [(0, 1)] + [(1, c) for c in range(p)]
+    for j in range(k):
+        x = [sum(row[j][t] for row in shifts[2:]) % p for t in (0, 1)]
+        e = directions[j % (p + 1)]
+        for u in range(q):
+            line = sorted(point(j, u, (x[0] + c * e[0], x[1] + c * e[1])) for c in range(p))
+            lines.append(f"c {q * j + 1 + u} : " + " ".join(map(str, line)))
+    return "\n".join(lines) + "\n"
+
+
+def near_square_text(k):
+    """An instance file of k two-point orbits at p = 2, pair j holding
+    2j + 1 and 2j + 2, under k + 1 generators: generator i < k - 1 swaps
+    pairs i and i + 1, generator k - 1 swaps pair k - 1 alone, so these k
+    are independent, and generator k, the product of the first two, adds
+    nothing.  Pair j is left free when j mod 3 is 0; its first point is
+    sent to itself when it is 1 and to its partner when it is 2."""
+    swapped = [(i, i + 1) for i in range(k - 1)] + [(k - 1,), (0, 2)]
+    lines = [f"gc 1\np 2\nn {2 * k}\nm {k + 1}"]
+    for pairs in swapped:
+        images = list(range(1, 2 * k + 1))
+        for j in pairs:
+            images[2 * j:2 * j + 2] = 2 * j + 2, 2 * j + 1
+        lines.append("g " + " ".join(map(str, images)))
+    lines += [f"c {2 * j + 1} : {2 * j + j % 3}" for j in range(k) if j % 3]
+    return "\n".join(lines) + "\n"
+
+
 def schoolbook_translation_perm(p, dims, vector):
     """The translation of consecutive blocks of points, block i a copy of
     F_p^dims[i] numbered in lex order, each by the matching slice of
