@@ -30,7 +30,12 @@ variety matrix M, which is written out only when read; no matrix is
 inverted.  translation_perms builds the permutations that translate
 consecutive blocks of points, each a copy of F_p^d in lex order; the
 instance builders in genbench and reduction make their generators and
-witnesses with it.
+witnesses with it.  It gathers each block's images from the block's
+slice of one tuple of the points, through an itemgetter over the
+translation's positions, made once per call for each distinct
+translation and shared by the blocks of its dimension, so the images
+are the ints that tuple holds and no int is made per image; a block
+gathers each translation it meets once.
 """
 
 from __future__ import annotations
@@ -170,30 +175,37 @@ def translation_perms(p: int, dims, vectors) -> list[Permutation]:
     copy of F_p^dims[i] numbered in lex order (see translation_positions),
     each by the matching slice of one of the vectors.
 
-    One table per call maps a block's digits to their translation, so
-    blocks of the same dimension share it and each distinct translation is
-    built once.  Each block keeps its own table from digits to its images,
-    the positions shifted past the blocks before it, so each permutation
-    is a concatenation of ready lists."""
-    positions: dict[tuple[int, ...], list[int]] = {}
+    Each block's images are gathered from its slice of one tuple of the
+    call's points, by an itemgetter over the positions of the block's
+    translation, so every image is an int the points tuple already holds.
+    One itemgetter per call is made for each distinct translation, and
+    blocks of the same dimension share it; each block keeps what it
+    gathered per translation, so a block that meets a translation again
+    reuses its images."""
+    points = tuple(range(1, sum(p**d for d in dims) + 1))
     blocks = []
     lo = off = 0
     for d in dims:
-        blocks.append((lo, lo + d, off, {}))
+        blocks.append((lo, lo + d, points[off:off + p**d], {}))
         lo += d
         off += p**d
+    gathers: dict[tuple[int, ...], Callable] = {}
     perms = []
     for vector in vectors:
         vector = tuple(vector)
         images: list[int] = []
-        for lo, hi, off, shifted in blocks:
+        for lo, hi, block, gathered in blocks:
             xd = vector[lo:hi]
-            part = shifted.get(xd)
+            part = gathered.get(xd)
             if part is None:
-                table = positions.get(xd)
-                if table is None:
-                    table = positions[xd] = translation_positions(xd, p)
-                part = shifted[xd] = list(map((off + 1).__add__, table))
+                gather = gathers.get(xd)
+                if gather is None:
+                    table = translation_positions(xd, p)
+                    # an itemgetter of one index returns the item, not a
+                    # tuple, so a one-point block is gathered whole, by a slice
+                    gather = gathers[xd] = (itemgetter(*table) if len(table) > 1
+                                            else itemgetter(slice(None)))
+                part = gathered[xd] = gather(block)
             images += part
         perms.append(Permutation._trusted(tuple(images)))
     return perms

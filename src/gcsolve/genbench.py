@@ -8,19 +8,21 @@ stream, and so the seed-0 vectors and every generated instance, is the
 one that mixing a state per draw gives.  Orbit i of an instance is a
 block of consecutive points, a copy of F_p^{d_i} numbered in lex order,
 so its generators and planted witness are translations built by
-frame.translation_perms, whose tables per call build each distinct
-block translation once and each block's shifted images once.  Each
-point's constraint set is drawn inside its orbit and frozen as it is
-drawn, and the GcInstance is made from the sets directly, kept as
-stated as a parsed instance keeps its own, and is handed its orbits,
-the blocks, which the per-block rank check proves to be orbits
-(GcInstance._trusted), so rendering it searches for none.  Every
-instance the reductions build is handed its orbits the same way: a
-1-in-k point's set is its images under its clause's generators, and an
-empty clause's block is p blocks of dimension 0, one point each.  The
-harness times the linear pipeline against the enumeration oracle and
-aggregates summary rows (means and standard deviations as a percent of
-the mean, with "-" for cells where the oracle was capped).
+frame.translation_perms, which gathers each block's images from one
+tuple of the instance's points.  Each point's constraint set is drawn
+inside its orbit and frozen as it is drawn; an orbit's draws share one
+bound, so they go through one draw function (SplitMix64.below_fn), which
+checks the bound and computes its rejection limit once.  The GcInstance
+is made from the sets directly, kept as stated as a parsed instance
+keeps its own, and is handed its orbits, the blocks, which the per-block
+rank check proves to be orbits (GcInstance._trusted), so rendering it
+searches for none.  Every instance the reductions build is handed its
+orbits the same way: a 1-in-k point's set is its images under its
+clause's generators, and an empty clause's block is p blocks of
+dimension 0, one point each.  The harness times the linear pipeline
+against the enumeration oracle and aggregates summary rows (means and
+standard deviations as a percent of the mean, with "-" for cells where
+the oracle was capped).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from array import array
 from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 from statistics import fmean, pstdev
+from typing import Callable
 
 from .constraint import GcInstance, solve, solve_enumerate
 from .fpalg import RowReducer, check_prime
@@ -111,6 +114,22 @@ class SplitMix64:
             u = (self._ahead or self._refill()).pop()
             if u < limit:
                 return u % n
+
+    def below_fn(self, n: int) -> Callable[[], int]:
+        """A function of no arguments whose calls give what calls of
+        below(n) give, from this stream, with the bound checked and the
+        rejection limit computed once, when it is made."""
+        if not 0 < n <= _SPAN:
+            raise ValueError("below() needs a bound in 1..2^64")
+        limit = _SPAN - _SPAN % n
+
+        def draw() -> int:
+            while True:
+                u = (self._ahead or self._refill()).pop()
+                if u < limit:
+                    return u % n
+
+        return draw
 
     def below_many(self, n: int, count: int) -> list[int]:
         """[below(n) for _ in range(count)], taken from the computed
@@ -341,16 +360,18 @@ def gen_instance(cfg: GenConfig) -> GenResult:
     gens = translation_perms(p, dims, vectors)
     witness = gens.pop() if planted else None
 
-    # every draw lies in its point's orbit, so the sets lie in 1..n
+    # every draw lies in its point's orbit, so the sets lie in 1..n; all
+    # of a block's draws share one bound, and so one draw function
     constraints = {}
     off = 0
     for di in dims:
         size = p**di
         want = min(cfg.k, size)
+        draw = rng.below_fn(size)
         for a in range(off + 1, off + size + 1):
             cset = {witness.images[a - 1]} if planted else set()
             while len(cset) < want:
-                cset.add(off + 1 + rng.below(size))
+                cset.add(off + 1 + draw())
             constraints[a] = frozenset(cset)
         off += size
 

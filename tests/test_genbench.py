@@ -1,10 +1,11 @@
 import hashlib
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcsolve
@@ -21,7 +22,7 @@ from gcsolve.genbench import (
     n_sweep,
     rows_to_csv,
 )
-from gcsolve.frame import translation_perms
+from gcsolve.frame import translation_perms, translation_positions
 from gcsolve.instfile import render_instance, render_witness
 from gcsolve.perm import is_elementary_abelian, orbit_partition
 from gcsolve.reduction import ClauseSet, reduce_1in_k, reduce_2cstr
@@ -274,6 +275,7 @@ def test_below_many_draws_one_at_a_time_from_a_rejection_on():
 @pytest.mark.parametrize("draw", [
     lambda rng: rng.below(2**64 + 1),
     lambda rng: rng.below_many(2**64 + 1, 1),
+    lambda rng: rng.below_fn(2**64 + 1),
     lambda rng: rng.randint(0, 2**64),
 ])
 def test_a_bound_above_2_64_is_refused(draw):
@@ -283,14 +285,29 @@ def test_a_bound_above_2_64_is_refused(draw):
         draw(SplitMix64(0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from((1, 2, 3, 2**13, 2**63 + 1)),
+       count=st.integers(0, 300))
+def test_below_fn_gives_what_below_gives(seed, n, count):
+    """gen_instance takes each block's draws from one below_fn: its calls
+    give what as many calls of below give, and leave the stream where
+    those calls leave it.  At 2^63 + 1 about half of all outputs are
+    rejected."""
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    draw = rng.below_fn(n)
+    assert [draw() for _ in range(count)] == [ref.below(n) for _ in range(count)]
+    assert rng.next_u64() == ref.next_u64()
+
+
 @st.composite
 def translation_cases(draw):
     """(p, dims, vectors) at p in {2, 3, 5}: up to four blocks of dimension
-    1-3 (1-2 at p = 5), and vectors drawn at random, as zero vectors, or
-    as copies of earlier ones, so that blocks repeat within a vector and
-    across the list and hit the table."""
+    0-3 (0-2 at p = 5), a block of dimension 0 being one point, and
+    vectors drawn at random, as zero vectors, or as copies of earlier
+    ones, so that blocks repeat within a vector and across the list and
+    share their gather."""
     p = draw(st.sampled_from((2, 3, 5)))
-    dims = tuple(draw(st.lists(st.integers(1, 2 if p == 5 else 3), min_size=1, max_size=4)))
+    dims = tuple(draw(st.lists(st.integers(0, 2 if p == 5 else 3), min_size=1, max_size=4)))
     d = sum(dims)
     vectors = []
     for kind in draw(st.lists(st.sampled_from(("random", "zero", "repeat")), max_size=8)):
@@ -305,6 +322,9 @@ def translation_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(translation_cases())
+@example((2, (0, 3, 0, 0, 1, 3), [[1, 0, 1, 1, 1, 0, 1], [0] * 7, [1, 0, 1, 1, 1, 0, 1]]))
+@example((131, (1, 0, 1), [[130, 7], [0, 0], [7, 130]]))
+@example((2, (13,) * 8, [[1] * 104, [i % 3 % 2 for i in range(104)]]))
 def test_translation_perms_match_the_block_by_block_reference(case):
     p, dims, vectors = case
     expected = [schoolbook_translation_perm(p, dims, v) for v in vectors]
@@ -316,7 +336,9 @@ def _boundary_cases():
     """n = MAX_N at p = 2: eight 13-dimensional blocks, whose last point,
     65536, is one past a 16-bit field; vectors drawn at random, all ones,
     zero, and one whose blocks all share their digits.  At p = 3 and 5,
-    blocks of the same dimension that share digits at different offsets."""
+    blocks of the same dimension that share digits at different offsets.
+    One-point blocks (dimension 0) among larger ones at p = 2 and 3, and
+    blocks of 131 points at p = 131."""
     rng = SplitMix64(derive_seed(2, 13))
     dims = (13,) * 8
     block = rng.below_many(2, 13)
@@ -325,6 +347,9 @@ def _boundary_cases():
     yield 3, (2, 1, 2, 2, 1), [[1, 2, 0, 1, 2, 1, 2, 0], [0, 0, 1, 0, 0, 0, 0, 1],
                                [2, 1, 1, 2, 1, 2, 1, 1]]
     yield 5, (1, 2, 1, 2), [[4, 3, 1, 4, 3, 1], [4, 3, 1, 4, 3, 1], [0, 0, 0, 0, 0, 0]]
+    yield 2, (0, 2, 0, 0, 3, 0), [[1, 1, 0, 1, 1], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]]
+    yield 3, (0, 0, 1, 0), [[2], [0], [1]]
+    yield 131, (1, 1, 0, 1), [[1, 130, 65], [65, 65, 65], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("p, dims, vectors", list(_boundary_cases()))
@@ -333,6 +358,58 @@ def test_translation_perms_at_the_boundaries(p, dims, vectors):
     got = translation_perms(p, dims, vectors)
     assert got == expected
     assert got[0].n == sum(p**d for d in dims)
+
+
+def test_translation_perms_make_one_gather_per_distinct_translation(monkeypatch):
+    """translation_positions is called once per distinct (dimension, slice)
+    pair a call meets, however many blocks share the dimension and
+    however many vectors repeat the slice."""
+    calls = []
+
+    def counted(x, p):
+        calls.append(tuple(x))
+        return translation_positions(x, p)
+
+    monkeypatch.setattr("gcsolve.frame.translation_positions", counted)
+    p, dims = 3, (2,) * 6 + (1,) * 3 + (0,) * 2
+    shared = [1, 2] * 6 + [2] * 3
+    vectors = [shared, [0] * 15, shared, [1, 2, 0, 0] * 3 + [1, 0, 2]]
+    got = translation_perms(p, dims, vectors)
+    assert got == [schoolbook_translation_perm(p, dims, v) for v in vectors]
+    slices = set()
+    for v in vectors:
+        lo = 0
+        for d in dims:
+            slices.add(tuple(v[lo:lo + d]))
+            lo += d
+    assert sorted(calls) == sorted(slices)
+    # (1, 2), (2,) and () from the first vector, the zero slices (0, 0)
+    # and (0,) from the second, and only (1,) new in the last
+    assert len(calls) == 6
+
+
+def test_gen_instance_memory_about_doubles_with_the_points():
+    """Eight 13-dimensional orbits at p = 2 (n = MAX_N) against four, with
+    the group dimension fixed at 26, so that only n doubles: the memory
+    peak of gen_instance at most about doubles.  (At dim_g = 13 each of
+    the eight blocks must take rank 13 from 13 random rows, and the
+    generators were drawn about 35,000 times.)  Each config is built once
+    before it is traced, so that caches filled on first use are not
+    counted."""
+    peaks = []
+    for q in (4, 8):
+        cfg = GenConfig(p=2, seed=derive_seed(13, q), k=2, sat_bias=1.0, dims=(13,) * q,
+                        dim_g=26)
+        gen_instance(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = gen_instance(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert res.instance.n == q << 13
+    assert peaks[1] < 2.5 * peaks[0]
 
 
 def _pinned_configs():
@@ -365,10 +442,22 @@ def test_gen_instance_matches_the_normalize_reference():
     """Built in one pass, every pinned and text config gives the instance,
     witness and dimensions that drawing Python sets through normalize
     gave."""
-    for cfg in (*_pinned_configs(), *_text_configs()):
+    for cfg in (*_pinned_configs(), *_text_configs(), *_repeat_configs()):
         res, ref = gen_instance(cfg), reference_gen_instance(cfg)
         assert_same_instance(res.instance, ref.instance)
         assert (res.witness, res.dims, res.dim_g) == (ref.witness, ref.dims, ref.dim_g)
+
+
+def _repeat_configs():
+    """Configs whose points draw many repeated members: the smallest
+    orbits at p = 2, 3 and 5 (2 and 4 points at p = 2, 3 at p = 3, 5 at
+    p = 5, the smallest there) with k the largest orbit's size, so that
+    every set is its whole orbit, never and always planted."""
+    for p, dims in ((2, (1, 2, 1, 2, 2)), (2, (1, 1, 1)), (3, (1,) * 5), (5, (1,) * 4)):
+        for sat_bias in (0.0, 1.0):
+            for seed in range(3):
+                yield GenConfig(p=p, seed=derive_seed(p, len(dims), int(sat_bias), seed),
+                                k=p ** max(dims), sat_bias=sat_bias, dims=dims)
 
 
 def _text_configs():

@@ -310,9 +310,9 @@ def reference_reduce_2cstr(s, p):
 
 def reference_gen_instance(cfg):
     """genbench.gen_instance as it drew Python sets and passed them through
-    normalize: the same draws in the same order, each drawn one at a time
-    (ScalarSplitMix64), the generators and the witness built block by block
-    (schoolbook_translation_perm)."""
+    normalize: the same draws in the same order, point by point, each by
+    its own below call (ScalarSplitMix64), the generators and the witness
+    built block by block (schoolbook_translation_perm)."""
     rng = ScalarSplitMix64(cfg.seed)
     p = cfg.p
     dims = _draw_dims(cfg, rng)
