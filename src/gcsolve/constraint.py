@@ -23,19 +23,24 @@ every orbit's.  E is the direct sum of per-orbit spaces E_O, kept as one
 echelon form per orbit, of the orbit's width; the linear system is
 decided by one Gaussian elimination over G's generators, each with its
 residual against E, so nothing of size d x d is built (solve_linear);
-its rows are packed ints, each generator packed once, and a free
-orbit's columns stay in them as zero columns.
+its rows are the generators' packed coordinates with their residuals,
+and a free orbit's columns stay in them as zero columns.
 The product search tests membership: x lies in G when its residual
 against G's echelon form, M_G·x, is zero, and solve_product builds that
 form itself, on no other branch.  It walks the orbits depth first in
 product order and cuts a prefix as soon as its residual is nonzero on
-the orbits it fixes, and the cap bounds the candidates it tests.  The
-V_O search, the rank test, the linear system and the product search
-add whole packed vectors, the layout RowReducer keeps its rows in
-(RowReducer.packed_add), and digits are unpacked only where linearize
-reads w_O and where solve_linear and solve_product read their witness;
-the enumeration oracle keeps its digit arithmetic (frame.position_sum),
-so that it stays independent of them.
+the orbits it fixes, and the cap bounds the candidates it tests.  Every
+vector from the frame to the witness is one packed int: the generators'
+coordinates (Frame.gen_coords), each orbit's field the code compute_vo
+gives its V_O members, and w, which linearize ORs together from the
+w_O.  The rank test, the linear system and the product search add them
+whole, the layout RowReducer keeps its rows in (RowReducer.packed_add),
+and both solvers hand their witness's coordinates to
+Frame.perm_of_coords as they are, so no d-wide vector is packed or
+unpacked on the way to a verdict.  verify_detail tests the witness's
+coordinates against G's echelon form the same way.  The enumeration
+oracle keeps its digit arithmetic (frame.position_sum), so that it
+stays independent of them: it unpacks its basis and packs its witness.
 """
 
 from __future__ import annotations
@@ -270,13 +275,15 @@ class LinearizedConstraint:
     """The admissible set as one affine variety w + E of the frame, E the
     direct sum of the orbits' spaces E_O.
 
-    w holds, per orbit, the lexicographically smallest admissible vector.
+    w holds, per orbit, the lexicographically smallest admissible vector,
+    packed as Frame.coords_of_perms packs coordinates: each orbit's member
+    in the orbit's field.
     e_orbits holds, per orbit, E_O as the echelon form of V_O's
     differences from that vector (a RowReducer of width d_O, of rank 0
     when V_O is one vector), or None when V_O is the whole constituent.
     """
 
-    w: tuple[int, ...]
+    w: int
     e_orbits: tuple[RowReducer | None, ...]
 
 
@@ -287,16 +294,17 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
     V_O is tested for emptiness before any linearity verdict), else the
     NOTLINEAR outcome naming the first failing orbit, else a
     LinearizedConstraint.  The rank test adds the differences v - w_O
-    packed (RowReducer.packed_add); only w_O is unpacked to digits."""
+    packed (RowReducer.packed_add), and each w_O is OR-ed into w's field
+    for its orbit as it is."""
     for of, vo in zip(fr.orbit_frames, vos):
         if not vo:
             return SolveOutcome.unsat(UNSAT_EMPTY_VO, orbit_min=of.origin)
     p = fr.p
-    w: list[int] = []
+    w = 0
     e_orbits: list[RowReducer | None] = []
     for of, vo in zip(fr.orbit_frames, vos):
         packing = packed_digits(p, of.dim)
-        w.extend(packing.unpack(vo[0]))
+        w = w << of.dim * packing.width | vo[0]
         size = len(vo)
         reducer = None  # V_O is the whole constituent: trivially an affine subspace
         if size < p**of.dim:
@@ -310,7 +318,7 @@ def linearize(fr: Frame, vos) -> LinearizedConstraint | SolveOutcome:
                 return SolveOutcome(NOTLINEAR, reason="not linear", orbit_min=of.origin,
                                     vo_size=size, span_dim=None if r is None else reducer.rank)
         e_orbits.append(reducer)
-    return LinearizedConstraint(tuple(w), tuple(e_orbits))
+    return LinearizedConstraint(w, tuple(e_orbits))
 
 
 # -- solvers ---------------------------------------------------------------
@@ -332,10 +340,11 @@ def solve_linear(fr: Frame, lin: LinearizedConstraint) -> SolveOutcome:
     a residual (0 | y) with y in G ∩ E, and those y span G ∩ E: the other
     solutions are x plus its members.
 
-    Every vector is packed, as fpalg.packed_digits packs it, and each
-    generator is packed once: res(x) keeps the fields of the orbits that
-    are not free by a mask, and replaces each orbit's slice whose E_O has
-    rank above 0 by its packed residual against E_O.  A free orbit's
+    Every vector is packed, as fpalg.packed_digits packs it: the
+    generators' coordinates as the frame keeps them and w as linearize
+    gives it.  res(x) keeps the fields of the orbits that are not free by
+    a mask, and replaces each orbit's slice whose E_O has rank above 0 by
+    its packed residual against E_O.  A free orbit's
     columns stay as zero columns, which hold no pivot, so the rows kept,
     their pivots and the answer are those of the system without them.  A
     row (res(g) | g) is res(g) shifted above g, fed to
@@ -373,23 +382,22 @@ def solve_linear(fr: Frame, lin: LinearizedConstraint) -> SolveOutcome:
         return int("".join(pieces), 2)
 
     reducer = RowReducer(p, d)
-    for g in map(packing.pack, fr.gen_coords):
+    for g in fr.gen_coords:
         reducer.packed_add(res(g) << half | g, 2 * d)
-    residual = reducer.packed_residual(res(packing.pack(lin.w)) << half)
+    residual = reducer.packed_residual(res(lin.w) << half)
     if residual >> half:
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
-    x = packing.neg(residual & ((1 << half) - 1))
-    return SolveOutcome.sat(fr.perm_of_coords(packing.unpack(x)), "linear")
+    return SolveOutcome.sat(fr.perm_of_coords(packing.neg(residual)), "linear")
 
 
 def group_variety(fr: Frame) -> VarietyMatrix:
     """Variety matrix of G itself inside its frame: the echelon form of
-    fr.gen_coords, each packed once and added packed to one RowReducer."""
+    fr.gen_coords, added packed, as the frame keeps them, to one
+    RowReducer."""
     d = fr.dim
-    pack = packed_digits(fr.p, d).pack
     reducer = RowReducer(fr.p, d)
     for x in fr.gen_coords:
-        reducer.packed_add(pack(x), d)
+        reducer.packed_add(x, d)
     return VarietyMatrix(reducer)
 
 
@@ -417,8 +425,11 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
     p = fr.p
     if p**r > cap:
         raise CapExceededError(f"group size {p}^{r} exceeds cap {cap}")
-    # the basis vectors and the search point x as one position per orbit
-    steps = [tuple(position(b[lo:hi], p) for lo, hi in fr.slices) for b in basis]
+    packing = packed_digits(p, fr.dim)
+    # the basis vectors, unpacked, and the search point x as one position
+    # per orbit
+    steps = [tuple(position(b[lo:hi], p) for lo, hi in fr.slices)
+             for b in map(packing.unpack, basis)]
     checks = [
         (len(cset) / len(of.lex), of.lex, a, cset, i)
         for i, of in enumerate(fr.orbit_frames)
@@ -435,7 +446,7 @@ def solve_enumerate(fr: Frame, inst: GcInstance, cap: int = DEFAULT_CAP) -> Solv
                 break
         else:
             coords = [c for of, xi in zip(fr.orbit_frames, x) for c in digits(xi, of.dim, p)]
-            return SolveOutcome.sat(fr.perm_of_coords(coords), "enumerate")
+            return SolveOutcome.sat(fr.perm_of_coords(packing.pack(coords)), "enumerate")
         j = r - 1
         while j >= 0 and odometer[j] == p - 1:
             j -= 1
@@ -460,8 +471,8 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     admissible vector and kept packed, as VarietyMatrix.packed_product
     returns it (fpalg.PackedDigits), so the sums are SWAR additions; each
     member of V_O, packed at O's width as compute_vo gives it, is shifted
-    into O's slice, so no d-wide tuple is built but the witness's, which
-    is unpacked once from the sum of the members chosen.
+    into O's slice, so no d-wide tuple is built: the sum of the members
+    chosen is the witness's coordinates, packed as the frame packs them.
     The search walks depth first over the orbits in frame order and over
     each V_O in its order, so its first leaf in G is the first member of G
     in product order.  A prefix is extended only while its syndrome sum is
@@ -512,8 +523,7 @@ def solve_product(fr: Frame, vos, cap: int = DEFAULT_CAP) -> SolveOutcome:
     if j < 0:
         return SolveOutcome.unsat(UNSAT_EXHAUSTED, method="product")
     # the members' slices are disjoint, so their sum is the whole vector
-    return SolveOutcome.sat(fr.perm_of_coords(packing.unpack(sum(v for _, v in chosen))),
-                            "product")
+    return SolveOutcome.sat(fr.perm_of_coords(sum(v for _, v in chosen)), "product")
 
 
 def solve(inst: GcInstance, fallback: str = "product", cap: int = DEFAULT_CAP) -> SolveOutcome:
@@ -569,14 +579,14 @@ def verify_detail(
     fr = _frame_of(inst, fr)
     if m_g is None:
         m_g = group_variety(fr)
-    elif (not all(map(m_g.contains, fr.gen_coords))
+    elif (any(map(m_g.packed_product, fr.gen_coords))
           or m_g.dim_sub != fr.subspace_basis(fr.gen_coords)[1]):
         raise ValueError("m_g is not the variety of the frame's group")
     try:
         x = fr.coords_of_perm(g)
     except NotInSuperspaceError as exc:
         return False, f"witness not in group: {exc}"
-    if not m_g.contains(x):
+    if m_g.packed_product(x):
         return False, "witness not in group"
     return True, None
 

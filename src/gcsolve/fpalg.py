@@ -316,24 +316,15 @@ class RowReducer:
         """vec minus the combination of kept rows that clears every pivot
         column: zero exactly on their span, and equal for two vectors
         exactly when they differ by a member of it.  Nothing is kept."""
-        packing, v = self._residual(vec)
-        return packing.unpack(v)
-
-    def residual(self, vec) -> int:
-        """reduce(vec), packed as packed_digits(p, len(vec)) packs it."""
-        return self._residual(vec)[1]
-
-    def _residual(self, vec) -> tuple[PackedDigits, int]:
-        # the packing of vec's length, and vec's residual in it
         if len(vec) < self.width:
             raise ValueError(f"vector length {len(vec)} < {self.width}")
         # once a row is kept, its packing's pack refuses any other length
         packing = self._packing if self._rows else packed_digits(self.p, len(vec))
-        return packing, self.packed_residual(packing.pack(vec))
+        return packing.unpack(self.packed_residual(packing.pack(vec)))
 
     def packed_residual(self, v: int) -> int:
-        """residual(vec) for vec given packed, as the kept rows' packing
-        packs it; with no row kept, v itself."""
+        """reduce(vec) for vec given packed, as the kept rows' packing
+        packs it, packed the same way; with no row kept, v itself."""
         pivot_bits = self._pivot_bits
         hit = v & pivot_bits
         if not hit:

@@ -10,18 +10,22 @@ pass over the generators: each kept generator becomes the new most
 significant digit, and the points of O, listed by position (lex), grow
 by their own images under it.  So lex[i] is the point with position i
 and pos maps each point back to i.  Positions add digit by digit mod p,
-which at p = 2 is one XOR.  Digit tuples are made only where a vector
-leaves the frame: the coordinates coords_of_perms returns and the ones
-perm_of_coords takes.  The concatenated per-orbit bases form a global
-basis of F of dimension d; the restrictions of the kept generators to
-their orbit are built when the orbit's basis is first read.
+which at p = 2 is one XOR.  The concatenated per-orbit bases form a
+global basis of F of dimension d; the restrictions of the kept
+generators to their orbit are built when the orbit's basis is first
+read.  Coordinates in that basis have one form, from the frame to the
+witness: one int, packed as fpalg.packed_digits(p, d) packs it, which
+coords_of_perms returns and perm_of_coords takes.  Each orbit holds one
+field of it, the first orbit the top field, and an orbit's field is the
+code of its position at the orbit's width (at p = 2, the position).
 The frame reads every generator's coordinates once, as its group check,
 and keeps them as gen_coords.  The read goes orbit by orbit over all the
 generators, so each orbit's lex translated by X is made once per distinct
-image of its origin and dropped when the orbit is done; coords_of_perm is
-the same read of one permutation.  Every translation the frame applies,
-in that read and in perm_of_coords, goes through one table per frame from
-an orbit's dimension and a position X to an operator.itemgetter that
+image of its origin and dropped when the orbit is done, and each
+generator's fields are joined once; coords_of_perm is the same read of
+one permutation.  Every translation the frame applies, in that read and
+in perm_of_coords, goes through one table per frame from an orbit's
+dimension and the code of a vector X to an operator.itemgetter that
 translates a lex-ordered tuple by X in one C call; orbits of one
 dimension share its entries.  A vector lies in a subspace H of F when
 its residual against an echelon form of a basis of H is zero (every
@@ -44,11 +48,11 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 from operator import itemgetter
 from typing import Callable
 
-from .fpalg import FpMatrix, RowReducer, check_prime
+from .fpalg import FpMatrix, RowReducer, check_prime, packed_digits
 from .perm import Permutation, check_size, is_elementary_abelian
 # orbit_partition is re-exported: build_frame finds the orbits itself, and
 # frame.orbit_partition stays for the callers that look it up here (the
@@ -236,7 +240,7 @@ class VarietyMatrix:
         return self.reducer.packed_residual(code)
 
     def contains(self, x) -> bool:
-        return not self.reducer.residual(x)
+        return not any(self.product(x))
 
     @cached_property
     def m(self) -> FpMatrix:
@@ -258,72 +262,84 @@ class Frame:
         self.n = n
         self.gens = tuple(gens)
         self.orbit_frames = tuple(orbit_frames)
-        slices = []
-        start = 0
-        for of in self.orbit_frames:
-            slices.append((start, start + of.dim))
-            start += of.dim
-        self.slices = tuple(slices)
-        self.dim = start
-        # (dim, position x) -> (digits of x, itemgetter translating
-        # lex-ordered tuples by x), filled on first use; its keys are the
-        # per-orbit positions of the permutations coords_of_perms and
-        # perm_of_coords were given.  The dimension keeps orbits of
-        # different sizes apart, and orbits of one size share an entry;
-        # an orbit's lex translated by x is kept only while
-        # coords_of_perms reads that orbit
-        self._translations: dict[tuple[int, int], tuple[tuple[int, ...], Callable]] = {}
+        # (first, past the last) digit of each orbit in the global basis
+        ends = list(accumulate((of.dim for of in self.orbit_frames), initial=0))
+        self.slices = tuple(zip(ends, ends[1:]))
+        self.dim = ends[-1]
+        # (dim, code) -> itemgetter translating lex-ordered tuples by the
+        # vector packed_digits(p, dim) packs as code, filled on first use;
+        # its keys are the per-orbit codes of the permutations
+        # coords_of_perms and perm_of_coords were given.  The dimension
+        # keeps orbits of different sizes apart, and orbits of one size
+        # share an entry; an orbit's lex translated by the code is kept only
+        # while coords_of_perms reads that orbit
+        self._translations: dict[tuple[int, int], Callable] = {}
         self.gen_coords = self.coords_of_perms(self.gens)
 
     # -- coordinates ------------------------------------------------------
 
-    def translation(self, dim: int, x: int) -> tuple[tuple[int, ...], Callable]:
-        """The digits of position x of F_p^dim, and the translation by x on
-        an orbit of that dimension, on tuples in lex order: entry i of
-        translation(dim, x)[1](of.lex) is the image of of.lex[i].
+    def translation(self, dim: int, code: int) -> Callable:
+        """The translation on an orbit of dimension dim by the vector that
+        packed_digits(p, dim) packs as code (at p = 2 the code is the
+        position), on tuples in lex order: entry i of
+        translation(dim, code)(of.lex) is the image of of.lex[i].
 
-        The translation is an itemgetter over its positions; both are made
-        on first use and kept in the frame's table."""
-        entry = self._translations.get((dim, x))
-        if entry is None:
-            xd = digits(x, dim, self.p)
-            entry = self._translations[dim, x] = (
-                xd, itemgetter(*translation_positions(xd, self.p)))
-        return entry
+        It is an itemgetter over the translation's positions, made on first
+        use and kept in the frame's table."""
+        get = self._translations.get((dim, code))
+        if get is None:
+            xd = packed_digits(self.p, dim).unpack(code)
+            get = self._translations[dim, code] = itemgetter(*translation_positions(xd, self.p))
+        return get
 
-    def coords_of_perm(self, u: Permutation) -> tuple[int, ...]:
+    def _field(self, dim: int, x: int) -> tuple[str, Callable]:
+        """The code of position x of F_p^dim, as packed_digits(p, dim) packs
+        it, in binary digits (empty at dim 0), and the translation by it."""
+        packing = packed_digits(self.p, dim)
+        code = x if self.p == 2 else packing.pack(digits(x, dim, self.p))
+        return (format(code, f"0{dim * packing.width}b") if dim else "",
+                self.translation(dim, code))
+
+    def coords_of_perm(self, u: Permutation) -> int:
         """Coordinates of u in the global basis (see coords_of_perms)."""
         return self.coords_of_perms((u,))[0]
 
-    def coords_of_perms(self, perms) -> tuple[tuple[int, ...], ...]:
-        """Coordinates of each permutation of perms in the global basis.
+    def coords_of_perms(self, perms) -> tuple[int, ...]:
+        """Coordinates of each permutation of perms in the global basis,
+        each packed into one int as packed_digits(p, d) packs it.
 
         The read goes orbit by orbit, and on each orbit over all of perms.
         The position x is read off the image of the origin; each
         permutation is then replayed on every point of the orbit to
         confirm it decomposes over the constituents: its images in lex
-        order must be lex translated by x.  Within one orbit the digits of
-        x and lex translated by x are made once per distinct image of the
-        origin.  A one-point orbit is read the same way: its only position
-        is 0, and the replay compares the image of the point with the
-        point.  The first failing orbit raises, at its first failing
-        permutation, so a single permutation gets its orbits' errors in
-        orbit order.
+        order must be lex translated by x.  Each orbit's field, the code
+        packed_digits(p, d_O) gives x, is appended after the fields of the
+        orbits before it, so the first orbit holds the top field; the
+        fields are joined as binary digits, so that the read takes time
+        linear in d however many orbits there are.  Within one call a field
+        is made once per distinct (d_O, x), and within one orbit lex
+        translated by x once per distinct image of the origin.  A
+        one-point orbit is read the same way: its only position is 0, its
+        field is empty, and the replay compares the image of the point
+        with the point.  The first failing orbit raises, at its first
+        failing permutation, so a single permutation gets its orbits'
+        errors in orbit order.
         """
         n = self.n
         for u in perms:
             if u.n != n:
                 raise FrameError(f"domain size {u.n} differs from frame size {n}")
         images = [u.images for u in perms]
-        outs: list[list[int]] = [[] for _ in images]
-        translation = self.translation
+        outs: list[list[str]] = [[] for _ in images]
+        # (dim, position x) -> (x's field, the translation by x), for this call
+        fields: dict[tuple[int, int], tuple[str, Callable]] = {}
         for of in self.orbit_frames:
             origin = of.origin
             at = origin - 1
             dim, lex, get, pos = of.dim, of.lex, of.get, of.pos
-            # image of the origin -> (digits of x, lex translated by x),
-            # for this orbit of this call only
-            shifted: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+            # image of the origin -> (x's field, lex translated by x), for
+            # this orbit of this call only
+            shifted: dict[int, tuple[str, tuple[int, ...]]] = {}
             for ui, out in zip(images, outs):
                 b = ui[at]
                 entry = shifted.get(b)
@@ -332,34 +348,41 @@ class Frame:
                     if x is None:
                         raise NotInSuperspaceError(
                             f"point {origin} leaves its orbit under the permutation")
-                    xd, shift = translation(dim, x)
-                    entry = shifted[b] = (xd, shift(lex))
+                    field, shift = fields.get((dim, x)) or fields.setdefault(
+                        (dim, x), self._field(dim, x))
+                    entry = shifted[b] = (field, shift(lex))
                 if get(ui) != entry[1]:
                     raise NotInSuperspaceError(
                         f"restriction to the orbit of {origin} is not in the constituent")
-                out += entry[0]
-        return tuple(map(tuple, outs))
+                out.append(entry[0])
+        return tuple(int("".join(out) or "0", 2) for out in outs)
 
-    def perm_of_coords(self, x) -> Permutation:
-        """The permutation with global coordinates x (sum of basis multiples)."""
-        if len(x) != self.dim:
-            raise FrameError(f"coordinate length {len(x)} != frame dimension {self.dim}")
-        p = self.p
+    def perm_of_coords(self, x: int) -> Permutation:
+        """The permutation with global coordinates x, packed as
+        coords_of_perms packs them: each orbit's code is read from its
+        field of x and translates the orbit's points."""
+        d = self.dim
+        w = packed_digits(self.p, d).width
+        if not 0 <= x < 1 << d * w:
+            raise FrameError(f"coordinates do not fit the frame's {d} fields")
+        # the fields are cut from x's binary digits, so that the read takes
+        # time linear in d however many orbits there are
+        bits = format(x, f"0{d * w}b")
         moved: dict[int, int] = {}
         for of, (lo, hi) in zip(self.orbit_frames, self.slices):
-            xo = position(x[lo:hi], p)
-            if xo:
-                moved.update(zip(of.lex, self.translation(of.dim, xo)[1](of.lex)))
+            if lo < hi and (code := int(bits[lo * w:hi * w], 2)):
+                moved.update(zip(of.lex, self.translation(of.dim, code)(of.lex)))
         points = range(1, self.n + 1)
         return Permutation._trusted(tuple(map(moved.get, points, points)))
 
     # -- subspaces --------------------------------------------------------
 
-    def subspace_basis(self, vecs) -> tuple[list[tuple[int, ...]], int]:
-        """Extract from vecs (coordinate vectors of F) a maximal
-        independent subset: (basis, dimension)."""
+    def subspace_basis(self, vecs) -> tuple[list[int], int]:
+        """Extract from vecs (coordinate vectors of F, packed as
+        coords_of_perms packs them) a maximal independent subset:
+        (basis, dimension)."""
         reducer = RowReducer(self.p, self.dim)
-        basis = [x for x in vecs if reducer.add(x)]
+        basis = [x for x in vecs if reducer.packed_add(x, self.dim)]
         return basis, reducer.rank
 
     def variety_matrix(self, sub_basis) -> VarietyMatrix:

@@ -27,7 +27,7 @@ from gcsolve.constraint import (
     verify,
     verify_detail,
 )
-from gcsolve.fpalg import PackedDigits, RowReducer
+from gcsolve.fpalg import PackedDigits, RowReducer, packed_digits
 from gcsolve.frame import Frame, FrameError, VarietyMatrix, build_frame, translation_perms
 from gcsolve.genbench import GenConfig, SplitMix64, derive_seed, gen_instance
 from gcsolve.instfile import parse_instance, render_instance
@@ -43,11 +43,13 @@ from util import (
     many_orbit_text,
     near_square_text,
     pack_vos,
+    reference_coords,
     relabelled_frames,
     satisfies_pointwise,
     schoolbook_rank,
     schoolbook_solve_linear,
     schoolbook_variety_matrix,
+    unpack_coords,
     unpack_vos,
 )
 
@@ -124,19 +126,28 @@ def test_compute_vo_empty_when_unsatisfiable_on_orbit():
 
 def test_compute_vo_matches_definition_exhaustively():
     """Oracle: intersection over all points of the shifted constraint sets,
-    computed directly from the constituent elements."""
+    computed directly from the constituent elements.  The eight points are
+    one orbit, so a member of V_O, packed at the orbit's width, is the
+    coordinates coords_of_perm packs.  The constraint maps leave no, three,
+    four and seven admissible vectors."""
     gens = list(eight_point_gens())
     fr = build_frame(8, gens, 2)
     elements = group_closure(gens, 8)
-    raw = [(1, {3, 4}), (2, {1, 6}), (5, {7, 8, 1})]
-    inst = normalize(raw, 8, gens, 2)
-    expected = {
-        fr.coords_of_perm(u)
-        for u in elements
-        if all(u.image(a) in inst.cmap[a] for a in range(1, 9))
-    }
-    [vo] = unpack_vos(fr, [compute_vo(fr, inst, 0)])
-    assert set(vo) == expected
+    sizes = []
+    for raw in ([(1, {3, 4}), (2, {1, 6}), (5, {7, 8, 1})],
+                [(1, {3, 4, 5}), (2, {3, 4, 6, 7})],
+                [(1, {3, 4, 5, 6}), (2, {4, 3, 5, 6})],
+                [(1, set(range(2, 9)))]):
+        inst = normalize(raw, 8, gens, 2)
+        expected = {
+            fr.coords_of_perm(u)
+            for u in elements
+            if all(u.image(a) in inst.cmap[a] for a in range(1, 9))
+        }
+        vo = compute_vo(fr, inst, 0)
+        assert set(vo) == expected
+        sizes.append(len(vo))
+    assert sizes == [0, 3, 4, 7]
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,7 +293,7 @@ def test_linearize_singletons_and_pairs_always_linear():
     vos = compute_all_vo(fr, inst)
     lin = linearize(fr, vos)
     assert isinstance(lin, LinearizedConstraint)
-    assert lin.w == (1, 0, 0)
+    assert lin.w == 0b100
     [e_o] = lin.e_orbits
     assert e_o.rank == 0
 
@@ -323,7 +334,7 @@ def test_linearize_lines_off_the_origin_at_odd_p(p):
         lin = linearize(fr, pack_vos(fr, [line]))
         assert isinstance(lin, LinearizedConstraint), e
         [e_o] = lin.e_orbits
-        assert lin.w == line[0] and e_o.rank == 1
+        assert lin.w == packed_digits(p, 2).pack(line[0]) and e_o.rank == 1
         assert not any(e_o.reduce(e)) and any(e_o.reduce((1, 0) if e[0] == 0 else (0, 1)))
         bent = line[:-1] + [((line[-1][0] + 1) % p, line[-1][1])]
         out = linearize(fr, pack_vos(fr, [sorted(bent)]))
@@ -366,17 +377,19 @@ def test_linearized_constraint_per_orbit_invariants():
         if not isinstance(lin, LinearizedConstraint):
             continue
         vos = unpack_vos(fr, packed)
+        packing = packed_digits(2, fr.dim)
+        w = packing.unpack(lin.w)
         for i, of in enumerate(fr.orbit_frames):
             lo, hi = fr.slices[i]
             e_o = lin.e_orbits[i]
             assert (e_o is None) == (len(vos[i]) == 2 ** of.dim)
             assert len(vos[i]) == 2 ** (of.dim if e_o is None else e_o.rank)
-            assert lin.w[lo:hi] == vos[i][0]
+            assert w[lo:hi] == vos[i][0]
             for v in vos[i]:
                 if e_o is not None:
                     assert not any(e_o.reduce(tuple((a - b) % 2 for a, b in zip(v, vos[i][0]))))
                 padded = (0,) * lo + v + (0,) * (fr.dim - hi)
-                u = fr.perm_of_coords(padded)
+                u = fr.perm_of_coords(packing.pack(padded))
                 assert all(u.image(b) in inst.cmap[b] for b in of.points)
 
 
@@ -526,8 +539,8 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
         seen[out.status, out.reason] += 1
 
     def moved(fr_c, lin_c):
-        return LinearizedConstraint(tuple(rng.randrange(p) for _ in range(fr_c.dim)),
-                                    lin_c.e_orbits)
+        w = tuple(rng.randrange(p) for _ in range(fr_c.dim))
+        return LinearizedConstraint(packed_digits(p, fr_c.dim).pack(w), lin_c.e_orbits)
 
     for seed in range(40):
         cfg = GenConfig(p=p, seed=2000 * p + 100 * k + seed, k=k, q_range=(1, 3),
@@ -538,8 +551,9 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
         lin = linearize(fr, vos)
         if not isinstance(lin, LinearizedConstraint):
             continue
+        packing = packed_digits(p, fr.dim)
         g = [0] * fr.dim
-        for x in fr.gen_coords:
+        for x in map(packing.unpack, fr.gen_coords):
             c = rng.randrange(p)
             g = [(a + c * b) % p for a, b in zip(g, x)]
         wide = [i for i, vo in enumerate(vos) if len(vo) > 1]
@@ -551,7 +565,7 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
             vo = tuple(itertools.product(range(p), repeat=of.dim))
         g[lo:hi] = [(a + b - c) % p for a, b, c in zip(g[lo:hi], rng.choice(vo[1:]), vo[0])]
         at = rng.randrange(len(inst.gens) + 1)
-        gens = inst.gens[:at] + (fr.perm_of_coords(g),) + inst.gens[at:]
+        gens = inst.gens[:at] + (fr.perm_of_coords(packing.pack(g)),) + inst.gens[at:]
         joined = normalize(stated.items(), inst.n, gens, p)
         fr_joined = build_frame(joined.n, joined.gens, p)
         vos_joined = compute_all_vo(fr_joined, joined)
@@ -578,27 +592,35 @@ def test_solve_linear_matches_the_schoolbook_reference(p, dim_range, k):
                                   near_square_text(12)], ids=["p2", "p3", "near-square"])
 def test_a_linear_solve_adds_packed_rows_only(monkeypatch, text):
     """On a linear solve nothing calls RowReducer.add or RowReducer.reduce:
-    linearize and solve_linear add packed vectors, and solve_linear packs
-    each generator's coordinates once, then w."""
+    linearize and solve_linear add packed vectors.  From the frame to the
+    witness no d-wide vector is packed or unpacked: the generators'
+    coordinates, w and the witness's coordinates stay packed, and the only
+    vectors packed or unpacked are one orbit wide, where the frame reads a
+    position's code and a code's translation."""
     inst = parse_instance(text)
     fr = build_frame(inst.n, inst.gens, inst.p)
-    lin = linearize(fr, compute_all_vo(fr, inst))
-    packed = []
-    real_pack = PackedDigits.pack
+    assert len(fr.orbit_frames) > 1
+    widths = []
+    real_pack, real_unpack = PackedDigits.pack, PackedDigits.unpack
 
     def pack(self, vec):
-        packed.append(tuple(vec))
+        widths.append(self.count)
         return real_pack(self, vec)
+
+    def unpack(self, code):
+        widths.append(self.count)
+        return real_unpack(self, code)
 
     def refuse(*args):
         raise AssertionError("RowReducer.add or RowReducer.reduce called")
 
     monkeypatch.setattr(PackedDigits, "pack", pack)
+    monkeypatch.setattr(PackedDigits, "unpack", unpack)
     monkeypatch.setattr(RowReducer, "add", refuse)
     monkeypatch.setattr(RowReducer, "reduce", refuse)
     out = solve(inst)
     assert (out.status, out.method) == ("sat", "linear")
-    assert packed == [*fr.gen_coords, lin.w]
+    assert widths and set(widths) <= {of.dim for of in fr.orbit_frames} and fr.dim not in widths
 
 
 def test_group_variety_built_only_to_test_membership(monkeypatch):
@@ -640,7 +662,7 @@ def test_group_variety_has_the_row_space_of_the_inverted_change_of_basis(p):
         fr = build_frame(inst.n, inst.gens, p)
         basis, dim_g = fr.subspace_basis(fr.gen_coords)
         ours = group_variety(fr).m.rows
-        ref = schoolbook_variety_matrix(fr, basis).rows
+        ref = schoolbook_variety_matrix(fr, unpack_coords(fr, basis)).rows
         rank = schoolbook_rank(ours, p, fr.dim)
         assert rank == fr.dim - dim_g
         assert schoolbook_rank(ref, p, fr.dim) == schoolbook_rank(ours + ref, p, fr.dim) == rank
@@ -835,7 +857,8 @@ def test_solve_at_p2_is_the_same_on_the_list_path(monkeypatch):
     monkeypatch.setattr(constraint, "solve_linear",
                         lambda fr, lin: schoolbook_solve_linear(fr, read[-1], lin.w))
     monkeypatch.setattr(constraint, "group_variety",
-                        lambda fr: SchoolbookResidual(fr.p, fr.dim, fr.gen_coords))
+                        lambda fr: SchoolbookResidual(fr.p, fr.dim,
+                                                      unpack_coords(fr, fr.gen_coords)))
     assert [solve(inst) for inst in insts] == packed
 
 
@@ -954,10 +977,11 @@ def product_reference(fr, vos, m_g):
     gives them and unpacked first: the first combination in
     itertools.product order whose M_G product is 0, as (status, reason,
     witness)."""
+    pack = packed_digits(fr.p, fr.dim).pack
     for combo in itertools.product(*unpack_vos(fr, vos)):
         x = tuple(c for part in combo for c in part)
         if m_g.contains(x):
-            return "sat", None, fr.perm_of_coords(x)
+            return "sat", None, fr.perm_of_coords(pack(x))
     return "unsat", "exhausted", None
 
 
@@ -1075,7 +1099,8 @@ def test_solve_product_whole_superspace_takes_first_combination():
     m_g = group_variety(fr)
     assert not any(any(row) for row in m_g.m.rows)
     out = solve_product(fr, pack_vos(fr, [((2,), (1,)), ((1,),), ((),)]))
-    assert out.status == "sat" and out.witness == fr.perm_of_coords((2, 1))
+    assert out.status == "sat"
+    assert out.witness == fr.perm_of_coords(packed_digits(3, 2).pack((2, 1)))
 
 
 def test_solve_product_single_orbit_takes_first_vector():
@@ -1087,7 +1112,7 @@ def test_solve_product_single_orbit_takes_first_vector():
     for r in range(len(plane) + 1):
         vo = plane[::-1][:r]
         out = assert_product_matches_reference(fr, pack_vos(fr, [vo]), m_g)
-        assert out.witness == (fr.perm_of_coords(vo[0]) if vo else None)
+        assert out.witness == (fr.perm_of_coords(packed_digits(3, 2).pack(vo[0])) if vo else None)
 
 
 def test_solve_product_refuses_once_its_candidates_pass_the_cap(monkeypatch):
@@ -1288,12 +1313,69 @@ def test_satisfaction_lemma_on_whole_superspace():
         inst = normalize(raw, n, gens, p)
         fr = build_frame(n, gens, p)
         vos = [set(v) for v in unpack_vos(fr, compute_all_vo(fr, inst))]
+        pack = packed_digits(p, fr.dim).pack
         for x in itertools.product(range(p), repeat=fr.dim):
-            u = fr.perm_of_coords(x)
+            u = fr.perm_of_coords(pack(x))
             slices = [x[lo:hi] for lo, hi in fr.slices]
             lhs = satisfies_pointwise(inst, u)
             rhs = all(s in vo for s, vo in zip(slices, vos))
             assert lhs == rhs
+
+
+def test_a_frame_wider_than_the_pack_chunk_agrees_with_the_oracle():
+    """70 one-dimensional orbits at p = 3 under a group of dimension 3, so
+    the frame's d = 70 is wider than fpalg._PACK_CHUNK and the oracle
+    enumerates 27 members.  gen_coords is the reference's coordinates
+    packed in chunks (PackedDigits.pack), solve agrees with solve_enumerate
+    on the verdict, both witnesses verify, and perm_of_coords undoes
+    coords_of_perm on every generator and every witness.  One stated point
+    is kept per orbit with k = 1 and k = 2, so V_O has k members and the
+    linear branch and the product walk both decide; every other instance
+    is planted."""
+    assert 70 > fpalg._PACK_CHUNK
+    pack = packed_digits(3, 70).pack
+    rng = SplitMix64(derive_seed(3, 70))
+    seen = Counter()
+    for k in (1, 2):
+        for seed in range(8):
+            full = gen_instance(GenConfig(p=3, seed=derive_seed(70, k, seed), k=k,
+                                          sat_bias=float(seed % 2), dims=(1,) * 70,
+                                          dim_g=3)).instance
+            kept = [3 * j + 1 + rng.below(3) for j in range(70)]
+            inst = normalize([(a, full.constraints[a]) for a in kept], full.n, full.gens, 3)
+            fr = build_frame(inst.n, inst.gens, 3)
+            assert fr.dim == 70
+            assert fr.gen_coords == tuple(pack(reference_coords(fr, g)) for g in fr.gens)
+            out = solve(inst)
+            ref = solve_enumerate(fr, inst)
+            assert out.status == ref.status
+            witnesses = [o.witness for o in (out, ref) if o.witness is not None]
+            for u in [*fr.gens, *witnesses]:
+                assert fr.perm_of_coords(fr.coords_of_perm(u)) == u
+            for u in witnesses:
+                assert verify_detail(inst, u, fr) == (True, None)
+            seen[out.status, out.method] += 1
+    assert {("sat", "linear"), ("sat", "product"), ("unsat", "linear"),
+            ("unsat", "product")} <= set(seen)
+
+
+def test_the_empty_frame_is_decided_sat_on_every_path():
+    """n = 0: a frame with no orbits.  solve, solve_linear, solve_product
+    and solve_enumerate each return SAT with the empty witness, and verify
+    accepts it; the product walk ends at depth 0 without backing up."""
+    for p in (2, 3):
+        inst = normalize([], 0, [], p)
+        fr = build_frame(0, [], p)
+        assert (fr.dim, fr.orbit_frames, fr.gen_coords) == (0, (), ())
+        lin = linearize(fr, [])
+        assert lin == LinearizedConstraint(0, ())
+        empty = Permutation(())
+        for out, method in ((solve(inst), "linear"), (solve_linear(fr, lin), "linear"),
+                            (solve_product(fr, []), "product"),
+                            (solve_enumerate(fr, inst), "enumerate")):
+            assert (out.status, out.method, out.witness) == ("sat", method, empty)
+        assert verify_detail(inst, empty) == (True, None)
+        assert verify(inst, empty, fr)
 
 
 def test_oracle_equivalence_random_smoke():

@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcsolve.constraint import normalize, verify_detail
-from gcsolve.fpalg import RowReducer
+from gcsolve.fpalg import RowReducer, packed_digits
 from gcsolve.frame import (
     FrameError,
     NotInSuperspaceError,
@@ -15,6 +16,7 @@ from gcsolve.frame import (
     translation_positions,
 )
 from gcsolve.genbench import GenConfig, gen_instance
+from gcsolve.instfile import parse_instance
 from gcsolve.perm import (
     MAX_N,
     Permutation,
@@ -22,7 +24,14 @@ from gcsolve.perm import (
     is_elementary_abelian,
     orbit_partition,
 )
-from util import eight_point_gens, group_closure, lex_tables, reference_coords, relabelled_frames
+from util import (
+    eight_point_gens,
+    group_closure,
+    lex_tables,
+    many_orbit_text,
+    reference_coords,
+    relabelled_frames,
+)
 
 
 def combine(basis, coeffs, n):
@@ -212,10 +221,10 @@ def test_coordinate_tables_recompose(n, gens, p):
 def test_coords_of_perm_identity_and_known_vector():
     g1, g2, g3 = eight_point_gens()
     fr = build_frame(8, [g1, g2, g3], 2)
-    assert fr.coords_of_perm(Permutation.identity(8)) == (0, 0, 0)
+    assert fr.coords_of_perm(Permutation.identity(8)) == 0b000
     x = fr.coords_of_perm(g2)
-    assert x == (0, 1, 0)
-    assert combine(global_basis(fr), x, 8) == g2
+    assert x == 0b010
+    assert combine(global_basis(fr), packed_digits(2, 3).unpack(x), 8) == g2
 
 
 def test_coords_of_perm_rejects_orbit_escape():
@@ -283,8 +292,8 @@ def frames_and_moves(draw):
 @given(frames_and_moves())
 def test_coords_of_perm_matches_tuple_arithmetic(case):
     """The replay through the translation table against digit arithmetic on
-    the coordinate tables, at p in {2, 3, 5}: the same coordinates, or the
-    same error; a swap is never a translation."""
+    the coordinate tables, at p in {2, 3, 5}: the same coordinates, packed,
+    or the same error; a swap is never a translation."""
     fr, u, kind = case
     try:
         expected = reference_coords(fr, u)
@@ -295,8 +304,9 @@ def test_coords_of_perm_matches_tuple_arithmetic(case):
         assert str(got.value) == str(exc)
     else:
         assert kind in ("translation", "shuffle")
-        assert fr.coords_of_perm(u) == expected
-        assert fr.perm_of_coords(expected) == u
+        code = packed_digits(fr.p, fr.dim).pack(expected)
+        assert fr.coords_of_perm(u) == code
+        assert fr.perm_of_coords(code) == u
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,11 +314,12 @@ def test_coords_of_perm_matches_tuple_arithmetic(case):
 def test_coords_of_perms_matches_the_reference_per_permutation(case, data):
     """The batched read against the digit-arithmetic reference taken one
     permutation at a time, at p in {2, 3, 5}: gen_coords is the reference's
-    coordinates of each generator, and a batch of the generators with one
-    move put in among them gives every member's coordinates, or, since
-    only the move can fail, the move's own error."""
+    coordinates of each generator, packed, and a batch of the generators
+    with one move put in among them gives every member's coordinates, or,
+    since only the move can fail, the move's own error."""
     fr, u, _ = case
-    assert fr.gen_coords == tuple(reference_coords(fr, g) for g in fr.gens)
+    pack = packed_digits(fr.p, fr.dim).pack
+    assert fr.gen_coords == tuple(pack(reference_coords(fr, g)) for g in fr.gens)
     batch = list(fr.gens)
     batch.insert(data.draw(st.integers(0, len(batch))), u)
     try:
@@ -319,7 +330,7 @@ def test_coords_of_perms_matches_the_reference_per_permutation(case, data):
         assert str(got.value) == str(exc)
     else:
         assert fr.coords_of_perms(batch) == tuple(
-            expected if v is u else reference_coords(fr, v) for v in batch)
+            pack(expected if v is u else reference_coords(fr, v)) for v in batch)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -339,12 +350,13 @@ def test_one_point_orbits_replay_as_every_orbit_does(p):
     fr = build_frame(n, gens, p)
     assert [of.dim for of in fr.orbit_frames] == [0, 1, 0, 1, 0]
     fixed = (1, p + 2, 2 * p + 3)
-    assert fr.gen_coords == ((1, 0), (0, 1))
+    pack = packed_digits(p, 2).pack
+    assert fr.gen_coords == (pack((1, 0)), pack((0, 1)))
     inst = normalize([], n, gens, p)
     if p == 2:
         perms = [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
     else:
-        members = [fr.perm_of_coords(x) for x in itertools.product(range(p), repeat=2)]
+        members = [fr.perm_of_coords(pack(x)) for x in itertools.product(range(p), repeat=2)]
         perms = list(members)
         for u, f, q in itertools.product(members, fixed, range(1, n + 1)):
             images = list(u.images)
@@ -364,8 +376,8 @@ def test_one_point_orbits_replay_as_every_orbit_does(p):
             assert verify_detail(inst, u, fr) == (False, f"witness not in group: {exc}")
             seen.add(str(exc))
         else:
-            assert fr.coords_of_perm(u) == expected
-            assert fr.coords_of_perms(gens + [u]) == ((1, 0), (0, 1), expected)
+            assert fr.coords_of_perm(u) == pack(expected)
+            assert fr.coords_of_perms(gens + [u]) == (*fr.gen_coords, pack(expected))
             assert verify_detail(inst, u, fr) == (True, None)
             seen.add("member")
     # a permutation that moves the last point, 2p + 3, moves an earlier
@@ -374,18 +386,40 @@ def test_one_point_orbits_replay_as_every_orbit_does(p):
                                  for a in fixed[:2]}
 
 
+def test_build_frame_memory_about_doubles_with_the_orbits():
+    """k two-point orbits under 16 generators (util.many_orbit_text), so
+    that d = k: doubling k from 1024 to 2048 at most about doubles the
+    memory peak of build_frame, whose packed coordinates of the 16
+    generators are joined from each orbit's field rather than grown orbit
+    by orbit.  Each instance's frame is built once before it is traced,
+    so that caches filled on first use are not counted."""
+    insts = [parse_instance(many_orbit_text(2, k, 16)) for k in (1024, 2048)]
+    peaks = []
+    for inst in insts:
+        build_frame(inst.n, inst.gens, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fr = build_frame(inst.n, inst.gens, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert fr.dim == len(fr.orbit_frames) == inst.n // 2
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 @pytest.mark.parametrize("p,dims", [(2, (1, 2, 2, 3, 3)), (3, (1, 1, 2)), (5, (1, 2))])
 def test_build_frame_keeps_nothing_from_the_replay(p, dims):
     """Building the frame adds no attribute for the replay, and the
-    translation table holds one entry per distinct (dim, x) among the
-    generators' positions on the orbits that move: the per-orbit images
-    the read translates are not kept."""
+    translation table holds one entry per distinct (dim, code) among the
+    generators' per-orbit codes (packed_digits(p, d_O)) on the orbits
+    that move: the per-orbit images the read translates are not kept."""
     gens = gen_instance(GenConfig(p=p, seed=3, dims=dims)).instance.gens
     fr = build_frame(len(gens[0].images), gens, p)
     assert set(vars(fr)) == {"p", "n", "gens", "orbit_frames", "slices", "dim",
                              "_translations", "gen_coords"}
     assert set(fr._translations) == {
-        (of.dim, of.pos[g.image(of.origin)])
+        (of.dim, packed_digits(p, of.dim).position_codes()[of.pos[g.image(of.origin)]])
         for g in gens for of in fr.orbit_frames if of.dim}
 
 
@@ -395,7 +429,7 @@ def test_coords_of_perm_accepts_superspace_outside_group():
     g = Permutation.from_cycles(4, [(1, 2), (3, 4)])
     fr = build_frame(4, [g], 2)
     lone = Permutation.from_cycles(4, [(1, 2)])
-    assert fr.coords_of_perm(lone) == (1, 0)
+    assert fr.coords_of_perm(lone) == 0b10
 
 
 def test_translation_table_keeps_orbits_of_other_dimensions_apart():
@@ -407,10 +441,10 @@ def test_translation_table_keeps_orbits_of_other_dimensions_apart():
     h = Permutation.from_cycles(6, [(3, 5), (4, 6)])
     fr = build_frame(6, [g, h], 2)
     assert [of.dim for of in fr.orbit_frames] == [1, 2]
-    assert fr.gen_coords == ((1, 0, 1), (0, 1, 0))
-    assert fr.perm_of_coords((1, 0, 1)) == g
-    assert fr.perm_of_coords((1, 1, 1)) == compose(g, h)
-    assert fr.coords_of_perm(compose(g, h)) == (1, 1, 1)
+    assert fr.gen_coords == (0b101, 0b010)
+    assert fr.perm_of_coords(0b101) == g
+    assert fr.perm_of_coords(0b111) == compose(g, h)
+    assert fr.coords_of_perm(compose(g, h)) == 0b111
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -456,12 +490,12 @@ def test_translation_positions_at_odd_p_are_pinned(x, p, want):
 def test_perm_of_coords_zero_units_roundtrip():
     g1, g2, g3 = eight_point_gens()
     fr = build_frame(8, [g1, g2, g3], 2)
-    assert fr.perm_of_coords((0, 0, 0)).is_identity()
+    assert fr.perm_of_coords(0).is_identity()
     for i, b in enumerate(global_basis(fr)):
-        unit = tuple(1 if j == i else 0 for j in range(fr.dim))
-        assert fr.perm_of_coords(unit) == b
-    with pytest.raises(FrameError):
-        fr.perm_of_coords((0, 1))
+        assert fr.perm_of_coords(1 << fr.dim - 1 - i) == b
+    for wide in (-1, 1 << fr.dim):
+        with pytest.raises(FrameError):
+            fr.perm_of_coords(wide)
 
 
 @pytest.mark.parametrize(
@@ -472,11 +506,12 @@ def test_perm_of_coords_zero_units_roundtrip():
 )
 def test_perm_of_coords_inverse_of_coords_of_perm(n, gens, p):
     fr = build_frame(n, list(gens), p)
+    pack = packed_digits(p, fr.dim).pack
     rng = random.Random(5)
     for _ in range(200):
         x = tuple(rng.randrange(p) for _ in range(fr.dim))
-        u = fr.perm_of_coords(x)
-        assert fr.coords_of_perm(u) == x
+        u = fr.perm_of_coords(pack(x))
+        assert fr.coords_of_perm(u) == pack(x)
         assert u == combine(global_basis(fr), x, n)
 
 
@@ -509,7 +544,7 @@ def test_variety_matrix_full_and_empty_subspace():
     fr = build_frame(8, [g1, g2, g3], 2)
     full_basis, dim = fr.subspace_basis(fr.gen_coords)
     assert dim == 3
-    m_full = fr.variety_matrix(full_basis)
+    m_full = fr.variety_matrix([packed_digits(2, 3).unpack(x) for x in full_basis])
     assert m_full.m.rows == ((0, 0, 0),) * 3
     m_empty = fr.variety_matrix([])
     assert m_empty.dim_sub == 0
@@ -591,8 +626,9 @@ def test_orbit_membership_matches_rank_test():
             sub = [rng.choice(elements) for _ in range(rng.randrange(3))]
             reducer = RowReducer(p, fr.dim)
             basis = []
+            unpack = packed_digits(p, fr.dim).unpack
             for s in sub:
-                x = fr.coords_of_perm(s)
+                x = unpack(fr.coords_of_perm(s))
                 if reducer.add(x):
                     basis.append(s)
             # orbit of a under H, computed by closing over the chosen elements
@@ -611,8 +647,8 @@ def test_orbit_membership_matches_rank_test():
                 # leaves the rank unchanged
                 span = RowReducer(p, fr.dim)
                 for s in basis:
-                    span.add(fr.coords_of_perm(s))
-                in_h = not span.add(fr.coords_of_perm(u))
+                    span.add(unpack(fr.coords_of_perm(s)))
+                in_h = not span.add(unpack(fr.coords_of_perm(u)))
                 assert in_h == (u.image(a) in h_orbit)
 
 

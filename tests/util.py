@@ -473,6 +473,12 @@ def unpack_vos(fr, vos):
             for of, vo in zip(fr.orbit_frames, vos)]
 
 
+def unpack_coords(fr, coords):
+    """Coordinate vectors of fr given packed, as Frame.coords_of_perms
+    packs them (packed_digits(p, d)), as digit tuples."""
+    return [packed_digits(fr.p, fr.dim).unpack(x) for x in coords]
+
+
 def assert_vos_match_reference(fr, inst):
     """compute_all_vo on every orbit: members ascending, and as digit
     tuples the vectors reference_vo finds by the definition; returns the
@@ -569,18 +575,22 @@ def schoolbook_solve_linear(fr, vos, w):
     free variables 0 (schoolbook_solve).  M_E is a variety matrix of E
     built by inversion (schoolbook_variety_matrix) from E's basis rebuilt
     from the V_O sets vos, as compute_vo gives them (schoolbook_e_basis
-    unpacks them); the answer depends on its kernel only."""
+    unpacks them); the answer depends on its kernel only.  The
+    coordinates, w among them, are given packed as the frame packs them
+    and are unpacked first; x is packed for perm_of_coords."""
     p = fr.p
+    packing = packed_digits(p, fr.dim)
+    gens = [packing.unpack(g) for g in fr.gen_coords]
     m_e = schoolbook_variety_matrix(fr, schoolbook_e_basis(fr, vos))
-    cols = [m_e.product(g) for g in fr.gen_coords]
+    cols = [m_e.product(g) for g in gens]
     rows = tuple(tuple(col[i] for col in cols) for i in range(fr.dim))
-    a = schoolbook_solve(FpMatrix(p, rows), m_e.product(w))
+    a = schoolbook_solve(FpMatrix(p, rows), m_e.product(packing.unpack(w)))
     if a is None:
         return SolveOutcome.unsat(UNSAT_INCONSISTENT, method="linear")
     x = [0] * fr.dim
-    for c, g in zip(a, fr.gen_coords):
+    for c, g in zip(a, gens):
         x = [(s + c * b) % p for s, b in zip(x, g)]
-    return SolveOutcome.sat(fr.perm_of_coords(x), "linear")
+    return SolveOutcome.sat(fr.perm_of_coords(packing.pack(x)), "linear")
 
 
 def schoolbook_invert(m):
